@@ -58,10 +58,10 @@ def q_inv(p):
     about -6, q_func saturates toward 1.0 in float64 and no inverse can
     recover x; callers never evaluate there, every use being an upper-tail
     probability of at most 1/8. The fold budget squares this value, so the
-    polish is not decorative.
+    polish is not decorative. NaN is outside (0, 1) and raises too.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("q_inv requires 0 < p < 1")
     x = _SQRT2 * special.erfcinv(2.0 * p)
     for _ in range(2):
@@ -84,6 +84,10 @@ class RateReport:
     is None when feasible, else "feedback_outage" (psi2 pole),
     "rate_nonpositive" (log argument <= 1), or "no_feasible_blocklength"
     (planner exhausted its scan).
+
+    achievable_rate over an array of n_t returns one report whose fields are
+    equal-length arrays (outage_reason an object array); `at` picks out the
+    scalar report of one blocklength.
     """
 
     n_t: int
@@ -98,6 +102,25 @@ class RateReport:
     def total_bits(self) -> float:
         return self.n_t * self.rate
 
+    def at(self, i) -> "RateReport":
+        """Scalar report of element i of an array report."""
+        return RateReport(int(self.n_t[i]), float(self.rate[i]),
+                          float(self.L[i]), float(self.psi1[i]),
+                          float(self.psi2[i]), bool(self.feasible[i]),
+                          self.outage_reason[i])
+
+
+def _blocklengths(n_t, least):
+    """n_t as a 1-D int64 array, plus whether it came in as a scalar."""
+    n = np.asarray(n_t)
+    if n.ndim > 1:
+        raise ValueError("n_t must be a scalar or a 1-D array")
+    scalar = n.ndim == 0
+    n = np.atleast_1d(n).astype(np.int64)
+    if n.size and n.min() < least:
+        raise ValueError("n_t must be >= %d, got %d" % (least, n.min()))
+    return n, scalar
+
 
 def aliasing_budget(tau, n_t):
     """Fold budget L = qinv(tau/(8*(n_t-1)))^2 / 3.
@@ -105,16 +128,19 @@ def aliasing_budget(tau, n_t):
     L is what the feedback power must dominate: the refinement signal
     gamma*eps + fb-noise has variance P_fb/(2L) by construction, so the fold
     z-score is sqrt(3L) and each step's fold probability stays within its
-    share of tau.
+    share of tau. n_t may be a 1-D array (one q_inv call for all of it); the
+    result then is an array too.
     """
-    if n_t < 2:
-        raise ValueError("aliasing budget needs n_t >= 2, got %r" % (n_t,))
+    n, scalar = _blocklengths(n_t, 2)
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
-    return float(q_inv(tau / (8.0 * (n_t - 1)))) ** 2 / 3.0
+    L = q_inv(tau / (8.0 * (n - 1))) ** 2 / 3.0
+    return float(L[0]) if scalar else L
 
 
 def _validated(snr, snr_fb, gain_fwd, gain_fb, tau):
+    if not all(map(math.isfinite, (snr, snr_fb, gain_fwd, gain_fb, tau))):
+        raise ValueError("snr, snr_fb, gains and tau must be finite")
     if snr <= 0.0 or snr_fb <= 0.0:
         raise ValueError("snr and snr_fb must be positive")
     if gain_fwd < 0.0 or gain_fb < 0.0:
@@ -132,52 +158,65 @@ def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t) -> RateReport:
         gain_fwd: |h|^2 of the forward fading coefficient.
         gain_fb: |h_fb|^2 of the feedback fading coefficient.
         tau: target block error probability.
-        n_t: block length in channel uses, >= 1.
+        n_t: block length in channel uses, >= 1; or a 1-D integer array of
+            them, which returns one report of equal-length arrays.
 
     n_t = 1 degenerates to uncoded PAM: no refinement product, no fold budget.
+    A scalar n_t runs as a one-element array, so both forms share one
+    element-wise path: q_inv once for tau/8 and once (inside aliasing_budget)
+    for every coded n_t. The rate is summed in log space, so n_t in the
+    hundreds stays finite.
     """
     _validated(snr, snr_fb, gain_fwd, gain_fb, tau)
-    if n_t < 1:
-        raise ValueError("n_t must be >= 1")
-    n_t = int(n_t)
+    n, scalar = _blocklengths(n_t, 1)
     qi8 = float(q_inv(tau / 8.0))
     base = 3.0 * snr * gain_fwd / (qi8 * qi8)
+    log_base = math.log2(base) if base > 0 else -math.inf
 
-    if n_t == 1:
-        if base <= 1.0:
-            return RateReport(1, 0.0, 0.0, 1.0, 1.0, False, "rate_nonpositive")
-        return RateReport(1, math.log2(base), 0.0, 1.0, 1.0, True)
-
-    L = aliasing_budget(tau, n_t)
+    coded = n >= 2
+    L = np.zeros(n.size)
+    if coded.any():
+        L[coded] = aliasing_budget(tau, n[coded])
     fb_strength = gain_fb * snr_fb
-    if fb_strength <= L:
-        psi1 = 1.0 + L * gain_fwd * snr / fb_strength if fb_strength > 0 else math.inf
-        return RateReport(n_t, 0.0, L, psi1, math.inf, False, "feedback_outage")
-    psi1 = 1.0 + L * gain_fwd * snr / fb_strength
-    psi2 = 1.0 / (1.0 - L / fb_strength)
+    outage = coded & (fb_strength <= L)
+    live = coded & ~outage
+    psi1 = np.ones(n.size)
+    with np.errstate(over="ignore"):  # a subnormal fb_strength gives inf
+        psi1[coded] = (1.0 + L[coded] * gain_fwd * snr / fb_strength
+                       if fb_strength > 0 else math.inf)
+    psi2 = np.where(outage, math.inf, 1.0)
+    psi2[live] = 1.0 / (1.0 - L[live] / fb_strength)
     growth = 1.0 + snr * gain_fwd / (psi1 * psi2)
     # log2(arg) computed in log space: arg overflows float64 near n_t ~ 550
-    total = math.log2(base) + (n_t - 1) * math.log2(growth) if base > 0 else -math.inf
-    if total <= 0.0:
-        return RateReport(n_t, 0.0, L, psi1, psi2, False, "rate_nonpositive")
-    return RateReport(n_t, total / n_t, L, psi1, psi2, True)
+    total = log_base + (n - 1) * np.log2(growth)
+    feasible = ~outage & (total > 0.0)
+    rate = np.where(feasible, total / n, 0.0)
+    reason = np.where(outage, "feedback_outage",
+                      np.where(feasible, None, "rate_nonpositive"))
+    rep = RateReport(n, rate, L, psi1, psi2, feasible, reason)
+    return rep.at(0) if scalar else rep
 
 
 def plan_blocklength(payload_bits, snr, snr_fb, gain_fwd, gain_fb, tau,
                      n_max) -> RateReport:
     """Smallest n_t <= n_max whose block budget covers payload_bits.
 
-    Linear scan from 2: the rate is not monotone in n_t (L grows with n_t),
-    so binary search has no footing. Returns an infeasible report with
-    outage_reason "no_feasible_blocklength" when the scan exhausts n_max.
+    One achievable_rate call over n_t = 2..n_max, then the first index that
+    is feasible and covers the payload: the rate is not monotone in n_t (L
+    grows with n_t), so binary search has no footing. The returned report is
+    that element of the array report, bit for bit. Returns an infeasible
+    report with outage_reason "no_feasible_blocklength" when no n_t in the
+    range qualifies.
     """
     if payload_bits < 1:
         raise ValueError("payload_bits must be >= 1")
-    for n_t in range(2, int(n_max) + 1):
-        rep = achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t)
-        if rep.feasible and rep.total_bits >= payload_bits:
-            return rep
-    return RateReport(int(n_max), 0.0, 0.0, math.nan, math.nan, False,
+    n_max = int(n_max)
+    rep = achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau,
+                          np.arange(2, n_max + 1))
+    hit = rep.feasible & (rep.total_bits >= payload_bits)
+    if hit.any():
+        return rep.at(int(hit.argmax()))
+    return RateReport(n_max, 0.0, 0.0, math.nan, math.nan, False,
                       "no_feasible_blocklength")
 
 

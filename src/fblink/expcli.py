@@ -7,8 +7,9 @@ files; the manifest's wall_time_s is the one deliberately non-reproducible
 field and stays out of the hashes.
 
 Realizations are independent tasks on substreams keyed by task index. With
-FBLINK_WORKERS > 1 they run in a process pool; results are merged in task
-order, so the worker count never changes the bytes.
+FBLINK_WORKERS > 1 they run in a process pool of at most os.cpu_count()
+workers; results are merged in task order, so the worker count never changes
+the bytes. A non-integer FBLINK_WORKERS is a configuration error.
 
 Exit codes: 0 success, 1 configuration error, 2 a scenario found the
 configured system infeasible at runtime.
@@ -373,13 +374,16 @@ _PLANS_HEADER = ("realization", "payload_bits", "n_t", "rate_bits_per_use",
 def _scn_rate_vs_blocklength(cfg, r_idx):
     rng = substream(cfg.seed, DOMAIN_REALIZATION, r_idx)
     real = sample_realization(rng)
-    rates = []
-    for n_t in range(1, cfg.n_t_max_scan + 1):
-        rep = analysis.achievable_rate(cfg.snr, cfg.snr_fb, real.gain_fwd,
-                                       real.gain_fb, cfg.tau, n_t)
-        rates.append((r_idx, n_t, real.gain_fwd, real.gain_fb, rep.feasible,
-                      rep.outage_reason or "", rep.rate, rep.total_bits,
-                      rep.L, rep.psi1, rep.psi2))
+    rep = analysis.achievable_rate(cfg.snr, cfg.snr_fb, real.gain_fwd,
+                                   real.gain_fb, cfg.tau,
+                                   np.arange(1, cfg.n_t_max_scan + 1))
+    rates = [(r_idx, n_t, real.gain_fwd, real.gain_fb, ok, reason or "",
+              rate, bits, L, psi1, psi2)
+             for n_t, ok, reason, rate, bits, L, psi1, psi2 in zip(
+                 rep.n_t.tolist(), rep.feasible.tolist(),
+                 rep.outage_reason.tolist(), rep.rate.tolist(),
+                 rep.total_bits.tolist(), rep.L.tolist(), rep.psi1.tolist(),
+                 rep.psi2.tolist())]
     plan = analysis.plan_blocklength(cfg.payload_bits, cfg.snr, cfg.snr_fb,
                                      real.gain_fwd, real.gain_fb, cfg.tau,
                                      cfg.n_max)
@@ -586,6 +590,17 @@ def _run_task(packed):
     return r_idx, fn(cfg, r_idx)
 
 
+def _worker_count(env, cpu_count):
+    """Worker processes for the realization fan-out: FBLINK_WORKERS from env
+    (default 1), at least 1 and at most cpu_count."""
+    raw = env.get("FBLINK_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigError("FBLINK_WORKERS must be an integer, got %r" % raw)
+    return max(1, min(workers, cpu_count or 1))
+
+
 def _fmt(v):
     if isinstance(v, (bool, np.bool_)):
         return int(v)
@@ -616,8 +631,9 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
     _, file_headers = SCENARIOS[scenario]
     t0 = time.monotonic()
     n_tasks = 1 if scenario in _SINGLE_TASK else cfg.realizations
-    packed = [(scenario, asdict(cfg), r) for r in range(n_tasks)]
-    workers = max(1, int(os.environ.get("FBLINK_WORKERS", "1")))
+    cfg_dict = asdict(cfg)
+    packed = [(scenario, cfg_dict, r) for r in range(n_tasks)]
+    workers = _worker_count(os.environ, os.cpu_count())
     if workers > 1 and n_tasks > 1:
         with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
             results = list(pool.map(_run_task, packed))
@@ -636,7 +652,7 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
         "scenario": scenario,
         "seed": cfg.seed,
         "realizations": cfg.realizations,
-        "config": asdict(cfg),
+        "config": cfg_dict,
         "files": {},
         "wall_time_s": None,
     }

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblink import analysis
@@ -57,9 +57,19 @@ def test_q_func_vectorized():
 
 
 def test_q_inv_domain():
-    for bad in (0.0, 1.0, -0.1, 1.1):
+    for bad in (0.0, 1.0, -0.1, 1.1, math.nan, np.array([0.05, math.nan])):
         with pytest.raises(ValueError):
             q_inv(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_rejects_non_finite_inputs(bad):
+    args = [SNR, SNR_FB, 1.0, 1.0, 1e-3]
+    for pos in range(len(args)):
+        with pytest.raises(ValueError, match="finite"):
+            achievable_rate(*args[:pos], bad, *args[pos + 1:], 10)
+    with pytest.raises(ValueError):
+        plan_blocklength(30, SNR, SNR_FB, bad, 1.0, 1e-3, 64)
 
 
 def test_q_inv_vector_input():
@@ -100,11 +110,15 @@ def test_aliasing_budget_frozen():
 def test_aliasing_budget_grows_with_blocklength():
     ls = [aliasing_budget(1e-3, n) for n in range(2, 30)]
     assert all(b > a for a, b in zip(ls, ls[1:]))
+    # the array form is the same values from one q_inv call
+    assert aliasing_budget(1e-3, np.arange(2, 30)).tolist() == ls
 
 
 def test_aliasing_budget_validation():
     with pytest.raises(ValueError):
         aliasing_budget(1e-3, 1)
+    with pytest.raises(ValueError):
+        aliasing_budget(1e-3, np.array([2, 1, 3]))
     with pytest.raises(ValueError):
         aliasing_budget(0.0, 5)
     with pytest.raises(ValueError):
@@ -192,6 +206,49 @@ def test_rate_monotone_in_error_target():
 def test_rate_large_blocklength_no_overflow():
     rep = achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, 700)
     assert rep.feasible and np.isfinite(rep.total_bits)
+    reps = achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, np.arange(650, 710))
+    assert reps.feasible.all() and np.isfinite(reps.total_bits).all()
+
+
+def test_rate_array_form_fields():
+    rep = achievable_rate(SNR, 0.1, 1.0, 1.0, 1e-3, np.arange(1, 6))
+    for field in (rep.n_t, rep.rate, rep.L, rep.psi1, rep.psi2,
+                  rep.feasible, rep.outage_reason, rep.total_bits):
+        assert field.shape == (5,)
+    assert rep.outage_reason.dtype == object
+    # n_t = 1 is uncoded PAM; every coded length is in feedback outage
+    assert rep.outage_reason[0] is None and rep.feasible[0]
+    assert list(rep.outage_reason[1:]) == ["feedback_outage"] * 4
+    assert rep.at(0) == achievable_rate(SNR, 0.1, 1.0, 1.0, 1e-3, 1)
+
+
+def close(a, b):
+    """Equal, or within 1e-12 relative; inf and nan match themselves."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return True
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+GAIN = st.floats(min_value=0.0, max_value=4.0)
+TAU = st.floats(min_value=1e-6, max_value=1e-2)
+N_MAX = st.integers(min_value=1, max_value=256)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GAIN, GAIN, TAU, N_MAX)
+@example(1.0, 0.0, 1e-3, 40)    # gain_fb = 0: outage at every coded length
+@example(0.0, 1.0, 1e-3, 40)    # gain_fwd = 0: nothing is ever feasible
+def test_rate_array_matches_scalar_calls(gain_fwd, gain_fb, tau, n_max):
+    n = np.arange(1, n_max + 1)
+    rep = achievable_rate(SNR, SNR_FB, gain_fwd, gain_fb, tau, n)
+    for i, n_t in enumerate(n):
+        one = achievable_rate(SNR, SNR_FB, gain_fwd, gain_fb, tau, int(n_t))
+        assert isinstance(one.n_t, int) and isinstance(one.rate, float)
+        assert one.n_t == rep.n_t[i]
+        assert one.feasible == rep.feasible[i]
+        assert one.outage_reason == rep.outage_reason[i]
+        for field in ("rate", "L", "psi1", "psi2"):
+            assert close(getattr(rep, field)[i], getattr(one, field))
 
 
 def test_rate_validation():
@@ -214,22 +271,36 @@ def test_plan_frozen():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=120),
-       st.floats(min_value=0.3, max_value=4.0))
-def test_plan_matches_exhaustive_scan(payload, gain_fwd):
-    got = plan_blocklength(payload, SNR, SNR_FB, gain_fwd, 1.0, 1e-3, 64)
+@given(st.integers(min_value=1, max_value=1000), GAIN, GAIN, TAU, N_MAX,
+       st.integers(min_value=1, max_value=40))
+@example(30, 1.0, 0.0, 1e-3, 256, 24)     # outage at every blocklength
+@example(10**6, 1.0, 1.0, 1e-3, 256, 24)  # payload beyond every budget
+@example(30, 1.0, 1.0, 1e-3, 1, 24)       # empty search range
+def test_plan_matches_exhaustive_scan(payload, gain_fwd, gain_fb, tau, n_max,
+                                     n_scan):
+    got = plan_blocklength(payload, SNR, SNR_FB, gain_fwd, gain_fb, tau,
+                           n_max)
     want = None
-    for n_t in range(2, 65):
-        rep = achievable_rate(SNR, SNR_FB, gain_fwd, 1.0, 1e-3, n_t)
+    for n_t in range(2, n_max + 1):
+        rep = achievable_rate(SNR, SNR_FB, gain_fwd, gain_fb, tau, n_t)
         if rep.feasible and rep.total_bits >= payload:
             want = rep
             break
     if want is None:
-        assert not got.feasible
+        assert not got.feasible and got.rate == 0.0 and got.n_t == n_max
         assert got.outage_reason == "no_feasible_blocklength"
-    else:
-        assert got.feasible and got.n_t == want.n_t
-        assert got.total_bits >= payload
+        return
+    assert got.feasible and got.outage_reason is None
+    assert got.n_t == want.n_t and got.total_bits >= payload
+    for field in ("rate", "L", "psi1", "psi2"):
+        assert close(getattr(got, field), getattr(want, field))
+    # the rates.csv scan writes the array form over 1..n_scan; where the
+    # plan falls inside it, the two rates print the same string
+    scan = achievable_rate(SNR, SNR_FB, gain_fwd, gain_fb, tau,
+                           np.arange(1, n_scan + 1))
+    if got.n_t <= n_scan:
+        assert repr(float(scan.rate[got.n_t - 1])) == repr(got.rate)
+        assert scan.at(got.n_t - 1) == got
 
 
 def test_plan_exhausted():

@@ -7,7 +7,8 @@ import pytest
 
 from fblink.codec import pack_message
 from fblink.expcli import (ConfigError, SystemConfig, _fmt, _pack_group,
-                           _unpack_group, main, parse_config, run_scenario)
+                           _unpack_group, _worker_count, main, parse_config,
+                           run_scenario)
 from fblink.streams import substream
 
 
@@ -160,6 +161,46 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
         int(r["realization"]) for r in rows)
 
 
+def test_worker_count_parsing_and_clamp():
+    assert _worker_count({}, 8) == 1
+    assert _worker_count({"FBLINK_WORKERS": "2"}, 8) == 2
+    assert _worker_count({"FBLINK_WORKERS": "64"}, 2) == 2
+    assert _worker_count({"FBLINK_WORKERS": "0"}, 8) == 1
+    assert _worker_count({"FBLINK_WORKERS": "-3"}, 8) == 1
+    assert _worker_count({"FBLINK_WORKERS": "4"}, None) == 1
+    for bad in ("two", "", "1.5"):
+        with pytest.raises(ConfigError, match="FBLINK_WORKERS"):
+            _worker_count({"FBLINK_WORKERS": bad}, 8)
+
+
+def test_plans_are_first_hits_of_their_rate_scan(tmp_path):
+    # every feasible plan inside the scan is the scan's first n_t >= 2 that
+    # covers the payload, with the same rate string; any other plan has no
+    # such n_t in the scan
+    cfg = parse_config(None, realizations=50)
+    run_scenario(cfg, "rate_vs_blocklength", str(tmp_path))
+    rates = read_csv(tmp_path / "rates.csv")
+    plans = read_csv(tmp_path / "plans.csv")
+    assert len(plans) == 50 and len(rates) == 50 * cfg.n_t_max_scan
+    kinds = set()
+    for p in plans:
+        scan = [r for r in rates if r["realization"] == p["realization"]]
+        hit = next((r for r in scan if int(r["n_t"]) >= 2
+                    and r["feasible"] == "1"
+                    and float(r["total_bits"]) >= cfg.payload_bits), None)
+        inside = p["feasible"] == "1" and int(p["n_t"]) <= cfg.n_t_max_scan
+        kinds.add((p["feasible"], inside))
+        if inside:
+            assert hit is not None and hit["n_t"] == p["n_t"]
+            assert hit["rate_bits_per_use"] == p["rate_bits_per_use"]
+            assert hit["total_bits"] == p["total_bits"]
+        else:
+            assert hit is None
+    # the seed covers all three cases: hit inside the scan, hit past its
+    # end, no feasible blocklength at all
+    assert kinds == {("1", True), ("1", False), ("0", False)}
+
+
 def test_codec_validation_quick_run(tmp_path):
     cfg = parse_config(None, n_blocks=2000, fixed_gains=1, n_t=5)
     run_scenario(cfg, "codec_validation", str(tmp_path))
@@ -190,12 +231,17 @@ def test_cli_success_path(tmp_path, capsys):
     assert man["seed"] == 3
 
 
-def test_cli_config_error_is_exit_1(tmp_path, capsys):
+def test_cli_config_error_is_exit_1(tmp_path, capsys, monkeypatch):
     code = main(["run", "--scenario", "privacy_utility_sweep",
                  "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+    monkeypatch.setenv("FBLINK_WORKERS", "two")
+    code = main(["run", "--scenario", "privacy_utility_sweep",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "FBLINK_WORKERS" in capsys.readouterr().err
 
 
 def test_cli_infeasible_is_exit_2(tmp_path, capsys):

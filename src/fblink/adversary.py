@@ -18,9 +18,9 @@ gains, but never the shared dither. Two concrete attacks are implemented:
   distributed offset and the attack degenerates to guessing, which is the
   property the accounting below quantifies.
 
-Leakage is reported three ways: the analytic bound used by the secrecy
-ledger, a per-bit converse from observed bit error rates, and, for small
-payloads, the exact message posterior of a genie-aided first use.
+Leakage is reported three ways: the analytic bound the scenarios account
+secrecy with, a per-bit converse from observed bit error rates, and, for
+small payloads, the exact message posterior of a genie-aided first use.
 """
 
 import math
@@ -30,6 +30,7 @@ import numpy as np
 
 from .analysis import secrecy_level_bound
 from .channel import derotate
+from .codec import to_bits
 
 __all__ = [
     "attack_first_use",
@@ -128,11 +129,6 @@ def _binary_entropy(p):
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _index_bits(idx, width):
-    shifts = np.arange(width - 1, -1, -1)
-    return (np.asarray(idx)[:, None] >> shifts[None, :]) & 1
-
-
 @dataclass(frozen=True)
 class EquivocationReport:
     """What the eavesdropper actually got, against what theory allows her."""
@@ -165,7 +161,7 @@ def equivocation_report(msg_r, msg_i, att_r, att_i, const_r, const_i,
     for msg, att, c in ((msg_r, att_r, const_r), (msg_i, att_i, const_i)):
         if c.bits == 0:
             continue
-        diff = _index_bits(msg, c.bits) != _index_bits(att, c.bits)
+        diff = to_bits(msg, c.bits) != to_bits(att, c.bits)
         bers.extend(diff.mean(axis=0).tolist())
     bers = np.asarray(bers)
     budget = math.log2(1.0 + g2 * power / sigma_e2)

@@ -4,7 +4,9 @@ One realization fixes four complex coefficients for the duration of a round:
 h (edge to cloud), h_fb (cloud to edge), and the eavesdropper's g (on forward
 symbols) and g_fb (on feedback symbols). The adversary hears both directions
 summed per channel use. Noise is circularly symmetric complex Gaussian,
-sampled as two real Gaussians of variance sigma2/2 each.
+sampled as two real Gaussians of variance sigma2/2 each. The uses themselves,
+y = h*x + eta, y_fb = h_fb*x_fb + eta_fb and z = g*x + g_fb*x_fb + eta_e, are
+applied a batch of blocks at a time by `codec.run_block_batch`.
 """
 
 from dataclasses import dataclass
@@ -16,9 +18,6 @@ __all__ = [
     "NoiseSpec",
     "sample_realization",
     "cn_sample",
-    "forward_use",
-    "feedback_use",
-    "eve_use",
     "derotate",
 ]
 
@@ -68,26 +67,6 @@ def sample_realization(rng) -> Realization:
     """Draw h, h_fb, g, g_fb i.i.d. CN(0,1), in that documented order."""
     draws = [complex(cn_sample(rng, 1.0)) for _ in range(4)]
     return Realization(*draws)
-
-
-def forward_use(x, h, sigma1_2, rng):
-    """y = h*x + CN(0, sigma1_2)."""
-    return h * np.asarray(x) + cn_sample(rng, sigma1_2, np.shape(x) or None)
-
-
-def feedback_use(x_fb, h_fb, sigma2_2, rng):
-    """y_fb = h_fb*x_fb + CN(0, sigma2_2)."""
-    return h_fb * np.asarray(x_fb) + cn_sample(rng, sigma2_2, np.shape(x_fb) or None)
-
-
-def eve_use(x, x_fb, g, g_fb, sigma_e2, rng):
-    """z = g*x + g_fb*x_fb + CN(0, sigma_e2).
-
-    x_fb = 0 is the final channel use of a block, where no feedback symbol
-    exists.
-    """
-    x = np.asarray(x)
-    return g * x + g_fb * np.asarray(x_fb) + cn_sample(rng, sigma_e2, np.shape(x) or None)
 
 
 def derotate(y, coeff):

@@ -23,6 +23,14 @@ share of tau. A fold is invisible in-protocol: the encoder refines a wrong
 error, the block usually dies, and only the simulator-side transcript knows.
 
 Batch arrays are laid out (trial, use); everything vectorizes across trials.
+There is one path through a block: draw_block_noise draws the dither and the
+channel noise in its documented order, and run_block_batch runs the loop as a
+pure function of those arrays. A single block is a one-row batch, with
+record=True for its transcript.
+
+Payload bits map to message indices MSB first through to_bits/from_bits, the
+one bit packer that the quantizer, the transport and the leakage scoring
+share.
 """
 
 import math
@@ -38,16 +46,13 @@ __all__ = [
     "PamConstellation",
     "Schedule",
     "BatchResult",
-    "BlockTranscript",
     "build_constellation",
+    "to_bits",
+    "from_bits",
     "build_schedule",
     "modulo_d",
-    "sample_dither",
     "draw_block_noise",
     "run_block_batch",
-    "transmit_block",
-    "pack_message",
-    "unpack_message",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -111,32 +116,22 @@ def build_constellation(payload_bits_sub) -> PamConstellation:
     return PamConstellation(bits, 1 << bits)
 
 
-def pack_message(bits):
-    """Split a bit array (MSB first) into the (w_R, w_I) index pair.
+def to_bits(values, width):
+    """(n,) non-negative integers to an (n, width) uint8 bit matrix, MSB first."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    values = np.asarray(values, dtype=np.uint64)
+    return ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
-    The R sub-channel takes ceil(len/2) bits, the extra bit of an odd payload
-    riding on R. Zero-length payloads map to (0, 0) over 1-point
-    constellations.
+
+def from_bits(bit_mat):
+    """Inverse of to_bits: (n, width) bit matrix, MSB first, to (n,) uint64.
+
+    A zero-width matrix gives zeros, the only index of a 1-point
+    constellation.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    b_r = (len(bits) + 1) // 2
-    w_r = 0
-    for b in bits[:b_r]:
-        w_r = (w_r << 1) | int(b)
-    w_i = 0
-    for b in bits[b_r:]:
-        w_i = (w_i << 1) | int(b)
-    return w_r, w_i, b_r, len(bits) - b_r
-
-
-def unpack_message(w_r, w_i, bits_r, bits_i):
-    """Inverse of pack_message; returns the uint8 bit array, MSB first."""
-    out = np.empty(bits_r + bits_i, dtype=np.uint8)
-    for j in range(bits_r):
-        out[bits_r - 1 - j] = (int(w_r) >> j) & 1
-    for j in range(bits_i):
-        out[bits_r + bits_i - 1 - j] = (int(w_i) >> j) & 1
-    return out
+    bit_mat = np.asarray(bit_mat)
+    shifts = np.arange(bit_mat.shape[1] - 1, -1, -1, dtype=np.uint64)
+    return (bit_mat.astype(np.uint64) << shifts[None, :]).sum(axis=1)
 
 
 # =====================================================================
@@ -227,18 +222,6 @@ def modulo_d(x, d):
     return x - d * np.floor(x / d + 0.5)
 
 
-def sample_dither(rng, n_t, d):
-    """Shared dither, one uniform [-d/2, d/2) sequence per real sub-channel.
-
-    Shape (n_t - 1, 2); column 0 masks the R sub-channel, column 1 the I.
-    Known to encoder and decoder only; the whole security story rides on the
-    adversary never seeing these draws.
-    """
-    if n_t < 1:
-        raise ValueError("n_t must be >= 1")
-    return rng.uniform(-d / 2.0, d / 2.0, size=(n_t - 1, 2))
-
-
 # =====================================================================
 # Block engine
 # =====================================================================
@@ -265,6 +248,10 @@ def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False):
     Order: dither (n, n_t-1, 2), forward noise (n, n_t), feedback noise
     (n, n_t-1), then adversary noise (n, n_t) only when capture_eve. Keeping
     the order fixed is what lets a task substream reproduce its batch.
+
+    The dither is uniform on [-d/2, d/2); column 0 of its last axis masks the
+    R sub-channel, column 1 the I. Encoder and decoder share it ahead of time
+    and the adversary never sees it, which is the whole security story.
     """
     dither = rng.uniform(-d / 2.0, d / 2.0, size=(n, n_t - 1, 2))
     eta_fwd = cn_sample(rng, noise.sigma1_2, (n, n_t))
@@ -280,14 +267,19 @@ def run_block_batch(sched: Schedule, realization: Realization,
     """Run n blocks through the feedback loop with externally drawn noise.
 
     Pure function of its arrays: no RNG inside, so zero-noise limits and
-    transcript replays are exact. msg_* are (n,) integer indices; dither is
-    (n, n_t-1, 2); eta_fwd (n, n_t) complex; eta_fb (n, n_t-1) complex;
-    eta_eve optional (n, n_t) complex, enabling the adversary tap.
+    transcript replays are exact. msg_* are (n,) integer indices inside their
+    constellations (ValueError otherwise); dither is (n, n_t-1, 2); eta_fwd
+    (n, n_t) complex; eta_fb (n, n_t-1) complex; eta_eve optional (n, n_t)
+    complex, enabling the adversary tap.
     """
     n_t = sched.n_t
     msg_r = np.atleast_1d(np.asarray(msg_r, dtype=np.int64))
     msg_i = np.atleast_1d(np.asarray(msg_i, dtype=np.int64))
     n = len(msg_r)
+    if n and (min(msg_r.min(), msg_i.min()) < 0
+              or msg_r.max() >= const_r.m_levels
+              or msg_i.max() >= const_i.m_levels):
+        raise ValueError("message indices outside the constellations")
     theta_r = const_r.center(msg_r)
     theta_i = const_i.center(msg_i)
     sqrt_pr = math.sqrt(sched.P / 2.0)
@@ -364,61 +356,3 @@ def run_block_batch(sched: Schedule, realization: Realization,
         y_seq=y_seq if rec else None,
         y_fb_seq=yfb_seq if rec else None,
         z_seq=z_seq)
-
-
-# =====================================================================
-# Single-block transcript
-# =====================================================================
-
-
-@dataclass
-class BlockTranscript:
-    """Everything one block produced, for replay tests and adversary feeds."""
-
-    msg_sent: tuple
-    msg_decoded: tuple
-    error: bool
-    aliasing_events: int
-    x_seq: np.ndarray
-    x_fb_seq: np.ndarray
-    y_seq: np.ndarray
-    y_fb_seq: np.ndarray
-    theta_hat_seq: np.ndarray
-    eps_seq: np.ndarray
-    dither_seq: np.ndarray
-    z_seq: np.ndarray | None = None
-
-
-def transmit_block(msg, sched: Schedule, const_r: PamConstellation,
-                   const_i: PamConstellation, realization: Realization,
-                   noise: NoiseSpec, dither_seq, rng,
-                   capture_eve=False) -> BlockTranscript:
-    """Send one message pair through one block and record the transcript.
-
-    Noise is drawn from rng in the order forward, feedback, adversary. The
-    dither sequence comes from the caller because encoder and decoder share
-    it ahead of time; see sample_dither.
-    """
-    w_r, w_i = msg
-    if not (0 <= w_r < const_r.m_levels and 0 <= w_i < const_i.m_levels):
-        raise ValueError("message indices outside the constellations")
-    dither_seq = np.asarray(dither_seq, dtype=float).reshape(1, sched.n_t - 1, 2)
-    eta_fwd = cn_sample(rng, noise.sigma1_2, (1, sched.n_t))
-    eta_fb = cn_sample(rng, noise.sigma2_2, (1, sched.n_t - 1))
-    eta_eve = cn_sample(rng, noise.sigma_e2, (1, sched.n_t)) if capture_eve else None
-    out = run_block_batch(sched, realization, const_r, const_i,
-                          [w_r], [w_i], dither_seq, eta_fwd, eta_fb,
-                          eta_eve=eta_eve, record=True)
-    return BlockTranscript(
-        msg_sent=(w_r, w_i),
-        msg_decoded=(int(out.dec_r[0]), int(out.dec_i[0])),
-        error=bool(out.error[0]),
-        aliasing_events=int(out.alias_events[0]),
-        x_seq=out.x_seq[0],
-        x_fb_seq=out.x_fb_seq[0],
-        y_seq=out.y_seq[0],
-        y_fb_seq=out.y_fb_seq[0],
-        theta_hat_seq=out.theta_hat_hist[0],
-        eps_seq=out.eps_hist[0],
-        dither_seq=dither_seq[0],
-        z_seq=out.z_seq[0] if out.z_seq is not None else None)

@@ -210,29 +210,19 @@ def parse_config(path=None, **overrides) -> SystemConfig:
 
 
 def _pack_group(bits_mat):
-    """(n, b) bit matrix to (w_r, w_i, b_r, b_i); row layout as pack_message."""
-    n_bits = bits_mat.shape[1]
-    b_r = (n_bits + 1) // 2
-    b_i = n_bits - b_r
+    """(n, b) bit matrix to the index pair (w_r, w_i, b_r, b_i).
 
-    def fold(cols):
-        if cols.shape[1] == 0:
-            return np.zeros(len(cols), dtype=np.uint64)
-        sh = np.arange(cols.shape[1] - 1, -1, -1, dtype=np.uint64)
-        return (cols.astype(np.uint64) << sh[None, :]).sum(axis=1)
-
-    return fold(bits_mat[:, :b_r]), fold(bits_mat[:, b_r:]), b_r, b_i
+    The R sub-channel takes the first ceil(b/2) bits of each row, the extra
+    bit of an odd payload riding on R; each half packs MSB first.
+    """
+    b_r = (bits_mat.shape[1] + 1) // 2
+    return (codec.from_bits(bits_mat[:, :b_r]),
+            codec.from_bits(bits_mat[:, b_r:]), b_r, bits_mat.shape[1] - b_r)
 
 
 def _unpack_group(w_r, w_i, b_r, b_i):
-    out = np.empty((len(w_r), b_r + b_i), dtype=np.uint8)
-    for w, off, b in ((w_r, 0, b_r), (w_i, b_r, b_i)):
-        if b == 0:
-            continue
-        sh = np.arange(b - 1, -1, -1, dtype=np.uint64)
-        out[:, off:off + b] = ((w.astype(np.uint64)[:, None] >> sh[None, :])
-                               & 1).astype(np.uint8)
-    return out
+    """Inverse of _pack_group: the (n, b_r + b_i) bit matrix."""
+    return np.hstack([codec.to_bits(w_r, b_r), codec.to_bits(w_i, b_i)])
 
 
 def _send_bits(bit_string, plans, realization, cfg, noise, rng_key,
@@ -335,12 +325,12 @@ def coded_transmitter(cfg: SystemConfig, seed, r_idx, fixed_realization=None,
         dec_bits, eve_bits, link = _send_bits(
             payload.indices, plans, real, cfg, noise,
             (seed, r_idx, round_idx), capture_eve)
-        decoded = source_coding.dequantize(replace_bits(payload, dec_bits),
-                                           substream(*dither_key))
+        decoded = source_coding.dequantize(
+            replace(payload, indices=dec_bits), substream(*dither_key))
         eve_agg = None
         if capture_eve:
             eve_agg = source_coding.dequantize(
-                replace_bits(payload, eve_bits), None)
+                replace(payload, indices=eve_bits), None)
 
         c_e = math.log2(1.0 + real.gain_eve * cfg.power / cfg.sigma_e2)
         if payload.accounted_bits > 0:
@@ -354,10 +344,6 @@ def coded_transmitter(cfg: SystemConfig, seed, r_idx, fixed_realization=None,
         return decoded, eve_agg, stats
 
     return transmit
-
-
-def replace_bits(payload, bits):
-    return replace(payload, indices=bits)
 
 
 # =====================================================================
@@ -443,7 +429,9 @@ def _scn_codec_validation(cfg, r_idx):
         clean += int(mask.sum())
         done += n
         batch_idx += 1
-    var_dev = float(np.abs(eps2 / (2.0 * clean) / sched.alpha - 1.0).max())
+    # every block aliased leaves no clean error sample: an empty cell
+    var_dev = (float(np.abs(eps2 / (2.0 * clean) / sched.alpha - 1.0).max())
+               if clean else "")
     row = (r_idx, cfg.n_t, bits_sub, cfg.n_blocks,
            errs / cfg.n_blocks, aliases / cfg.n_blocks,
            pow_fwd / (cfg.n_blocks * cfg.n_t * sched.P),

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mlp
-from .analysis import (SigmaWindow, rate_distortion, secrecy_level_bound,
-                       sigma2_window)
 from .streams import DOMAIN_INIT, DOMAIN_LDP, substream
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "RoundRecord",
     "TrainResult",
     "train",
-    "PrivacySecrecyLedger",
-    "build_ledger",
 ]
 
 
@@ -104,55 +100,6 @@ class RoundRecord:
     mi_per_coord: float
     utility_noise: float
     stats: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PrivacySecrecyLedger:
-    """Privacy, utility, and secrecy accounting over the rounds seen so far.
-
-    mi_bound_bits is the largest per-coordinate leakage bound of any round:
-    the privacy constraint averages over rounds, so the worst round is what
-    can be guaranteed without knowing the rest of the trajectory. By the same
-    one-sided logic secrecy_delta_bound is the weakest round's equivocation
-    bound. Both therefore only degrade as records accumulate, never recover.
-    """
-
-    mi_bound_bits: float
-    utility_distortion: float
-    sigma_window: SigmaWindow
-    secrecy_delta_bound: float
-    round_rates: list
-    eve_success_rate: float
-
-
-def build_ledger(records, n_coords, n_users, s_total, sigma2, distortion,
-                 eve_gain2, power, sigma_e2, privacy_eps, utility_cap,
-                 sigma_w2_max, round_rates=(), eve_success_rate=math.nan):
-    """Fold per-round records into a PrivacySecrecyLedger.
-
-    Each round's describable payload is n_coords times the rate-distortion
-    rate of its source variance; the equivocation bound over those payloads
-    is the running minimum. Utility is the aggregate perturbation power
-    n_users*sigma2, a constant of the mechanism rather than of the data.
-    """
-    if not records:
-        raise ValueError("need at least one round record")
-    payloads = [n_coords * rate_distortion(distortion, r.source_var)
-                for r in records]
-    if min(payloads) <= 0.0:
-        # a round too quiet to describe at this distortion protects nothing
-        delta = 0.0
-    else:
-        delta = secrecy_level_bound(payloads, eve_gain2, power, sigma_e2)
-    return PrivacySecrecyLedger(
-        mi_bound_bits=max(r.mi_per_coord for r in records),
-        utility_distortion=n_users * sigma2,
-        sigma_window=sigma2_window(privacy_eps, utility_cap, n_users,
-                                   s_total, sigma_w2_max),
-        secrecy_delta_bound=delta,
-        round_rates=list(round_rates),
-        eve_success_rate=eve_success_rate,
-    )
 
 
 @dataclass

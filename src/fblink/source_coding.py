@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import plan_blocklength, rate_distortion
+from .codec import from_bits, to_bits
 
 __all__ = [
     "QuantizedPayload",
@@ -37,8 +38,9 @@ class QuantizedPayload:
 
     indices is the physical, invertible bit string (n_coords*width_bits, MSB
     first per coordinate); accounted_bits = ceil(n_coords*R(D)) is the payload
-    length the rate and secrecy ledgers budget for. Both are real quantities
-    of the same round and they intentionally differ; see the module docstring.
+    length the rate and secrecy accounting budgets for. Both are real
+    quantities of the same round and they intentionally differ; see the
+    module docstring.
     """
 
     indices: np.ndarray
@@ -89,9 +91,7 @@ def quantize(w, distortion, source_var, rng) -> QuantizedPayload:
     u = rng.uniform(-step / 2.0, step / 2.0, size=len(w))
     k = np.rint((w + u) / step).astype(np.int64)
     np.clip(k, -k_half, k_half, out=k)
-    offset = (k + k_half).astype(np.uint64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits = ((offset[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
+    bits = to_bits(k + k_half, width).ravel()
     return QuantizedPayload(bits, len(w), width, n_cells, k_half, rate,
                             int(math.ceil(len(w) * rate)), distortion, source_var)
 
@@ -107,7 +107,7 @@ def dequantize(payload: QuantizedPayload, rng) -> np.ndarray:
     """
     if payload.width_bits == 0:
         return np.zeros(payload.n_coords)
-    bits = np.asarray(payload.indices, dtype=np.uint64)
+    bits = np.asarray(payload.indices)
     if len(bits) != payload.n_coords * payload.width_bits:
         raise ValueError("bit string length does not match coordinate count")
     step = math.sqrt(12.0 * payload.distortion)
@@ -115,9 +115,7 @@ def dequantize(payload: QuantizedPayload, rng) -> np.ndarray:
         u = np.zeros(payload.n_coords)
     else:
         u = rng.uniform(-step / 2.0, step / 2.0, size=payload.n_coords)
-    shifts = np.arange(payload.width_bits - 1, -1, -1, dtype=np.uint64)
-    offset = (bits.reshape(payload.n_coords, payload.width_bits)
-              << shifts[None, :]).sum(axis=1)
+    offset = from_bits(bits.reshape(payload.n_coords, payload.width_bits))
     k = offset.astype(np.int64) - payload.k_half
     # corrupted strings can exceed the cell range; saturate like the encoder
     np.clip(k, -payload.k_half, payload.k_half, out=k)

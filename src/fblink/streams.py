@@ -12,7 +12,6 @@ import numpy as np
 # substream even if they share a task index.
 DOMAIN_REALIZATION = 1
 DOMAIN_BLOCKS = 2
-DOMAIN_DITHER = 3
 DOMAIN_LDP = 4
 DOMAIN_DATA = 5
 DOMAIN_INIT = 6

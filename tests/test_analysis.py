@@ -152,6 +152,30 @@ def test_rate_frozen_blocklengths(n_t, rate, total):
         assert rel(rep.total_bits, total) < 1e-8
 
 
+# The formula of the analysis module docstring evaluated in 50-digit mpmath
+# arithmetic at the float inputs (q_inv by findroot on erfc/2, seeded and
+# cross-checked by erfinv), rounded to 19 digits. Past n_t = 40 the rate
+# rests on the log-space growth term, which the values above never reach.
+LONG_FROZEN = {  # n_t: (rate, L)
+    41: (1.787775126977049554, 6.803357210261102184),
+    64: (1.752663660658410146, 7.093373714472656283),
+    128: (1.696090819894720296, 7.541846550884025632),
+    256: (1.639416341253097310, 7.988750545055570056),
+    700: (1.559228038741380507, 8.636770047178619910),
+}
+
+
+@pytest.mark.parametrize("n_t", sorted(LONG_FROZEN))
+def test_rate_frozen_long_blocklengths(n_t):
+    rate, L = LONG_FROZEN[n_t]
+    rep = achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, n_t)
+    assert rep.feasible
+    assert rel(rep.rate, rate) <= 1e-12
+    assert rel(rep.L, L) <= 1e-12
+    arr = achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, np.array([n_t]))
+    assert rel(arr.rate[0], rate) <= 1e-12
+
+
 def test_rate_frozen_tight_target():
     assert rel(achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-6, 10).rate,
                1.251321487) < 1e-8

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from fblink.channel import (NoiseSpec, Realization, cn_sample, derotate,
-                            eve_use, feedback_use, forward_use,
                             sample_realization)
+from fblink.codec import (build_constellation, build_schedule,
+                          draw_block_noise, run_block_batch)
 from fblink.streams import substream
+
+from conftest import SNR, SNR_FB, TAU
 
 
 def test_realization_gains():
@@ -48,27 +51,49 @@ def test_sample_realization_deterministic():
     assert a == b
 
 
+def _recorded_uses(real, noise, n_t=4, n=128, seed=1):
+    # the block engine applies every channel use; run it on drawn noise
+    sched = build_schedule(SNR, SNR_FB, TAU, n_t, real, noise)
+    const = build_constellation(2)
+    rng = substream(seed, 0)
+    mr = rng.integers(0, const.m_levels, n)
+    mi = rng.integers(0, const.m_levels, n)
+    dith, ef, eb, ee = draw_block_noise(substream(seed, 1), n, n_t, noise,
+                                        sched.d, capture_eve=True)
+    out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
+                          eta_eve=ee, record=True)
+    return out, ef, eb, ee
+
+
 def test_uses_are_replayable_linear_maps():
-    x = substream(1, 0).normal(size=8) + 1j * substream(1, 1).normal(size=8)
-    h = 0.7 - 1.2j
-    y = forward_use(x, h, 2.0, substream(1, 2))
-    eta = cn_sample(substream(1, 2), 2.0, (8,))
-    np.testing.assert_allclose(y, h * x + eta, rtol=1e-12)
-
-    y_fb = feedback_use(x, h, 0.5, substream(1, 3))
-    eta = cn_sample(substream(1, 3), 0.5, (8,))
-    np.testing.assert_allclose(y_fb, h * x + eta, rtol=1e-12)
-
-    z = eve_use(x, 2.0 * x, 0.3 + 0j, 1j, 1.5, substream(1, 4))
-    eta = cn_sample(substream(1, 4), 1.5, (8,))
-    np.testing.assert_allclose(z, 0.3 * x + 1j * 2.0 * x + eta, rtol=1e-12)
+    real = Realization(0.7 - 1.2j, 0.4 + 0.9j, 0.3 + 0.0j, 1j)
+    noise = NoiseSpec(2.0, 0.5, 1.5)
+    out, ef, eb, ee = _recorded_uses(real, noise)
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.y_seq, real.h * out.x_seq + ef, **tol)
+    np.testing.assert_allclose(out.y_fb_seq,
+                               real.h_fb * out.x_fb_seq + eb, **tol)
+    np.testing.assert_allclose(
+        out.z_seq[:, :-1], real.g * out.x_seq[:, :-1]
+        + real.g_fb * out.x_fb_seq + ee[:, :-1], **tol)
+    again, _, _, _ = _recorded_uses(real, noise)
+    for name in ("x_seq", "x_fb_seq", "y_seq", "y_fb_seq", "z_seq"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(out, name))
 
 
 def test_eve_use_final_use_has_no_feedback_term():
-    x = np.ones(4, dtype=complex)
-    z = eve_use(x, 0.0, 2.0 + 0j, 5.0 + 0j, 1.0, substream(1, 5))
-    eta = cn_sample(substream(1, 5), 1.0, (4,))
-    np.testing.assert_allclose(z, 2.0 * x + eta, rtol=1e-12)
+    # the last forward use gets no feedback reply, so the eavesdropper's last
+    # observation is g*x + eta_e whatever g_fb is; earlier ones move with g_fb
+    noise = NoiseSpec(1.0, 1.0, 1.0)
+    a, _, _, ee = _recorded_uses(Realization(1.0 + 0j, 1.0 + 0j, 2.0 + 0j,
+                                             5.0 + 0j), noise, seed=5)
+    b, _, _, _ = _recorded_uses(Realization(1.0 + 0j, 1.0 + 0j, 2.0 + 0j,
+                                            -3.0j), noise, seed=5)
+    np.testing.assert_array_equal(a.x_seq, b.x_seq)
+    np.testing.assert_allclose(a.z_seq[:, -1], 2.0 * a.x_seq[:, -1]
+                               + ee[:, -1], rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(a.z_seq[:, -1], b.z_seq[:, -1])
+    assert np.all(a.z_seq[:, :-1] != b.z_seq[:, :-1])
 
 
 def test_derotate_inverts_rotation():

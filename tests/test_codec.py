@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from fblink import codec
 from fblink.analysis import achievable_rate, q_inv
-from fblink.channel import NoiseSpec, Realization
-from fblink.codec import (build_constellation, build_schedule, modulo_d,
-                          pack_message, run_block_batch, sample_dither,
-                          transmit_block, unpack_message)
+from fblink.channel import NoiseSpec, Realization, cn_sample
+from fblink.codec import (build_constellation, build_schedule, from_bits,
+                          modulo_d, run_block_batch, to_bits)
 from fblink.streams import substream
 
 from conftest import SNR, SNR_FB, TAU
@@ -82,19 +81,27 @@ def test_decode_clamps_out_of_range():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=0,
-                max_size=80))
-def test_pack_unpack_roundtrip(bits):
-    w_r, w_i, b_r, b_i = pack_message(bits)
-    assert b_r == (len(bits) + 1) // 2
-    assert w_r < (1 << b_r) and w_i < (1 << max(b_i, 1))
-    np.testing.assert_array_equal(unpack_message(w_r, w_i, b_r, b_i),
-                                  np.asarray(bits, dtype=np.uint8))
+@given(st.integers(min_value=0, max_value=64),
+       st.lists(st.lists(st.integers(min_value=0, max_value=1), min_size=64,
+                         max_size=64), min_size=0, max_size=8))
+def test_pack_unpack_roundtrip(width, rows):
+    bits = np.array(rows, dtype=np.uint8).reshape(len(rows), 64)[:, :width]
+    values = from_bits(bits)
+    assert values.dtype == np.uint64
+    # reference: each row read as a binary numeral
+    assert values.tolist() == [int("".join(map(str, r[:width])) or "0", 2)
+                               for r in rows]
+    out = to_bits(values, width)
+    assert out.dtype == np.uint8
+    np.testing.assert_array_equal(out, bits)
 
 
 def test_pack_is_msb_first():
-    w_r, w_i, b_r, b_i = pack_message([1, 0, 1])
-    assert (w_r, w_i, b_r, b_i) == (2, 1, 2, 1)
+    assert from_bits([[1, 0, 1], [0, 1, 1]]).tolist() == [5, 3]
+    np.testing.assert_array_equal(to_bits([5, 3], 3), [[1, 0, 1], [0, 1, 1]])
+    # zero width: the single index of a 1-point constellation
+    assert from_bits(np.empty((2, 0), dtype=np.uint8)).tolist() == [0, 0]
+    assert to_bits([0, 0], 0).shape == (2, 0)
 
 
 # ---------------------------------------------------------------------
@@ -123,10 +130,14 @@ def test_modulo_properties(x, d):
     assert modulo_d(out, d) == out
 
 
-def test_sample_dither_shape_and_range():
-    v = sample_dither(substream(0, 0), 10, 8.0)
-    assert v.shape == (9, 2)
+def test_block_dither_shape_and_range():
+    noise = NoiseSpec(1.0, 1.0, 1.0)
+    v, _, _, _ = codec.draw_block_noise(substream(0, 0), 7, 10, noise, 8.0)
+    assert v.shape == (7, 9, 2)
     assert np.all(v >= -4.0) and np.all(v < 4.0)
+    # single-use blocks send no feedback and need no dither
+    v1, _, _, _ = codec.draw_block_noise(substream(0, 0), 7, 1, noise, 8.0)
+    assert v1.shape == (7, 0, 2)
 
 
 # ---------------------------------------------------------------------
@@ -267,25 +278,40 @@ def test_forward_and_feedback_power_normalized():
 
 
 def test_eve_tap_layout():
-    # column i-1 of z carries forward use i plus the feedback reply to it;
-    # the final column is forward-only
-    sched, real, noise = make_schedule(3)
+    # every use is the recorded symbol through its coefficient plus the drawn
+    # noise: y = h*x + eta_fwd, y_fb = h_fb*x_fb + eta_fb, and column i-1 of
+    # z carries forward use i plus the feedback reply to it; the final column
+    # is forward-only
+    real = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
+    noise = NoiseSpec(1.0, 0.5, 1.5)
+    sched, _, _ = make_schedule(3, real=real, noise=noise)
     const = build_constellation(2)
     n = 256
-    mr = np.zeros(n, dtype=int)
-    mi = np.zeros(n, dtype=int)
-    dith = np.zeros((n, 2, 2))
-    ef = np.zeros((n, 3), dtype=complex)
-    eb = np.zeros((n, 2), dtype=complex)
-    ee = np.zeros((n, 3), dtype=complex)
+    rng = substream(4, 0)
+    mr = rng.integers(0, const.m_levels, n)
+    mi = rng.integers(0, const.m_levels, n)
+    dith, ef, eb, ee = codec.draw_block_noise(substream(4, 1), n, 3, noise,
+                                              sched.d, capture_eve=True)
+    # the noise is drawn in the documented order at the specified variances
+    replay = substream(4, 1)
+    replay.uniform(-sched.d / 2.0, sched.d / 2.0, size=(n, 2, 2))
+    np.testing.assert_array_equal(ef, cn_sample(replay, 1.0, (n, 3)))
+    np.testing.assert_array_equal(eb, cn_sample(replay, 0.5, (n, 2)))
+    np.testing.assert_array_equal(ee, cn_sample(replay, 1.5, (n, 3)))
+    assert np.all(ef != 0) and np.all(eb != 0) and np.all(ee != 0)
+
     out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
                           eta_eve=ee, record=True)
-    g, g_fb = real.g, real.g_fb
-    np.testing.assert_allclose(
-        out.z_seq[:, :-1],
-        g * out.x_seq[:, :-1] + g_fb * out.x_fb_seq, rtol=1e-12)
-    np.testing.assert_allclose(out.z_seq[:, -1], g * out.x_seq[:, -1],
-                               rtol=1e-12)
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.y_seq, real.h * out.x_seq + ef, **tol)
+    np.testing.assert_allclose(out.y_fb_seq,
+                               real.h_fb * out.x_fb_seq + eb, **tol)
+    for i in range(2):
+        np.testing.assert_allclose(
+            out.z_seq[:, i], real.g * out.x_seq[:, i]
+            + real.g_fb * out.x_fb_seq[:, i] + ee[:, i], **tol)
+    np.testing.assert_allclose(out.z_seq[:, -1],
+                               real.g * out.x_seq[:, -1] + ee[:, -1], **tol)
 
 
 def test_rotated_coefficients_are_transparent():
@@ -310,25 +336,35 @@ def test_rotated_coefficients_are_transparent():
     np.testing.assert_array_equal(o1.dec_i, o2.dec_i)
 
 
-def test_transmit_block_transcript():
+def test_single_block_transcript():
+    # a single block is a one-row batch; record=True keeps its transcript
     sched, real, noise = make_schedule(5)
     const = build_constellation(4)
-    dith = sample_dither(substream(3, 1), 5, sched.d)
-    tr = transmit_block((3, 9), sched, const, const, real, noise, dith,
-                        substream(3, 2), capture_eve=True)
-    assert tr.msg_sent == (3, 9)
-    assert tr.x_seq.shape == (5,) and tr.x_fb_seq.shape == (4,)
-    assert tr.z_seq.shape == (5,)
-    assert tr.eps_seq.shape == (5, 2)
-    np.testing.assert_array_equal(tr.dither_seq, dith)
+    dith, ef, eb, ee = codec.draw_block_noise(substream(3, 1), 1, 5, noise,
+                                              sched.d, capture_eve=True)
+    out = run_block_batch(sched, real, const, const, [3], [9], dith, ef, eb,
+                          eta_eve=ee, record=True)
+    assert out.x_seq.shape == (1, 5) and out.x_fb_seq.shape == (1, 4)
+    assert out.y_seq.shape == (1, 5) and out.y_fb_seq.shape == (1, 4)
+    assert out.z_seq.shape == (1, 5)
+    assert out.eps_hist.shape == (1, 5, 2)
+    np.testing.assert_allclose(
+        out.eps_hist[0],
+        out.theta_hat_hist[0] - const.center([3, 9])[None, :], atol=1e-12)
     # at tau=1e-3 this seeded block decodes correctly
-    assert tr.msg_decoded == (3, 9) and not tr.error
+    assert (int(out.dec_r[0]), int(out.dec_i[0])) == (3, 9)
+    assert not out.error[0] and out.alias_events[0] == 0
 
 
-def test_transmit_block_validates_message():
+def test_run_block_batch_validates_message():
     sched, real, noise = make_schedule(5)
     const = build_constellation(4)
-    dith = sample_dither(substream(3, 1), 5, sched.d)
-    with pytest.raises(ValueError):
-        transmit_block((16, 0), sched, const, const, real, noise, dith,
-                       substream(3, 2))
+    dith, ef, eb, _ = codec.draw_block_noise(substream(3, 1), 3, 5, noise,
+                                             sched.d)
+    for bad_r, bad_i in ((16, 0), (0, 16), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="outside the constellations"):
+            run_block_batch(sched, real, const, const, [0, 5, bad_r],
+                            [15, 2, bad_i], dith, ef, eb)
+    out = run_block_batch(sched, real, const, const, [0, 5, 15],
+                          [15, 2, 0], dith, ef, eb)
+    assert len(out.dec_r) == 3

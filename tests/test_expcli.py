@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from fblink.codec import pack_message
 from fblink.expcli import (ConfigError, SystemConfig, _fmt, _pack_group,
                            _unpack_group, _worker_count, main, parse_config,
                            run_scenario)
@@ -88,21 +87,27 @@ def test_semantic_validation():
 
 
 def test_pack_group_matches_scalar_packer():
+    # reference: each half of a row read as a binary numeral, MSB first,
+    # with the extra bit of an odd row on R
+    def scalar(bits):
+        return int("".join(map(str, bits)) or "0", 2)
+
     rng = substream(21, 0)
-    for n_bits in (1, 2, 3, 8, 20, 41):
+    for n_bits in (1, 2, 3, 8, 20, 41, 80):
         mat = rng.integers(0, 2, size=(50, n_bits), dtype=np.uint8)
         w_r, w_i, b_r, b_i = _pack_group(mat)
+        assert (b_r, b_i) == ((n_bits + 1) // 2, n_bits // 2)
         for row in range(len(mat)):
-            sr, si, sbr, sbi = pack_message(mat[row])
-            assert (int(w_r[row]), int(w_i[row])) == (sr, si)
-            assert (b_r, b_i) == (sbr, sbi)
+            assert int(w_r[row]) == scalar(mat[row, :b_r])
+            assert int(w_i[row]) == scalar(mat[row, b_r:])
 
 
 def test_pack_group_roundtrip():
     rng = substream(21, 1)
-    mat = rng.integers(0, 2, size=(200, 33), dtype=np.uint8)
-    w_r, w_i, b_r, b_i = _pack_group(mat)
-    np.testing.assert_array_equal(_unpack_group(w_r, w_i, b_r, b_i), mat)
+    for n_bits in (1, 33, 80):
+        mat = rng.integers(0, 2, size=(200, n_bits), dtype=np.uint8)
+        w_r, w_i, b_r, b_i = _pack_group(mat)
+        np.testing.assert_array_equal(_unpack_group(w_r, w_i, b_r, b_i), mat)
 
 
 def test_fmt_csv_cell_types():
@@ -213,6 +218,30 @@ def test_codec_validation_quick_run(tmp_path):
     assert abs(float(row["power_fwd_ratio"]) - 1.0) < 0.05
     assert abs(float(row["power_fb_ratio"]) - 1.0) < 0.05
     assert float(row["max_var_dev"]) < 0.25
+
+
+@pytest.mark.filterwarnings("error")
+def test_codec_validation_every_block_aliasing(tmp_path):
+    # a loose tau over a long block folds every block: no clean block is left
+    # to estimate the error variance from, so that cell stays empty
+    cfg = parse_config(None, fixed_gains=1, n_t=40, tau=0.9, n_blocks=1,
+                       seed=0)
+    run_scenario(cfg, "codec_validation", str(tmp_path))
+    (row,) = read_csv(tmp_path / "codec_validation.csv")
+    assert int(row["feasible"]) == 1
+    assert float(row["alias_rate"]) == 1.0
+    assert row["max_var_dev"] == ""
+
+
+def test_secrecy_running_min_tracks_round_bound(tmp_path):
+    cfg = parse_config(None, n_rounds=5)
+    run_scenario(cfg, "secrecy_level_vs_round", str(tmp_path))
+    rows = read_csv(tmp_path / "secrecy_level_vs_round.csv")
+    assert len(rows) == 5
+    deltas = [float(r["delta_round"]) for r in rows]
+    assert all(0.0 <= d <= 1.0 for d in deltas)
+    for t, r in enumerate(rows):
+        assert float(r["delta_running_min"]) == min(deltas[:t + 1])
 
 
 # ---------------------------------------------------------------------

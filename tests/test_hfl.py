@@ -5,8 +5,7 @@ import pytest
 
 from fblink import hfl, mlp
 from fblink.datasets import synthetic_digits
-from fblink.hfl import (PrivacySecrecyLedger, RoundRecord, add_ldp_noise,
-                        build_ledger, cloud_update, edge_aggregate,
+from fblink.hfl import (add_ldp_noise, cloud_update, edge_aggregate,
                         estimate_sigma_w2, local_gradient,
                         privacy_mi_per_coord, shard_data, train)
 from fblink.mlp import MlpSpec, init_params, loss_and_grad, n_params
@@ -149,63 +148,6 @@ def test_privacy_mi_strictly_decreasing_in_sigma2():
     grid = np.geomspace(0.01, 10.0, 25)
     vals = [privacy_mi_per_coord(0.01, 100, 10, s2) for s2 in grid]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-# ---------------------------------------------------------------------
-# Ledger
-# ---------------------------------------------------------------------
-
-
-def _records(sw_series, s_total=1000, users=10, sigma2=0.5):
-    recs = []
-    for t, sw in enumerate(sw_series):
-        sv = s_total * sw + users * sigma2
-        recs.append(RoundRecord(t, 0.0, 0.0, sw, sv,
-                                privacy_mi_per_coord(sw, s_total, users,
-                                                     sigma2),
-                                users * sigma2))
-    return recs
-
-
-LEDGER_KW = dict(n_coords=15910, n_users=10, s_total=1000, sigma2=0.5,
-                 distortion=1e-4, eve_gain2=0.3, power=10.0, sigma_e2=1.0,
-                 privacy_eps=0.1, utility_cap=5.0, sigma_w2_max=5e-4)
-
-
-def test_ledger_caption_config():
-    led = build_ledger(_records([1e-3]), **LEDGER_KW)
-    assert led.utility_distortion == 5.0
-    assert led.sigma_window.upper == 0.5
-    assert led.sigma_window.contains(0.5)
-
-
-def test_ledger_aggregates_are_one_sided():
-    # a hump in the gradient variance may not relax either bound
-    series = [3e-3, 5e-3, 1.2e-2, 8e-3, 2e-3, 2e-4]
-    recs = _records(series)
-    prev_delta, prev_mi = 2.0, -1.0
-    for t in range(1, len(recs) + 1):
-        led = build_ledger(recs[:t], **LEDGER_KW)
-        assert led.secrecy_delta_bound <= prev_delta + 1e-15
-        assert led.mi_bound_bits >= prev_mi
-        prev_delta, prev_mi = led.secrecy_delta_bound, led.mi_bound_bits
-    assert led.mi_bound_bits == max(r.mi_per_coord for r in recs)
-
-
-def test_ledger_quiet_round_protects_nothing():
-    recs = _records([1e-3])
-    quiet = RoundRecord(1, 0.0, 0.0, 0.0, 5e-5, 0.0, 5.0)
-    led = build_ledger(recs + [quiet], **{**LEDGER_KW, "distortion": 1e-4})
-    assert led.secrecy_delta_bound == 0.0
-
-
-def test_ledger_passthrough_fields():
-    led = build_ledger(_records([1e-3]), round_rates=["r0"],
-                       eve_success_rate=0.01, **LEDGER_KW)
-    assert led.round_rates == ["r0"]
-    assert led.eve_success_rate == 0.01
-    with pytest.raises(ValueError):
-        build_ledger([], **LEDGER_KW)
 
 
 # ---------------------------------------------------------------------

@@ -219,7 +219,13 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
 def modulo_d(x, d):
     """Fold x into the half-open interval [-d/2, d/2)."""
     x = np.asarray(x)
-    return x - d * np.floor(x / d + 0.5)
+    r = x - d * np.floor(x / d + 0.5)
+    # x / d is rounded, so r can land a hair outside the interval
+    # (x=2, d=0.8 gives -0.4000000000000004): fold such entries back
+    half = d / 2
+    if np.min(r, initial=0.0) < -half or np.max(r, initial=0.0) >= half:
+        r = np.where(r < -half, r + d, np.where(r >= half, r - d, r))
+    return r
 
 
 # =====================================================================

@@ -2,20 +2,30 @@
 
 Each scenario turns a SystemConfig into one or more CSV tables plus a JSON
 manifest carrying the config echo, the seed, and a sha256 of every table.
-Rows are written with repr() floats, so equal runs produce byte-identical
-files; the manifest's wall_time_s is the one deliberately non-reproducible
-field and stays out of the hashes.
+Scenario cells are int, float or str only, and the csv module writes floats
+with repr(), so equal runs produce byte-identical files; the manifest's
+wall_time_s is the one deliberately non-reproducible field and stays out of
+the hashes.
 
 Realizations are independent tasks on substreams keyed by task index. With
 FBLINK_WORKERS > 1 they run in a process pool of at most os.cpu_count()
-workers; results are merged in task order, so the worker count never changes
-the bytes. A non-integer FBLINK_WORKERS is a configuration error.
+workers, with at most two tasks per worker submitted ahead of the one being
+written. Tables are streamed: every file is opened before the first task
+runs, and each task's rows are appended in task order as they arrive, with
+the same bytes fed to a running sha256. Memory therefore stays flat in the
+realization count, and the worker count never changes the bytes. The tables
+are written under a ".part" suffix and renamed when the run succeeds; a run
+that raises removes them, so it leaves no partial tables and no manifest.
+An unusable output directory and a non-integer FBLINK_WORKERS are
+configuration errors.
 
 Exit codes: 0 success, 1 configuration error, 2 a scenario found the
 configured system infeasible at runtime.
 """
 
 import argparse
+import collections
+import contextlib
 import csv
 import hashlib
 import io
@@ -130,7 +140,13 @@ class SystemConfig:
 
 
 def _validate(cfg: SystemConfig) -> SystemConfig:
+    try:
+        snr_ok = all(0.0 < s < math.inf for s in (cfg.snr, cfg.snr_fb))
+    except OverflowError:
+        snr_ok = False
     checks = [
+        (snr_ok, "snr_db and snr_fb_db must give a finite positive linear "
+                 "SNR"),
         (cfg.seed >= 0, "seed must be >= 0"),
         (cfg.realizations >= 1, "realizations must be >= 1"),
         (cfg.sigma1_2 > 0 and cfg.sigma2_2 > 0 and cfg.sigma_e2 > 0,
@@ -197,9 +213,11 @@ def parse_config(path=None, **overrides) -> SystemConfig:
                 coerced[k] = int(v)
             elif want == "float" or want is float:
                 coerced[k] = float(v)
+                if not math.isfinite(coerced[k]):
+                    raise ValueError("not finite")
             else:
                 coerced[k] = str(v)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError("bad value for %s: %r (%s)" % (k, v, e))
     return _validate(SystemConfig(**coerced))
 
@@ -366,7 +384,7 @@ def _scn_rate_vs_blocklength(cfg, r_idx):
     rates = [(r_idx, n_t, real.gain_fwd, real.gain_fb, ok, reason or "",
               rate, bits, L, psi1, psi2)
              for n_t, ok, reason, rate, bits, L, psi1, psi2 in zip(
-                 rep.n_t.tolist(), rep.feasible.tolist(),
+                 rep.n_t.tolist(), rep.feasible.astype(int).tolist(),
                  rep.outage_reason.tolist(), rep.rate.tolist(),
                  rep.total_bits.tolist(), rep.L.tolist(), rep.psi1.tolist(),
                  rep.psi2.tolist())]
@@ -376,7 +394,7 @@ def _scn_rate_vs_blocklength(cfg, r_idx):
     lat = analysis.latency_seconds(cfg.payload_bits, plan.rate,
                                    cfg.uses_per_second)
     plans = [(r_idx, cfg.payload_bits, plan.n_t, plan.rate, plan.total_bits,
-              lat, plan.feasible)]
+              lat, int(plan.feasible))]
     return {"rates.csv": rates, "plans.csv": plans}
 
 
@@ -398,7 +416,7 @@ def _scn_codec_validation(cfg, r_idx):
     if not rep.feasible or bits_sub < 1:
         reason = rep.outage_reason or "rate_too_low"
         return {"codec_validation.csv": [
-            (r_idx, cfg.n_t, 0, 0, "", "", "", "", "", False, reason)]}
+            (r_idx, cfg.n_t, 0, 0, "", "", "", "", "", 0, reason)]}
     sched = codec.build_schedule(cfg.snr, cfg.snr_fb, cfg.tau, cfg.n_t, real,
                                  cfg.noise_spec())
     const = codec.build_constellation(bits_sub)
@@ -437,7 +455,7 @@ def _scn_codec_validation(cfg, r_idx):
            pow_fwd / (cfg.n_blocks * cfg.n_t * sched.P),
            pow_fb / (cfg.n_blocks * max(cfg.n_t - 1, 1) * sched.P_fb)
            if cfg.n_t > 1 else 1.0,
-           var_dev, True, "")
+           var_dev, 1, "")
     return {"codec_validation.csv": [row]}
 
 
@@ -541,8 +559,8 @@ def _scn_privacy_utility_sweep(cfg, r_idx):
     rows = []
     for j, s2 in enumerate(grid):
         s2 = float(s2)
-        rows.append((j, s2, win.lower, win.upper, win.nonempty,
-                     win.contains(s2),
+        rows.append((j, s2, win.lower, win.upper, int(win.nonempty),
+                     int(win.contains(s2)),
                      hfl.privacy_mi_per_coord(cfg.sigma_w2_max, cfg.s_total,
                                               cfg.n_users, s2),
                      cfg.n_users * s2))
@@ -575,7 +593,7 @@ def _run_task(packed):
     scenario, cfg_dict, r_idx = packed
     cfg = SystemConfig(**cfg_dict)
     fn, _ = SCENARIOS[scenario]
-    return r_idx, fn(cfg, r_idx)
+    return fn(cfg, r_idx)
 
 
 def _worker_count(env, cpu_count):
@@ -589,30 +607,77 @@ def _worker_count(env, cpu_count):
     return max(1, min(workers, cpu_count or 1))
 
 
-def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
+def _ordered(pool, tasks, window):
+    """Results of _run_task over tasks, yielded in task order, with at most
+    window futures submitted to pool and not yet yielded.
+
+    Futures still pending when the consumer stops early are cancelled.
+    """
+    pending = collections.deque()
+    try:
+        for task in tasks:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_run_task, task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
-def _write_csv(path, header, rows):
+def _task_results(scenario, cfg_dict, n_tasks, workers):
+    """Each task's tables in task order: in this process for one worker,
+    else through a process pool holding at most two tasks per worker."""
+    tasks = ((scenario, cfg_dict, r) for r in range(n_tasks))
+    if workers == 1:
+        yield from map(_run_task, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from _ordered(pool, tasks, 2 * workers)
+
+
+def _open_tables(out_dir, names):
+    """Create out_dir and open one binary ".part" file per table name. An
+    unusable out_dir is a ConfigError, raised before any task runs."""
+    files = {}
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name in names:
+            files[name] = open(os.path.join(out_dir, name + ".part"), "wb")
+    except OSError as e:
+        _discard(files)
+        raise ConfigError("cannot write tables under %r: %s" % (out_dir, e))
+    return files
+
+
+def _discard(files):
+    """Close and remove the partial tables of a failed run; a table that
+    cannot be flushed (a full disk) is removed all the same."""
+    for f in files.values():
+        with contextlib.suppress(OSError):
+            f.close()
+        with contextlib.suppress(OSError):
+            os.remove(f.name)
+
+
+def _write_csv(f, digest, rows):
+    """Append rows to the binary file f with one csv writerows call and feed
+    the same bytes to the running sha256 digest."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) for v in row])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     data = buf.getvalue().encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(data)
-    return hashlib.sha256(data).hexdigest()
+    f.write(data)
+    digest.update(data)
 
 
 def run_scenario(cfg: SystemConfig, scenario, out_dir):
-    """Execute one scenario and write its CSVs and manifest under out_dir."""
+    """Execute one scenario and write its CSVs and manifest under out_dir.
+
+    Rows are streamed to disk in task order as tasks finish, so memory does
+    not grow with the realization count. A run that raises leaves no table
+    of its own and no manifest behind.
+    """
     if scenario not in SCENARIOS:
         raise ConfigError("unknown scenario %r; choose from %s"
                           % (scenario, list(SCENARIO_NAMES)))
@@ -620,20 +685,26 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
     t0 = time.monotonic()
     n_tasks = 1 if scenario in _SINGLE_TASK else cfg.realizations
     cfg_dict = asdict(cfg)
-    packed = [(scenario, cfg_dict, r) for r in range(n_tasks)]
-    workers = _worker_count(os.environ, os.cpu_count())
-    if workers > 1 and n_tasks > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
-            results = list(pool.map(_run_task, packed))
-    else:
-        results = [_run_task(p) for p in packed]
-    results.sort(key=lambda t: t[0])
+    workers = min(_worker_count(os.environ, os.cpu_count()), n_tasks)
+    files = _open_tables(out_dir, file_headers)
+    digests = {name: hashlib.sha256() for name in files}
+    n_rows = dict.fromkeys(files, 0)
+    try:
+        for name, header in file_headers.items():
+            _write_csv(files[name], digests[name], [header])
+        with contextlib.closing(_task_results(scenario, cfg_dict, n_tasks,
+                                              workers)) as results:
+            for tables in results:
+                for name, rows in tables.items():
+                    _write_csv(files[name], digests[name], rows)
+                    n_rows[name] += len(rows)
+        for name, f in files.items():
+            f.close()
+            os.replace(f.name, os.path.join(out_dir, name))
+    except BaseException:
+        _discard(files)
+        raise
 
-    os.makedirs(out_dir, exist_ok=True)
-    merged = {name: [] for name in file_headers}
-    for _, tables in results:
-        for name, rows in tables.items():
-            merged[name].extend(rows)
     manifest = {
         "format_version": 1,
         "package_version": __version__,
@@ -641,14 +712,10 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
         "seed": cfg.seed,
         "realizations": cfg.realizations,
         "config": cfg_dict,
-        "files": {},
-        "wall_time_s": None,
+        "files": {name: {"sha256": digests[name].hexdigest(),
+                         "rows": n_rows[name]} for name in files},
+        "wall_time_s": time.monotonic() - t0,
     }
-    for name, rows in merged.items():
-        digest = _write_csv(os.path.join(out_dir, name), file_headers[name],
-                            rows)
-        manifest["files"][name] = {"sha256": digest, "rows": len(rows)}
-    manifest["wall_time_s"] = time.monotonic() - t0
     with open(os.path.join(out_dir, "manifest.json"), "w",
               encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

@@ -153,10 +153,9 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
             m_eve = cloud_update(m_eve, eve_agg, lr, s_total)
             eve_acc.append(mlp.accuracy(m_eve, x_test, y_test, spec))
 
-        loss, _ = mlp.loss_and_grad(m, x_train, y_train, spec, reg)
         records.append(RoundRecord(
             round_index=t,
-            train_loss=float(loss),
+            train_loss=float(mlp.loss(m, x_train, y_train, spec, reg)),
             test_accuracy=mlp.accuracy(m, x_test, y_test, spec),
             sigma_w2_hat=sigma_w2_hat,
             source_var=source_var,

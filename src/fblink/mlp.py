@@ -16,6 +16,7 @@ __all__ = [
     "init_params",
     "unflatten",
     "forward",
+    "loss",
     "loss_and_grad",
     "accuracy",
 ]
@@ -68,6 +69,18 @@ def forward(m, x, spec: MlpSpec):
     return e / e.sum(axis=1, keepdims=True), h
 
 
+def _penalized_ce(p, y, m, reg):
+    """Mean cross-entropy of probabilities p at labels y plus reg*||m||^2."""
+    ce = -np.log(p[np.arange(len(y)), y] + 1e-12).mean()
+    return ce + reg * float(m @ m)
+
+
+def loss(m, x, y, spec: MlpSpec, reg):
+    """The loss of loss_and_grad from one forward pass, without a gradient."""
+    p, _ = forward(m, x, spec)
+    return _penalized_ce(p, y, m, reg)
+
+
 def loss_and_grad(m, x, y, spec: MlpSpec, reg):
     """Mean cross-entropy plus reg*||m||^2 and its gradient.
 
@@ -78,9 +91,7 @@ def loss_and_grad(m, x, y, spec: MlpSpec, reg):
     n = len(y)
     w1, b1, w2, b2 = unflatten(m, spec)
     p, h = forward(m, x, spec)
-    eps = 1e-12
-    ce = -np.log(p[np.arange(n), y] + eps).mean()
-    loss = ce + reg * float(m @ m)
+    value = _penalized_ce(p, y, m, reg)
 
     dlogits = p.copy()
     dlogits[np.arange(n), y] -= 1.0
@@ -92,7 +103,7 @@ def loss_and_grad(m, x, y, spec: MlpSpec, reg):
     dw1 = x.T @ dh
     db1 = dh.sum(axis=0)
     grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2]) + 2.0 * reg * m
-    return loss, grad
+    return value, grad
 
 
 def accuracy(m, x, y, spec: MlpSpec) -> float:

@@ -154,26 +154,43 @@ def test_rate_frozen_blocklengths(n_t, rate, total):
 
 # The formula of the analysis module docstring evaluated in 50-digit mpmath
 # arithmetic at the float inputs (q_inv by findroot on erfc/2, seeded and
-# cross-checked by erfinv), rounded to 19 digits. Past n_t = 40 the rate
-# rests on the log-space growth term, which the values above never reach.
-LONG_FROZEN = {  # n_t: (rate, L)
-    41: (1.787775126977049554, 6.803357210261102184),
-    64: (1.752663660658410146, 7.093373714472656283),
-    128: (1.696090819894720296, 7.541846550884025632),
-    256: (1.639416341253097310, 7.988750545055570056),
-    700: (1.559228038741380507, 8.636770047178619910),
+# cross-checked by erfinv), rounded to 19 digits. Up to n_t = 20 they pin the
+# values above a thousand times tighter (the 1e-8 values themselves are off
+# by up to 1e-9); past n_t = 40 the rate rests on the log-space growth term,
+# which the values above never reach.
+MP_FROZEN = {  # (tau, n_t): (rate, L)
+    (1e-3, 2): (1.674784449741763116, 4.470715933795196781),
+    (1e-3, 5): (1.858079392823747774, 5.341783535037528408),
+    (1e-3, 10): (1.869116949757843015, 5.854712628946192283),
+    (1e-3, 20): (1.838151664035590213, 6.329160229940992378),
+    (1e-6, 10): (1.251321487885470511, 10.28562160144312545),
+    (1e-6, 20): (1.262775987983439962, 10.76929187664811837),
+    (1e-3, 41): (1.787775126977049554, 6.803357210261102184),
+    (1e-3, 64): (1.752663660658410146, 7.093373714472656283),
+    (1e-3, 128): (1.696090819894720296, 7.541846550884025632),
+    (1e-3, 256): (1.639416341253097310, 7.988750545055570056),
+    (1e-3, 700): (1.559228038741380507, 8.636770047178619910),
 }
 
 
-@pytest.mark.parametrize("n_t", sorted(LONG_FROZEN))
-def test_rate_frozen_long_blocklengths(n_t):
-    rate, L = LONG_FROZEN[n_t]
-    rep = achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, n_t)
+def check_mp_frozen(tau, n_t):
+    rate, L = MP_FROZEN[(tau, n_t)]
+    rep = achievable_rate(SNR, SNR_FB, 1.0, 1.0, tau, n_t)
     assert rep.feasible
     assert rel(rep.rate, rate) <= 1e-12
     assert rel(rep.L, L) <= 1e-12
-    arr = achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, np.array([n_t]))
+    arr = achievable_rate(SNR, SNR_FB, 1.0, 1.0, tau, np.array([n_t]))
     assert rel(arr.rate[0], rate) <= 1e-12
+
+
+@pytest.mark.parametrize("tau,n_t", [k for k in MP_FROZEN if k[1] <= 20])
+def test_rate_frozen_short_blocklengths_tight(tau, n_t):
+    check_mp_frozen(tau, n_t)
+
+
+@pytest.mark.parametrize("n_t", [n for _, n in MP_FROZEN if n > 40])
+def test_rate_frozen_long_blocklengths(n_t):
+    check_mp_frozen(1e-3, n_t)
 
 
 def test_rate_frozen_tight_target():

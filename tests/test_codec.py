@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblink import codec
@@ -122,6 +122,7 @@ def test_modulo_half_open_interval():
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-1e6, max_value=1e6),
        st.floats(min_value=0.5, max_value=50.0))
+@example(x=2.0, d=0.8)   # x / d rounds up to 2.5: the fold lands below -d/2
 def test_modulo_properties(x, d):
     out = float(modulo_d(x, d))
     assert -d / 2 <= out < d / 2

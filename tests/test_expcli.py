@@ -1,13 +1,16 @@
 import csv
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fblink.expcli import (ConfigError, SystemConfig, _fmt, _pack_group,
-                           _unpack_group, _worker_count, main, parse_config,
-                           run_scenario)
+from fblink import expcli
+from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
+                           SystemConfig, _ordered, _pack_group, _unpack_group,
+                           _worker_count, main, parse_config, run_scenario)
 from fblink.streams import substream
 
 
@@ -110,12 +113,29 @@ def test_pack_group_roundtrip():
         np.testing.assert_array_equal(_unpack_group(w_r, w_i, b_r, b_i), mat)
 
 
-def test_fmt_csv_cell_types():
-    assert _fmt(True) == 1
-    assert _fmt(np.bool_(False)) == 0
-    assert _fmt(np.int64(3)) == 3
-    assert _fmt(0.1) == repr(0.1)
-    assert _fmt("text") == "text"
+def test_scenario_cells_are_int_float_or_str():
+    # the csv module writes exactly these three types as intended, floats by
+    # repr; a bool would print as True and a numpy float as np.float64(...)
+    small = dict(n_blocks=2000, n_rounds=2, n_train=100, n_test=50,
+                 n_t_max_scan=4, sweep_points=3)
+    runs = [(name, parse_config(None, **small)) for name in SCENARIOS]
+    # the infeasible codec_validation row has its own cells
+    runs.append(("codec_validation",
+                 parse_config(None, snr_db=-20.0, **small)))
+    for name, cfg in runs:
+        fn, headers = SCENARIOS[name]
+        tables = fn(cfg, 0)
+        assert set(tables) == set(headers)
+        for table, rows in tables.items():
+            assert rows
+            for row in rows:
+                assert len(row) == len(headers[table])
+                bad = [(col, type(v)) for col, v in zip(headers[table], row)
+                       if type(v) not in (int, float, str)]
+                assert not bad, (name, table, bad)
+    (row,) = SCENARIOS["codec_validation"][0](runs[-1][1], 0)[
+        "codec_validation.csv"]
+    assert row[-2] == 0 and row[-1]
 
 
 # ---------------------------------------------------------------------
@@ -152,18 +172,90 @@ def test_sweep_scenario_contents_and_rerun_identity(tmp_path):
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    cfg = parse_config(None, realizations=3, n_t_max_scan=6, payload_bits=10)
+    # 9 tasks overrun the pool's window of 2 per worker
+    cfg = parse_config(None, realizations=9, n_t_max_scan=6, payload_bits=10)
     monkeypatch.setenv("FBLINK_WORKERS", "1")
-    run_scenario(cfg, "rate_vs_blocklength", str(tmp_path / "serial"))
-    monkeypatch.setenv("FBLINK_WORKERS", "3")
-    run_scenario(cfg, "rate_vs_blocklength", str(tmp_path / "pool"))
+    serial = run_scenario(cfg, "rate_vs_blocklength", str(tmp_path / "serial"))
+    monkeypatch.setenv("FBLINK_WORKERS", "2")
+    pool = run_scenario(cfg, "rate_vs_blocklength", str(tmp_path / "pool"))
     for name in ("rates.csv", "plans.csv"):
         assert ((tmp_path / "serial" / name).read_bytes()
                 == (tmp_path / "pool" / name).read_bytes())
+    assert serial["files"] == pool["files"]
+    assert pool["files"]["plans.csv"]["rows"] == 9
     rows = read_csv(tmp_path / "pool" / "rates.csv")
-    assert len(rows) == 3 * 6
+    assert len(rows) == 9 * 6
     assert [int(r["realization"]) for r in rows] == sorted(
         int(r["realization"]) for r in rows)
+
+
+class StubFuture:
+    def __init__(self, pool, task):
+        self.pool, self.task, self.cancelled = pool, task, False
+
+    def result(self):
+        self.pool.outstanding -= 1
+        return ("done", self.task)
+
+    def cancel(self):
+        self.cancelled = True
+        return True
+
+
+class StubPool:
+    """Executor stand-in whose futures resolve when read; it tracks the
+    futures submitted and not yet read."""
+
+    def __init__(self):
+        self.futures = []
+        self.outstanding = self.most = 0
+
+    def submit(self, fn, task):
+        assert fn is expcli._run_task
+        self.futures.append(StubFuture(self, task))
+        self.outstanding += 1
+        self.most = max(self.most, self.outstanding)
+        return self.futures[-1]
+
+
+def test_ordered_window_with_stub_pool():
+    for window in (1, 2, 4):
+        pool = StubPool()
+        assert (list(_ordered(pool, iter(range(10)), window))
+                == [("done", t) for t in range(10)])
+        assert pool.most == window and pool.outstanding == 0
+    # an endless task stream is drawn lazily; stopping early cancels the
+    # futures still pending
+    pool = StubPool()
+    results = _ordered(pool, itertools.count(), 3)
+    assert [next(results) for _ in range(5)] == [("done", t)
+                                                 for t in range(5)]
+    assert pool.most == 3 and len(pool.futures) == 7
+    results.close()
+    assert [f.task for f in pool.futures if f.cancelled] == [5, 6]
+
+
+def test_failed_run_leaves_no_partial_tables(tmp_path, monkeypatch):
+    # the third task raises after two tasks' rows were streamed; the tables
+    # of an earlier run in the same directory survive untouched
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    cfg = parse_config(None, realizations=4, n_t_max_scan=3)
+    out = tmp_path / "out"
+    run_scenario(cfg, "rate_vs_blocklength", str(out))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["manifest.json", "plans.csv", "rates.csv"]
+    fn, headers = SCENARIOS["rate_vs_blocklength"]
+
+    def third_task_fails(cfg, r_idx):
+        if r_idx == 2:
+            raise InfeasibleError("task 2")
+        return fn(cfg, r_idx)
+
+    monkeypatch.setitem(SCENARIOS, "rate_vs_blocklength",
+                        (third_task_fails, headers))
+    with pytest.raises(InfeasibleError, match="task 2"):
+        run_scenario(replace(cfg, seed=7), "rate_vs_blocklength", str(out))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_worker_count_parsing_and_clamp():
@@ -273,7 +365,7 @@ def test_cli_config_error_is_exit_1(tmp_path, capsys, monkeypatch):
     assert "FBLINK_WORKERS" in capsys.readouterr().err
 
 
-def test_cli_infeasible_is_exit_2(tmp_path, capsys):
+def test_cli_infeasible_is_exit_2(tmp_path, capsys, monkeypatch):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"n_max": 2, "max_redraws": 5, "n_train": 50,
                              "n_test": 10, "n_rounds": 1}))
@@ -281,3 +373,50 @@ def test_cli_infeasible_is_exit_2(tmp_path, capsys):
                  "--config", str(p), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("*.csv")) == []
+    # the same from the process pool, with tasks still in flight
+    monkeypatch.setenv("FBLINK_WORKERS", "2")
+    code = main(["run", "--scenario", "secrecy_level_vs_round",
+                 "--config", str(p), "--realizations", "3",
+                 "--out", str(tmp_path / "pool")])
+    assert code == 2
+    assert "infeasible" in capsys.readouterr().err
+    assert list((tmp_path / "pool").iterdir()) == []
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"n_t_max_scan": 1e400}', "n_t_max_scan"),
+    ('{"snr_db": "nan"}', "snr_db"),
+    ('{"sigma2": Infinity}', "sigma2"),
+    ('{"snr_db": 1e6}', "snr_db"),
+    ('{"snr_fb_db": -1e6}', "snr_fb_db"),
+])
+def test_cli_bad_value_is_exit_1(tmp_path, capsys, text, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    code = main(["run", "--scenario", "rate_vs_blocklength", "--config",
+                 str(p), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_cli_unusable_out_is_exit_1_before_any_task(tmp_path, capsys,
+                                                    monkeypatch, under):
+    # --out naming an existing file, or a path under one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker / "out" if under else blocker
+
+    def no_task(packed):
+        raise AssertionError("a task ran before the output was opened")
+
+    monkeypatch.setattr(expcli, "_run_task", no_task)
+    code = main(["run", "--scenario", "rate_vs_blocklength",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "cannot write tables" in err
+    assert blocker.read_text() == "keep"

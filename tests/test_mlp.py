@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fblink import mlp
-from fblink.mlp import (MlpSpec, accuracy, forward, init_params,
+from fblink.mlp import (MlpSpec, accuracy, forward, init_params, loss,
                         loss_and_grad, n_params, unflatten)
 from fblink.streams import substream
 
@@ -66,6 +66,15 @@ def test_regularizer_contribution():
     l0, _ = loss_and_grad(m, x, y, SMALL, reg=0.0)
     l1, _ = loss_and_grad(m, x, y, SMALL, reg=5e-5)
     assert l1 - l0 == pytest.approx(5e-5 * float(m @ m), rel=1e-9)
+
+
+def test_loss_is_the_loss_of_loss_and_grad():
+    # hfl.train reports this loss every round; it must not move a bit
+    for seed, reg in ((6, 0.0), (7, 5e-5)):
+        m = init_params(MlpSpec(), substream(seed, 0))
+        x, y = small_batch(seed, n=200, spec=MlpSpec())
+        assert loss(m, x, y, MlpSpec(), reg) == loss_and_grad(
+            m, x, y, MlpSpec(), reg)[0]
 
 
 def test_gradient_matches_central_differences():

@@ -30,7 +30,7 @@ import numpy as np
 
 from .analysis import secrecy_level_bound
 from .channel import derotate
-from .codec import to_bits
+from .codec import build_constellation, to_bits
 
 __all__ = [
     "attack_first_use",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-def _slice_first_use(z1, g, power, const_r, const_i):
+def _slice_first_use(z1, g, power):
     tr, ti = derotate(z1, g)
     scale = math.sqrt(power / 2.0)
     return tr / scale, ti / scale
@@ -57,7 +57,7 @@ def attack_first_use(z1, g, power, const_r, const_i, rng):
     if g == 0:
         return (rng.integers(0, const_r.m_levels, size=z1.shape),
                 rng.integers(0, const_i.m_levels, size=z1.shape))
-    th_r, th_i = _slice_first_use(z1, g, power, const_r, const_i)
+    th_r, th_i = _slice_first_use(z1, g, power)
     return const_r.decode(th_r), const_i.decode(th_i)
 
 
@@ -75,7 +75,7 @@ def attack_full_sequence(z, g, g_fb, sched, const_r, const_i, rng):
     if sched.n_t == 1 or g_fb == 0:
         return attack_first_use(z[:, 0], g, sched.P, const_r, const_i, rng)
     if g != 0:
-        th_r, th_i = _slice_first_use(z[:, 0], g, sched.P, const_r, const_i)
+        th_r, th_i = _slice_first_use(z[:, 0], g, sched.P)
     else:
         th_r = np.zeros(z.shape[0])
         th_i = np.zeros(z.shape[0])
@@ -110,8 +110,8 @@ def exact_posterior_mi(bits_r, bits_i, g2, power, sigma_e2, rng, n_mc=200000):
         if bits == 0:
             continue
         m = 2 ** bits
-        centers = math.sqrt(power / 2.0) * (
-            -math.sqrt(3.0) + (2.0 * np.arange(m) + 1.0) * math.sqrt(3.0) / m)
+        centers = math.sqrt(power / 2.0) * build_constellation(bits).center(
+            np.arange(m))
         w = rng.integers(0, m, size=n_mc)
         y = centers[w] + rng.normal(scale=math.sqrt(noise_var), size=n_mc)
         ll = -((y[:, None] - centers[None, :]) ** 2) / (2.0 * noise_var)

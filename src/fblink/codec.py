@@ -239,13 +239,10 @@ class BatchResult:
     dec_i: np.ndarray
     error: np.ndarray
     alias_events: np.ndarray
-    eps_hist: np.ndarray | None = None        # (n, n_t, 2)
-    theta_hat_hist: np.ndarray | None = None  # (n, n_t, 2)
-    x_seq: np.ndarray | None = None           # (n, n_t) complex
-    x_fb_seq: np.ndarray | None = None        # (n, n_t-1) complex
-    y_seq: np.ndarray | None = None
-    y_fb_seq: np.ndarray | None = None
-    z_seq: np.ndarray | None = None
+    eps_hist: np.ndarray | None = None  # (n, n_t, 2)
+    x_seq: np.ndarray | None = None     # (n, n_t) complex
+    x_fb_seq: np.ndarray | None = None  # (n, n_t-1) complex
+    z_seq: np.ndarray | None = None     # (n, n_t) complex
 
 
 def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False):
@@ -276,7 +273,8 @@ def run_block_batch(sched: Schedule, realization: Realization,
     transcript replays are exact. msg_* are (n,) integer indices inside their
     constellations (ValueError otherwise); dither is (n, n_t-1, 2); eta_fwd
     (n, n_t) complex; eta_fb (n, n_t-1) complex; eta_eve optional (n, n_t)
-    complex, enabling the adversary tap.
+    complex, enabling the adversary tap. record=True keeps the transcript:
+    the estimation errors, the forward symbols and the feedback symbols.
     """
     n_t = sched.n_t
     msg_r = np.atleast_1d(np.asarray(msg_r, dtype=np.int64))
@@ -295,11 +293,8 @@ def run_block_batch(sched: Schedule, realization: Realization,
     rec = record
     if rec:
         eps_hist = np.empty((n, n_t, 2))
-        th_hist = np.empty((n, n_t, 2))
         x_seq = np.empty((n, n_t), dtype=complex)
         xfb_seq = np.empty((n, n_t - 1), dtype=complex)
-        y_seq = np.empty((n, n_t), dtype=complex)
-        yfb_seq = np.empty((n, n_t - 1), dtype=complex)
     z_seq = np.empty((n, n_t), dtype=complex) if eta_eve is not None else None
 
     x_cur = sqrt_pr * (theta_r + 1j * theta_i)
@@ -316,9 +311,6 @@ def run_block_batch(sched: Schedule, realization: Realization,
             th_i = th_i - b * yp_i
         if rec:
             x_seq[:, i - 1] = x_cur
-            y_seq[:, i - 1] = y
-            th_hist[:, i - 1, 0] = th_r
-            th_hist[:, i - 1, 1] = th_i
             eps_hist[:, i - 1, 0] = th_r - theta_r
             eps_hist[:, i - 1, 1] = th_i - theta_i
 
@@ -346,7 +338,6 @@ def run_block_batch(sched: Schedule, realization: Realization,
             x_cur = sched.lam * g * (et_r + 1j * et_i)
             if rec:
                 xfb_seq[:, i - 1] = xfb
-                yfb_seq[:, i - 1] = yfb
         elif z_seq is not None:
             z_seq[:, i - 1] = realization.g * x_cur + eta_eve[:, i - 1]
 
@@ -356,9 +347,6 @@ def run_block_batch(sched: Schedule, realization: Realization,
     return BatchResult(
         dec_r, dec_i, err, alias,
         eps_hist=eps_hist if rec else None,
-        theta_hat_hist=th_hist if rec else None,
         x_seq=x_seq if rec else None,
         x_fb_seq=xfb_seq if rec else None,
-        y_seq=y_seq if rec else None,
-        y_fb_seq=yfb_seq if rec else None,
         z_seq=z_seq)

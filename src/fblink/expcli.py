@@ -206,12 +206,12 @@ def parse_config(path=None, **overrides) -> SystemConfig:
     for k, v in data.items():
         want = valid[k]
         try:
-            if want == "int" or want is int:
+            if want is int:
                 if isinstance(v, bool) or (isinstance(v, float)
                                            and v != int(v)):
                     raise ValueError("not an integer")
                 coerced[k] = int(v)
-            elif want == "float" or want is float:
+            elif want is float:
                 coerced[k] = float(v)
                 if not math.isfinite(coerced[k]):
                     raise ValueError("not finite")
@@ -243,47 +243,39 @@ def _unpack_group(w_r, w_i, b_r, b_i):
     return np.hstack([codec.to_bits(w_r, b_r), codec.to_bits(w_i, b_i)])
 
 
-def _send_bits(bit_string, plans, realization, cfg, noise, rng_key,
+def _send_bits(bit_string, groups, realization, cfg, noise, rng_key,
                capture_eve):
-    """Push a chunked bit string through the link; returns (decoded bits,
-    eavesdropper bits or None, diagnostics)."""
+    """Push a chunked bit string through the link, one block batch per
+    ChunkGroup; returns (decoded bits, eavesdropper bits or None,
+    diagnostics)."""
     seed, r_idx, round_idx = rng_key
     dec = np.empty_like(bit_string)
     eve = np.empty_like(bit_string) if capture_eve else None
-    groups = {}
-    for j, p in enumerate(plans):
-        groups.setdefault((p.n_bits, p.n_t, p.tau_chunk), []).append(j)
     chunk_errors = 0
-    n_t_max = 0
-    for g_idx, (key, members) in enumerate(sorted(groups.items())):
-        n_bits, n_t, tau_chunk = key
-        n_t_max = max(n_t_max, n_t)
-        starts = [plans[j].start for j in members]
-        bits_mat = np.stack([bit_string[s:s + n_bits] for s in starts])
-        w_r, w_i, b_r, b_i = _pack_group(bits_mat)
+    for g_idx, grp in enumerate(groups):
+        span = slice(grp.start, grp.start + grp.count * grp.n_bits)
+        w_r, w_i, b_r, b_i = _pack_group(
+            bit_string[span].reshape(grp.count, grp.n_bits))
         cr = codec.build_constellation(b_r)
         ci = codec.build_constellation(b_i)
-        sched = codec.build_schedule(cfg.snr, cfg.snr_fb, tau_chunk, n_t,
-                                     realization, noise)
+        sched = codec.build_schedule(cfg.snr, cfg.snr_fb, grp.tau_chunk,
+                                     grp.n_t, realization, noise)
         block_rng = substream(seed, DOMAIN_BLOCKS, r_idx, round_idx, g_idx)
         dith, ef, eb, ee = codec.draw_block_noise(
-            block_rng, len(members), n_t, noise, sched.d, capture_eve)
+            block_rng, grp.count, grp.n_t, noise, sched.d, capture_eve)
         out = codec.run_block_batch(sched, realization, cr, ci, w_r, w_i,
                                     dith, ef, eb, eta_eve=ee)
         chunk_errors += int(out.error.sum())
-        dec_mat = _unpack_group(out.dec_r, out.dec_i, b_r, b_i)
-        for row, s in enumerate(starts):
-            dec[s:s + n_bits] = dec_mat[row]
+        dec[span] = _unpack_group(out.dec_r, out.dec_i, b_r, b_i).ravel()
         if capture_eve:
             att_rng = substream(seed, DOMAIN_ATTACK, r_idx, round_idx, g_idx)
             att_r, att_i = adversary.attack_full_sequence(
                 out.z_seq, realization.g, realization.g_fb, sched, cr, ci,
                 att_rng)
-            eve_mat = _unpack_group(att_r, att_i, b_r, b_i)
-            for row, s in enumerate(starts):
-                eve[s:s + n_bits] = eve_mat[row]
-    return dec, eve, {"n_chunks": len(plans), "chunk_errors": chunk_errors,
-                      "n_t_max": n_t_max}
+            eve[span] = _unpack_group(att_r, att_i, b_r, b_i).ravel()
+    return dec, eve, {"n_chunks": sum(grp.count for grp in groups),
+                      "chunk_errors": chunk_errors,
+                      "n_t_max": max(grp.n_t for grp in groups)}
 
 
 def coded_transmitter(cfg: SystemConfig, seed, r_idx, fixed_realization=None,
@@ -313,35 +305,31 @@ def coded_transmitter(cfg: SystemConfig, seed, r_idx, fixed_realization=None,
             zero = np.zeros(payload.n_coords)
             return zero, (zero.copy() if capture_eve else None), stats
 
-        redraws = 0
         if fixed_realization is not None:
-            real = fixed_realization
-            plans = source_coding.chunk(payload.physical_bits, cfg.snr,
-                                        cfg.snr_fb, real.gain_fwd,
-                                        real.gain_fb, cfg.tau, cfg.n_max)
-            if plans is None:
+            candidates = [fixed_realization]
+        else:
+            candidates = (sample_realization(substream(
+                seed, DOMAIN_REALIZATION, r_idx, round_idx, attempt))
+                for attempt in range(cfg.max_redraws))
+        redraws = 0
+        for real in candidates:
+            groups = source_coding.chunk(payload.physical_bits, cfg.snr,
+                                         cfg.snr_fb, real.gain_fwd,
+                                         real.gain_fb, cfg.tau, cfg.n_max)
+            if groups is not None:
+                break
+            redraws += 1
+        else:
+            if fixed_realization is not None:
                 raise InfeasibleError(
                     "pinned channel cannot carry a %d-bit round"
                     % payload.physical_bits)
-        else:
-            plans = None
-            for attempt in range(cfg.max_redraws):
-                real = sample_realization(
-                    substream(seed, DOMAIN_REALIZATION, r_idx, round_idx,
-                              attempt))
-                plans = source_coding.chunk(payload.physical_bits, cfg.snr,
-                                            cfg.snr_fb, real.gain_fwd,
-                                            real.gain_fb, cfg.tau, cfg.n_max)
-                if plans is not None:
-                    break
-                redraws += 1
-            if plans is None:
-                raise InfeasibleError(
-                    "no feasible channel in %d draws for round %d"
-                    % (cfg.max_redraws, round_idx))
+            raise InfeasibleError(
+                "no feasible channel in %d draws for round %d"
+                % (cfg.max_redraws, round_idx))
 
         dec_bits, eve_bits, link = _send_bits(
-            payload.indices, plans, real, cfg, noise,
+            payload.indices, groups, real, cfg, noise,
             (seed, r_idx, round_idx), capture_eve)
         decoded = source_coding.dequantize(
             replace(payload, indices=dec_bits), substream(*dither_key))

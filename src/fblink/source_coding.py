@@ -21,7 +21,7 @@ from .codec import from_bits, to_bits
 
 __all__ = [
     "QuantizedPayload",
-    "ChunkPlan",
+    "ChunkGroup",
     "quantize",
     "dequantize",
     "chunk",
@@ -123,51 +123,53 @@ def dequantize(payload: QuantizedPayload, rng) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChunkPlan:
-    """One block-sized slice of a round's bit string."""
+class ChunkGroup:
+    """count equal chunks of n_bits, back to back from bit start.
+
+    Every chunk of a group is one block at the same blocklength plan, so a
+    group is sent as one block batch.
+    """
 
     start: int
+    count: int
     n_bits: int
     n_t: int
     tau_chunk: float
     rate: float
 
 
-def chunk(total_bits, snr, snr_fb, gain_fwd, gain_fb, tau, n_max,
-          max_chunk_bits=MAX_CHUNK_BITS):
-    """Slice a payload into block-sized chunks and plan each blocklength.
+def chunk(total_bits, snr, snr_fb, gain_fwd, gain_fb, tau, n_max):
+    """Slice a payload into block-sized chunks and plan their blocklength.
 
-    All chunks carry max_chunk_bits except a shorter tail. The block error
-    budget tau is split evenly (tau' = tau/n_chunks) so the union over chunks
-    keeps the round inside tau. Blocklengths are planned for the chunk size
-    rounded up to even: the message splits across two real sub-channels, and
-    an even budget guarantees each sub-channel stays within its floor of the
-    per-use rate.
+    All chunks carry MAX_CHUNK_BITS except a shorter tail, so the chunks fall
+    into at most two groups of equal size. The block error budget tau is
+    split evenly (tau' = tau/n_chunks) so the union over chunks keeps the
+    round inside tau. Blocklengths are planned for the chunk size rounded up
+    to even: the message splits across two real sub-channels, and an even
+    budget guarantees each sub-channel stays within its floor of the per-use
+    rate.
 
-    Returns a list of ChunkPlan, or None when any chunk has no feasible
-    blocklength at this realization (feedback outage; the caller counts it).
+    Returns the ChunkGroups in ascending chunk size (the tail, if any, then
+    the full chunks), or None when a chunk has no feasible blocklength at
+    this realization (feedback outage; the caller counts it).
     """
     if total_bits < 0:
         raise ValueError("total_bits must be >= 0")
-    if not 2 <= max_chunk_bits <= MAX_CHUNK_BITS:
-        raise ValueError("max_chunk_bits must be in [2, %d]" % MAX_CHUNK_BITS)
     if total_bits == 0:
         return []
-    n_chunks = int(math.ceil(total_bits / max_chunk_bits))
-    tau_chunk = tau / n_chunks
-    plans = []
-    start = 0
-    by_size = {}  # every full-size chunk shares one blocklength plan
-    for c in range(n_chunks):
-        n_bits = min(max_chunk_bits, total_bits - start)
-        rep = by_size.get(n_bits)
-        if rep is None:
-            even = n_bits + (n_bits & 1)
-            rep = plan_blocklength(even, snr, snr_fb, gain_fwd, gain_fb,
-                                   tau_chunk, n_max)
-            by_size[n_bits] = rep
+    n_full, tail = divmod(total_bits, MAX_CHUNK_BITS)
+    tau_chunk = tau / (n_full + (tail > 0))
+    groups = []
+    # planned in bit order, returned in ascending chunk size
+    for start, count, n_bits in ((0, n_full, MAX_CHUNK_BITS),
+                                 (n_full * MAX_CHUNK_BITS, int(tail > 0),
+                                  tail)):
+        if count == 0:
+            continue
+        rep = plan_blocklength(n_bits + (n_bits & 1), snr, snr_fb, gain_fwd,
+                               gain_fb, tau_chunk, n_max)
         if not rep.feasible:
             return None
-        plans.append(ChunkPlan(start, n_bits, rep.n_t, tau_chunk, rep.rate))
-        start += n_bits
-    return plans
+        groups.append(ChunkGroup(start, count, n_bits, rep.n_t, tau_chunk,
+                                 rep.rate))
+    return groups[::-1]

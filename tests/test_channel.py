@@ -7,7 +7,7 @@ from fblink.codec import (build_constellation, build_schedule,
                           draw_block_noise, run_block_batch)
 from fblink.streams import substream
 
-from conftest import SNR, SNR_FB, TAU
+from conftest import SNR, SNR_FB, TAU, assert_uses_replay
 
 
 def test_realization_gains():
@@ -62,22 +62,20 @@ def _recorded_uses(real, noise, n_t=4, n=128, seed=1):
                                         sched.d, capture_eve=True)
     out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
                           eta_eve=ee, record=True)
-    return out, ef, eb, ee
+    theta = np.stack([const.center(mr), const.center(mi)], axis=-1)
+    return out, sched, theta, dith, ef, eb, ee
 
 
 def test_uses_are_replayable_linear_maps():
     real = Realization(0.7 - 1.2j, 0.4 + 0.9j, 0.3 + 0.0j, 1j)
     noise = NoiseSpec(2.0, 0.5, 1.5)
-    out, ef, eb, ee = _recorded_uses(real, noise)
-    tol = dict(rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(out.y_seq, real.h * out.x_seq + ef, **tol)
-    np.testing.assert_allclose(out.y_fb_seq,
-                               real.h_fb * out.x_fb_seq + eb, **tol)
+    out, sched, theta, dith, ef, eb, ee = _recorded_uses(real, noise)
+    assert_uses_replay(out, sched, real, theta, dith, ef, eb)
     np.testing.assert_allclose(
         out.z_seq[:, :-1], real.g * out.x_seq[:, :-1]
-        + real.g_fb * out.x_fb_seq + ee[:, :-1], **tol)
-    again, _, _, _ = _recorded_uses(real, noise)
-    for name in ("x_seq", "x_fb_seq", "y_seq", "y_fb_seq", "z_seq"):
+        + real.g_fb * out.x_fb_seq + ee[:, :-1], rtol=1e-12, atol=1e-12)
+    again = _recorded_uses(real, noise)[0]
+    for name in ("eps_hist", "x_seq", "x_fb_seq", "z_seq"):
         np.testing.assert_array_equal(getattr(again, name), getattr(out, name))
 
 
@@ -85,10 +83,10 @@ def test_eve_use_final_use_has_no_feedback_term():
     # the last forward use gets no feedback reply, so the eavesdropper's last
     # observation is g*x + eta_e whatever g_fb is; earlier ones move with g_fb
     noise = NoiseSpec(1.0, 1.0, 1.0)
-    a, _, _, ee = _recorded_uses(Realization(1.0 + 0j, 1.0 + 0j, 2.0 + 0j,
-                                             5.0 + 0j), noise, seed=5)
-    b, _, _, _ = _recorded_uses(Realization(1.0 + 0j, 1.0 + 0j, 2.0 + 0j,
-                                            -3.0j), noise, seed=5)
+    a, *_, ee = _recorded_uses(Realization(1.0 + 0j, 1.0 + 0j, 2.0 + 0j,
+                                           5.0 + 0j), noise, seed=5)
+    b = _recorded_uses(Realization(1.0 + 0j, 1.0 + 0j, 2.0 + 0j, -3.0j),
+                       noise, seed=5)[0]
     np.testing.assert_array_equal(a.x_seq, b.x_seq)
     np.testing.assert_allclose(a.z_seq[:, -1], 2.0 * a.x_seq[:, -1]
                                + ee[:, -1], rtol=1e-12, atol=1e-12)

@@ -18,7 +18,7 @@ from fblink.codec import (build_constellation, build_schedule, from_bits,
                           modulo_d, run_block_batch, to_bits)
 from fblink.streams import substream
 
-from conftest import SNR, SNR_FB, TAU
+from conftest import SNR, SNR_FB, TAU, assert_uses_replay
 
 
 def make_schedule(n_t=10, real=None, noise=None, tau=TAU, snr=SNR,
@@ -280,9 +280,10 @@ def test_forward_and_feedback_power_normalized():
 
 def test_eve_tap_layout():
     # every use is the recorded symbol through its coefficient plus the drawn
-    # noise: y = h*x + eta_fwd, y_fb = h_fb*x_fb + eta_fb, and column i-1 of
-    # z carries forward use i plus the feedback reply to it; the final column
-    # is forward-only
+    # noise: y = h*x + eta_fwd and y_fb = h_fb*x_fb + eta_fb replay the
+    # recorded errors and encoder symbols, and column i-1 of z carries
+    # forward use i plus the feedback reply to it; the final column is
+    # forward-only
     real = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
     noise = NoiseSpec(1.0, 0.5, 1.5)
     sched, _, _ = make_schedule(3, real=real, noise=noise)
@@ -303,10 +304,9 @@ def test_eve_tap_layout():
 
     out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
                           eta_eve=ee, record=True)
+    theta = np.stack([const.center(mr), const.center(mi)], axis=-1)
+    assert_uses_replay(out, sched, real, theta, dith, ef, eb)
     tol = dict(rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(out.y_seq, real.h * out.x_seq + ef, **tol)
-    np.testing.assert_allclose(out.y_fb_seq,
-                               real.h_fb * out.x_fb_seq + eb, **tol)
     for i in range(2):
         np.testing.assert_allclose(
             out.z_seq[:, i], real.g * out.x_seq[:, i]
@@ -346,12 +346,10 @@ def test_single_block_transcript():
     out = run_block_batch(sched, real, const, const, [3], [9], dith, ef, eb,
                           eta_eve=ee, record=True)
     assert out.x_seq.shape == (1, 5) and out.x_fb_seq.shape == (1, 4)
-    assert out.y_seq.shape == (1, 5) and out.y_fb_seq.shape == (1, 4)
     assert out.z_seq.shape == (1, 5)
     assert out.eps_hist.shape == (1, 5, 2)
-    np.testing.assert_allclose(
-        out.eps_hist[0],
-        out.theta_hat_hist[0] - const.center([3, 9])[None, :], atol=1e-12)
+    assert_uses_replay(out, sched, real, const.center([[3, 9]]), dith, ef,
+                       eb)
     # at tau=1e-3 this seeded block decodes correctly
     assert (int(out.dec_r[0]), int(out.dec_i[0])) == (3, 9)
     assert not out.error[0] and out.alias_events[0] == 0

@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fblink import expcli
+from fblink import expcli, source_coding
+from fblink.channel import Realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
-                           SystemConfig, _ordered, _pack_group, _unpack_group,
-                           _worker_count, main, parse_config, run_scenario)
+                           SystemConfig, _ordered, _pack_group, _send_bits,
+                           _unpack_group, _worker_count, coded_transmitter,
+                           main, parse_config, run_scenario)
 from fblink.streams import substream
 
 
@@ -111,6 +113,61 @@ def test_pack_group_roundtrip():
         mat = rng.integers(0, 2, size=(200, n_bits), dtype=np.uint8)
         w_r, w_i, b_r, b_i = _pack_group(mat)
         np.testing.assert_array_equal(_unpack_group(w_r, w_i, b_r, b_i), mat)
+
+
+# ---------------------------------------------------------------------
+# Transport
+# ---------------------------------------------------------------------
+
+# a rotated channel that carries full chunks at the default config
+ROTATED = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
+
+
+@pytest.mark.parametrize("n_bits", [1, 79, 80, 81, 239, 400])
+def test_send_bits_roundtrip(n_bits):
+    cfg = SystemConfig()
+    bits = substream(31, n_bits).integers(0, 2, n_bits, dtype=np.uint8)
+    groups = source_coding.chunk(n_bits, cfg.snr, cfg.snr_fb,
+                                 ROTATED.gain_fwd, ROTATED.gain_fb, cfg.tau,
+                                 cfg.n_max)
+    dec, eve, link = _send_bits(bits, groups, ROTATED, cfg, cfg.noise_spec(),
+                                (7, 0, 0), capture_eve=True)
+    assert link["n_chunks"] == math.ceil(n_bits / source_coding.MAX_CHUNK_BITS)
+    assert link["n_t_max"] == max(g.n_t for g in groups)
+    assert dec.shape == eve.shape == bits.shape
+    assert dec.dtype == eve.dtype == np.uint8
+    assert set(np.unique(eve)) <= {0, 1}
+    # at tau = 1e-3 every chunk of this seed decodes
+    assert link["chunk_errors"] == 0
+    np.testing.assert_array_equal(dec, bits)
+
+
+def _transmit_round(transmit, cfg):
+    agg = substream(32, 0).normal(size=200)
+    return transmit(agg, 0, cfg.sigma_w2_max)
+
+
+def test_pinned_channel_in_outage_is_infeasible():
+    cfg = SystemConfig()
+    outage = Realization(1.0 + 0j, 0.01 + 0j, 1.0 + 0j, 1.0 + 0j)
+    with pytest.raises(InfeasibleError, match="pinned channel"):
+        _transmit_round(coded_transmitter(cfg, 5, 0, outage), cfg)
+    _, _, stats = _transmit_round(coded_transmitter(cfg, 5, 0, ROTATED), cfg)
+    assert stats["redraws"] == 0 and stats["gain_fwd"] == ROTATED.gain_fwd
+
+
+def test_redraws_count_failed_candidates(monkeypatch):
+    cfg = SystemConfig()
+    outage = Realization(1.0 + 0j, 0.01 + 0j, 1.0 + 0j, 1.0 + 0j)
+    draws = iter([outage, outage, ROTATED])
+    monkeypatch.setattr(expcli, "sample_realization",
+                        lambda rng: next(draws))
+    _, _, stats = _transmit_round(coded_transmitter(cfg, 5, 0), cfg)
+    assert stats["redraws"] == 2 and stats["gain_fwd"] == ROTATED.gain_fwd
+    draws = iter([outage] * 3)
+    with pytest.raises(InfeasibleError, match="no feasible channel in 3"):
+        _transmit_round(coded_transmitter(replace(cfg, max_redraws=3), 5, 0),
+                        cfg)
 
 
 def test_scenario_cells_are_int_float_or_str():

@@ -102,27 +102,36 @@ def test_dequantize_length_check():
 # ---------------------------------------------------------------------
 
 
+def _layout(groups):
+    return [(g.start, g.count, g.n_bits) for g in groups]
+
+
 def test_chunk_slicing_and_budget_split():
-    plans = chunk(200, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
-    assert [p.n_bits for p in plans] == [80, 80, 40]
-    assert [p.start for p in plans] == [0, 80, 160]
-    assert all(p.tau_chunk == TAU / 3 for p in plans)
+    groups = chunk(200, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
+    # ascending chunk size: the 40-bit tail, then both full chunks
+    assert _layout(groups) == [(160, 1, 40), (0, 2, MAX_CHUNK_BITS)]
+    assert all(g.tau_chunk == TAU / 3 for g in groups)
 
 
 def test_chunk_plans_match_direct_planning():
-    plans = chunk(200, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
-    for p in plans:
-        even = p.n_bits + (p.n_bits & 1)
-        rep = plan_blocklength(even, SNR, SNR_FB, 1.0, 1.0, TAU / 3, 256)
-        assert p.n_t == rep.n_t
-        assert p.rate == rep.rate
+    for g in chunk(200, SNR, SNR_FB, 1.0, 1.0, TAU, 256):
+        rep = plan_blocklength(g.n_bits, SNR, SNR_FB, 1.0, 1.0, TAU / 3, 256)
+        assert (g.n_t, g.rate) == (rep.n_t, rep.rate)
 
 
 def test_chunk_odd_tail_planned_at_even_budget():
-    plans = chunk(119, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
-    assert [p.n_bits for p in plans] == [80, 39]
+    groups = chunk(119, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
+    assert _layout(groups) == [(80, 1, 39), (0, 1, 80)]
     rep = plan_blocklength(40, SNR, SNR_FB, 1.0, 1.0, TAU / 2, 256)
-    assert plans[1].n_t == rep.n_t
+    assert (groups[0].n_t, groups[0].rate) == (rep.n_t, rep.rate)
+
+
+def test_chunk_single_group_layouts():
+    # a whole number of full chunks, or a payload shorter than one chunk
+    assert _layout(chunk(240, SNR, SNR_FB, 1.0, 1.0, TAU, 256)) \
+        == [(0, 3, 80)]
+    short = chunk(7, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
+    assert _layout(short) == [(0, 1, 7)] and short[0].tau_chunk == TAU
 
 
 def test_chunk_empty_payload():
@@ -136,13 +145,10 @@ def test_chunk_infeasible_returns_none():
 
 def test_chunk_respects_n_max():
     assert chunk(80, SNR, SNR_FB, 1.0, 1.0, TAU, 4) is None
+    # the 1-bit tail fits in 4 uses, but the full chunk does not
+    assert chunk(81, SNR, SNR_FB, 1.0, 1.0, TAU, 4) is None
 
 
 def test_chunk_validation():
     with pytest.raises(ValueError):
         chunk(-1, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
-    with pytest.raises(ValueError):
-        chunk(10, SNR, SNR_FB, 1.0, 1.0, TAU, 256, max_chunk_bits=1)
-    with pytest.raises(ValueError):
-        chunk(10, SNR, SNR_FB, 1.0, 1.0, TAU, 256,
-              max_chunk_bits=MAX_CHUNK_BITS + 2)

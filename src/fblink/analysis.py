@@ -149,6 +149,26 @@ def _validated(snr, snr_fb, gain_fwd, gain_fb, tau):
         raise ValueError("tau must be in (0, 1)")
 
 
+def _feedback_loop(snr, snr_fb, gain_fwd, gain_fb, L):
+    """(psi1, psi2, c, growth, outage) of the loop at fold budget(s) L > 0.
+
+    c = 1 - L/(|h_fb|^2*snr_fb) = 1/psi2; growth = 1 + snr*|h|^2/(psi1*psi2)
+    is the per-use variance contraction; outage marks the psi2 pole, where
+    psi2 is inf and growth 1. Shared by achievable_rate and build_schedule.
+    """
+    L = np.asarray(L, dtype=float)
+    fb_strength = gain_fb * snr_fb
+    outage = fb_strength <= L
+    # a subnormal fb_strength gives inf; a pole gives 1/0
+    with np.errstate(over="ignore", divide="ignore"):
+        psi1 = (1.0 + L * gain_fwd * snr / fb_strength
+                if fb_strength > 0 else np.full(L.shape, math.inf))
+        c = 1.0 - L / fb_strength
+        psi2 = np.where(outage, math.inf, 1.0 / c)
+    growth = 1.0 + snr * gain_fwd / (psi1 * psi2)
+    return psi1, psi2, c, growth, outage
+
+
 def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t) -> RateReport:
     """Rate report for an n_t-use block at fixed channel gains.
 
@@ -175,21 +195,18 @@ def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t) -> RateReport:
 
     coded = n >= 2
     L = np.zeros(n.size)
+    psi1 = np.ones(n.size)
+    psi2 = np.ones(n.size)
+    growth = np.ones(n.size)
+    outage = np.zeros(n.size, dtype=bool)
     if coded.any():
         L[coded] = aliasing_budget(tau, n[coded])
-    fb_strength = gain_fb * snr_fb
-    outage = coded & (fb_strength <= L)
-    live = coded & ~outage
-    psi1 = np.ones(n.size)
-    with np.errstate(over="ignore"):  # a subnormal fb_strength gives inf
-        psi1[coded] = (1.0 + L[coded] * gain_fwd * snr / fb_strength
-                       if fb_strength > 0 else math.inf)
-    psi2 = np.where(outage, math.inf, 1.0)
-    psi2[live] = 1.0 / (1.0 - L[live] / fb_strength)
-    growth = 1.0 + snr * gain_fwd / (psi1 * psi2)
+        psi1[coded], psi2[coded], _, growth[coded], outage[coded] = \
+            _feedback_loop(snr, snr_fb, gain_fwd, gain_fb, L[coded])
     # log2(arg) computed in log space: arg overflows float64 near n_t ~ 550
     total = log_base + (n - 1) * np.log2(growth)
-    feasible = ~outage & (total > 0.0)
+    # snr*|h|^2 past float64 range gives an inf or nan total: infeasible
+    feasible = ~outage & (total > 0.0) & (total < math.inf)
     rate = np.where(feasible, total / n, 0.0)
     reason = np.where(outage, "feedback_outage",
                       np.where(feasible, None, "rate_nonpositive"))

@@ -7,9 +7,13 @@ folded into [-d/2, d/2) and masked by a shared uniform dither; the encoder
 recovers the estimation error through the same fold, rescales it to full
 power, and sends it back. Each round trip contracts the error variance by the
 factor (1 + snr*|h|^2/(psi1*psi2)), which is exactly what the rate formula in
-`analysis` integrates over n_t uses.
+`analysis` integrates over n_t uses; build_schedule takes that factor, the
+feedback-outage verdict and c = 1/psi2 from the same `analysis` function the
+rate formula uses, so the two cannot drift apart.
 
-The schedule below is the whole contract between the parties:
+The schedule below is the whole contract between the parties. A Schedule
+holds it with n_t, the fold budget L and the transmit powers P and P_fb,
+and nothing else:
 
     alpha_i   error variance after use i, alpha_1 = 1/(|h|^2*snr)
     gamma_i   feedback scaling, gamma_i^2*alpha_i = P_fb/(2L) - sigma2^2/(2|h_fb|^2)
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseSpec, Realization, cn_sample, derotate
-from .analysis import aliasing_budget
+from .analysis import _feedback_loop, aliasing_budget
 
 __all__ = [
     "MAX_SUB_CHANNEL_BITS",
@@ -77,23 +81,6 @@ class PamConstellation:
 
     bits: int
     m_levels: int
-
-    @property
-    def power(self) -> float:
-        """Second moment of a uniform message, (m^2 - 1)/m^2 <= 1."""
-        m = self.m_levels
-        return (m * m - 1.0) / (m * m)
-
-    @property
-    def half_width(self) -> float:
-        return _SQRT3 / self.m_levels
-
-    @property
-    def centers(self) -> np.ndarray:
-        """The full alphabet; only sensible for small constellations."""
-        if self.bits > 24:
-            raise ValueError("refusing to materialize 2^%d centers" % self.bits)
-        return self.center(np.arange(self.m_levels))
 
     def center(self, idx):
         """Center of sub-interval idx, vectorized."""
@@ -149,7 +136,6 @@ class Schedule:
     """
 
     n_t: int
-    tau: float
     L: float
     d: float
     lam: float
@@ -158,12 +144,6 @@ class Schedule:
     alpha: np.ndarray
     P: float
     P_fb: float
-    snr: float
-    snr_fb: float
-    gain_fwd: float
-    gain_fb: float
-    sigma1_2: float
-    sigma2_2: float
 
 
 def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
@@ -188,19 +168,15 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
 
     if n_t == 1:
         empty = np.empty(0)
-        return Schedule(1, tau, 0.0, d, 0.0, empty, empty,
-                        np.array([alpha1]), P, P_fb, snr, snr_fb,
-                        gain_fwd, gain_fb, noise.sigma1_2, noise.sigma2_2)
+        return Schedule(1, 0.0, d, 0.0, empty, empty, np.array([alpha1]),
+                        P, P_fb)
 
     L = aliasing_budget(tau, n_t)
-    fb_strength = gain_fb * snr_fb
-    if fb_strength <= L:
+    _, _, c, growth, outage = _feedback_loop(snr, snr_fb, gain_fwd, gain_fb, L)
+    if outage:
         raise ValueError(
             "schedule infeasible: feedback outage (|h_fb|^2*snr_fb = %.4g <= L = %.4g)"
-            % (fb_strength, L))
-    psi1 = 1.0 + L * gain_fwd * snr / fb_strength
-    psi2 = 1.0 / (1.0 - L / fb_strength)
-    growth = 1.0 + snr * gain_fwd / (psi1 * psi2)
+            % (gain_fb * snr_fb, L))
 
     alpha = alpha1 * growth ** (-np.arange(n_t, dtype=float))
     fb_signal_var = P_fb / (2.0 * L) - noise.sigma2_2 / (2.0 * gain_fb)
@@ -208,12 +184,9 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
     lam = math.sqrt(L * P / P_fb)
     # decoder regression coefficient, kept in its published form; it equals
     # the MMSE weight sqrt(2*P*c*alpha)/(P + sigma1^2/|h|^2) algebraically
-    c = 1.0 - L / fb_strength
     beta = (np.sqrt(2.0 * alpha[:-1]) / math.sqrt(noise.sigma1_2)) \
         * math.sqrt(snr * c) / (snr + 1.0 / gain_fwd)
-    return Schedule(n_t, tau, L, d, lam, gamma, beta, alpha, P, P_fb,
-                    snr, snr_fb, gain_fwd, gain_fb,
-                    noise.sigma1_2, noise.sigma2_2)
+    return Schedule(n_t, L, d, lam, gamma, beta, alpha, P, P_fb)
 
 
 def modulo_d(x, d):

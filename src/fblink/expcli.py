@@ -212,6 +212,8 @@ def parse_config(path=None, **overrides) -> SystemConfig:
                     raise ValueError("not an integer")
                 coerced[k] = int(v)
             elif want is float:
+                if isinstance(v, bool):
+                    raise ValueError("not a number")
                 coerced[k] = float(v)
                 if not math.isfinite(coerced[k]):
                     raise ValueError("not finite")
@@ -400,15 +402,18 @@ def _scn_codec_validation(cfg, r_idx):
                                             r_idx))
     rep = analysis.achievable_rate(cfg.snr, cfg.snr_fb, real.gain_fwd,
                                    real.gain_fb, cfg.tau, cfg.n_t)
-    bits_sub = min(int(rep.total_bits // 2), codec.MAX_SUB_CHANNEL_BITS)
-    if not rep.feasible or bits_sub < 1:
-        reason = rep.outage_reason or "rate_too_low"
+    bits_sub = int(rep.total_bits // 2)
+    if not rep.feasible or bits_sub < 1 \
+            or bits_sub > codec.MAX_SUB_CHANNEL_BITS:
+        # past float64 resolution the interval decode is meaningless
+        reason = rep.outage_reason or ("rate_too_low" if bits_sub < 1
+                                       else "exceeds_sub_channel_bits")
         return {"codec_validation.csv": [
             (r_idx, cfg.n_t, 0, 0, "", "", "", "", "", 0, reason)]}
-    sched = codec.build_schedule(cfg.snr, cfg.snr_fb, cfg.tau, cfg.n_t, real,
-                                 cfg.noise_spec())
-    const = codec.build_constellation(bits_sub)
     noise = cfg.noise_spec()
+    sched = codec.build_schedule(cfg.snr, cfg.snr_fb, cfg.tau, cfg.n_t, real,
+                                 noise)
+    const = codec.build_constellation(bits_sub)
     msg_rng = substream(cfg.seed, DOMAIN_MESSAGES, r_idx)
     errs = aliases = 0
     pow_fwd = pow_fb = 0.0
@@ -441,7 +446,7 @@ def _scn_codec_validation(cfg, r_idx):
     row = (r_idx, cfg.n_t, bits_sub, cfg.n_blocks,
            errs / cfg.n_blocks, aliases / cfg.n_blocks,
            pow_fwd / (cfg.n_blocks * cfg.n_t * sched.P),
-           pow_fb / (cfg.n_blocks * max(cfg.n_t - 1, 1) * sched.P_fb)
+           pow_fb / (cfg.n_blocks * (cfg.n_t - 1) * sched.P_fb)
            if cfg.n_t > 1 else 1.0,
            var_dev, 1, "")
     return {"codec_validation.csv": [row]}

@@ -228,6 +228,20 @@ def test_outage_boundary_is_infeasible():
     L = aliasing_budget(1e-3, 10)
     rep = achievable_rate(SNR, SNR_FB, 1.0, L / SNR_FB, 1e-3, 10)
     assert not rep.feasible
+    # exactly at the psi2 pole, |h_fb|^2*snr_fb == L
+    rep = achievable_rate(SNR, 1.0, 1.0, L, 1e-3, 10)
+    assert rep.outage_reason == "feedback_outage"
+    assert rep.rate == 0.0 and math.isinf(rep.psi2)
+
+
+def test_rate_overflowing_forward_snr_is_infeasible():
+    # snr*|h|^2 overflows float64: numpy may warn, but no rate, coded or
+    # not, is reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = achievable_rate(1e200, SNR_FB, 1e200, 1.0, 1e-3,
+                              np.arange(1, 4))
+    assert not rep.feasible.any()
+    assert (rep.rate == 0.0).all()
 
 
 def test_rate_monotone_in_forward_gain():

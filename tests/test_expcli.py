@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fblink import expcli, source_coding
+from fblink import codec, expcli, source_coding
 from fblink.channel import Realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            SystemConfig, _ordered, _pack_group, _send_bits,
@@ -371,15 +371,36 @@ def test_codec_validation_quick_run(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_codec_validation_every_block_aliasing(tmp_path):
-    # a loose tau over a long block folds every block: no clean block is left
-    # to estimate the error variance from, so that cell stays empty
-    cfg = parse_config(None, fixed_gains=1, n_t=40, tau=0.9, n_blocks=1,
+    # a loose tau folds every block: no clean block is left to estimate the
+    # error variance from, so that cell stays empty
+    cfg = parse_config(None, fixed_gains=1, n_t=10, tau=0.9, n_blocks=1,
                        seed=0)
     run_scenario(cfg, "codec_validation", str(tmp_path))
     (row,) = read_csv(tmp_path / "codec_validation.csv")
     assert int(row["feasible"]) == 1
     assert float(row["alias_rate"]) == 1.0
     assert row["max_var_dev"] == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_t,feasible", [(46, 1), (47, 0), (80, 0),
+                                          (800, 0)])
+def test_codec_validation_sub_channel_limit(tmp_path, n_t, feasible):
+    # 46 uses carry 40 bits per sub-channel at the defaults; past that the
+    # interval decode is below float64 resolution, so no block is run
+    cfg = parse_config(None, fixed_gains=1, n_t=n_t, n_blocks=200)
+    run_scenario(cfg, "codec_validation", str(tmp_path))
+    (row,) = read_csv(tmp_path / "codec_validation.csv")
+    assert int(row["feasible"]) == feasible
+    if feasible:
+        assert int(row["bits_per_sub"]) == codec.MAX_SUB_CHANNEL_BITS
+        assert row["outage_reason"] == ""
+    else:
+        assert row["outage_reason"] == "exceeds_sub_channel_bits"
+        assert [row[k] for k in ("bits_per_sub", "n_blocks")] == ["0", "0"]
+        assert all(row[k] == "" for k in (
+            "err_rate", "alias_rate", "power_fwd_ratio", "power_fb_ratio",
+            "max_var_dev"))
 
 
 def test_secrecy_running_min_tracks_round_bound(tmp_path):
@@ -447,6 +468,8 @@ def test_cli_infeasible_is_exit_2(tmp_path, capsys, monkeypatch):
     ('{"sigma2": Infinity}', "sigma2"),
     ('{"snr_db": 1e6}', "snr_db"),
     ('{"snr_fb_db": -1e6}', "snr_fb_db"),
+    ('{"snr_db": true}', "snr_db"),
+    ('{"tau": false}', "tau"),
 ])
 def test_cli_bad_value_is_exit_1(tmp_path, capsys, text, key):
     p = tmp_path / "cfg.json"

@@ -10,13 +10,14 @@ gains, but never the shared dither. Two concrete attacks are implemented:
 * full-sequence: the feedback symbols encode the legitimate receiver's
   running estimate, folded onto [-d/2, d/2) by the dither. She isolates each
   feedback symbol, assumes the dither was zero, and unwraps the fold ladder
-  against her first-use prior, rung by rung. With the dither actually off
-  this beats guessing by orders of magnitude, though it stays far from
-  receiver fidelity: she reads every feedback use through the concurrent
-  forward symbol, and that self-interference blurs both her opening prior
-  and the final rung. With the dither on, every rung lands at a uniformly
-  distributed offset and the attack degenerates to guessing, which is the
-  property the accounting below quantifies.
+  against her first-use prior, rung by rung. Her estimate holds the R and I
+  sub-channels as one (2, n) array, so a rung is one unwrap for both. With
+  the dither actually off this beats guessing by orders of magnitude,
+  though it stays far from receiver fidelity: she reads every feedback use
+  through the concurrent forward symbol, and that self-interference blurs
+  both her opening prior and the final rung. With the dither on, every rung
+  lands at a uniformly distributed offset and the attack degenerates to
+  guessing, which is the property the accounting below quantifies.
 
 Leakage is reported three ways: the analytic bound the scenarios account
 secrecy with, a per-bit converse from observed bit error rates, and, for
@@ -42,9 +43,8 @@ __all__ = [
 
 
 def _slice_first_use(z1, g, power):
-    tr, ti = derotate(z1, g)
-    scale = math.sqrt(power / 2.0)
-    return tr / scale, ti / scale
+    """(2, n) estimate of the R and I centers from the opening use."""
+    return derotate(z1, g) / math.sqrt(power / 2.0)
 
 
 def attack_first_use(z1, g, power, const_r, const_i, rng):
@@ -57,8 +57,8 @@ def attack_first_use(z1, g, power, const_r, const_i, rng):
     if g == 0:
         return (rng.integers(0, const_r.m_levels, size=z1.shape),
                 rng.integers(0, const_i.m_levels, size=z1.shape))
-    th_r, th_i = _slice_first_use(z1, g, power)
-    return const_r.decode(th_r), const_i.decode(th_i)
+    th = _slice_first_use(z1, g, power)
+    return const_r.decode(th[0]), const_i.decode(th[1])
 
 
 def attack_full_sequence(z, g, g_fb, sched, const_r, const_i, rng):
@@ -74,19 +74,14 @@ def attack_full_sequence(z, g, g_fb, sched, const_r, const_i, rng):
     z = np.atleast_2d(np.asarray(z))
     if sched.n_t == 1 or g_fb == 0:
         return attack_first_use(z[:, 0], g, sched.P, const_r, const_i, rng)
-    if g != 0:
-        th_r, th_i = _slice_first_use(z[:, 0], g, sched.P)
-    else:
-        th_r = np.zeros(z.shape[0])
-        th_i = np.zeros(z.shape[0])
+    th = (_slice_first_use(z[:, 0], g, sched.P) if g != 0
+          else np.zeros((2, z.shape[0])))
     for j in range(1, sched.n_t):
         gam = sched.gamma[j - 1]
-        f_r, f_i = derotate(z[:, j - 1], g_fb)
+        base = derotate(z[:, j - 1], g_fb) / gam
         wrap = sched.d / gam
-        base_r, base_i = f_r / gam, f_i / gam
-        th_r = base_r + np.rint((th_r - base_r) / wrap) * wrap
-        th_i = base_i + np.rint((th_i - base_i) / wrap) * wrap
-    return const_r.decode(th_r), const_i.decode(th_i)
+        th = base + np.rint((th - base) / wrap) * wrap
+    return const_r.decode(th[0]), const_i.decode(th[1])
 
 
 def exact_posterior_mi(bits_r, bits_i, g2, power, sigma_e2, rng, n_mc=200000):

@@ -72,14 +72,14 @@ def sample_realization(rng) -> Realization:
 def derotate(y, coeff):
     """Project a received symbol onto the transmit frame of a known coefficient.
 
-    Returns the real pair (y'_R, y'_I) of y*conj(coeff)/|coeff|^2, so that a
-    transmitted x appears as x plus noise of variance sigma^2/(2*|coeff|^2)
-    per real component.
+    Returns one float array of shape (2,) + y.shape whose rows are y'_R and
+    y'_I of y*conj(coeff)/|coeff|^2, so that a transmitted x appears as x
+    plus noise of variance sigma^2/(2*|coeff|^2) per real component.
+    `re, im = derotate(y, coeff)` unpacks the rows.
     """
     c2 = coeff.real * coeff.real + coeff.imag * coeff.imag
     if c2 == 0.0:
         raise ValueError("cannot derotate by a zero coefficient")
     y = np.asarray(y)
-    re = (coeff.real * y.real + coeff.imag * y.imag) / c2
-    im = (coeff.real * y.imag - coeff.imag * y.real) / c2
-    return re, im
+    return np.array([(coeff.real * y.real + coeff.imag * y.imag) / c2,
+                     (coeff.real * y.imag - coeff.imag * y.real) / c2])

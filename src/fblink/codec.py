@@ -26,11 +26,14 @@ choice, putting the per-step fold ("aliasing") probability at its budgeted
 share of tau. A fold is invisible in-protocol: the encoder refines a wrong
 error, the block usually dies, and only the simulator-side transcript knows.
 
-Batch arrays are laid out (trial, use); everything vectorizes across trials.
-There is one path through a block: draw_block_noise draws the dither and the
-channel noise in its documented order, and run_block_batch runs the loop as a
-pure function of those arrays. A single block is a one-row batch, with
-record=True for its transcript.
+Batch arrays are laid out (trial, use), the dither and the recorded errors
+with a trailing (R, I) axis; everything vectorizes across trials. Inside
+run_block_batch the state of the two sub-channels is one (2, n) array, row 0
+R and row 1 I, so each step runs once for both: one fold per feedback
+direction, one alias test. There is one path through a block:
+draw_block_noise draws the dither and the channel noise in its documented
+order, and run_block_batch runs the loop as a pure function of those arrays.
+A single block is a one-row batch, with record=True for its transcript.
 
 Payload bits map to message indices MSB first through to_bits/from_bits, the
 one bit packer that the quantizer, the transport and the leakage scoring
@@ -250,76 +253,55 @@ def run_block_batch(sched: Schedule, realization: Realization,
     the estimation errors, the forward symbols and the feedback symbols.
     """
     n_t = sched.n_t
-    msg_r = np.atleast_1d(np.asarray(msg_r, dtype=np.int64))
-    msg_i = np.atleast_1d(np.asarray(msg_i, dtype=np.int64))
-    n = len(msg_r)
-    if n and (min(msg_r.min(), msg_i.min()) < 0
-              or msg_r.max() >= const_r.m_levels
-              or msg_i.max() >= const_i.m_levels):
+    msg = np.asarray([msg_r, msg_i], dtype=np.int64).reshape(2, -1)
+    if ((msg < 0) | (msg >= [[const_r.m_levels], [const_i.m_levels]])).any():
         raise ValueError("message indices outside the constellations")
-    theta_r = const_r.center(msg_r)
-    theta_i = const_i.center(msg_i)
+    n = msg.shape[1]
+    theta = np.stack([const_r.center(msg[0]), const_i.center(msg[1])])
     sqrt_pr = math.sqrt(sched.P / 2.0)
     half_d = sched.d / 2.0
 
     alias = np.zeros(n, dtype=np.int64)
-    rec = record
-    if rec:
+    if record:
         eps_hist = np.empty((n, n_t, 2))
         x_seq = np.empty((n, n_t), dtype=complex)
         xfb_seq = np.empty((n, n_t - 1), dtype=complex)
     z_seq = np.empty((n, n_t), dtype=complex) if eta_eve is not None else None
 
-    x_cur = sqrt_pr * (theta_r + 1j * theta_i)
-    th_r = th_i = None
-    for i in range(1, n_t + 1):
-        y = realization.h * x_cur + eta_fwd[:, i - 1]
-        yp_r, yp_i = derotate(y, realization.h)
-        if i == 1:
-            th_r = yp_r / sqrt_pr
-            th_i = yp_i / sqrt_pr
-        else:
-            b = sched.beta[i - 2]
-            th_r = th_r - b * yp_r
-            th_i = th_i - b * yp_i
-        if rec:
-            x_seq[:, i - 1] = x_cur
-            eps_hist[:, i - 1, 0] = th_r - theta_r
-            eps_hist[:, i - 1, 1] = th_i - theta_i
+    x_cur = sqrt_pr * (theta[0] + 1j * theta[1])
+    for i in range(n_t):
+        yp = derotate(realization.h * x_cur + eta_fwd[:, i], realization.h)
+        th = yp / sqrt_pr if i == 0 else th - sched.beta[i - 1] * yp
+        if record:
+            x_seq[:, i] = x_cur
+            eps_hist[:, i] = (th - theta).T
+        if i == n_t - 1:
+            break
 
-        if i < n_t:
-            g = sched.gamma[i - 1]
-            v_r = dither[:, i - 1, 0]
-            v_i = dither[:, i - 1, 1]
-            xfb_r = modulo_d(g * th_r + v_r, sched.d)
-            xfb_i = modulo_d(g * th_i + v_i, sched.d)
-            xfb = xfb_r + 1j * xfb_i
-            if z_seq is not None:
-                z_seq[:, i - 1] = (realization.g * x_cur
-                                   + realization.g_fb * xfb + eta_eve[:, i - 1])
-            yfb = realization.h_fb * xfb + eta_fb[:, i - 1]
-            w_r, w_i = derotate(yfb, realization.h_fb)
-            # simulator-side truth: fold event per sub-channel
-            fb_noise_r = w_r - xfb_r
-            fb_noise_i = w_i - xfb_i
-            arg_r = g * (th_r - theta_r) + fb_noise_r
-            arg_i = g * (th_i - theta_i) + fb_noise_i
-            alias += ((arg_r < -half_d) | (arg_r >= half_d)).astype(np.int64)
-            alias += ((arg_i < -half_d) | (arg_i >= half_d)).astype(np.int64)
-            et_r = modulo_d(w_r - g * theta_r - v_r, sched.d) / g
-            et_i = modulo_d(w_i - g * theta_i - v_i, sched.d) / g
-            x_cur = sched.lam * g * (et_r + 1j * et_i)
-            if rec:
-                xfb_seq[:, i - 1] = xfb
-        elif z_seq is not None:
-            z_seq[:, i - 1] = realization.g * x_cur + eta_eve[:, i - 1]
+        g = sched.gamma[i]
+        v = dither[:, i].T
+        fold = modulo_d(g * th + v, sched.d)
+        xfb = fold[0] + 1j * fold[1]
+        if z_seq is not None:
+            z_seq[:, i] = (realization.g * x_cur + realization.g_fb * xfb
+                           + eta_eve[:, i])
+        w = derotate(realization.h_fb * xfb + eta_fb[:, i], realization.h_fb)
+        # simulator-side truth: fold event per sub-channel
+        arg = g * (th - theta) + (w - fold)
+        alias += ((arg < -half_d) | (arg >= half_d)).sum(axis=0)
+        et = modulo_d(w - g * theta - v, sched.d) / g
+        x_cur = sched.lam * g * (et[0] + 1j * et[1])
+        if record:
+            xfb_seq[:, i] = xfb
+    if z_seq is not None:
+        z_seq[:, -1] = realization.g * x_cur + eta_eve[:, -1]
 
-    dec_r = const_r.decode(th_r)
-    dec_i = const_i.decode(th_i)
-    err = (dec_r != msg_r) | (dec_i != msg_i)
+    dec_r = const_r.decode(th[0])
+    dec_i = const_i.decode(th[1])
+    err = (dec_r != msg[0]) | (dec_i != msg[1])
     return BatchResult(
         dec_r, dec_i, err, alias,
-        eps_hist=eps_hist if rec else None,
-        x_seq=x_seq if rec else None,
-        x_fb_seq=xfb_seq if rec else None,
+        eps_hist=eps_hist if record else None,
+        x_seq=x_seq if record else None,
+        x_fb_seq=xfb_seq if record else None,
         z_seq=z_seq)

@@ -8,6 +8,7 @@ few dozen full-batch rounds, matching the role the real digits play in the
 experiments.
 """
 
+import math
 import os
 import struct
 import warnings
@@ -23,22 +24,34 @@ _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
 
 
+def _read_idx(path, magic, n_dims):
+    """The dimensions and the uint8 payload of an IDX file; a wrong magic
+    number, or fewer bytes than the header promises, raises ValueError."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    head = 4 * (1 + n_dims)
+    if len(raw) < head:
+        raise ValueError("truncated IDX header in %s" % path)
+    found, *dims = struct.unpack_from(">%dI" % (1 + n_dims), raw)
+    if found != magic:
+        raise ValueError("not an IDX file: magic %d, expected %d"
+                         % (found, magic))
+    size = math.prod(dims)
+    if len(raw) - head < size:
+        raise ValueError("truncated IDX file %s: %d of %d payload bytes"
+                         % (path, len(raw) - head, size))
+    return dims, np.frombuffer(raw, dtype=np.uint8, count=size, offset=head)
+
+
 def load_idx_images(path) -> np.ndarray:
     """Images as floats in [0, 1], flattened to (n, rows*cols)."""
-    with open(path, "rb") as f:
-        magic, n, rows, cols = struct.unpack(">IIII", f.read(16))
-        if magic != _IDX_IMAGES_MAGIC:
-            raise ValueError("not an IDX image file: magic %d" % magic)
-        data = np.frombuffer(f.read(n * rows * cols), dtype=np.uint8)
+    (n, rows, cols), data = _read_idx(path, _IDX_IMAGES_MAGIC, 3)
     return data.reshape(n, rows * cols).astype(float) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, n = struct.unpack(">II", f.read(8))
-        if magic != _IDX_LABELS_MAGIC:
-            raise ValueError("not an IDX label file: magic %d" % magic)
-        return np.frombuffer(f.read(n), dtype=np.uint8).astype(np.int64)
+    _, data = _read_idx(path, _IDX_LABELS_MAGIC, 1)
+    return data.astype(np.int64)
 
 
 def synthetic_digits(n_train, n_test, seed, n_features=784, n_classes=10):
@@ -71,7 +84,8 @@ def load_dataset(data_dir, n_train, n_test, seed):
 
     Expects train-images-idx3-ubyte / train-labels-idx1-ubyte (and the t10k
     pair) inside data_dir. Subsampling to n_train/n_test keeps desk-scale
-    runs fast.
+    runs fast. Files holding fewer rows than that, or image and label
+    counts that differ, raise ValueError.
     """
     names = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
              "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -80,6 +94,14 @@ def load_dataset(data_dir, n_train, n_test, seed):
         y_tr = load_idx_labels(os.path.join(data_dir, names[1]))
         x_te = load_idx_images(os.path.join(data_dir, names[2]))
         y_te = load_idx_labels(os.path.join(data_dir, names[3]))
+        if len(x_tr) != len(y_tr) or len(x_te) != len(y_te):
+            raise ValueError("IDX image and label counts differ under %r"
+                             % data_dir)
+        if len(y_tr) < n_train or len(y_te) < n_test:
+            raise ValueError(
+                "IDX files under %r hold %d training and %d test rows, "
+                "fewer than n_train=%d or n_test=%d"
+                % (data_dir, len(y_tr), len(y_te), n_train, n_test))
         rng = substream(seed, DOMAIN_DATA)
         tr = rng.permutation(len(y_tr))[:n_train]
         te = rng.permutation(len(y_te))[:n_test]

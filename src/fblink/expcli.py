@@ -156,7 +156,7 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
         (cfg.n_max >= 2, "n_max must be >= 2"),
         (cfg.uses_per_second > 0, "uses_per_second must be positive"),
         (cfg.n_blocks >= 1, "n_blocks must be >= 1"),
-        (cfg.payload_bits >= 0, "payload_bits must be >= 0"),
+        (cfg.payload_bits >= 1, "payload_bits must be >= 1"),
         (cfg.n_t_max_scan >= 1, "n_t_max_scan must be >= 1"),
         (cfg.sweep_points >= 2, "sweep_points must be >= 2"),
         (cfg.max_redraws >= 1, "max_redraws must be >= 1"),
@@ -479,8 +479,13 @@ def _feasible_realization(cfg, r_idx):
 
 
 def _load_learning_data(cfg):
-    return datasets.load_dataset(cfg.data_dir or None, cfg.n_train,
-                                 cfg.n_test, cfg.seed)
+    """The learning data; a data_dir that cannot be read, or whose IDX
+    files are malformed or too short, is a ConfigError."""
+    try:
+        return datasets.load_dataset(cfg.data_dir or None, cfg.n_train,
+                                     cfg.n_test, cfg.seed)
+    except (OSError, ValueError) as e:
+        raise ConfigError("cannot load data_dir %r: %s" % (cfg.data_dir, e))
 
 
 def _scn_secrecy_level_vs_round(cfg, r_idx):

@@ -46,27 +46,14 @@ class QuantizedPayload:
     indices: np.ndarray
     n_coords: int
     width_bits: int
-    n_cells: int
     k_half: int
     rate_bits_per_coord: float
     accounted_bits: int
     distortion: float
-    source_var: float
 
     @property
     def physical_bits(self) -> int:
         return self.n_coords * self.width_bits
-
-
-def _cell_geometry(distortion, source_var):
-    # clip at 5 sigma: the tail's squared-error contribution is ~2e-8 of
-    # source_var, negligible against D even at source_var/D ~ 1e5, while a
-    # 4 sigma clip already costs several percent of D at that ratio
-    step = math.sqrt(12.0 * distortion)
-    k_half = int(math.ceil(5.0 * math.sqrt(source_var) / step))
-    n_cells = 2 * k_half + 1
-    width = max(1, int(math.ceil(math.log2(n_cells))))
-    return step, k_half, n_cells, width
 
 
 def quantize(w, distortion, source_var, rng) -> QuantizedPayload:
@@ -85,15 +72,20 @@ def quantize(w, distortion, source_var, rng) -> QuantizedPayload:
         raise ValueError("source_var must be positive")
     rate = rate_distortion(distortion, source_var)
     if rate == 0.0:
-        return QuantizedPayload(np.empty(0, dtype=np.uint8), len(w), 0, 0, 0,
-                                0.0, 0, distortion, source_var)
-    step, k_half, n_cells, width = _cell_geometry(distortion, source_var)
+        return QuantizedPayload(np.empty(0, dtype=np.uint8), len(w), 0, 0,
+                                0.0, 0, distortion)
+    step = math.sqrt(12.0 * distortion)
+    # clip at 5 sigma: the tail's squared-error contribution is ~2e-8 of
+    # source_var, negligible against D even at source_var/D ~ 1e5, while a
+    # 4 sigma clip already costs several percent of D at that ratio
+    k_half = int(math.ceil(5.0 * math.sqrt(source_var) / step))
+    width = max(1, int(math.ceil(math.log2(2 * k_half + 1))))
     u = rng.uniform(-step / 2.0, step / 2.0, size=len(w))
     k = np.rint((w + u) / step).astype(np.int64)
     np.clip(k, -k_half, k_half, out=k)
     bits = to_bits(k + k_half, width).ravel()
-    return QuantizedPayload(bits, len(w), width, n_cells, k_half, rate,
-                            int(math.ceil(len(w) * rate)), distortion, source_var)
+    return QuantizedPayload(bits, len(w), width, k_half, rate,
+                            int(math.ceil(len(w) * rate)), distortion)
 
 
 def dequantize(payload: QuantizedPayload, rng) -> np.ndarray:

@@ -349,6 +349,24 @@ def test_rotated_coefficients_are_transparent():
     np.testing.assert_array_equal(o1.dec_i, o2.dec_i)
 
 
+def test_alias_events_replay_when_blocks_fold():
+    # a loose tau folds often: every per-block count, on both sub-channels,
+    # follows from the recorded transcript
+    real = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
+    sched, _, noise = make_schedule(10, real=real, tau=0.9)
+    const = build_constellation(4)
+    rng = substream(8, 0)
+    mr = rng.integers(0, const.m_levels, 500)
+    mi = rng.integers(0, const.m_levels, 500)
+    dith, ef, eb, _ = codec.draw_block_noise(substream(8, 1), 500, 10, noise,
+                                             sched.d)
+    out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
+                          record=True)
+    assert out.alias_events.max() >= 2
+    theta = np.stack([const.center(mr), const.center(mi)], axis=-1)
+    assert_uses_replay(out, sched, real, theta, dith, ef, eb)
+
+
 def test_single_block_transcript():
     # a single block is a one-row batch; record=True keeps its transcript
     sched, real, noise = make_schedule(5)

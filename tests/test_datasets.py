@@ -1,4 +1,5 @@
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -40,6 +41,20 @@ def test_idx_magic_checked(tmp_path):
         load_idx_labels(p)
 
 
+def test_idx_byte_count_checked(tmp_path):
+    write_idx_pair(tmp_path, "train", np.zeros((3, 2, 2)), np.zeros(3))
+    for name, load in (("train-images-idx3-ubyte", load_idx_images),
+                       ("train-labels-idx1-ubyte", load_idx_labels)):
+        p = os.path.join(tmp_path, name)
+        with open(p, "rb") as f:
+            raw = f.read()
+        for cut in (len(raw) - 1, 6):
+            with open(p, "wb") as f:
+                f.write(raw[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                load(p)
+
+
 def test_synthetic_shapes_and_ranges():
     x_tr, y_tr, x_te, y_te = synthetic_digits(200, 50, seed=3)
     assert x_tr.shape == (200, 784) and x_te.shape == (50, 784)
@@ -69,6 +84,19 @@ def test_load_dataset_prefers_idx_files(tmp_path):
     # subsample of the real rows, not synthetic
     flat = imgs.reshape(30, 784).astype(float) / 255.0
     assert all(any(np.array_equal(r, f) for f in flat) for r in x_tr)
+
+
+def test_load_dataset_refuses_mismatched_counts(tmp_path):
+    rng = np.random.default_rng(0)
+    imgs = rng.integers(0, 256, size=(30, 28, 28), dtype=np.uint8)
+    labs = rng.integers(0, 10, size=30, dtype=np.uint8)
+    write_idx_pair(tmp_path, "t10k", imgs, labs)
+    write_idx_pair(tmp_path, "train", imgs[:20], labs[:20])
+    # 30 test images over the 20 training labels
+    shutil.copy(os.path.join(tmp_path, "train-labels-idx1-ubyte"),
+                os.path.join(tmp_path, "t10k-labels-idx1-ubyte"))
+    with pytest.raises(ValueError, match="counts differ"):
+        load_dataset(str(tmp_path), 10, 5, seed=1)
 
 
 def test_load_dataset_warns_and_falls_back(tmp_path):

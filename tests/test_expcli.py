@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,8 @@ from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            _unpack_group, _worker_count, coded_transmitter,
                            main, parse_config, run_scenario)
 from fblink.streams import substream
+
+from test_datasets import write_idx_pair
 
 
 def read_csv(path):
@@ -470,6 +473,7 @@ def test_cli_infeasible_is_exit_2(tmp_path, capsys, monkeypatch):
     ('{"snr_fb_db": -1e6}', "snr_fb_db"),
     ('{"snr_db": true}', "snr_db"),
     ('{"tau": false}', "tau"),
+    ('{"payload_bits": 0}', "payload_bits"),
 ])
 def test_cli_bad_value_is_exit_1(tmp_path, capsys, text, key):
     p = tmp_path / "cfg.json"
@@ -480,6 +484,36 @@ def test_cli_bad_value_is_exit_1(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("magic", "magic"), ("truncated", "truncated"), ("short", "n_train")])
+def test_cli_bad_data_dir_is_exit_1(tmp_path, capsys, defect, message):
+    # 100 rows under the default n_train of 1000 would train on 100 while
+    # the quantizer is sized for 1000
+    rng = np.random.default_rng(0)
+    imgs = rng.integers(0, 256, size=(100, 28, 28), dtype=np.uint8)
+    labs = rng.integers(0, 10, size=100, dtype=np.uint8)
+    data = tmp_path / "data"
+    data.mkdir()
+    write_idx_pair(data, "train", imgs, labs)
+    write_idx_pair(data, "t10k", imgs, labs)
+    images = data / "train-images-idx3-ubyte"
+    if defect == "magic":
+        images.write_bytes(struct.pack(">I", 1234) + images.read_bytes()[4:])
+    elif defect == "truncated":
+        images.write_bytes(images.read_bytes()[:-1])
+    cfg = {"data_dir": str(data), "n_rounds": 1}
+    if defect != "short":
+        cfg.update(n_train=50, n_test=50)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code = main(["run", "--scenario", "secrecy_level_vs_round", "--config",
+                 str(p), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert list((tmp_path / "out").glob("*.csv")) == []
 
 
 @pytest.mark.parametrize("under", [False, True])

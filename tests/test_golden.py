@@ -1,0 +1,77 @@
+"""Golden digests of the bytes the scenarios and the eavesdropper path write.
+
+A changed CSV byte changes what a run at a given version means, so it comes
+with a version bump and a CHANGES.md entry (ROADMAP, aim 3). The reruns in
+test_acceptance.py only check that a run repeats itself; these digests pin
+the bytes across changes. They were taken at fblink 0.2.1. The MLP scenarios
+are left out, because their bytes depend on the BLAS thread count.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from fblink import adversary, codec
+from fblink.channel import NoiseSpec, Realization
+from fblink.expcli import parse_config, run_scenario
+from fblink.streams import substream
+
+from conftest import SNR, SNR_FB
+
+BUMP = ("bytes changed: bump fblink.__version__, record the change in "
+        "CHANGES.md, then update the digest in tests/test_golden.py")
+
+
+@pytest.mark.parametrize("scenario,overrides,want", [
+    ("rate_vs_blocklength", {"realizations": 50}, {
+        "rates.csv":
+            "d1b27490e782c93a1526ab4b3ed1db04f130b1dac7f38d74a032df05b6f172d0",
+        "plans.csv":
+            "6743dc29e94b4e23629e4e50bbb0667388b1d3fbf8a9ecadc7af4ffa0a06d525",
+    }),
+    ("codec_validation", {"fixed_gains": 1, "n_t": 10, "n_blocks": 20000}, {
+        "codec_validation.csv":
+            "c68a9f5557df3eaaa6aaa360089d7eb795ab664e9da8036bb7cde69136f31d76",
+    }),
+    ("codec_validation", {"realizations": 2, "n_blocks": 20000}, {
+        "codec_validation.csv":
+            "3e79eba29cba26044dd4da2ea56514282c9f700f29eb732062ec79da11649fc0",
+    }),
+    ("privacy_utility_sweep", {}, {
+        "privacy_utility_sweep.csv":
+            "cd7ba3b6fe49e0db7e72449d88800cae1783036d34efa2aab6a2ff00f70fef7f",
+    }),
+])
+def test_scenario_csv_digests(tmp_path, scenario, overrides, want):
+    man = run_scenario(parse_config(None, **overrides), scenario,
+                       str(tmp_path))
+    got = {name: info["sha256"] for name, info in man["files"].items()}
+    assert got == want, "%s %s: %s" % (scenario, overrides, BUMP)
+
+
+def test_eavesdropper_path_digest():
+    # a rotated channel, a loose tau so that some blocks alias, and the
+    # dither on: z_seq, the receiver's decisions, the alias counts and the
+    # fold-ladder attack's decisions all go into one digest
+    real = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
+    noise = NoiseSpec(1.0, 1.0, 1.0)
+    sched = codec.build_schedule(SNR, SNR_FB, 0.05, 10, real, noise)
+    const = codec.build_constellation(12)
+    rng = substream(7, 0)
+    msg_r = rng.integers(0, const.m_levels, 2000)
+    msg_i = rng.integers(0, const.m_levels, 2000)
+    dith, ef, eb, ee = codec.draw_block_noise(rng, 2000, 10, noise, sched.d,
+                                              capture_eve=True)
+    out = codec.run_block_batch(sched, real, const, const, msg_r, msg_i,
+                                dith, ef, eb, eta_eve=ee)
+    att_r, att_i = adversary.attack_full_sequence(
+        out.z_seq, real.g, real.g_fb, sched, const, const, rng)
+    assert out.alias_events.sum() > 0
+    digest = hashlib.sha256()
+    for arr in (out.z_seq, out.dec_r, out.dec_i, out.alias_events, att_r,
+                att_i):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == (
+        "3b2a76c1f407b7f6e094077530513e67293b54a95fb8a1c958f33984abedc646"
+    ), BUMP

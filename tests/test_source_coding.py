@@ -40,7 +40,6 @@ def test_accounting_payload():
     assert pay.rate_bits_per_coord == pytest.approx(0.5 * math.log2(1 / D))
     assert pay.physical_bits == 1000 * pay.width_bits
     assert pay.physical_bits >= pay.accounted_bits
-    assert pay.n_cells == 2 * pay.k_half + 1
 
 
 def test_zero_rate_when_distortion_covers_source():

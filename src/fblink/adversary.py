@@ -48,15 +48,14 @@ def _slice_first_use(z1, g, power):
 
 
 def attack_first_use(z1, g, power, const_r, const_i, rng):
-    """Derotate-and-slice on the opening use. Returns (dec_r, dec_i).
+    """Derotate-and-slice on the (2, n) opening use. Returns (dec_r, dec_i).
 
     g == 0 leaves the observation useless; the attack falls back to uniform
     guessing from rng, which is also its exact performance in that case.
     """
-    z1 = np.asarray(z1)
     if g == 0:
-        return (rng.integers(0, const_r.m_levels, size=z1.shape),
-                rng.integers(0, const_i.m_levels, size=z1.shape))
+        return (rng.integers(0, const_r.m_levels, size=z1.shape[1:]),
+                rng.integers(0, const_i.m_levels, size=z1.shape[1:]))
     th = _slice_first_use(z1, g, power)
     return const_r.decode(th[0]), const_i.decode(th[1])
 
@@ -64,18 +63,17 @@ def attack_first_use(z1, g, power, const_r, const_i, rng):
 def attack_full_sequence(z, g, g_fb, sched, const_r, const_i, rng):
     """Fold-ladder unwrap over all observed uses. Returns (dec_r, dec_i).
 
-    z has one column per use (the feedback sent after use i shares column
-    i-1, the last column is forward-only). Each feedback symbol is treated as
-    gamma_j*theta + V folded to [-d/2, d/2) with V assumed zero; the wrap
-    count is chosen closest to the running estimate, seeded by the first-use
-    slice. Falls back to the first-use attack when there is no feedback to
-    exploit or no feedback path gain.
+    z is the tap's (2, n_t, n) record, one column per use (the feedback sent
+    after use i shares column i-1, the last is forward-only). Each feedback
+    symbol is treated as gamma_j*theta + V folded to [-d/2, d/2) with V
+    assumed zero; the wrap count is chosen closest to the running estimate,
+    seeded by the first-use slice. Falls back to the first-use attack when
+    there is no feedback to exploit or no feedback path gain.
     """
-    z = np.atleast_2d(np.asarray(z))
     if sched.n_t == 1 or g_fb == 0:
         return attack_first_use(z[:, 0], g, sched.P, const_r, const_i, rng)
     th = (_slice_first_use(z[:, 0], g, sched.P) if g != 0
-          else np.zeros((2, z.shape[0])))
+          else np.zeros(z[:, 0].shape))
     for j in range(1, sched.n_t):
         gam = sched.gamma[j - 1]
         base = derotate(z[:, j - 1], g_fb) / gam

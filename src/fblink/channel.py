@@ -3,8 +3,8 @@
 One realization fixes four complex coefficients for the duration of a round:
 h (edge to cloud), h_fb (cloud to edge), and the eavesdropper's g (on forward
 symbols) and g_fb (on feedback symbols). The adversary hears both directions
-summed per channel use. Noise is circularly symmetric complex Gaussian,
-sampled as two real Gaussians of variance sigma2/2 each. The uses themselves,
+summed per channel use. Noise is circularly symmetric complex Gaussian, kept
+component first as two real Gaussians of variance sigma2/2 each. The uses,
 y = h*x + eta, y_fb = h_fb*x_fb + eta_fb and z = g*x + g_fb*x_fb + eta_e, are
 applied a batch of blocks at a time by `codec.run_block_batch`.
 """
@@ -56,30 +56,30 @@ class NoiseSpec:
 
 
 def cn_sample(rng, var, size=None):
-    """Circularly symmetric complex Gaussian, total variance var."""
-    scale = np.sqrt(var / 2.0)
-    re = rng.normal(0.0, scale, size)
-    im = rng.normal(0.0, scale, size)
-    return re + 1j * im
+    """CN(0, var) noise, component first: (2,) + size floats, real parts then
+    imaginary parts: two normal(0, sqrt(var/2), size) calls as one draw."""
+    z = rng.standard_normal((2, *np.atleast_1d(() if size is None else size)))
+    z *= np.sqrt(var / 2.0)
+    return z
 
 
 def sample_realization(rng) -> Realization:
-    """Draw h, h_fb, g, g_fb i.i.d. CN(0,1), in that documented order."""
-    draws = [complex(cn_sample(rng, 1.0)) for _ in range(4)]
-    return Realization(*draws)
+    """Draw h, h_fb, g, g_fb i.i.d. CN(0,1), in that documented order: one
+    cn_sample of 8 i.i.d. N(0, 1/2) draws, read in stream order as (re, im)."""
+    draws = cn_sample(rng, 1.0, 4).reshape(4, 2).tolist()
+    return Realization(*(complex(*p) for p in draws))
 
 
 def derotate(y, coeff):
-    """Project a received symbol onto the transmit frame of a known coefficient.
+    """Project a received pair onto the transmit frame of a known coefficient.
 
-    Returns one float array of shape (2,) + y.shape whose rows are y'_R and
-    y'_I of y*conj(coeff)/|coeff|^2, so that a transmitted x appears as x
-    plus noise of variance sigma^2/(2*|coeff|^2) per real component.
-    `re, im = derotate(y, coeff)` unpacks the rows.
+    y is component first, shape (2,) + shape, and so is the result: the rows
+    y'_R and y'_I of y*conj(coeff)/|coeff|^2, so that a transmitted x appears
+    as x plus noise of variance sigma^2/(2*|coeff|^2) per real component.
+    Linear, so the block engine derotates the noise alone: x + derotate(eta).
     """
     c2 = coeff.real * coeff.real + coeff.imag * coeff.imag
     if c2 == 0.0:
         raise ValueError("cannot derotate by a zero coefficient")
-    y = np.asarray(y)
-    return np.array([(coeff.real * y.real + coeff.imag * y.imag) / c2,
-                     (coeff.real * y.imag - coeff.imag * y.real) / c2])
+    a, b = coeff.real / c2, coeff.imag / c2
+    return a * y + b * np.array([y[1], -y[0]])

@@ -26,14 +26,14 @@ choice, putting the per-step fold ("aliasing") probability at its budgeted
 share of tau. A fold is invisible in-protocol: the encoder refines a wrong
 error, the block usually dies, and only the simulator-side transcript knows.
 
-Batch arrays are laid out (trial, use), the dither and the recorded errors
-with a trailing (R, I) axis; everything vectorizes across trials. Inside
-run_block_batch the state of the two sub-channels is one (2, n) array, row 0
-R and row 1 I, so each step runs once for both: one fold per feedback
-direction, one alias test. There is one path through a block:
-draw_block_noise draws the dither and the channel noise in its documented
-order, and run_block_batch runs the loop as a pure function of those arrays.
-A single block is a one-row batch, with record=True for its transcript.
+Batch arrays are real and component first, blocks on the last axis: dither
+(use, pair, block), channel noise (pair, use, block), so a use reads one
+(2, n) slab, row 0 R and row 1 I, and the two sub-channels' state is one
+(2, n) array: one fold per feedback direction, one alias test. The loop
+builds no complex symbol; it derotates a use's noise alone (x + derotate(eta,
+h) is the projection of h*x + eta). draw_block_noise draws the noise in its
+documented order and run_block_batch is a pure function of those arrays, the
+one path through a block; a single block is a one-row batch.
 
 Payload bits map to message indices MSB first through to_bits/from_bits, the
 one bit packer that the quantizer, the transport and the leakage scoring
@@ -195,11 +195,16 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
 def modulo_d(x, d):
     """Fold x into the half-open interval [-d/2, d/2)."""
     x = np.asarray(x)
-    r = x - d * np.floor(x / d + 0.5)
+    # x - d*floor(x/d + 0.5) in one buffer; fresh temporaries cost more
+    r = np.divide(x, d, out=np.empty(x.shape))
+    r += 0.5
+    np.floor(r, out=r)
+    r *= d
+    np.subtract(x, r, out=r)
     # x / d is rounded, so r can land a hair outside the interval
     # (x=2, d=0.8 gives -0.4000000000000004): fold such entries back
     half = d / 2
-    if np.min(r, initial=0.0) < -half or np.max(r, initial=0.0) >= half:
+    if r.min(initial=0.0) < -half or r.max(initial=0.0) >= half:
         r = np.where(r < -half, r + d, np.where(r >= half, r - d, r))
     return r
 
@@ -218,24 +223,24 @@ class BatchResult:
     eps_hist: np.ndarray | None = None  # (n, n_t, 2)
     x_seq: np.ndarray | None = None     # (n, n_t) complex
     x_fb_seq: np.ndarray | None = None  # (n, n_t-1) complex
-    z_seq: np.ndarray | None = None     # (n, n_t) complex
+    z_seq: np.ndarray | None = None     # (2, n_t, n) real
 
 
 def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False):
     """Draw everything a batch of n blocks consumes, in documented order.
 
-    Order: dither (n, n_t-1, 2), forward noise (n, n_t), feedback noise
-    (n, n_t-1), then adversary noise (n, n_t) only when capture_eve. Keeping
-    the order fixed is what lets a task substream reproduce its batch.
+    Order: dither (n_t-1, 2, n), forward noise (2, n_t, n), feedback noise
+    (2, n_t-1, n), then adversary noise (2, n_t, n) only when capture_eve,
+    each as one cn_sample. The fixed order lets a substream replay its batch.
 
-    The dither is uniform on [-d/2, d/2); column 0 of its last axis masks the
-    R sub-channel, column 1 the I. Encoder and decoder share it ahead of time
+    The dither is uniform on [-d/2, d/2); row 0 of its middle axis masks the
+    R sub-channel, row 1 the I. Encoder and decoder share it ahead of time
     and the adversary never sees it, which is the whole security story.
     """
-    dither = rng.uniform(-d / 2.0, d / 2.0, size=(n, n_t - 1, 2))
-    eta_fwd = cn_sample(rng, noise.sigma1_2, (n, n_t))
-    eta_fb = cn_sample(rng, noise.sigma2_2, (n, max(n_t - 1, 0)))
-    eta_eve = cn_sample(rng, noise.sigma_e2, (n, n_t)) if capture_eve else None
+    dither = rng.uniform(-d / 2.0, d / 2.0, size=(n_t - 1, 2, n))
+    eta_fwd = cn_sample(rng, noise.sigma1_2, (n_t, n))
+    eta_fb = cn_sample(rng, noise.sigma2_2, (n_t - 1, n))
+    eta_eve = cn_sample(rng, noise.sigma_e2, (n_t, n)) if capture_eve else None
     return dither, eta_fwd, eta_fb, eta_eve
 
 
@@ -247,10 +252,11 @@ def run_block_batch(sched: Schedule, realization: Realization,
 
     Pure function of its arrays: no RNG inside, so zero-noise limits and
     transcript replays are exact. msg_* are (n,) integer indices inside their
-    constellations (ValueError otherwise); dither is (n, n_t-1, 2); eta_fwd
-    (n, n_t) complex; eta_fb (n, n_t-1) complex; eta_eve optional (n, n_t)
-    complex, enabling the adversary tap. record=True keeps the transcript:
-    the estimation errors, the forward symbols and the feedback symbols.
+    constellations (ValueError otherwise); the noise is laid out as
+    draw_block_noise draws it, and eta_eve enables the adversary tap, z_seq
+    (2, n_t, n). record=True keeps the transcript, each array a transposed
+    view of the buffer the loop writes: the estimation errors (n, n_t, 2),
+    the forward symbols (n, n_t) and the feedback symbols (n, n_t-1).
     """
     n_t = sched.n_t
     msg = np.asarray([msg_r, msg_i], dtype=np.int64).reshape(2, -1)
@@ -261,47 +267,48 @@ def run_block_batch(sched: Schedule, realization: Realization,
     sqrt_pr = math.sqrt(sched.P / 2.0)
     half_d = sched.d / 2.0
 
-    alias = np.zeros(n, dtype=np.int64)
+    alias = np.zeros((2, n), dtype=np.int64)
     if record:
-        eps_hist = np.empty((n, n_t, 2))
-        x_seq = np.empty((n, n_t), dtype=complex)
-        xfb_seq = np.empty((n, n_t - 1), dtype=complex)
-    z_seq = np.empty((n, n_t), dtype=complex) if eta_eve is not None else None
+        eps_hist = np.empty((n_t, 2, n))
+        x_seq = np.empty((n_t, n), dtype=complex)
+        xfb_seq = np.empty((n_t - 1, n), dtype=complex)
+    z_seq = np.empty((2, n_t, n)) if eta_eve is not None else None
+    ge, gf = realization.g, realization.g_fb
+    # c*p = c.real*p + [-c.imag, c.imag]*p[::-1] for a component-first pair p
+    ge_i, gf_i = (np.array([[-c.imag], [c.imag]]) for c in (ge, gf))
 
-    x_cur = sqrt_pr * (theta[0] + 1j * theta[1])
+    x = sqrt_pr * theta
     for i in range(n_t):
-        yp = derotate(realization.h * x_cur + eta_fwd[:, i], realization.h)
+        yp = x + derotate(eta_fwd[:, i], realization.h)
         th = yp / sqrt_pr if i == 0 else th - sched.beta[i - 1] * yp
+        eps = np.subtract(th, theta, out=eps_hist[i] if record else None)
         if record:
-            x_seq[:, i] = x_cur
-            eps_hist[:, i] = (th - theta).T
+            x_seq[i].real, x_seq[i].imag = x
         if i == n_t - 1:
             break
 
         g = sched.gamma[i]
-        v = dither[:, i].T
-        fold = modulo_d(g * th + v, sched.d)
-        xfb = fold[0] + 1j * fold[1]
+        fold = modulo_d(g * th + dither[i], sched.d)
         if z_seq is not None:
-            z_seq[:, i] = (realization.g * x_cur + realization.g_fb * xfb
-                           + eta_eve[:, i])
-        w = derotate(realization.h_fb * xfb + eta_fb[:, i], realization.h_fb)
-        # simulator-side truth: fold event per sub-channel
-        arg = g * (th - theta) + (w - fold)
-        alias += ((arg < -half_d) | (arg >= half_d)).sum(axis=0)
-        et = modulo_d(w - g * theta - v, sched.d) / g
-        x_cur = sched.lam * g * (et[0] + 1j * et[1])
+            z_seq[:, i] = (ge.real * x + ge_i * x[::-1] + gf.real * fold
+                           + gf_i * fold[::-1] + eta_eve[:, i])
+        noise_fb = derotate(eta_fb[:, i], realization.h_fb)
+        w = fold + noise_fb
+        # simulator-side truth: fold events, counted per sub-channel
+        arg = g * eps + noise_fb
+        alias += (arg < -half_d) | (arg >= half_d)
+        x = sched.lam * modulo_d(w - g * theta - dither[i], sched.d)
         if record:
-            xfb_seq[:, i] = xfb
+            xfb_seq[i].real, xfb_seq[i].imag = fold
     if z_seq is not None:
-        z_seq[:, -1] = realization.g * x_cur + eta_eve[:, -1]
+        z_seq[:, -1] = ge.real * x + ge_i * x[::-1] + eta_eve[:, -1]
 
     dec_r = const_r.decode(th[0])
     dec_i = const_i.decode(th[1])
     err = (dec_r != msg[0]) | (dec_i != msg[1])
     return BatchResult(
-        dec_r, dec_i, err, alias,
-        eps_hist=eps_hist if record else None,
-        x_seq=x_seq if record else None,
-        x_fb_seq=xfb_seq if record else None,
+        dec_r, dec_i, err, alias.sum(axis=0),
+        eps_hist=eps_hist.transpose(2, 0, 1) if record else None,
+        x_seq=x_seq.T if record else None,
+        x_fb_seq=xfb_seq.T if record else None,
         z_seq=z_seq)

@@ -1,9 +1,9 @@
 """Image/label loading for the learning experiments.
 
-Reads the classic big-endian IDX files when a directory with them is
-available; otherwise falls back to a synthetic 10-class Gaussian mixture with
-the same shapes, so every experiment runs in a sealed environment. The
-fallback is deliberately easy enough that a small classifier learns it in a
+Reads the classic big-endian IDX files from a directory that holds all four;
+with no directory configured it uses a synthetic 10-class Gaussian mixture
+with the same shapes, so every experiment runs in a sealed environment. The
+mixture is deliberately easy enough that a small classifier learns it in a
 few dozen full-batch rounds, matching the role the real digits play in the
 experiments.
 """
@@ -11,7 +11,6 @@ experiments.
 import math
 import os
 import struct
-import warnings
 
 import numpy as np
 
@@ -80,20 +79,23 @@ def synthetic_digits(n_train, n_test, seed, n_features=784, n_classes=10):
 
 
 def load_dataset(data_dir, n_train, n_test, seed):
-    """IDX files from data_dir if present, synthetic mixture otherwise.
+    """IDX files from data_dir, or the synthetic mixture when it is empty.
 
     Expects train-images-idx3-ubyte / train-labels-idx1-ubyte (and the t10k
-    pair) inside data_dir. Subsampling to n_train/n_test keeps desk-scale
-    runs fast. Files holding fewer rows than that, or image and label
-    counts that differ, raise ValueError.
+    pair) inside data_dir; any of them missing raises FileNotFoundError.
+    Subsampling to n_train/n_test keeps desk-scale runs fast. Files holding
+    fewer rows than that, or image and label counts that differ, raise
+    ValueError.
     """
     names = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
              "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
-    if data_dir and all(os.path.exists(os.path.join(data_dir, n)) for n in names):
-        x_tr = load_idx_images(os.path.join(data_dir, names[0]))
-        y_tr = load_idx_labels(os.path.join(data_dir, names[1]))
-        x_te = load_idx_images(os.path.join(data_dir, names[2]))
-        y_te = load_idx_labels(os.path.join(data_dir, names[3]))
+    if data_dir:
+        paths = [os.path.join(data_dir, n) for n in names]
+        missing = [p for p in paths if not os.path.exists(p)]
+        if missing:
+            raise FileNotFoundError("IDX files not found: %s" % missing)
+        x_tr, x_te = (load_idx_images(p) for p in paths[0::2])
+        y_tr, y_te = (load_idx_labels(p) for p in paths[1::2])
         if len(x_tr) != len(y_tr) or len(x_te) != len(y_te):
             raise ValueError("IDX image and label counts differ under %r"
                              % data_dir)
@@ -106,7 +108,4 @@ def load_dataset(data_dir, n_train, n_test, seed):
         tr = rng.permutation(len(y_tr))[:n_train]
         te = rng.permutation(len(y_te))[:n_test]
         return x_tr[tr], y_tr[tr], x_te[te], y_te[te]
-    if data_dir:
-        warnings.warn("IDX files not found under %r; using the synthetic "
-                      "mixture instead" % data_dir)
     return synthetic_digits(n_train, n_test, seed)

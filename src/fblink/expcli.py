@@ -415,12 +415,9 @@ def _scn_codec_validation(cfg, r_idx):
                                  noise)
     const = codec.build_constellation(bits_sub)
     msg_rng = substream(cfg.seed, DOMAIN_MESSAGES, r_idx)
-    errs = aliases = 0
+    errs = clean = done = batch_idx = 0
     pow_fwd = pow_fb = 0.0
     eps2 = np.zeros(cfg.n_t)
-    clean = 0
-    done = 0
-    batch_idx = 0
     while done < cfg.n_blocks:
         n = min(20000, cfg.n_blocks - done)
         mr = msg_rng.integers(0, const.m_levels, n)
@@ -431,12 +428,10 @@ def _scn_codec_validation(cfg, r_idx):
         out = codec.run_block_batch(sched, real, const, const, mr, mi, dith,
                                     ef, eb, record=True)
         errs += int(out.error.sum())
-        aliases += int((out.alias_events > 0).sum())
         pow_fwd += float((np.abs(out.x_seq) ** 2).sum())
-        if cfg.n_t > 1:
-            pow_fb += float((np.abs(out.x_fb_seq) ** 2).sum())
+        pow_fb += float((np.abs(out.x_fb_seq) ** 2).sum())
         mask = out.alias_events == 0
-        eps2 += (out.eps_hist[mask] ** 2).sum(axis=(0, 2))
+        eps2 += ((out.eps_hist ** 2).sum(axis=2) * mask[:, None]).sum(axis=0)
         clean += int(mask.sum())
         done += n
         batch_idx += 1
@@ -444,7 +439,7 @@ def _scn_codec_validation(cfg, r_idx):
     var_dev = (float(np.abs(eps2 / (2.0 * clean) / sched.alpha - 1.0).max())
                if clean else "")
     row = (r_idx, cfg.n_t, bits_sub, cfg.n_blocks,
-           errs / cfg.n_blocks, aliases / cfg.n_blocks,
+           errs / cfg.n_blocks, (cfg.n_blocks - clean) / cfg.n_blocks,
            pow_fwd / (cfg.n_blocks * cfg.n_t * sched.P),
            pow_fb / (cfg.n_blocks * (cfg.n_t - 1) * sched.P_fb)
            if cfg.n_t > 1 else 1.0,

@@ -38,34 +38,39 @@ def unit_noise():
     return NoiseSpec(1.0, 1.0, 1.0)
 
 
+def as_complex(pair):
+    """Complex symbols from a component-first (2, ...) array."""
+    return pair[0] + 1j * pair[1]
+
+
 def assert_uses_replay(out, sched, real, theta, dither, eta_fwd, eta_fb):
     """A record=True transcript obeys every forward and feedback use.
 
-    theta is the (n, 2) message centers. Forward use i refines the error by
-    the derotated y_i = h*x_i + eta_fwd; feedback use i arrives as
+    theta is the (2, n) message centers, rows R and I, and the noise is laid
+    out as draw_block_noise draws it. Each use is rebuilt here as a complex
+    symbol through its coefficient. Forward use i refines the error by the
+    derotated y_i = h*x_i + eta_fwd; feedback use i arrives as
     h_fb*x_fb_i + eta_fb, and the encoder's next symbol is that reply
     unmasked, folded and rescaled: x_{i+1} = lam*mod_d(w_i - gamma_i*theta -
     v_i) per sub-channel. The fold of use i is out of range when
-    gamma_i*eps_i plus the feedback noise w_i - x_fb_i leaves [-d/2, d/2);
+    gamma_i*eps_i plus the derotated feedback noise leaves [-d/2, d/2);
     alias_events counts those per block, over both sub-channels.
     """
     tol = dict(rtol=1e-12, atol=1e-12)
+    eps = out.eps_hist.transpose(1, 2, 0)  # (n_t, 2, n)
     for i in range(sched.n_t):
-        yp = np.stack(derotate(real.h * out.x_seq[:, i] + eta_fwd[:, i],
-                               real.h), axis=-1)
+        y = real.h * out.x_seq[:, i] + as_complex(eta_fwd[:, i])
+        yp = derotate(np.array([y.real, y.imag]), real.h)
         want = (yp / math.sqrt(sched.P / 2.0) - theta if i == 0
-                else out.eps_hist[:, i - 1] - sched.beta[i - 1] * yp)
-        np.testing.assert_allclose(out.eps_hist[:, i], want, **tol)
-    alias = np.zeros(len(theta), dtype=np.int64)
+                else eps[i - 1] - sched.beta[i - 1] * yp)
+        np.testing.assert_allclose(eps[i], want, **tol)
+    alias = np.zeros(theta.shape[1], dtype=np.int64)
     for i in range(sched.n_t - 1):
-        xfb = out.x_fb_seq[:, i]
-        w = np.stack(derotate(real.h_fb * xfb + eta_fb[:, i], real.h_fb),
-                     axis=-1)
-        et = modulo_d(w - sched.gamma[i] * theta - dither[:, i], sched.d)
-        np.testing.assert_allclose(
-            out.x_seq[:, i + 1], sched.lam * (et[:, 0] + 1j * et[:, 1]),
-            **tol)
-        arg = (sched.gamma[i] * out.eps_hist[:, i]
-               + (w - np.stack([xfb.real, xfb.imag], axis=-1)))
-        alias += ((arg < -sched.d / 2) | (arg >= sched.d / 2)).sum(axis=-1)
+        y_fb = real.h_fb * out.x_fb_seq[:, i] + as_complex(eta_fb[:, i])
+        w = derotate(np.array([y_fb.real, y_fb.imag]), real.h_fb)
+        et = modulo_d(w - sched.gamma[i] * theta - dither[i], sched.d)
+        np.testing.assert_allclose(out.x_seq[:, i + 1],
+                                   sched.lam * as_complex(et), **tol)
+        arg = sched.gamma[i] * eps[i] + derotate(eta_fb[:, i], real.h_fb)
+        alias += ((arg < -sched.d / 2) | (arg >= sched.d / 2)).sum(axis=0)
     np.testing.assert_array_equal(out.alias_events, alias)

@@ -39,12 +39,13 @@ def _eavesdropped_batch(n, n_t, bits_per_sub, seed, zero_dither=False):
 
 def test_first_use_zero_gain_guesses_uniformly():
     const = build_constellation(4)
-    z1 = np.full(40000, 5.0 + 5.0j)
+    z1 = np.full((2, 40000), 5.0)
     dec_r, dec_i = attack_first_use(z1, 0.0, SNR, const, const,
                                     substream(1, 0))
+    assert dec_r.shape == dec_i.shape == (40000,)
     counts = np.bincount(dec_r, minlength=const.m_levels)
-    assert counts.min() > 0.8 * len(z1) / const.m_levels
-    assert counts.max() < 1.2 * len(z1) / const.m_levels
+    assert counts.min() > 0.8 * 40000 / const.m_levels
+    assert counts.max() < 1.2 * 40000 / const.m_levels
     # replaying the rng replays the guesses
     again = attack_first_use(z1, 0.0, SNR, const, const, substream(1, 0))
     np.testing.assert_array_equal(dec_r, again[0])
@@ -58,7 +59,7 @@ def test_first_use_strong_eavesdropper_reads_bare_symbol():
     rng = substream(2, 0)
     wr = rng.integers(0, 4, size=5000)
     wi = rng.integers(0, 4, size=5000)
-    x = math.sqrt(SNR / 2.0) * (const.center(wr) + 1j * const.center(wi))
+    x = math.sqrt(SNR / 2.0) * np.stack([const.center(wr), const.center(wi)])
     z1 = g * x + cn_sample(rng, 1.0, 5000)
     dec_r, dec_i = attack_first_use(z1, g, SNR, const, const, rng)
     assert np.mean((dec_r == wr) & (dec_i == wi)) > 0.95
@@ -95,8 +96,9 @@ def test_full_sequence_single_use_falls_back_to_first_use():
     rng = substream(4, 0)
     wr = rng.integers(0, 4, size=1000)
     wi = rng.integers(0, 4, size=1000)
-    x = math.sqrt(SNR / 2.0) * (const.center(wr) + 1j * const.center(wi))
-    z = (EVE.g * x + cn_sample(rng, 1.0, 1000)).reshape(-1, 1)
+    x = math.sqrt(SNR / 2.0) * np.stack([const.center(wr), const.center(wi)])
+    z = (EVE.g * x + cn_sample(rng, 1.0, 1000))[:, None, :]
+    assert z.shape == (2, 1, 1000)
     a = attack_full_sequence(z, EVE.g, EVE.g_fb, sched, const, const,
                              substream(4, 1))
     b = attack_first_use(z[:, 0], EVE.g, sched.P, const, const,

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from fblink import codec
 from fblink.analysis import achievable_rate, q_inv
-from fblink.channel import NoiseSpec, Realization, cn_sample
+from fblink.channel import NoiseSpec, Realization
 from fblink.codec import (build_constellation, build_schedule, from_bits,
                           modulo_d, run_block_batch, to_bits)
 from fblink.streams import substream
 
-from conftest import SNR, SNR_FB, TAU, assert_uses_replay
+from conftest import SNR, SNR_FB, TAU, as_complex, assert_uses_replay
 
 
 def make_schedule(n_t=10, real=None, noise=None, tau=TAU, snr=SNR,
@@ -121,11 +121,35 @@ def test_modulo_properties(x, d):
 def test_block_dither_shape_and_range():
     noise = NoiseSpec(1.0, 1.0, 1.0)
     v, _, _, _ = codec.draw_block_noise(substream(0, 0), 7, 10, noise, 8.0)
-    assert v.shape == (7, 9, 2)
+    assert v.shape == (9, 2, 7)
     assert np.all(v >= -4.0) and np.all(v < 4.0)
     # single-use blocks send no feedback and need no dither
     v1, _, _, _ = codec.draw_block_noise(substream(0, 0), 7, 1, noise, 8.0)
-    assert v1.shape == (7, 0, 2)
+    assert v1.shape == (0, 2, 7)
+
+
+def test_block_noise_draw_order():
+    # replayed by hand from a fresh generator of the same seed: the uniform
+    # dither, then the forward, feedback and eavesdropper normals, each one
+    # draw in its documented component-first shape
+    noise = NoiseSpec(1.0, 0.5, 1.5)
+    n, n_t, d = 9, 4, 6.0
+    drawn = codec.draw_block_noise(substream(4, 1), n, n_t, noise, d,
+                                   capture_eve=True)
+    replay = substream(4, 1)
+    want = (replay.uniform(-d / 2.0, d / 2.0, size=(n_t - 1, 2, n)),
+            replay.normal(0.0, math.sqrt(0.5), (2, n_t, n)),
+            replay.normal(0.0, math.sqrt(0.25), (2, n_t - 1, n)),
+            replay.normal(0.0, math.sqrt(0.75), (2, n_t, n)))
+    for got, ref in zip(drawn, want):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, ref)
+        assert np.all(got != 0)
+    # without the tap the same stream stops before the eavesdropper noise
+    plain = codec.draw_block_noise(substream(4, 1), n, n_t, noise, d)
+    assert plain[3] is None
+    for got, ref in zip(plain[:3], want[:3]):
+        np.testing.assert_array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------
@@ -249,9 +273,9 @@ def test_zero_noise_decodes_exactly():
     n = 64
     mr = np.arange(n) % const.m_levels
     mi = (np.arange(n) * 7) % const.m_levels
-    dith = np.zeros((n, 4, 2))
-    ef = np.zeros((n, 5), dtype=complex)
-    eb = np.zeros((n, 4), dtype=complex)
+    dith = np.zeros((4, 2, n))
+    ef = np.zeros((2, 5, n))
+    eb = np.zeros((2, 4, n))
     out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
                           record=True)
     assert not out.error.any()
@@ -306,25 +330,19 @@ def test_eve_tap_layout():
     mi = rng.integers(0, const.m_levels, n)
     dith, ef, eb, ee = codec.draw_block_noise(substream(4, 1), n, 3, noise,
                                               sched.d, capture_eve=True)
-    # the noise is drawn in the documented order at the specified variances
-    replay = substream(4, 1)
-    replay.uniform(-sched.d / 2.0, sched.d / 2.0, size=(n, 2, 2))
-    np.testing.assert_array_equal(ef, cn_sample(replay, 1.0, (n, 3)))
-    np.testing.assert_array_equal(eb, cn_sample(replay, 0.5, (n, 2)))
-    np.testing.assert_array_equal(ee, cn_sample(replay, 1.5, (n, 3)))
-    assert np.all(ef != 0) and np.all(eb != 0) and np.all(ee != 0)
-
     out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
                           eta_eve=ee, record=True)
-    theta = np.stack([const.center(mr), const.center(mi)], axis=-1)
+    theta = np.stack([const.center(mr), const.center(mi)])
     assert_uses_replay(out, sched, real, theta, dith, ef, eb)
+    assert out.z_seq.shape == (2, 3, n)
+    z = as_complex(out.z_seq)
     tol = dict(rtol=1e-12, atol=1e-12)
     for i in range(2):
         np.testing.assert_allclose(
-            out.z_seq[:, i], real.g * out.x_seq[:, i]
-            + real.g_fb * out.x_fb_seq[:, i] + ee[:, i], **tol)
-    np.testing.assert_allclose(out.z_seq[:, -1],
-                               real.g * out.x_seq[:, -1] + ee[:, -1], **tol)
+            z[i], real.g * out.x_seq[:, i]
+            + real.g_fb * out.x_fb_seq[:, i] + as_complex(ee[:, i]), **tol)
+    np.testing.assert_allclose(
+        z[-1], real.g * out.x_seq[:, -1] + as_complex(ee[:, -1]), **tol)
 
 
 def test_rotated_coefficients_are_transparent():
@@ -343,8 +361,10 @@ def test_rotated_coefficients_are_transparent():
     dith, ef, eb, _ = codec.draw_block_noise(substream(21, 1), 200, 5, noise,
                                              s1.d)
     # rotate the forward noise with the channel so the projected noise matches
+    ef2 = as_complex(ef) * ph
     o1 = run_block_batch(s1, r1, const, const, mr, mi, dith, ef, eb)
-    o2 = run_block_batch(s2, r2, const, const, mr, mi, dith, ef * ph, eb)
+    o2 = run_block_batch(s2, r2, const, const, mr, mi, dith,
+                         np.array([ef2.real, ef2.imag]), eb)
     np.testing.assert_array_equal(o1.dec_r, o2.dec_r)
     np.testing.assert_array_equal(o1.dec_i, o2.dec_i)
 
@@ -363,7 +383,7 @@ def test_alias_events_replay_when_blocks_fold():
     out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
                           record=True)
     assert out.alias_events.max() >= 2
-    theta = np.stack([const.center(mr), const.center(mi)], axis=-1)
+    theta = np.stack([const.center(mr), const.center(mi)])
     assert_uses_replay(out, sched, real, theta, dith, ef, eb)
 
 
@@ -376,9 +396,9 @@ def test_single_block_transcript():
     out = run_block_batch(sched, real, const, const, [3], [9], dith, ef, eb,
                           eta_eve=ee, record=True)
     assert out.x_seq.shape == (1, 5) and out.x_fb_seq.shape == (1, 4)
-    assert out.z_seq.shape == (1, 5)
+    assert out.z_seq.shape == (2, 5, 1)
     assert out.eps_hist.shape == (1, 5, 2)
-    assert_uses_replay(out, sched, real, const.center([[3, 9]]), dith, ef,
+    assert_uses_replay(out, sched, real, const.center([[3], [9]]), dith, ef,
                        eb)
     # at tau=1e-3 this seeded block decodes correctly
     assert (int(out.dec_r[0]), int(out.dec_i[0])) == (3, 9)
@@ -397,3 +417,48 @@ def test_run_block_batch_validates_message():
     out = run_block_batch(sched, real, const, const, [0, 5, 15],
                           [15, 2, 0], dith, ef, eb)
     assert len(out.dec_r) == 3
+
+
+def test_single_use_block_with_tap_and_transcript():
+    # n_t = 1: no dither, no feedback noise, an empty feedback transcript,
+    # and the tap's only use is the bare forward symbol g*x + eta_e
+    real = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
+    sched, _, noise = make_schedule(1, real=real)
+    const = build_constellation(3)
+    dith, ef, eb, ee = codec.draw_block_noise(substream(6, 1), 50, 1, noise,
+                                              sched.d, capture_eve=True)
+    assert dith.shape == (0, 2, 50) and eb.shape == (2, 0, 50)
+    mr = np.arange(50) % const.m_levels
+    mi = (np.arange(50) * 3) % const.m_levels
+    out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
+                          eta_eve=ee, record=True)
+    assert out.x_fb_seq.shape == (50, 0)
+    assert out.x_seq.shape == (50, 1) and out.eps_hist.shape == (50, 1, 2)
+    assert out.z_seq.shape == (2, 1, 50)
+    np.testing.assert_allclose(
+        as_complex(out.z_seq[:, -1]),
+        real.g * out.x_seq[:, -1] + as_complex(ee[:, -1]),
+        rtol=1e-12, atol=1e-12)
+    assert_uses_replay(out, sched, real,
+                       np.stack([const.center(mr), const.center(mi)]),
+                       dith, ef, eb)
+    assert not out.alias_events.any()
+
+
+def test_zero_bit_sub_channel_beside_forty_bits():
+    # a one-level I sub-channel carries no payload next to a full-width R
+    # sub-channel; at zero noise both decode exactly
+    sched, real, _ = make_schedule(5)
+    cr = build_constellation(codec.MAX_SUB_CHANNEL_BITS)
+    ci = build_constellation(0)
+    n = 64
+    mr = substream(10, 0).integers(0, cr.m_levels, n)
+    mr[:2] = 0, cr.m_levels - 1
+    mi = np.zeros(n, dtype=np.int64)
+    out = run_block_batch(sched, real, cr, ci, mr, mi, np.zeros((4, 2, n)),
+                          np.zeros((2, 5, n)), np.zeros((2, 4, n)),
+                          record=True)
+    np.testing.assert_array_equal(out.dec_r, mr)
+    np.testing.assert_array_equal(out.dec_i, mi)
+    assert not out.error.any() and not out.alias_events.any()
+    np.testing.assert_allclose(out.eps_hist, 0.0, atol=1e-10)

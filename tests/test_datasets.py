@@ -99,11 +99,22 @@ def test_load_dataset_refuses_mismatched_counts(tmp_path):
         load_dataset(str(tmp_path), 10, 5, seed=1)
 
 
-def test_load_dataset_warns_and_falls_back(tmp_path):
-    with pytest.warns(UserWarning, match="IDX files not found"):
-        x_tr, y_tr, _, _ = load_dataset(str(tmp_path / "nope"), 50, 10,
-                                        seed=2)
-    assert x_tr.shape == (50, 784)
+def test_load_dataset_refuses_missing_files(tmp_path):
+    # a typo or a missing directory is an error, never a silent synthetic run
+    with pytest.raises(FileNotFoundError, match="not found") as err:
+        load_dataset(str(tmp_path / "nope"), 50, 10, seed=2)
+    assert "train-images-idx3-ubyte" in str(err.value)
+    assert "t10k-labels-idx1-ubyte" in str(err.value)
+    rng = np.random.default_rng(0)
+    imgs = rng.integers(0, 256, size=(60, 28, 28), dtype=np.uint8)
+    labs = rng.integers(0, 10, size=60, dtype=np.uint8)
+    write_idx_pair(tmp_path, "train", imgs, labs)
+    write_idx_pair(tmp_path, "t10k", imgs, labs)
+    (tmp_path / "t10k-labels-idx1-ubyte").unlink()
+    with pytest.raises(FileNotFoundError) as err:
+        load_dataset(str(tmp_path), 50, 10, seed=2)
+    assert "t10k-labels-idx1-ubyte" in str(err.value)
+    assert "train-images-idx3-ubyte" not in str(err.value)
 
 
 def test_load_dataset_silent_synthetic_without_dir():
@@ -111,4 +122,6 @@ def test_load_dataset_silent_synthetic_without_dir():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x_tr, _, _, _ = load_dataset(None, 50, 10, seed=2)
+        x_empty, _, _, _ = load_dataset("", 50, 10, seed=2)
     assert x_tr.shape == (50, 784)
+    np.testing.assert_array_equal(x_empty, x_tr)

@@ -487,10 +487,12 @@ def test_cli_bad_value_is_exit_1(tmp_path, capsys, text, key):
 
 
 @pytest.mark.parametrize("defect,message", [
-    ("magic", "magic"), ("truncated", "truncated"), ("short", "n_train")])
+    ("magic", "magic"), ("truncated", "truncated"), ("short", "n_train"),
+    ("missing", "not found"), ("partial", "t10k-labels-idx1-ubyte")])
 def test_cli_bad_data_dir_is_exit_1(tmp_path, capsys, defect, message):
     # 100 rows under the default n_train of 1000 would train on 100 while
-    # the quantizer is sized for 1000
+    # the quantizer is sized for 1000; a missing directory, or one holding
+    # three of the four files, would run the synthetic mixture instead
     rng = np.random.default_rng(0)
     imgs = rng.integers(0, 256, size=(100, 28, 28), dtype=np.uint8)
     labs = rng.integers(0, 10, size=100, dtype=np.uint8)
@@ -503,6 +505,10 @@ def test_cli_bad_data_dir_is_exit_1(tmp_path, capsys, defect, message):
         images.write_bytes(struct.pack(">I", 1234) + images.read_bytes()[4:])
     elif defect == "truncated":
         images.write_bytes(images.read_bytes()[:-1])
+    elif defect == "partial":
+        (data / "t10k-labels-idx1-ubyte").unlink()
+    elif defect == "missing":
+        data = tmp_path / "no-such-dir"
     cfg = {"data_dir": str(data), "n_rounds": 1}
     if defect != "short":
         cfg.update(n_train=50, n_test=50)

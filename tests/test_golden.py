@@ -3,11 +3,19 @@
 A changed CSV byte changes what a run at a given version means, so it comes
 with a version bump and a CHANGES.md entry (ROADMAP, aim 3). The reruns in
 test_acceptance.py only check that a run repeats itself; these digests pin
-the bytes across changes. They were taken at fblink 0.2.1. The MLP scenarios
-are left out, because their bytes depend on the BLAS thread count.
+the bytes across changes. The MLP scenarios are left out, because their
+bytes depend on the BLAS thread count. The rate_vs_blocklength and
+privacy_utility_sweep digests date from fblink 0.2.1; the codec_validation
+and eavesdropper-path digests were retaken at 0.3.0, when the block noise
+became component first. After a deliberate change,
+
+    PYTHONPATH=src python tests/test_golden.py
+
+prints the current digest of every pinned case.
 """
 
 import hashlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,7 +31,7 @@ BUMP = ("bytes changed: bump fblink.__version__, record the change in "
         "CHANGES.md, then update the digest in tests/test_golden.py")
 
 
-@pytest.mark.parametrize("scenario,overrides,want", [
+CASES = [
     ("rate_vs_blocklength", {"realizations": 50}, {
         "rates.csv":
             "d1b27490e782c93a1526ab4b3ed1db04f130b1dac7f38d74a032df05b6f172d0",
@@ -32,25 +40,31 @@ BUMP = ("bytes changed: bump fblink.__version__, record the change in "
     }),
     ("codec_validation", {"fixed_gains": 1, "n_t": 10, "n_blocks": 20000}, {
         "codec_validation.csv":
-            "c68a9f5557df3eaaa6aaa360089d7eb795ab664e9da8036bb7cde69136f31d76",
+            "672f86f96dc494abc5a8563c6247951436d616e149cd417a90564cfe588d781d",
     }),
     ("codec_validation", {"realizations": 2, "n_blocks": 20000}, {
         "codec_validation.csv":
-            "3e79eba29cba26044dd4da2ea56514282c9f700f29eb732062ec79da11649fc0",
+            "139dbc2a4a04b408df1247f70759e5fb7e238db6a255236aeba68d2e384064a4",
     }),
     ("privacy_utility_sweep", {}, {
         "privacy_utility_sweep.csv":
             "cd7ba3b6fe49e0db7e72449d88800cae1783036d34efa2aab6a2ff00f70fef7f",
     }),
-])
+]
+
+
+def scenario_digests(scenario, overrides, out_dir):
+    man = run_scenario(parse_config(None, **overrides), scenario, out_dir)
+    return {name: info["sha256"] for name, info in man["files"].items()}
+
+
+@pytest.mark.parametrize("scenario,overrides,want", CASES)
 def test_scenario_csv_digests(tmp_path, scenario, overrides, want):
-    man = run_scenario(parse_config(None, **overrides), scenario,
-                       str(tmp_path))
-    got = {name: info["sha256"] for name, info in man["files"].items()}
+    got = scenario_digests(scenario, overrides, str(tmp_path))
     assert got == want, "%s %s: %s" % (scenario, overrides, BUMP)
 
 
-def test_eavesdropper_path_digest():
+def eavesdropper_path_digest():
     # a rotated channel, a loose tau so that some blocks alias, and the
     # dither on: z_seq, the receiver's decisions, the alias counts and the
     # fold-ladder attack's decisions all go into one digest
@@ -72,6 +86,18 @@ def test_eavesdropper_path_digest():
     for arr in (out.z_seq, out.dec_r, out.dec_i, out.alias_events, att_r,
                 att_i):
         digest.update(np.ascontiguousarray(arr).tobytes())
-    assert digest.hexdigest() == (
-        "3b2a76c1f407b7f6e094077530513e67293b54a95fb8a1c958f33984abedc646"
+    return digest.hexdigest()
+
+
+def test_eavesdropper_path_digest():
+    assert eavesdropper_path_digest() == (
+        "e605f094728c9c7ecbac55ccc838dfb091cc6f472c05fb7a835a03b485ca0c30"
     ), BUMP
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario, overrides, _ in CASES:
+            print(scenario, overrides, scenario_digests(scenario, overrides,
+                                                        tmp))
+    print("eavesdropper path", eavesdropper_path_digest())

@@ -17,28 +17,24 @@ gains, but never the shared dither. Two concrete attacks are implemented:
   through the concurrent forward symbol, and that self-interference blurs
   both her opening prior and the final rung. With the dither on, every rung
   lands at a uniformly distributed offset and the attack degenerates to
-  guessing, which is the property the accounting below quantifies.
+  guessing.
 
-Leakage is reported three ways: the analytic bound the scenarios account
-secrecy with, a per-bit converse from observed bit error rates, and, for
-small payloads, the exact message posterior of a genie-aided first use.
+Leakage is reported two ways: the analytic bound the scenarios account
+secrecy with (analysis.secrecy_level_bound) and, for small payloads, the
+exact message posterior of a genie-aided first use.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import secrecy_level_bound
 from .channel import derotate
-from .codec import build_constellation, to_bits
+from .codec import build_constellation
 
 __all__ = [
     "attack_first_use",
     "attack_full_sequence",
     "exact_posterior_mi",
-    "EquivocationReport",
-    "equivocation_report",
 ]
 
 
@@ -116,53 +112,3 @@ def exact_posterior_mi(bits_r, bits_i, g2, power, sigma_e2, rng, n_mc=200000):
         total += bits - float(ent.mean())
     return total
 
-
-def _binary_entropy(p):
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-@dataclass(frozen=True)
-class EquivocationReport:
-    """What the eavesdropper actually got, against what theory allows her."""
-
-    payload_bits: int
-    recovery_rate: float
-    bit_error_rates: np.ndarray
-    leakage_budget: float
-    leakage_fano: float
-    delta_bound: float
-    leakage_exact: float | None = None
-
-
-def equivocation_report(msg_r, msg_i, att_r, att_i, const_r, const_i,
-                        g2, power, sigma_e2, rng=None, n_mc=200000):
-    """Score an attack transcript against the leakage budget.
-
-    bit_error_rates is per position, sub-channel R MSB..LSB then I MSB..LSB.
-    leakage_fano is the per-bit converse sum_j (1 - h2(p_j)): any decoder
-    with those marginal bit error rates was fed at least that much mutual
-    information, so it must sit under leakage_budget (the eavesdropper
-    channel capacity for one block). leakage_exact is filled for payloads of
-    at most 12 bits when an rng is supplied.
-    """
-    payload = const_r.bits + const_i.bits
-    msg_r, msg_i = np.asarray(msg_r), np.asarray(msg_i)
-    att_r, att_i = np.asarray(att_r), np.asarray(att_i)
-    recovery = float(np.mean((msg_r == att_r) & (msg_i == att_i)))
-    bers = []
-    for msg, att, c in ((msg_r, att_r, const_r), (msg_i, att_i, const_i)):
-        if c.bits == 0:
-            continue
-        diff = to_bits(msg, c.bits) != to_bits(att, c.bits)
-        bers.extend(diff.mean(axis=0).tolist())
-    bers = np.asarray(bers)
-    budget = math.log2(1.0 + g2 * power / sigma_e2)
-    fano = float(sum(1.0 - _binary_entropy(p) for p in bers))
-    delta = secrecy_level_bound([payload], g2, power, sigma_e2)
-    exact = None
-    if rng is not None and payload <= 12:
-        exact = exact_posterior_mi(const_r.bits, const_i.bits, g2, power,
-                                   sigma_e2, rng, n_mc)
-    return EquivocationReport(payload, recovery, bers, budget, fano, delta,
-                              exact)

@@ -29,6 +29,7 @@ __all__ = [
     "aliasing_budget",
     "achievable_rate",
     "rate_distortion",
+    "eve_capacity_bits",
     "secrecy_level_bound",
     "sigma2_window",
     "latency_seconds",
@@ -255,25 +256,27 @@ def rate_distortion(distortion, source_var):
     return 0.5 * math.log2(source_var / distortion)
 
 
-def secrecy_level_bound(payload_bits_per_round, g2, power, sigma_e2):
-    """Lower bound on the eavesdropper's normalized equivocation.
-
-    Per round the adversary's channel can absorb at most
-    log2(1 + |g|^2 * P / sigma_e^2) bits of the payload, so equivocation per
-    payload bit is at least [1 - cap/payload]+; the reported level is the
-    minimum over rounds (the weakest round bounds the scheme).
-    """
+def eve_capacity_bits(g2, power, sigma_e2):
+    """Eavesdropper capacity log2(1 + |g|^2 * P / sigma_e^2) in bits: the most
+    her observation of a round can absorb of its payload (Wyner 1975)."""
     if sigma_e2 <= 0.0 or power <= 0.0:
         raise ValueError("power and sigma_e2 must be positive")
     if g2 < 0.0:
         raise ValueError("g2 is a squared magnitude, >= 0")
-    payloads = [float(b) for b in np.atleast_1d(payload_bits_per_round)]
-    if not payloads:
-        raise ValueError("need at least one round with a payload")
-    if any(b <= 0.0 for b in payloads):
+    return math.log2(1.0 + g2 * power / sigma_e2)
+
+
+def secrecy_level_bound(payload_bits, g2, power, sigma_e2):
+    """Lower bound on the eavesdropper's normalized equivocation of one round.
+
+    Her channel absorbs at most eve_capacity_bits of the round's payload, so
+    equivocation per payload bit is at least [1 - cap/payload]+. The weakest
+    round bounds the scheme; the scenarios keep that running minimum.
+    """
+    if payload_bits <= 0:
         raise ValueError("secrecy level is defined for positive payloads only")
-    cap = math.log2(1.0 + g2 * power / sigma_e2)
-    return min(max(0.0, 1.0 - cap / b) for b in payloads)
+    cap = eve_capacity_bits(g2, power, sigma_e2)
+    return max(0.0, 1.0 - cap / payload_bits)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,7 @@ documented order and run_block_batch is a pure function of those arrays, the
 one path through a block; a single block is a one-row batch.
 
 Payload bits map to message indices MSB first through to_bits/from_bits, the
-one bit packer that the quantizer, the transport and the leakage scoring
-share.
+one bit packer that the quantizer and the transport share.
 """
 
 import math
@@ -155,7 +154,8 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
 
     Callers are expected to have screened feasibility through
     analysis.achievable_rate; an infeasible schedule here is a programming
-    error, hence ValueError rather than a flag.
+    error, hence ValueError rather than a flag. A budget of about a thousand
+    bits passes that screen yet drives alpha below float64; that raises too.
     """
     n_t = int(n_t)
     if n_t < 1:
@@ -183,7 +183,12 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
 
     alpha = alpha1 * growth ** (-np.arange(n_t, dtype=float))
     fb_signal_var = P_fb / (2.0 * L) - noise.sigma2_2 / (2.0 * gain_fb)
-    gamma = np.sqrt(fb_signal_var / alpha[:-1])
+    with np.errstate(divide="ignore", over="ignore"):
+        gamma2 = fb_signal_var / alpha[:-1]
+    if not np.isfinite(gamma2).all():
+        raise ValueError("schedule infeasible: error variance alpha "
+                         "underflows float64 at n_t = %d" % n_t)
+    gamma = np.sqrt(gamma2)
     lam = math.sqrt(L * P / P_fb)
     # decoder regression coefficient, kept in its published form; it equals
     # the MMSE weight sqrt(2*P*c*alpha)/(P + sigma1^2/|h|^2) algebraically

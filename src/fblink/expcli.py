@@ -280,22 +280,22 @@ def _send_bits(bit_string, groups, realization, cfg, noise, rng_key,
                       "n_t_max": max(grp.n_t for grp in groups)}
 
 
-def coded_transmitter(cfg: SystemConfig, seed, r_idx, fixed_realization=None,
+def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
                       capture_eve=False):
     """Build the transmit_fn used by hfl.train for the coded pipeline.
 
-    Per round: quantize the aggregate at the configured distortion, slice the
-    physical bit string into feasible chunks, run every chunk through the
-    feedback code at the round's channel, reassemble, and dequantize through
-    the replayed dither stream. The channel is redrawn each round unless
-    fixed_realization pins it; rounds in outage are redrawn up to
+    transmit(agg, round_idx, source_var) quantizes the aggregate at the
+    configured distortion and the source_var hfl.train hands it, slices the
+    physical bit string into feasible chunks, runs every chunk through the
+    feedback code at the round's channel, reassembles, and dequantizes
+    through the replayed dither stream. The channel is redrawn each round
+    unless fixed_realization pins it; rounds in outage are redrawn up to
     max_redraws, and the count is reported.
     """
     noise = cfg.noise_spec()
 
-    def transmit(agg, round_idx, sigma_w2_hat):
-        source_var = cfg.s_total * sigma_w2_hat + cfg.n_users * cfg.sigma2
-        dither_key = (seed, DOMAIN_MESSAGES, r_idx, round_idx)
+    def transmit(agg, round_idx, source_var):
+        dither_key = (cfg.seed, DOMAIN_MESSAGES, r_idx, round_idx)
         payload = source_coding.quantize(agg, cfg.distortion, source_var,
                                          substream(*dither_key))
         stats = {"accounted_bits": payload.accounted_bits,
@@ -311,7 +311,7 @@ def coded_transmitter(cfg: SystemConfig, seed, r_idx, fixed_realization=None,
             candidates = [fixed_realization]
         else:
             candidates = (sample_realization(substream(
-                seed, DOMAIN_REALIZATION, r_idx, round_idx, attempt))
+                cfg.seed, DOMAIN_REALIZATION, r_idx, round_idx, attempt))
                 for attempt in range(cfg.max_redraws))
         redraws = 0
         for real in candidates:
@@ -332,7 +332,7 @@ def coded_transmitter(cfg: SystemConfig, seed, r_idx, fixed_realization=None,
 
         dec_bits, eve_bits, link = _send_bits(
             payload.indices, groups, real, cfg, noise,
-            (seed, r_idx, round_idx), capture_eve)
+            (cfg.seed, r_idx, round_idx), capture_eve)
         decoded = source_coding.dequantize(
             replace(payload, indices=dec_bits), substream(*dither_key))
         eve_agg = None
@@ -340,13 +340,10 @@ def coded_transmitter(cfg: SystemConfig, seed, r_idx, fixed_realization=None,
             eve_agg = source_coding.dequantize(
                 replace(payload, indices=eve_bits), None)
 
-        c_e = math.log2(1.0 + real.gain_eve * cfg.power / cfg.sigma_e2)
-        if payload.accounted_bits > 0:
-            delta = analysis.secrecy_level_bound(
-                [payload.accounted_bits], real.gain_eve, cfg.power,
-                cfg.sigma_e2)
-        else:
-            delta = 1.0
+        c_e = analysis.eve_capacity_bits(real.gain_eve, cfg.power,
+                                         cfg.sigma_e2)
+        delta = analysis.secrecy_level_bound(
+            payload.accounted_bits, real.gain_eve, cfg.power, cfg.sigma_e2)
         stats.update(link, redraws=redraws, gain_fwd=real.gain_fwd,
                      gain_eve=real.gain_eve, c_e=c_e, delta_round=delta)
         return decoded, eve_agg, stats
@@ -486,7 +483,7 @@ def _load_learning_data(cfg):
 def _scn_secrecy_level_vs_round(cfg, r_idx):
     x_tr, y_tr, x_te, y_te = _load_learning_data(cfg)
     real, redraws = _feasible_realization(cfg, r_idx)
-    fn = coded_transmitter(cfg, cfg.seed, r_idx, fixed_realization=real)
+    fn = coded_transmitter(cfg, r_idx, fixed_realization=real)
     res = hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
                     cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
                     transmit_fn=fn, tag=r_idx)
@@ -517,7 +514,7 @@ def _scn_learning_curves(cfg, r_idx):
     base = hfl.train(x_tr, y_tr, x_te, y_te, spec, cfg.n_users, cfg.n_rounds,
                      cfg.lr, cfg.reg, cfg.sigma2, cfg.seed, transmit_fn=None,
                      tag=r_idx)
-    fn = coded_transmitter(cfg, cfg.seed, r_idx, capture_eve=True)
+    fn = coded_transmitter(cfg, r_idx, capture_eve=True)
     coded = hfl.train(x_tr, y_tr, x_te, y_te, spec, cfg.n_users,
                       cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
                       transmit_fn=fn, tag=r_idx)
@@ -583,8 +580,7 @@ _SINGLE_TASK = {"privacy_utility_sweep"}
 
 
 def _run_task(packed):
-    scenario, cfg_dict, r_idx = packed
-    cfg = SystemConfig(**cfg_dict)
+    scenario, cfg, r_idx = packed
     fn, _ = SCENARIOS[scenario]
     return fn(cfg, r_idx)
 
@@ -619,10 +615,10 @@ def _ordered(pool, tasks, window):
             future.cancel()
 
 
-def _task_results(scenario, cfg_dict, n_tasks, workers):
+def _task_results(scenario, cfg, n_tasks, workers):
     """Each task's tables in task order: in this process for one worker,
     else through a process pool holding at most two tasks per worker."""
-    tasks = ((scenario, cfg_dict, r) for r in range(n_tasks))
+    tasks = ((scenario, cfg, r) for r in range(n_tasks))
     if workers == 1:
         yield from map(_run_task, tasks)
     else:
@@ -677,7 +673,6 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
     _, file_headers = SCENARIOS[scenario]
     t0 = time.monotonic()
     n_tasks = 1 if scenario in _SINGLE_TASK else cfg.realizations
-    cfg_dict = asdict(cfg)
     workers = min(_worker_count(os.environ, os.cpu_count()), n_tasks)
     files = _open_tables(out_dir, file_headers)
     digests = {name: hashlib.sha256() for name in files}
@@ -685,7 +680,7 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
     try:
         for name, header in file_headers.items():
             _write_csv(files[name], digests[name], [header])
-        with contextlib.closing(_task_results(scenario, cfg_dict, n_tasks,
+        with contextlib.closing(_task_results(scenario, cfg, n_tasks,
                                               workers)) as results:
             for tables in results:
                 for name, rows in tables.items():
@@ -704,7 +699,7 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
         "scenario": scenario,
         "seed": cfg.seed,
         "realizations": cfg.realizations,
-        "config": cfg_dict,
+        "config": asdict(cfg),
         "files": {name: {"sha256": digests[name].hexdigest(),
                          "rows": n_rows[name]} for name in files},
         "wall_time_s": time.monotonic() - t0,

@@ -115,12 +115,13 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
     """Run the full loop and return the model plus per-round records.
 
     transmit_fn, when given, is called once per round as
-    transmit_fn(aggregate, round_index, sigma_w2_hat) and returns
-    (decoded_aggregate, eve_aggregate_or_None, stats_dict). None means the
-    edge-to-cloud hop is error-free and the aggregate passes through
-    unchanged. When any round reports an eavesdropped aggregate, a shadow
-    model is updated with it from the same initial point: that is what an
-    observer applying the public update rule to her own decodes would hold.
+    transmit_fn(aggregate, round_index, source_var), source_var being the
+    round's RoundRecord.source_var, and returns (decoded_aggregate,
+    eve_aggregate_or_None, stats_dict). None means the edge-to-cloud hop is
+    error-free and the aggregate passes through unchanged. When any round
+    reports an eavesdropped aggregate, a shadow model is updated with it from
+    the same initial point: that is what an observer applying the public
+    update rule to her own decodes would hold.
 
     tag diversifies the init and noise substreams across repetitions; two
     runs with the same (seed, tag) that differ only in transmit_fn share
@@ -144,7 +145,7 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
         eve_agg = None
         stats = {}
         if transmit_fn is not None:
-            agg, eve_agg, stats = transmit_fn(agg, t, sigma_w2_hat)
+            agg, eve_agg, stats = transmit_fn(agg, t, source_var)
 
         m = cloud_update(m, agg, lr, s_total)
         if eve_agg is not None:

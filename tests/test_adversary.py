@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fblink.adversary import (attack_first_use, attack_full_sequence,
-                              equivocation_report, exact_posterior_mi)
-from fblink.analysis import secrecy_level_bound
+                              exact_posterior_mi)
+from fblink.analysis import eve_capacity_bits
 from fblink.channel import NoiseSpec, Realization, cn_sample
 from fblink.codec import (build_constellation, build_schedule,
                           draw_block_noise, run_block_batch)
@@ -116,7 +116,7 @@ def test_exact_posterior_mi_reference_point():
     mi = exact_posterior_mi(2, 2, 0.3, SNR, 1.0, substream(11, 0))
     assert abs(mi - 1.86) < 0.02
     # never above the eavesdropper channel capacity for the block
-    assert mi <= math.log2(1.0 + 0.3 * SNR / 1.0)
+    assert mi <= eve_capacity_bits(0.3, SNR, 1.0)
 
 
 def test_exact_posterior_mi_limits():
@@ -140,62 +140,3 @@ def test_exact_posterior_mi_asymmetric_split_adds():
                               n_mc=100000)
     assert abs(both - 2.0 * one_sided) < 0.05
 
-
-# ---------------------------------------------------------------------
-# Report assembly
-# ---------------------------------------------------------------------
-
-
-def test_report_perfect_attack():
-    const = build_constellation(4)
-    msg = substream(14, 0).integers(0, const.m_levels, size=2000)
-    rep = equivocation_report(msg, msg, msg, msg, const, const,
-                              0.3, SNR, 1.0)
-    assert rep.payload_bits == 8
-    assert rep.recovery_rate == 1.0
-    np.testing.assert_array_equal(rep.bit_error_rates, np.zeros(8))
-    assert abs(rep.leakage_fano - 8.0) < 1e-6
-    assert rep.leakage_budget == math.log2(1.0 + 0.3 * SNR / 1.0)
-    assert rep.delta_bound == secrecy_level_bound([8], 0.3, SNR, 1.0)
-    assert rep.leakage_exact is None
-
-
-def test_report_bit_position_layout():
-    # R sub-channel positions come first, MSB to LSB, then I
-    cr = build_constellation(3)
-    ci = build_constellation(2)
-    msg_r = np.zeros(100, dtype=np.int64)
-    msg_i = np.zeros(100, dtype=np.int64)
-    att_r = np.ones(100, dtype=np.int64)       # flips the R LSB only
-    att_i = np.full(100, 2, dtype=np.int64)    # flips the I MSB only
-    rep = equivocation_report(msg_r, msg_i, att_r, att_i, cr, ci,
-                              0.3, SNR, 1.0)
-    np.testing.assert_array_equal(rep.bit_error_rates,
-                                  [0.0, 0.0, 1.0, 1.0, 0.0])
-    assert rep.recovery_rate == 0.0
-
-
-def test_report_exact_leakage_inclusion_rules():
-    small = build_constellation(2)
-    big = build_constellation(10)
-    msg4 = substream(15, 0).integers(0, 4, size=200)
-    with_rng = equivocation_report(msg4, msg4, msg4, msg4, small, small,
-                                   0.3, SNR, 1.0, rng=substream(15, 1),
-                                   n_mc=20000)
-    assert with_rng.leakage_exact is not None
-    assert 0.0 < with_rng.leakage_exact <= with_rng.leakage_budget
-    msg20 = substream(15, 2).integers(0, big.m_levels, size=200)
-    too_big = equivocation_report(msg20, msg20, msg20, msg20, big, big,
-                                  0.3, SNR, 1.0, rng=substream(15, 3))
-    assert too_big.leakage_exact is None
-
-
-def test_report_half_recovery():
-    const = build_constellation(2)
-    msg = np.zeros(100, dtype=np.int64)
-    att = msg.copy()
-    att[:50] = 3
-    rep = equivocation_report(msg, msg, att, msg, const, const,
-                              0.3, SNR, 1.0)
-    assert rep.recovery_rate == 0.5
-    np.testing.assert_allclose(rep.bit_error_rates[:2], [0.5, 0.5])

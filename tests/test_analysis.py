@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from fblink import analysis
 from fblink.analysis import (RateReport, achievable_rate, aliasing_budget,
-                             latency_seconds, plan_blocklength, q_func,
-                             q_inv, rate_distortion, secrecy_level_bound,
+                             eve_capacity_bits, latency_seconds,
+                             plan_blocklength, q_func, q_inv,
+                             rate_distortion, secrecy_level_bound,
                              sigma2_window)
 
 SNR = 10.0
@@ -394,43 +395,34 @@ def test_rate_distortion_validation():
 
 def test_secrecy_level_frozen():
     # cap = log2(11) = 3.4594316186
-    assert rel(secrecy_level_bound([40.0], 1.0, 10.0, 1.0),
+    assert rel(eve_capacity_bits(1.0, 10.0, 1.0), 3.4594316186) < 1e-9
+    assert rel(secrecy_level_bound(40.0, 1.0, 10.0, 1.0),
                1.0 - 3.4594316186 / 40.0) < 1e-9
     # 20-bit payload against a 2-bit capacity: level 0.9 exactly
-    assert abs(secrecy_level_bound([20.0], 0.3, 10.0, 1.0) - 0.9) < 1e-12
-
-
-def test_secrecy_level_weakest_round_wins():
-    one = secrecy_level_bound([40.0], 1.0, 10.0, 1.0)
-    both = secrecy_level_bound([40.0, 10.0], 1.0, 10.0, 1.0)
-    assert both < one
-    assert both == secrecy_level_bound([10.0], 1.0, 10.0, 1.0)
+    assert abs(secrecy_level_bound(20.0, 0.3, 10.0, 1.0) - 0.9) < 1e-12
 
 
 def test_secrecy_level_clamped_at_zero():
-    assert secrecy_level_bound([1.0], 1.0, 10.0, 1.0) == 0.0
+    assert secrecy_level_bound(1.0, 1.0, 10.0, 1.0) == 0.0
 
 
 def test_secrecy_level_validation():
     with pytest.raises(ValueError):
-        secrecy_level_bound([], 1.0, 10.0, 1.0)
+        secrecy_level_bound(0.0, 1.0, 10.0, 1.0)
     with pytest.raises(ValueError):
-        secrecy_level_bound([0.0], 1.0, 10.0, 1.0)
+        secrecy_level_bound(10.0, -1.0, 10.0, 1.0)
     with pytest.raises(ValueError):
-        secrecy_level_bound([10.0], -1.0, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        secrecy_level_bound([10.0], 1.0, 0.0, 1.0)
+        secrecy_level_bound(10.0, 1.0, 0.0, 1.0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(min_value=0.5, max_value=500.0), min_size=1,
-                max_size=8),
+@given(st.floats(min_value=0.5, max_value=500.0),
        st.floats(min_value=0.0, max_value=5.0))
-def test_secrecy_level_in_unit_interval(payloads, g2):
-    lvl = secrecy_level_bound(payloads, g2, 10.0, 1.0)
+def test_secrecy_level_in_unit_interval(payload, g2):
+    # the bound reads the eavesdropper's capacity from eve_capacity_bits
+    lvl = secrecy_level_bound(payload, g2, 10.0, 1.0)
     assert 0.0 <= lvl <= 1.0
-    assert lvl == min(secrecy_level_bound([b], g2, 10.0, 1.0)
-                      for b in payloads)
+    assert lvl == max(0.0, 1.0 - eve_capacity_bits(g2, 10.0, 1.0) / payload)
 
 
 def test_sigma2_window_frozen():

@@ -224,6 +224,8 @@ def test_schedule_outage_raises():
        st.floats(min_value=0.0, max_value=2.0),
        st.floats(min_value=1e-6, max_value=0.9),
        st.integers(min_value=2, max_value=256))
+# a 1088-bit block the rate formula calls feasible, whose alpha underflows
+@example(2.0, 2.0, 0.9, 256)
 @settings(max_examples=200, deadline=None)
 def test_schedule_takes_its_loop_from_the_rate_formula(amp_fwd, amp_fb, tau,
                                                        n_t):
@@ -236,12 +238,22 @@ def test_schedule_takes_its_loop_from_the_rate_formula(amp_fwd, amp_fb, tau,
         with pytest.raises(ValueError, match="outage"):
             build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
         return
-    sched = build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
-    assert sched.L == rep.L
     growth = 1.0 + SNR * real.gain_fwd / (rep.psi1 * rep.psi2)
     alpha1 = 1.0 / (real.gain_fwd * SNR)
-    np.testing.assert_array_equal(
-        sched.alpha, alpha1 * growth ** -np.arange(n_t, dtype=float))
+    alpha = alpha1 * growth ** -np.arange(n_t, dtype=float)
+    # gamma^2 = fb_signal_var / alpha, infinite once alpha underflows
+    fb_signal_var = SNR_FB / (2.0 * rep.L) - 1.0 / (2.0 * real.gain_fb)
+    with np.errstate(divide="ignore", over="ignore"):
+        gamma2 = fb_signal_var / alpha[:-1]
+    if not np.isfinite(gamma2).all():
+        assert rep.feasible
+        with pytest.raises(ValueError, match="underflows"):
+            build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
+        return
+    sched = build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
+    assert sched.L == rep.L
+    np.testing.assert_array_equal(sched.alpha, alpha)
+    np.testing.assert_array_equal(sched.gamma, np.sqrt(gamma2))
 
 
 def test_schedule_zero_forward_gain_raises():

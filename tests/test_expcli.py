@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fblink import codec, expcli, source_coding
+from fblink import analysis, codec, expcli, source_coding
 from fblink.channel import Realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            SystemConfig, _ordered, _pack_group, _send_bits,
@@ -147,29 +147,42 @@ def test_send_bits_roundtrip(n_bits):
 
 def _transmit_round(transmit, cfg):
     agg = substream(32, 0).normal(size=200)
-    return transmit(agg, 0, cfg.sigma_w2_max)
+    source_var = cfg.s_total * cfg.sigma_w2_max + cfg.n_users * cfg.sigma2
+    return transmit(agg, 0, source_var)
 
 
 def test_pinned_channel_in_outage_is_infeasible():
-    cfg = SystemConfig()
+    cfg = SystemConfig(seed=5)
     outage = Realization(1.0 + 0j, 0.01 + 0j, 1.0 + 0j, 1.0 + 0j)
     with pytest.raises(InfeasibleError, match="pinned channel"):
-        _transmit_round(coded_transmitter(cfg, 5, 0, outage), cfg)
-    _, _, stats = _transmit_round(coded_transmitter(cfg, 5, 0, ROTATED), cfg)
+        _transmit_round(coded_transmitter(cfg, 0, outage), cfg)
+    _, _, stats = _transmit_round(coded_transmitter(cfg, 0, ROTATED), cfg)
     assert stats["redraws"] == 0 and stats["gain_fwd"] == ROTATED.gain_fwd
 
 
+def test_round_secrecy_stats_are_the_analysis_bound():
+    # the round's c_e and delta_round are the analysis helpers at its channel
+    cfg = SystemConfig(seed=5)
+    _, _, stats = _transmit_round(coded_transmitter(cfg, 0, ROTATED), cfg)
+    assert stats["gain_eve"] == ROTATED.gain_eve
+    assert stats["c_e"] == analysis.eve_capacity_bits(
+        ROTATED.gain_eve, cfg.power, cfg.sigma_e2)
+    assert stats["delta_round"] == analysis.secrecy_level_bound(
+        stats["accounted_bits"], ROTATED.gain_eve, cfg.power, cfg.sigma_e2)
+    assert 0.0 < stats["delta_round"] < 1.0
+
+
 def test_redraws_count_failed_candidates(monkeypatch):
-    cfg = SystemConfig()
+    cfg = SystemConfig(seed=5)
     outage = Realization(1.0 + 0j, 0.01 + 0j, 1.0 + 0j, 1.0 + 0j)
     draws = iter([outage, outage, ROTATED])
     monkeypatch.setattr(expcli, "sample_realization",
                         lambda rng: next(draws))
-    _, _, stats = _transmit_round(coded_transmitter(cfg, 5, 0), cfg)
+    _, _, stats = _transmit_round(coded_transmitter(cfg, 0), cfg)
     assert stats["redraws"] == 2 and stats["gain_fwd"] == ROTATED.gain_fwd
     draws = iter([outage] * 3)
     with pytest.raises(InfeasibleError, match="no feasible channel in 3"):
-        _transmit_round(coded_transmitter(replace(cfg, max_redraws=3), 5, 0),
+        _transmit_round(coded_transmitter(replace(cfg, max_redraws=3), 0),
                         cfg)
 
 

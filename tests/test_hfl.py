@@ -190,6 +190,19 @@ def test_transport_injection_is_paired():
         assert rb.test_accuracy == ri.test_accuracy
 
 
+def test_transport_is_handed_the_round_source_var():
+    x, y = small_data(14, n=60)
+    handed = []
+
+    def recording(agg, t, source_var):
+        handed.append(source_var)
+        return agg, None, {}
+
+    res = train(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5, reg=5e-5,
+                sigma2=0.3, seed=21, transmit_fn=recording)
+    assert handed == [rec.source_var for rec in res.rounds]
+
+
 def test_tag_diversifies_runs():
     x, y = small_data(12, n=60)
     kw = dict(n_users=6, n_rounds=2, lr=0.5, reg=5e-5, sigma2=0.3, seed=99)

@@ -12,11 +12,16 @@ fold probability inside the budget at any power, so the block is infeasible
 rather than erroneous. Everything here is base-2; rates are bits per channel
 use, payloads are bits.
 
+achievable_rate and plan_blocklength also take the two gains as equal-length
+1-D arrays, one entry per channel realization; their reports then carry a
+leading realization axis, and the tau-only terms (q_inv(tau/8) and the fold
+budgets) are computed once for all of them.
+
 All functions are pure and safe to call from any thread.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -83,12 +88,16 @@ class RateReport:
     rate is bits per channel use (0.0 when infeasible); total_bits = n_t*rate
     is the block payload budget across both real sub-channels. outage_reason
     is None when feasible, else "feedback_outage" (psi2 pole),
-    "rate_nonpositive" (log argument <= 1), or "no_feasible_blocklength"
-    (planner exhausted its scan).
+    "alpha_underflow" (asked for with schedulable=True: the error variance
+    alpha before the block's last refinement underflows float64, so its
+    feedback scaling gamma is not finite; about a thousand bits in one
+    block, which build_schedule refuses), "rate_nonpositive" (log argument
+    <= 1), or "no_feasible_blocklength" (planner exhausted its scan).
 
-    achievable_rate over an array of n_t returns one report whose fields are
-    equal-length arrays (outage_reason an object array); `at` picks out the
-    scalar report of one blocklength.
+    achievable_rate over an array of n_t, or over arrays of gains, returns
+    one report whose fields are arrays (outage_reason an object array):
+    realizations on the leading axis, blocklengths on the last. `at` picks
+    out the scalar report of one element.
     """
 
     n_t: int
@@ -103,12 +112,19 @@ class RateReport:
     def total_bits(self) -> float:
         return self.n_t * self.rate
 
-    def at(self, i) -> "RateReport":
-        """Scalar report of element i of an array report."""
-        return RateReport(int(self.n_t[i]), float(self.rate[i]),
-                          float(self.L[i]), float(self.psi1[i]),
-                          float(self.psi2[i]), bool(self.feasible[i]),
-                          self.outage_reason[i])
+    def at(self, idx) -> "RateReport":
+        """The report of element(s) idx of an array report; a scalar report
+        when idx picks one element."""
+        picked = [np.asarray(getattr(self, f.name))[idx] for f in fields(self)]
+        if np.ndim(picked[0]):
+            return RateReport(*picked)
+        n_t, rate, L, psi1, psi2, feasible, reason = picked
+        return RateReport(int(n_t), float(rate), float(L), float(psi1),
+                          float(psi2), bool(feasible), reason)
+
+
+_OUTAGE_REASONS = np.array([None, "feedback_outage", "alpha_underflow",
+                            "rate_nonpositive"], dtype=object)
 
 
 def _blocklengths(n_t, least):
@@ -139,12 +155,24 @@ def aliasing_budget(tau, n_t):
     return float(L[0]) if scalar else L
 
 
+def _gain_arrays(gain_fwd, gain_fb):
+    """The gains as equal-length 1-D float arrays, plus whether they came in
+    as scalars."""
+    gf = np.asarray(gain_fwd, dtype=float)
+    gb = np.asarray(gain_fb, dtype=float)
+    if gf.ndim > 1 or gf.shape != gb.shape:
+        raise ValueError("gain_fwd and gain_fb must be scalars or 1-D arrays "
+                         "of equal length")
+    return np.atleast_1d(gf), np.atleast_1d(gb), gf.ndim == 0
+
+
 def _validated(snr, snr_fb, gain_fwd, gain_fb, tau):
-    if not all(map(math.isfinite, (snr, snr_fb, gain_fwd, gain_fb, tau))):
+    if not (all(map(math.isfinite, (snr, snr_fb, tau)))
+            and np.isfinite(gain_fwd).all() and np.isfinite(gain_fb).all()):
         raise ValueError("snr, snr_fb, gains and tau must be finite")
     if snr <= 0.0 or snr_fb <= 0.0:
         raise ValueError("snr and snr_fb must be positive")
-    if gain_fwd < 0.0 or gain_fb < 0.0:
+    if (gain_fwd < 0.0).any() or (gain_fb < 0.0).any():
         raise ValueError("channel gains are squared magnitudes, >= 0")
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
@@ -155,64 +183,116 @@ def _feedback_loop(snr, snr_fb, gain_fwd, gain_fb, L):
 
     c = 1 - L/(|h_fb|^2*snr_fb) = 1/psi2; growth = 1 + snr*|h|^2/(psi1*psi2)
     is the per-use variance contraction; outage marks the psi2 pole, where
-    psi2 is inf and growth 1. Shared by achievable_rate and build_schedule.
+    psi2 is inf and growth 1. The gains may be arrays that broadcast against
+    L. Shared by achievable_rate and build_schedule.
     """
     L = np.asarray(L, dtype=float)
     fb_strength = gain_fb * snr_fb
     outage = fb_strength <= L
-    # a subnormal fb_strength gives inf; a pole gives 1/0
-    with np.errstate(over="ignore", divide="ignore"):
-        psi1 = (1.0 + L * gain_fwd * snr / fb_strength
-                if fb_strength > 0 else np.full(L.shape, math.inf))
+    # a subnormal fb_strength gives inf; a pole gives 1/0; a zero one is
+    # no feedback at all, psi1 = inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        psi1 = np.where(fb_strength > 0,
+                        1.0 + L * gain_fwd * snr / fb_strength, math.inf)
         c = 1.0 - L / fb_strength
         psi2 = np.where(outage, math.inf, 1.0 / c)
     growth = 1.0 + snr * gain_fwd / (psi1 * psi2)
     return psi1, psi2, c, growth, outage
 
 
-def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t) -> RateReport:
+def _refinement_variances(snr, snr_fb, gain_fwd, gain_fb, L, growth, steps,
+                          sigma2_2=1.0):
+    """(alpha, gamma2) of the refinement steps `steps`, step 0 being use 1.
+
+    alpha = alpha1*growth^-step is the error variance after use step+1,
+    alpha1 = 1/(|h|^2*snr); gamma2 = (P_fb/(2L) - sigma2^2/(2|h_fb|^2))/alpha
+    is the squared feedback scaling that would follow it, at feedback noise
+    sigma2_2 and P_fb = snr_fb*sigma2_2. A non-finite gamma2 means alpha
+    has underflowed float64. build_schedule takes its schedule from here,
+    and achievable_rate screens every block by the same test at its last
+    refinement step (gamma2 only grows with the step) at unit noise, so the
+    two refuse the same blocks.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        alpha = (1.0 / (gain_fwd * snr)) * growth ** -steps
+        fb_signal_var = snr_fb * sigma2_2 / (2.0 * L) \
+            - sigma2_2 / (2.0 * gain_fb)
+        gamma2 = fb_signal_var / alpha
+    return alpha, gamma2
+
+
+def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t,
+                    schedulable=False) -> RateReport:
     """Rate report for an n_t-use block at fixed channel gains.
 
     Args:
         snr: forward transmit power over forward noise variance, P/sigma1^2.
         snr_fb: feedback power over feedback noise variance, P_fb/sigma2^2.
-        gain_fwd: |h|^2 of the forward fading coefficient.
-        gain_fb: |h_fb|^2 of the feedback fading coefficient.
+        gain_fwd: |h|^2 of the forward fading coefficient; or a 1-D array,
+            one gain per channel realization.
+        gain_fb: |h_fb|^2 of the feedback fading coefficient; a 1-D array
+            of the same length when gain_fwd is one.
         tau: target block error probability.
         n_t: block length in channel uses, >= 1; or a 1-D integer array of
-            them, which returns one report of equal-length arrays.
+            them.
+        schedulable: also refuse, as "alpha_underflow", the blocks whose
+            error variance underflows float64, which build_schedule refuses
+            by the same test. Off, the report is the closed-form rate alone,
+            which stays finite far past that point (n_t = 700 at unit gains
+            is about 1100 bits).
 
-    n_t = 1 degenerates to uncoded PAM: no refinement product, no fold budget.
-    A scalar n_t runs as a one-element array, so both forms share one
-    element-wise path: q_inv once for tau/8 and once (inside aliasing_budget)
-    for every coded n_t. The rate is summed in log space, so n_t in the
-    hundreds stays finite.
+    Array gains and an array n_t give fields of shape (R, len(n_t)); one of
+    them an array gives that array's shape. Scalars run as one-element
+    arrays, so every form shares one element-wise path: q_inv once for
+    tau/8 and once (inside aliasing_budget) for every coded n_t, whatever
+    the number of realizations. log2 of the uncoded term is a
+    per-realization math.log2. n_t = 1 degenerates to uncoded PAM: no
+    refinement product, no fold budget. The rate is summed in log space, so
+    n_t in the hundreds stays finite.
     """
-    _validated(snr, snr_fb, gain_fwd, gain_fb, tau)
-    n, scalar = _blocklengths(n_t, 1)
+    gf, gb, scalar_gains = _gain_arrays(gain_fwd, gain_fb)
+    _validated(snr, snr_fb, gf, gb, tau)
+    n, scalar_n = _blocklengths(n_t, 1)
     qi8 = float(q_inv(tau / 8.0))
-    base = 3.0 * snr * gain_fwd / (qi8 * qi8)
-    log_base = math.log2(base) if base > 0 else -math.inf
+    base = 3.0 * snr * gf / (qi8 * qi8)
+    log_base = np.array([math.log2(b) if b > 0 else -math.inf
+                         for b in base.tolist()])
 
+    shape = (gf.size, n.size)
     coded = n >= 2
+    uncoded = ~coded
     L = np.zeros(n.size)
-    psi1 = np.ones(n.size)
-    psi2 = np.ones(n.size)
-    growth = np.ones(n.size)
-    outage = np.zeros(n.size, dtype=bool)
     if coded.any():
         L[coded] = aliasing_budget(tau, n[coded])
-        psi1[coded], psi2[coded], _, growth[coded], outage[coded] = \
-            _feedback_loop(snr, snr_fb, gain_fwd, gain_fb, L[coded])
+    gain_fwd, gain_fb = gf[:, None], gb[:, None]
+    psi1, psi2, _, growth, outage = _feedback_loop(snr, snr_fb, gain_fwd,
+                                                   gain_fb, L)
+    # n_t = 1 sends the PAM symbol alone: no loop, no fold budget; the
+    # loop's values at its L = 0 are overwritten
+    psi1[:, uncoded] = psi2[:, uncoded] = growth[:, uncoded] = 1.0
+    outage[:, uncoded] = False
+    underflow = np.zeros(shape, dtype=bool)
+    if schedulable:
+        _, gamma2 = _refinement_variances(snr, snr_fb, gain_fwd, gain_fb, L,
+                                          growth, n - 2.0)
+        underflow = coded & ~outage & ~np.isfinite(gamma2)
     # log2(arg) computed in log space: arg overflows float64 near n_t ~ 550
-    total = log_base + (n - 1) * np.log2(growth)
+    total = log_base[:, None] + (n - 1) * np.log2(growth)
     # snr*|h|^2 past float64 range gives an inf or nan total: infeasible
-    feasible = ~outage & (total > 0.0) & (total < math.inf)
+    feasible = ~outage & ~underflow & (total > 0.0) & (total < math.inf)
     rate = np.where(feasible, total / n, 0.0)
-    reason = np.where(outage, "feedback_outage",
-                      np.where(feasible, None, "rate_nonpositive"))
-    rep = RateReport(n, rate, L, psi1, psi2, feasible, reason)
-    return rep.at(0) if scalar else rep
+    # codes into _OUTAGE_REASONS, so every report shares its four objects
+    code = np.where(feasible, 0, 3)
+    code[underflow] = 2
+    code[outage] = 1
+    reason = _OUTAGE_REASONS[code]
+    rep = RateReport(np.broadcast_to(n, shape), rate,
+                     np.broadcast_to(L, shape), psi1, psi2, feasible,
+                     reason)
+    if scalar_gains or scalar_n:
+        rep = rep.at((0 if scalar_gains else slice(None),
+                      0 if scalar_n else slice(None)))
+    return rep
 
 
 def plan_blocklength(payload_bits, snr, snr_fb, gain_fwd, gain_fb, tau,
@@ -224,18 +304,29 @@ def plan_blocklength(payload_bits, snr, snr_fb, gain_fwd, gain_fb, tau,
     grows with n_t), so binary search has no footing. The returned report is
     that element of the array report, bit for bit. Returns an infeasible
     report with outage_reason "no_feasible_blocklength" when no n_t in the
-    range qualifies.
+    range qualifies. Only blocks build_schedule can build qualify (the
+    rate is screened with schedulable=True). Array gains plan every
+    realization in that one call and return a report of (R,) arrays.
     """
     if payload_bits < 1:
         raise ValueError("payload_bits must be >= 1")
     n_max = int(n_max)
-    rep = achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau,
-                          np.arange(2, n_max + 1))
+    gf, gb, scalar = _gain_arrays(gain_fwd, gain_fb)
+    rep = achievable_rate(snr, snr_fb, gf, gb, tau, np.arange(2, n_max + 1),
+                          schedulable=True)
     hit = rep.feasible & (rep.total_bits >= payload_bits)
-    if hit.any():
-        return rep.at(int(hit.argmax()))
-    return RateReport(n_max, 0.0, 0.0, math.nan, math.nan, False,
-                      "no_feasible_blocklength")
+    found = hit.any(axis=1)
+    plan = RateReport(np.full(gf.size, n_max), np.zeros(gf.size),
+                      np.zeros(gf.size), np.full(gf.size, math.nan),
+                      np.full(gf.size, math.nan), found,
+                      np.full(gf.size, "no_feasible_blocklength",
+                              dtype=object))
+    rows = np.flatnonzero(found)
+    if rows.size:
+        first = rep.at((rows, hit[rows].argmax(axis=1)))
+        for f in fields(plan):
+            getattr(plan, f.name)[rows] = getattr(first, f.name)
+    return plan.at(0) if scalar else plan
 
 
 # =====================================================================

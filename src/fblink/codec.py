@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseSpec, Realization, cn_sample, derotate
-from .analysis import _feedback_loop, aliasing_budget
+from .analysis import _feedback_loop, _refinement_variances, aliasing_budget
 
 __all__ = [
     "MAX_SUB_CHANNEL_BITS",
@@ -154,8 +154,9 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
 
     Callers are expected to have screened feasibility through
     analysis.achievable_rate; an infeasible schedule here is a programming
-    error, hence ValueError rather than a flag. A budget of about a thousand
-    bits passes that screen yet drives alpha below float64; that raises too.
+    error, hence ValueError rather than a flag. That screen reports a block
+    whose alpha underflows float64 (about a thousand bits) as
+    "alpha_underflow"; here it raises, by the same test at the given noise.
     """
     n_t = int(n_t)
     if n_t < 1:
@@ -181,10 +182,10 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
             "schedule infeasible: feedback outage (|h_fb|^2*snr_fb = %.4g <= L = %.4g)"
             % (gain_fb * snr_fb, L))
 
-    alpha = alpha1 * growth ** (-np.arange(n_t, dtype=float))
-    fb_signal_var = P_fb / (2.0 * L) - noise.sigma2_2 / (2.0 * gain_fb)
-    with np.errstate(divide="ignore", over="ignore"):
-        gamma2 = fb_signal_var / alpha[:-1]
+    alpha, gamma2 = _refinement_variances(snr, snr_fb, gain_fwd, gain_fb, L,
+                                          growth, np.arange(n_t, dtype=float),
+                                          noise.sigma2_2)
+    gamma2 = gamma2[:-1]
     if not np.isfinite(gamma2).all():
         raise ValueError("schedule infeasible: error variance alpha "
                          "underflows float64 at n_t = %d" % n_t)

@@ -7,13 +7,18 @@ with repr(), so equal runs produce byte-identical files; the manifest's
 wall_time_s is the one deliberately non-reproducible field and stays out of
 the hashes.
 
-Realizations are independent tasks on substreams keyed by task index. With
-FBLINK_WORKERS > 1 they run in a process pool of at most os.cpu_count()
-workers, with at most two tasks per worker submitted ahead of the one being
-written. Tables are streamed: every file is opened before the first task
-runs, and each task's rows are appended in task order as they arrive, with
-the same bytes fed to a running sha256. Memory therefore stays flat in the
-realization count, and the worker count never changes the bytes. The tables
+Realizations are independent, each on substreams keyed by its own index.
+_task_args maps them to tasks: a rate_vs_blocklength task is a range of
+consecutive realizations, planned in one array call and sized by a fixed
+element budget over n_max + n_t_max_scan; the sweep is one task; every
+other scenario runs one realization per task. A task formats its rows as
+CSV bytes itself. With FBLINK_WORKERS > 1 tasks run in a process pool of
+at most os.cpu_count() workers, with at most two tasks per worker submitted
+ahead of the one being written. Tables are streamed: every file is opened
+before the first task runs, and each task's bytes are appended in task
+order as they arrive and fed to a running sha256. Memory therefore stays
+flat in the realization count, and neither the worker count nor the task
+size changes the bytes. The tables
 are written under a ".part" suffix and renamed when the run succeeds; a run
 that raises removes them, so it leaves no partial tables and no manifest.
 An unusable output directory and a non-integer FBLINK_WORKERS are
@@ -362,26 +367,34 @@ _PLANS_HEADER = ("realization", "payload_bits", "n_t", "rate_bits_per_use",
                  "total_bits", "latency_s", "feasible")
 
 
-def _scn_rate_vs_blocklength(cfg, r_idx):
-    rng = substream(cfg.seed, DOMAIN_REALIZATION, r_idx)
-    real = sample_realization(rng)
-    rep = analysis.achievable_rate(cfg.snr, cfg.snr_fb, real.gain_fwd,
-                                   real.gain_fb, cfg.tau,
+def _scn_rate_vs_blocklength(cfg, reals):
+    """Rows of the realizations in the range reals: one array call each for
+    the scan and for the plans of all of them, each on its own draw."""
+    draws = [sample_realization(substream(cfg.seed, DOMAIN_REALIZATION, r))
+             for r in reals]
+    gain_fwd = np.array([real.gain_fwd for real in draws])
+    gain_fb = np.array([real.gain_fb for real in draws])
+    rep = analysis.achievable_rate(cfg.snr, cfg.snr_fb, gain_fwd, gain_fb,
+                                   cfg.tau,
                                    np.arange(1, cfg.n_t_max_scan + 1))
-    rates = [(r_idx, n_t, real.gain_fwd, real.gain_fb, ok, reason or "",
-              rate, bits, L, psi1, psi2)
-             for n_t, ok, reason, rate, bits, L, psi1, psi2 in zip(
-                 rep.n_t.tolist(), rep.feasible.astype(int).tolist(),
-                 rep.outage_reason.tolist(), rep.rate.tolist(),
-                 rep.total_bits.tolist(), rep.L.tolist(), rep.psi1.tolist(),
-                 rep.psi2.tolist())]
+    per_real = cfg.n_t_max_scan
+    rates = list(zip(
+        np.repeat(reals, per_real).tolist(), rep.n_t.ravel().tolist(),
+        np.repeat(gain_fwd, per_real).tolist(),
+        np.repeat(gain_fb, per_real).tolist(),
+        rep.feasible.ravel().astype(int).tolist(),
+        [reason or "" for reason in rep.outage_reason.ravel().tolist()],
+        rep.rate.ravel().tolist(), rep.total_bits.ravel().tolist(),
+        rep.L.ravel().tolist(), rep.psi1.ravel().tolist(),
+        rep.psi2.ravel().tolist()))
     plan = analysis.plan_blocklength(cfg.payload_bits, cfg.snr, cfg.snr_fb,
-                                     real.gain_fwd, real.gain_fb, cfg.tau,
-                                     cfg.n_max)
-    lat = analysis.latency_seconds(cfg.payload_bits, plan.rate,
-                                   cfg.uses_per_second)
-    plans = [(r_idx, cfg.payload_bits, plan.n_t, plan.rate, plan.total_bits,
-              lat, int(plan.feasible))]
+                                     gain_fwd, gain_fb, cfg.tau, cfg.n_max)
+    plans = [(r_idx, cfg.payload_bits, n_t, rate, bits,
+              analysis.latency_seconds(cfg.payload_bits, rate,
+                                       cfg.uses_per_second), ok)
+             for r_idx, n_t, rate, bits, ok in zip(
+                 reals, plan.n_t.tolist(), plan.rate.tolist(),
+                 plan.total_bits.tolist(), plan.feasible.astype(int).tolist())]
     return {"rates.csv": rates, "plans.csv": plans}
 
 
@@ -574,15 +587,40 @@ SCENARIOS = {
 
 SCENARIO_NAMES = tuple(sorted(SCENARIOS))
 
-# the sweep is a pure function of the config, one task regardless of
-# realizations; everything else fans out per realization
-_SINGLE_TASK = {"privacy_utility_sweep"}
+# A rate_vs_blocklength task plans a range of realizations in one array
+# call of (n_max + n_t_max_scan) elements each; it holds as many as fit in
+# this many elements, at least one. A large n_max then shrinks the task
+# rather than growing its arrays.
+_PLANNER_TASK_ELEMENTS = 8192
+
+
+def _task_args(scenario, cfg):
+    """(number of tasks, what each task is handed in task order, drawn
+    lazily); the one place that maps realizations to tasks.
+
+    rate_vs_blocklength takes a range of consecutive realizations; the
+    sweep, a pure function of the config, is one task whatever realizations
+    says; every other scenario takes one realization index per task.
+    """
+    if scenario == "rate_vs_blocklength":
+        per_task = max(1, _PLANNER_TASK_ELEMENTS
+                       // (cfg.n_max + cfg.n_t_max_scan))
+        firsts = range(0, cfg.realizations, per_task)
+        return len(firsts), (range(first, min(first + per_task,
+                                              cfg.realizations))
+                             for first in firsts)
+    if scenario == "privacy_utility_sweep":
+        return 1, [0]
+    return cfg.realizations, range(cfg.realizations)
 
 
 def _run_task(packed):
-    scenario, cfg, r_idx = packed
+    """One task's tables, each as its row count and its CSV bytes: the rows
+    are formatted where they were computed, in the worker of a pool."""
+    scenario, cfg, arg = packed
     fn, _ = SCENARIOS[scenario]
-    return fn(cfg, r_idx)
+    return {name: (len(rows), _csv_bytes(rows))
+            for name, rows in fn(cfg, arg).items()}
 
 
 def _worker_count(env, cpu_count):
@@ -615,10 +653,10 @@ def _ordered(pool, tasks, window):
             future.cancel()
 
 
-def _task_results(scenario, cfg, n_tasks, workers):
+def _task_results(scenario, cfg, task_args, workers):
     """Each task's tables in task order: in this process for one worker,
     else through a process pool holding at most two tasks per worker."""
-    tasks = ((scenario, cfg, r) for r in range(n_tasks))
+    tasks = ((scenario, cfg, arg) for arg in task_args)
     if workers == 1:
         yield from map(_run_task, tasks)
     else:
@@ -650,12 +688,16 @@ def _discard(files):
             os.remove(f.name)
 
 
-def _write_csv(f, digest, rows):
-    """Append rows to the binary file f with one csv writerows call and feed
-    the same bytes to the running sha256 digest."""
+def _csv_bytes(rows):
+    """rows as the UTF-8 bytes of one csv writerows call."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    data = buf.getvalue().encode("utf-8")
+    return buf.getvalue().encode("utf-8")
+
+
+def _write_csv(f, digest, data):
+    """Append CSV bytes to the binary file f and feed them to the running
+    sha256 digest."""
     f.write(data)
     digest.update(data)
 
@@ -672,20 +714,22 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
                           % (scenario, list(SCENARIO_NAMES)))
     _, file_headers = SCENARIOS[scenario]
     t0 = time.monotonic()
-    n_tasks = 1 if scenario in _SINGLE_TASK else cfg.realizations
+    n_tasks, task_args = _task_args(scenario, cfg)
     workers = min(_worker_count(os.environ, os.cpu_count()), n_tasks)
     files = _open_tables(out_dir, file_headers)
     digests = {name: hashlib.sha256() for name in files}
     n_rows = dict.fromkeys(files, 0)
     try:
         for name, header in file_headers.items():
-            _write_csv(files[name], digests[name], [header])
-        with contextlib.closing(_task_results(scenario, cfg, n_tasks,
+            _write_csv(files[name], digests[name], _csv_bytes([header]))
+        with contextlib.closing(_task_results(scenario, cfg, task_args,
                                               workers)) as results:
             for tables in results:
-                for name, rows in tables.items():
-                    _write_csv(files[name], digests[name], rows)
-                    n_rows[name] += len(rows)
+                for name, (rows, data) in tables.items():
+                    _write_csv(files[name], digests[name], data)
+                    n_rows[name] += rows
+                # hold no task's bytes while the next task runs
+                tables = data = None
         for name, f in files.items():
             f.close()
             os.replace(f.name, os.path.join(out_dir, name))

@@ -371,6 +371,93 @@ def test_plan_validation():
 
 
 # ---------------------------------------------------------------------
+# Array gains: many channel realizations in one call
+# ---------------------------------------------------------------------
+
+
+def assert_same_bits(got, want):
+    """Every field equal, floats bit for bit (NaN, inf and -0.0 included)."""
+    for f in ("n_t", "rate", "L", "psi1", "psi2", "feasible",
+              "outage_reason", "total_bits"):
+        a, b = np.asarray(getattr(got, f)), np.asarray(getattr(want, f))
+        assert a.shape == b.shape and a.dtype == b.dtype, f
+        if a.dtype == np.float64:
+            assert a.tobytes() == b.tobytes(), f
+        else:
+            assert a.tolist() == b.tolist(), f
+
+
+# zero gains, a feedback gain in outage at every coded length, subnormal ones
+GAIN_ENTRY = st.one_of(st.floats(min_value=0.0, max_value=4.0),
+                       st.sampled_from([0.0, 0.05, 1e-310, 5e-324]))
+EDGE_PAIRS = [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.05),
+              (1.0, 5e-324), (2.0, 1e-310), (4.0, 4.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(GAIN_ENTRY, GAIN_ENTRY), min_size=1, max_size=6),
+       TAU, st.integers(min_value=1, max_value=40),
+       st.integers(min_value=1, max_value=400), N_MAX)
+@example(EDGE_PAIRS, 1e-3, 24, 30, 256)
+@example(EDGE_PAIRS, 0.9, 1, 1000, 256)
+def test_array_gains_match_scalar_calls(pairs, tau, n_scan, payload, n_max):
+    # the scan starts at n_t = 1, the uncoded block
+    gain_fwd = np.array([g for g, _ in pairs])
+    gain_fb = np.array([g for _, g in pairs])
+    scan = np.arange(1, n_scan + 1)
+    rep = achievable_rate(SNR, SNR_FB, gain_fwd, gain_fb, tau, scan)
+    one = achievable_rate(SNR, SNR_FB, gain_fwd, gain_fb, tau, n_scan)
+    plan = plan_blocklength(payload, SNR, SNR_FB, gain_fwd, gain_fb, tau,
+                            n_max)
+    assert rep.rate.shape == (len(pairs), n_scan)
+    assert one.rate.shape == plan.rate.shape == (len(pairs),)
+    for r, (g, g_fb) in enumerate(pairs):
+        assert_same_bits(rep.at(r), achievable_rate(SNR, SNR_FB, g, g_fb, tau,
+                                                    scan))
+        assert_same_bits(one.at(r), achievable_rate(SNR, SNR_FB, g, g_fb, tau,
+                                                    n_scan))
+        assert_same_bits(plan.at(r), plan_blocklength(payload, SNR, SNR_FB, g,
+                                                      g_fb, tau, n_max))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+@pytest.mark.parametrize("position", [0, 2])
+@pytest.mark.parametrize("which", ["gain_fwd", "gain_fb"])
+def test_array_gains_reject_bad_entries(bad, position, which):
+    gains = {"gain_fwd": np.array([1.0, 0.5, 2.0]),
+             "gain_fb": np.array([1.0, 0.5, 2.0])}
+    gains[which][position] = bad
+    with pytest.raises(ValueError):
+        achievable_rate(SNR, SNR_FB, tau=1e-3, n_t=np.arange(1, 5), **gains)
+    with pytest.raises(ValueError):
+        plan_blocklength(30, SNR, SNR_FB, tau=1e-3, n_max=64, **gains)
+
+
+def test_array_gains_shape_mismatch_rejected():
+    for gain_fwd, gain_fb in ((np.ones(3), np.ones(2)), (1.0, np.ones(2)),
+                              (np.ones((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="equal length"):
+            achievable_rate(SNR, SNR_FB, gain_fwd, gain_fb, 1e-3, 10)
+
+
+def test_tau_terms_once_per_call_whatever_the_realizations(monkeypatch):
+    # q_inv(tau/8) and the fold budgets of an n_t array depend on tau alone:
+    # one q_inv call each, for one realization or a thousand
+    calls = []
+
+    def counted(p):
+        calls.append(np.shape(p))
+        return q_inv(p)
+
+    monkeypatch.setattr(analysis, "q_inv", counted)
+    for r in (1, 1000):
+        calls.clear()
+        gains = np.linspace(0.0, 3.0, r)
+        plan_blocklength(30, SNR, SNR_FB, gains, gains[::-1], 1e-3, 256)
+        assert calls == [(), (255,)]
+
+
+# ---------------------------------------------------------------------
 # Source rate, secrecy, privacy window, latency
 # ---------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblink import codec
-from fblink.analysis import achievable_rate, q_inv
+from fblink.analysis import achievable_rate, plan_blocklength, q_inv
 from fblink.channel import NoiseSpec, Realization
 from fblink.codec import (build_constellation, build_schedule, from_bits,
                           modulo_d, run_block_batch, to_bits)
@@ -254,6 +254,66 @@ def test_schedule_takes_its_loop_from_the_rate_formula(amp_fwd, amp_fb, tau,
     assert sched.L == rep.L
     np.testing.assert_array_equal(sched.alpha, alpha)
     np.testing.assert_array_equal(sched.gamma, np.sqrt(gamma2))
+
+
+AMP = st.floats(min_value=0.03, max_value=2.0)
+
+
+@given(AMP, st.floats(min_value=0.0, max_value=2.0),
+       st.floats(min_value=1e-6, max_value=0.9),
+       st.integers(min_value=2, max_value=700))
+@example(2.0, 2.0, 0.9, 241)   # gains 4 and 4: the last block that builds
+@example(2.0, 2.0, 0.9, 242)   # ... and the first whose alpha underflows
+@example(1.0, 1.0, 1e-3, 700)  # the frozen closed-form rate past that point
+@settings(max_examples=200, deadline=None)
+def test_schedulable_screen_agrees_with_schedule(amp_fwd, amp_fb, tau, n_t):
+    # the screen refuses a block exactly when build_schedule does; every
+    # other verdict is the closed form's own
+    real = Realization(complex(amp_fwd), complex(amp_fb), 1.0 + 0j, 1.0 + 0j)
+    args = (SNR, SNR_FB, real.gain_fwd, real.gain_fb, tau, n_t)
+    rep = achievable_rate(*args, schedulable=True)
+    noise = NoiseSpec(1.0, 1.0, 1.0)
+    if rep.outage_reason == "alpha_underflow":
+        assert not rep.feasible and rep.rate == 0.0
+        assert achievable_rate(*args).feasible
+        with pytest.raises(ValueError, match="underflows"):
+            build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
+        return
+    assert rep == achievable_rate(*args)
+    if rep.outage_reason == "feedback_outage":
+        with pytest.raises(ValueError, match="outage"):
+            build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
+        return
+    sched = build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
+    assert np.isfinite(sched.gamma).all() and (sched.alpha > 0).all()
+
+
+@given(st.integers(min_value=1, max_value=3000), AMP,
+       st.floats(min_value=0.0, max_value=2.0),
+       st.floats(min_value=1e-6, max_value=0.9),
+       st.integers(min_value=2, max_value=700))
+@settings(max_examples=60, deadline=None)
+def test_plan_returns_only_blocks_that_build(payload, amp_fwd, amp_fb, tau,
+                                            n_max):
+    real = Realization(complex(amp_fwd), complex(amp_fb), 1.0 + 0j, 1.0 + 0j)
+    plan = plan_blocklength(payload, SNR, SNR_FB, real.gain_fwd,
+                            real.gain_fb, tau, n_max)
+    if plan.feasible:
+        assert plan.total_bits >= payload
+        build_schedule(SNR, SNR_FB, tau, plan.n_t, real, NoiseSpec(1.0, 1.0,
+                                                                   1.0))
+
+
+def test_plan_skips_blocks_whose_alpha_underflows():
+    # gains 4 and 4 at tau 0.9: n_t = 241 carries 1026.5 bits and builds;
+    # n_t = 242 would carry 1030.6 bits by the closed form, but its alpha
+    # underflows, and so does every longer block's
+    assert achievable_rate(SNR, SNR_FB, 4.0, 4.0, 0.9, 242).total_bits > 1030
+    plan = plan_blocklength(1026, SNR, SNR_FB, 4.0, 4.0, 0.9, 256)
+    assert plan.feasible and plan.n_t == 241
+    plan = plan_blocklength(1030, SNR, SNR_FB, 4.0, 4.0, 0.9, 256)
+    assert not plan.feasible
+    assert plan.outage_reason == "no_feasible_blocklength"
 
 
 def test_schedule_zero_forward_gain_raises():

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,9 @@ from fblink import analysis, codec, expcli, source_coding
 from fblink.channel import Realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            SystemConfig, _ordered, _pack_group, _send_bits,
-                           _unpack_group, _worker_count, coded_transmitter,
-                           main, parse_config, run_scenario)
+                           _task_args, _unpack_group, _worker_count,
+                           coded_transmitter, main, parse_config,
+                           run_scenario)
 from fblink.streams import substream
 
 from test_datasets import write_idx_pair
@@ -197,7 +199,7 @@ def test_scenario_cells_are_int_float_or_str():
                  parse_config(None, snr_db=-20.0, **small)))
     for name, cfg in runs:
         fn, headers = SCENARIOS[name]
-        tables = fn(cfg, 0)
+        tables = fn(cfg, next(iter(_task_args(name, cfg)[1])))
         assert set(tables) == set(headers)
         for table, rows in tables.items():
             assert rows
@@ -245,8 +247,12 @@ def test_sweep_scenario_contents_and_rerun_identity(tmp_path):
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    # 9 tasks overrun the pool's window of 2 per worker
-    cfg = parse_config(None, realizations=9, n_t_max_scan=6, payload_bits=10)
+    # at least five tasks of many realizations each overrun the pool's
+    # window of 2 per worker
+    cfg = parse_config(None, realizations=160, n_t_max_scan=6,
+                       payload_bits=10)
+    tasks = list(_task_args("rate_vs_blocklength", cfg)[1])
+    assert len(tasks) >= 5 and all(len(t) > 1 for t in tasks)
     monkeypatch.setenv("FBLINK_WORKERS", "1")
     serial = run_scenario(cfg, "rate_vs_blocklength", str(tmp_path / "serial"))
     monkeypatch.setenv("FBLINK_WORKERS", "2")
@@ -255,9 +261,9 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
         assert ((tmp_path / "serial" / name).read_bytes()
                 == (tmp_path / "pool" / name).read_bytes())
     assert serial["files"] == pool["files"]
-    assert pool["files"]["plans.csv"]["rows"] == 9
+    assert pool["files"]["plans.csv"]["rows"] == 160
     rows = read_csv(tmp_path / "pool" / "rates.csv")
-    assert len(rows) == 9 * 6
+    assert len(rows) == 160 * 6
     assert [int(r["realization"]) for r in rows] == sorted(
         int(r["realization"]) for r in rows)
 
@@ -309,26 +315,94 @@ def test_ordered_window_with_stub_pool():
 
 
 def test_failed_run_leaves_no_partial_tables(tmp_path, monkeypatch):
-    # the third task raises after two tasks' rows were streamed; the tables
-    # of an earlier run in the same directory survive untouched
+    # the third task raises inside its range of realizations, after two
+    # tasks' rows were streamed; the tables of an earlier run in the same
+    # directory survive untouched
     monkeypatch.setenv("FBLINK_WORKERS", "1")
-    cfg = parse_config(None, realizations=4, n_t_max_scan=3)
+    cfg = parse_config(None, realizations=100, n_t_max_scan=3)
+    tasks = list(_task_args("rate_vs_blocklength", cfg)[1])
+    assert len(tasks) >= 3 and len(tasks[2]) > 2
+    failing = tasks[2][1]
     out = tmp_path / "out"
     run_scenario(cfg, "rate_vs_blocklength", str(out))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(before) == ["manifest.json", "plans.csv", "rates.csv"]
     fn, headers = SCENARIOS["rate_vs_blocklength"]
+    seen = []
 
-    def third_task_fails(cfg, r_idx):
-        if r_idx == 2:
-            raise InfeasibleError("task 2")
-        return fn(cfg, r_idx)
+    def third_task_fails(cfg, reals):
+        seen.append(reals)
+        if failing in reals:
+            raise InfeasibleError("realization %d" % failing)
+        return fn(cfg, reals)
 
     monkeypatch.setitem(SCENARIOS, "rate_vs_blocklength",
                         (third_task_fails, headers))
-    with pytest.raises(InfeasibleError, match="task 2"):
+    with pytest.raises(InfeasibleError, match="realization %d" % failing):
         run_scenario(replace(cfg, seed=7), "rate_vs_blocklength", str(out))
+    assert seen == tasks[:3]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"realizations": 1}, {"n_max": 5000}, {"n_t_max_scan": 300},
+    {"n_max": 2, "n_t_max_scan": 1}])
+def test_planner_tasks_are_ranges_within_the_element_budget(overrides):
+    # consecutive ranges in order, covering every realization once; a large
+    # n_max shrinks the task instead of growing its arrays
+    cfg = parse_config(None, **{"realizations": 1000, **overrides})
+    n_tasks, tasks = _task_args("rate_vs_blocklength", cfg)
+    tasks = list(tasks)
+    assert len(tasks) == n_tasks
+    assert [r for t in tasks for r in t] == list(range(cfg.realizations))
+    per_real = cfg.n_max + cfg.n_t_max_scan
+    per_task = expcli._PLANNER_TASK_ELEMENTS // per_real
+    assert all(len(t) == per_task for t in tasks[:-1])
+    assert all(len(t) * per_real <= expcli._PLANNER_TASK_ELEMENTS
+               for t in tasks)
+    if not overrides:
+        assert 20 <= per_task <= 40
+    if cfg.n_max == 5000:
+        assert per_task == 1
+
+
+def test_task_args_of_the_other_scenarios():
+    cfg = parse_config(None, realizations=3)
+    n_tasks, tasks = _task_args("privacy_utility_sweep", cfg)
+    assert (n_tasks, list(tasks)) == (1, [0])
+    for name in ("codec_validation", "secrecy_level_vs_round",
+                 "learning_curves"):
+        n_tasks, tasks = _task_args(name, cfg)
+        assert (n_tasks, list(tasks)) == (3, [0, 1, 2])
+
+
+def test_planner_memory_is_flat_in_realizations(tmp_path, monkeypatch):
+    # the traced peak of four tasks' worth of realizations stays within 10%
+    # of one task's, since rows are streamed; at n_max 5000 a task holds
+    # one realization, and the element budget keeps its peak under the
+    # default task's
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    default = parse_config(None, realizations=1000)
+    wide = replace(default, n_max=5000)
+
+    def peak(cfg, tasks):
+        per_task = len(next(_task_args("rate_vs_blocklength", cfg)[1]))
+        out = str(tmp_path / ("%d-%d" % (cfg.n_max, tasks)))
+        tracemalloc.start()
+        try:
+            run_scenario(replace(cfg, realizations=tasks * per_task),
+                         "rate_vs_blocklength", out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # warm up first-call allocations and the interpreter's free lists
+    for cfg in (default, wide):
+        peak(cfg, 4)
+    one = peak(default, 1)
+    assert peak(default, 4) <= 1.1 * one
+    wide_one = peak(wide, 1)
+    assert peak(wide, 4) <= 1.1 * wide_one and wide_one <= 1.1 * one
 
 
 def test_worker_count_parsing_and_clamp():

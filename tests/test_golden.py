@@ -4,8 +4,9 @@ A changed CSV byte changes what a run at a given version means, so it comes
 with a version bump and a CHANGES.md entry (ROADMAP, aim 3). The reruns in
 test_acceptance.py only check that a run repeats itself; these digests pin
 the bytes across changes. The MLP scenarios are left out, because their
-bytes depend on the BLAS thread count. The rate_vs_blocklength and
-privacy_utility_sweep digests date from fblink 0.2.1; the codec_validation
+bytes depend on the BLAS thread count. The 50-realization
+rate_vs_blocklength and privacy_utility_sweep digests date from fblink
+0.2.1, the 77-realization ones from 0.3.0; the codec_validation
 and eavesdropper-path digests were retaken at 0.3.0, when the block noise
 became component first. After a deliberate change,
 
@@ -49,6 +50,23 @@ CASES = [
     ("privacy_utility_sweep", {}, {
         "privacy_utility_sweep.csv":
             "cd7ba3b6fe49e0db7e72449d88800cae1783036d34efa2aab6a2ff00f70fef7f",
+    }),
+    # 77 is not a multiple of the realizations a batched task holds, so
+    # the last task is a short one
+    ("rate_vs_blocklength", {"realizations": 77}, {
+        "rates.csv":
+            "cb6b825574cda98d3eca7e63c9872676a784ec0d7a47f2ff6b97319eb6204096",
+        "plans.csv":
+            "a3159bca22772fdcf09f7dfee6c67c74cf1db24b7a215707320627a4a8e3e3e8",
+    }),
+    # a weak feedback link and a large payload: most scan points are in
+    # feedback outage and no plan is feasible
+    ("rate_vs_blocklength", {"realizations": 77, "snr_fb_db": 5,
+                             "payload_bits": 200, "n_t_max_scan": 40}, {
+        "rates.csv":
+            "5d4f8479eaf2149eb1a2be64c244d1b1e77506d889734ceaf6b5f1ad04a3d94f",
+        "plans.csv":
+            "f6fd9052cde1acf0c463b4b2c498ceadde485d1d7f1f5050b83d9891ce4c4158",
     }),
 ]
 

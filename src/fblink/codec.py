@@ -35,8 +35,9 @@ h) is the projection of h*x + eta). draw_block_noise draws the noise in its
 documented order and run_block_batch is a pure function of those arrays, the
 one path through a block; a single block is a one-row batch.
 
-Payload bits map to message indices MSB first through to_bits/from_bits, the
-one bit packer that the quantizer and the transport share.
+Message indices are read from bits MSB first through to_bits/from_bits, the
+one bit packer that the quantizer and the transport share; the transport
+chooses the order in which a chunk's bits fill them.
 """
 
 import math

@@ -234,55 +234,71 @@ def parse_config(path=None, **overrides) -> SystemConfig:
 # =====================================================================
 
 
-def _pack_group(bits_mat):
-    """(n, b) bit matrix to the index pair (w_r, w_i, b_r, b_i).
+def _bit_order(half, exposed):
+    """Positions of a half-chunk's bits in the order they fill its index,
+    MSB first: the last `exposed` bits, last first, then the others.
 
-    The R sub-channel takes the first ceil(b/2) bits of each row, the extra
-    bit of an odd payload riding on R; each half packs MSB first.
+    The first use sends each index as a bare PAM point, which exposes about
+    C_e/2 of its leading bits. Given ceil(C_e/2) here, this order fills them
+    with the trailing bits of the half, low bits of a quantized coordinate,
+    where MSB-first packing would hand the eavesdropper the first
+    coordinate's sign and top bits. The paper bounds how much she learns
+    per block, not which bits; the mapping is a choice outside it.
     """
-    b_r = (bits_mat.shape[1] + 1) // 2
-    return (codec.from_bits(bits_mat[:, :b_r]),
-            codec.from_bits(bits_mat[:, b_r:]), b_r, bits_mat.shape[1] - b_r)
+    k = min(exposed, half)
+    return np.concatenate([np.arange(half - 1, half - 1 - k, -1),
+                           np.arange(half - k)])
 
 
-def _unpack_group(w_r, w_i, b_r, b_i):
-    """Inverse of _pack_group: the (n, b_r + b_i) bit matrix."""
-    return np.hstack([codec.to_bits(w_r, b_r), codec.to_bits(w_i, b_i)])
+def _pack_group(bits_mat, order):
+    """(n, 2h) bit matrix to the index pair (w_r, w_i), R from the first h
+    bits of each row and I from the last h, each in the h-bit order."""
+    return (codec.from_bits(bits_mat[:, order]),
+            codec.from_bits(bits_mat[:, len(order) + order]))
 
 
-def _send_bits(bit_string, groups, realization, cfg, noise, rng_key,
+def _unpack_group(w_r, w_i, order):
+    """Inverse of _pack_group: the (n, 2h) bit matrix."""
+    inv = np.argsort(order)
+    return np.hstack([codec.to_bits(w_r, len(order))[:, inv],
+                      codec.to_bits(w_i, len(order))[:, inv]])
+
+
+def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
                capture_eve):
-    """Push a chunked bit string through the link, one block batch per
-    ChunkGroup; returns (decoded bits, eavesdropper bits or None,
-    diagnostics)."""
+    """Send a bit string as one block batch of the ChunkGroup grp: zero-pad
+    it to grp.count chunks of grp.n_bits, pack it in the _bit_order of the
+    eavesdropper's capacity C_e at this realization, and slice the padding
+    off. Returns (decoded bits, eavesdropper bits or None, diagnostics with
+    that C_e)."""
     seed, r_idx, round_idx = rng_key
-    dec = np.empty_like(bit_string)
-    eve = np.empty_like(bit_string) if capture_eve else None
-    chunk_errors = 0
-    for g_idx, grp in enumerate(groups):
-        span = slice(grp.start, grp.start + grp.count * grp.n_bits)
-        w_r, w_i, b_r, b_i = _pack_group(
-            bit_string[span].reshape(grp.count, grp.n_bits))
-        cr = codec.build_constellation(b_r)
-        ci = codec.build_constellation(b_i)
-        sched = codec.build_schedule(cfg.snr, cfg.snr_fb, grp.tau_chunk,
-                                     grp.n_t, realization, noise)
-        block_rng = substream(seed, DOMAIN_BLOCKS, r_idx, round_idx, g_idx)
-        dith, ef, eb, ee = codec.draw_block_noise(
-            block_rng, grp.count, grp.n_t, noise, sched.d, capture_eve)
-        out = codec.run_block_batch(sched, realization, cr, ci, w_r, w_i,
-                                    dith, ef, eb, eta_eve=ee)
-        chunk_errors += int(out.error.sum())
-        dec[span] = _unpack_group(out.dec_r, out.dec_i, b_r, b_i).ravel()
-        if capture_eve:
-            att_rng = substream(seed, DOMAIN_ATTACK, r_idx, round_idx, g_idx)
-            att_r, att_i = adversary.attack_full_sequence(
-                out.z_seq, realization.g, realization.g_fb, sched, cr, ci,
-                att_rng)
-            eve[span] = _unpack_group(att_r, att_i, b_r, b_i).ravel()
-    return dec, eve, {"n_chunks": sum(grp.count for grp in groups),
-                      "chunk_errors": chunk_errors,
-                      "n_t_max": max(grp.n_t for grp in groups)}
+    n = len(bit_string)
+    c_e = analysis.eve_capacity_bits(realization.gain_eve, cfg.power,
+                                     cfg.sigma_e2)
+    order = _bit_order(grp.n_bits // 2, math.ceil(c_e / 2.0))
+    w_r, w_i = _pack_group(np.pad(bit_string, (0, grp.count * grp.n_bits - n))
+                           .reshape(grp.count, grp.n_bits), order)
+    const = codec.build_constellation(len(order))
+    sched = codec.build_schedule(cfg.snr, cfg.snr_fb, grp.tau_chunk, grp.n_t,
+                                 realization, noise)
+    # batch index 0 keeps the streams, and so the bytes, of rounds whose
+    # payload already filled whole chunks before the tail was padded in
+    path = (r_idx, round_idx, 0)
+    dith, ef, eb, ee = codec.draw_block_noise(
+        substream(seed, DOMAIN_BLOCKS, *path), grp.count, grp.n_t, noise,
+        sched.d, capture_eve)
+    out = codec.run_block_batch(sched, realization, const, const, w_r, w_i,
+                                dith, ef, eb, eta_eve=ee)
+    dec = _unpack_group(out.dec_r, out.dec_i, order).ravel()[:n]
+    eve = None
+    if capture_eve:
+        att_r, att_i = adversary.attack_full_sequence(
+            out.z_seq, realization.g, realization.g_fb, sched, const, const,
+            substream(seed, DOMAIN_ATTACK, *path))
+        eve = _unpack_group(att_r, att_i, order).ravel()[:n]
+    return dec, eve, {"n_chunks": grp.count,
+                      "chunk_errors": int(out.error.sum()),
+                      "n_t_max": grp.n_t, "c_e": c_e}
 
 
 def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
@@ -290,10 +306,10 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
     """Build the transmit_fn used by hfl.train for the coded pipeline.
 
     transmit(agg, round_idx, source_var) quantizes the aggregate at the
-    configured distortion and the source_var hfl.train hands it, slices the
-    physical bit string into feasible chunks, runs every chunk through the
-    feedback code at the round's channel, reassembles, and dequantizes
-    through the replayed dither stream. The channel is redrawn each round
+    configured distortion and the source_var hfl.train hands it, plans the
+    physical bit string as equal chunks at the round's channel, sends them
+    through the feedback code as one block batch, and dequantizes through
+    the replayed dither stream. The channel is redrawn each round
     unless fixed_realization pins it; rounds in outage are redrawn up to
     max_redraws, and the count is reported.
     """
@@ -336,7 +352,7 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
                 % (cfg.max_redraws, round_idx))
 
         dec_bits, eve_bits, link = _send_bits(
-            payload.indices, groups, real, cfg, noise,
+            payload.indices, groups[0], real, cfg, noise,
             (cfg.seed, r_idx, round_idx), capture_eve)
         decoded = source_coding.dequantize(
             replace(payload, indices=dec_bits), substream(*dither_key))
@@ -345,12 +361,10 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
             eve_agg = source_coding.dequantize(
                 replace(payload, indices=eve_bits), None)
 
-        c_e = analysis.eve_capacity_bits(real.gain_eve, cfg.power,
-                                         cfg.sigma_e2)
         delta = analysis.secrecy_level_bound(
             payload.accounted_bits, real.gain_eve, cfg.power, cfg.sigma_e2)
         stats.update(link, redraws=redraws, gain_fwd=real.gain_fwd,
-                     gain_eve=real.gain_eve, c_e=c_e, delta_round=delta)
+                     gain_eve=real.gain_eve, delta_round=delta)
         return decoded, eve_agg, stats
 
     return transmit
@@ -465,20 +479,15 @@ _SECRECY_HEADER = ("realization", "round", "sigma_w2_hat", "source_var",
 
 
 def _feasible_realization(cfg, r_idx):
-    """Rejection-sample a channel that can carry desk-scale rounds.
-
-    Probed against an 80-bit chunk at the smallest per-chunk budget a round
-    of this size can reach; a channel passing the probe passes every round.
-    """
-    worst_chunks = max(1, math.ceil(
-        mlp.n_params(cfg.mlp_spec()) * 24 / source_coding.MAX_CHUNK_BITS))
+    """Rejection-sample a channel whose chunk plan carries the widest round
+    this model can send, 24 bits per parameter, and so every round."""
+    worst_bits = mlp.n_params(cfg.mlp_spec()) * 24
     for attempt in range(cfg.max_redraws):
         real = sample_realization(substream(cfg.seed, DOMAIN_REALIZATION,
                                             r_idx, attempt))
-        probe = analysis.plan_blocklength(
-            source_coding.MAX_CHUNK_BITS, cfg.snr, cfg.snr_fb, real.gain_fwd,
-            real.gain_fb, cfg.tau / worst_chunks, cfg.n_max)
-        if probe.feasible:
+        if source_coding.chunk(worst_bits, cfg.snr, cfg.snr_fb,
+                               real.gain_fwd, real.gain_fb, cfg.tau,
+                               cfg.n_max) is not None:
             return real, attempt
     raise InfeasibleError("no feasible channel in %d draws" % cfg.max_redraws)
 

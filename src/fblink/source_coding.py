@@ -116,52 +116,36 @@ def dequantize(payload: QuantizedPayload, rng) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChunkGroup:
-    """count equal chunks of n_bits, back to back from bit start.
+    """count equal chunks of n_bits, the last zero-padded: one block batch."""
 
-    Every chunk of a group is one block at the same blocklength plan, so a
-    group is sent as one block batch.
-    """
-
-    start: int
     count: int
     n_bits: int
     n_t: int
     tau_chunk: float
-    rate: float
 
 
 def chunk(total_bits, snr, snr_fb, gain_fwd, gain_fb, tau, n_max):
     """Slice a payload into block-sized chunks and plan their blocklength.
 
-    All chunks carry MAX_CHUNK_BITS except a shorter tail, so the chunks fall
-    into at most two groups of equal size. The block error budget tau is
-    split evenly (tau' = tau/n_chunks) so the union over chunks keeps the
-    round inside tau. Blocklengths are planned for the chunk size rounded up
-    to even: the message splits across two real sub-channels, and an even
-    budget guarantees each sub-channel stays within its floor of the per-use
-    rate.
+    ceil(total_bits/MAX_CHUNK_BITS) chunks of n_bits = min(MAX_CHUNK_BITS,
+    total_bits rounded up to even, for the two real sub-channels), the last
+    zero-padded, all at one plan. The block error budget is split evenly
+    (tau' = tau/n_chunks) so the union over chunks keeps the round inside
+    tau. A channel that carries a full chunk carries any shorter tail at
+    the same blocklength, so the padding costs no feasibility.
 
-    Returns the ChunkGroups in ascending chunk size (the tail, if any, then
-    the full chunks), or None when a chunk has no feasible blocklength at
-    this realization (feedback outage; the caller counts it).
+    Returns [ChunkGroup], [] for an empty payload, or None when the chunk
+    has no feasible blocklength at this realization (feedback outage; the
+    caller counts it).
     """
     if total_bits < 0:
         raise ValueError("total_bits must be >= 0")
     if total_bits == 0:
         return []
-    n_full, tail = divmod(total_bits, MAX_CHUNK_BITS)
-    tau_chunk = tau / (n_full + (tail > 0))
-    groups = []
-    # planned in bit order, returned in ascending chunk size
-    for start, count, n_bits in ((0, n_full, MAX_CHUNK_BITS),
-                                 (n_full * MAX_CHUNK_BITS, int(tail > 0),
-                                  tail)):
-        if count == 0:
-            continue
-        rep = plan_blocklength(n_bits + (n_bits & 1), snr, snr_fb, gain_fwd,
-                               gain_fb, tau_chunk, n_max)
-        if not rep.feasible:
-            return None
-        groups.append(ChunkGroup(start, count, n_bits, rep.n_t, tau_chunk,
-                                 rep.rate))
-    return groups[::-1]
+    count = -(-total_bits // MAX_CHUNK_BITS)
+    n_bits = min(MAX_CHUNK_BITS, total_bits + (total_bits & 1))
+    rep = plan_blocklength(n_bits, snr, snr_fb, gain_fwd, gain_fb,
+                           tau / count, n_max)
+    if not rep.feasible:
+        return None
+    return [ChunkGroup(count, n_bits, rep.n_t, tau / count)]

@@ -1,3 +1,4 @@
+import collections
 import csv
 import itertools
 import json
@@ -9,13 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fblink import analysis, codec, expcli, source_coding
+from fblink import adversary, analysis, codec, expcli, hfl, source_coding
 from fblink.channel import Realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
-                           SystemConfig, _ordered, _pack_group, _send_bits,
-                           _task_args, _unpack_group, _worker_count,
-                           coded_transmitter, main, parse_config,
-                           run_scenario)
+                           SystemConfig, _bit_order, _ordered, _pack_group,
+                           _send_bits, _task_args, _unpack_group,
+                           _worker_count, coded_transmitter, main,
+                           parse_config, run_scenario)
 from fblink.streams import substream
 
 from test_datasets import write_idx_pair
@@ -97,27 +98,44 @@ def test_semantic_validation():
 
 
 def test_pack_group_matches_scalar_packer():
-    # reference: each half of a row read as a binary numeral, MSB first,
-    # with the extra bit of an odd row on R
-    def scalar(bits):
-        return int("".join(map(str, bits)) or "0", 2)
+    # reference: a half's last `exposed` bits, last first, then its
+    # leading bits in order, read as one binary numeral MSB first
+    def scalar(bits, exposed):
+        k = min(exposed, len(bits))
+        lead = list(bits[len(bits) - k:][::-1]) + list(bits[:len(bits) - k])
+        return int("".join(map(str, lead)), 2)
 
     rng = substream(21, 0)
-    for n_bits in (1, 2, 3, 8, 20, 41, 80):
-        mat = rng.integers(0, 2, size=(50, n_bits), dtype=np.uint8)
-        w_r, w_i, b_r, b_i = _pack_group(mat)
-        assert (b_r, b_i) == ((n_bits + 1) // 2, n_bits // 2)
+    for n_bits, exposed in itertools.product((2, 8, 20, 42, 80),
+                                             (0, 1, 2, 5, 40)):
+        mat = rng.integers(0, 2, size=(20, n_bits), dtype=np.uint8)
+        half = n_bits // 2
+        w_r, w_i = _pack_group(mat, _bit_order(half, exposed))
         for row in range(len(mat)):
-            assert int(w_r[row]) == scalar(mat[row, :b_r])
-            assert int(w_i[row]) == scalar(mat[row, b_r:])
+            assert int(w_r[row]) == scalar(mat[row, :half], exposed)
+            assert int(w_i[row]) == scalar(mat[row, half:], exposed)
+
+
+def test_pack_group_exposes_trailing_bits():
+    # an index off by one flips its least significant bit, which carries a
+    # leading bit of the half only when every bit is exposed
+    mat = np.zeros((1, 80), dtype=np.uint8)
+    for exposed, lsb in ((2, 37), (40, 0)):
+        order = _bit_order(40, exposed)
+        w_r, w_i = _pack_group(mat, order)
+        assert np.flatnonzero(_unpack_group(w_r ^ 1, w_i, order)).tolist() \
+            == [lsb]
+    mat[0, [38, 39]] = 1  # the trailing bits lead the index
+    assert int(_pack_group(mat, _bit_order(40, 2))[0][0]) == 3 << 38
 
 
 def test_pack_group_roundtrip():
     rng = substream(21, 1)
-    for n_bits in (1, 33, 80):
+    for n_bits, exposed in itertools.product((2, 34, 80), (0, 3, 40)):
         mat = rng.integers(0, 2, size=(200, n_bits), dtype=np.uint8)
-        w_r, w_i, b_r, b_i = _pack_group(mat)
-        np.testing.assert_array_equal(_unpack_group(w_r, w_i, b_r, b_i), mat)
+        order = _bit_order(n_bits // 2, exposed)
+        w_r, w_i = _pack_group(mat, order)
+        np.testing.assert_array_equal(_unpack_group(w_r, w_i, order), mat)
 
 
 # ---------------------------------------------------------------------
@@ -132,13 +150,13 @@ ROTATED = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
 def test_send_bits_roundtrip(n_bits):
     cfg = SystemConfig()
     bits = substream(31, n_bits).integers(0, 2, n_bits, dtype=np.uint8)
-    groups = source_coding.chunk(n_bits, cfg.snr, cfg.snr_fb,
+    (grp,) = source_coding.chunk(n_bits, cfg.snr, cfg.snr_fb,
                                  ROTATED.gain_fwd, ROTATED.gain_fb, cfg.tau,
                                  cfg.n_max)
-    dec, eve, link = _send_bits(bits, groups, ROTATED, cfg, cfg.noise_spec(),
+    dec, eve, link = _send_bits(bits, grp, ROTATED, cfg, cfg.noise_spec(),
                                 (7, 0, 0), capture_eve=True)
     assert link["n_chunks"] == math.ceil(n_bits / source_coding.MAX_CHUNK_BITS)
-    assert link["n_t_max"] == max(g.n_t for g in groups)
+    assert link["n_t_max"] == grp.n_t
     assert dec.shape == eve.shape == bits.shape
     assert dec.dtype == eve.dtype == np.uint8
     assert set(np.unique(eve)) <= {0, 1}
@@ -172,6 +190,43 @@ def test_round_secrecy_stats_are_the_analysis_bound():
     assert stats["delta_round"] == analysis.secrecy_level_bound(
         stats["accounted_bits"], ROTATED.gain_eve, cfg.power, cfg.sigma_e2)
     assert 0.0 < stats["delta_round"] < 1.0
+
+
+def test_round_is_one_block_batch(monkeypatch):
+    # 203 ten-bit coordinates: 25 full chunks and a 30-bit tail, padded
+    # into the same batch as the full chunks
+    calls = collections.Counter()
+    for mod, name in ((source_coding, "chunk"), (codec, "build_schedule"),
+                      (codec, "draw_block_noise"), (codec, "run_block_batch"),
+                      (adversary, "attack_full_sequence")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    cfg = SystemConfig(seed=5)
+    source_var = cfg.s_total * cfg.sigma_w2_max + cfg.n_users * cfg.sigma2
+    agg = substream(32, 0).normal(size=203)
+    _, eve, stats = coded_transmitter(cfg, 0, ROTATED, capture_eve=True)(
+        agg, 0, source_var)
+    assert stats["physical_bits"] % source_coding.MAX_CHUNK_BITS
+    assert stats["n_chunks"] == math.ceil(stats["physical_bits"]
+                                          / source_coding.MAX_CHUNK_BITS)
+    assert eve.shape == agg.shape
+    assert set(calls.values()) == {1} and len(calls) == 5, calls
+
+
+@pytest.mark.parametrize("seed", [3, 10, 11, 13, 18])
+def test_eavesdropper_model_stays_near_chance(seed):
+    # c07's 0.15 bound at seeds beyond the acceptance run: the coded half of
+    # learning_curves, realization 0. Packed MSB first, the bits the first
+    # use exposes trained her model to 0.2-0.25 at some of these seeds.
+    cfg = parse_config(None, seed=seed)
+    x_tr, y_tr, x_te, y_te = expcli._load_learning_data(cfg)
+    res = hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
+                    cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
+                    transmit_fn=coded_transmitter(cfg, 0, capture_eve=True),
+                    tag=0)
+    assert res.eve_accuracy[-1] <= 0.15, res.eve_accuracy[-1]
 
 
 def test_redraws_count_failed_candidates(monkeypatch):

@@ -4,11 +4,13 @@ A changed CSV byte changes what a run at a given version means, so it comes
 with a version bump and a CHANGES.md entry (ROADMAP, aim 3). The reruns in
 test_acceptance.py only check that a run repeats itself; these digests pin
 the bytes across changes. The MLP scenarios are left out, because their
-bytes depend on the BLAS thread count. The 50-realization
-rate_vs_blocklength and privacy_utility_sweep digests date from fblink
-0.2.1, the 77-realization ones from 0.3.0; the codec_validation
-and eavesdropper-path digests were retaken at 0.3.0, when the block noise
-became component first. After a deliberate change,
+bytes depend on the BLAS thread count; the transport digest pins the bytes
+they send instead. The 50-realization rate_vs_blocklength and
+privacy_utility_sweep digests date from fblink 0.2.1, the 77-realization
+ones from 0.3.0; the codec_validation and eavesdropper-path digests were
+retaken at 0.3.0, when the block noise became component first; the
+transport digest dates from 0.4.0, when a round became one block batch.
+After a deliberate change,
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,12 +23,15 @@ import tempfile
 import numpy as np
 import pytest
 
-from fblink import adversary, codec
+from fblink import adversary, codec, source_coding
 from fblink.channel import NoiseSpec, Realization
-from fblink.expcli import parse_config, run_scenario
+from fblink.expcli import SystemConfig, _send_bits, parse_config, run_scenario
 from fblink.streams import substream
 
 from conftest import SNR, SNR_FB
+
+# a rotated channel that carries full chunks at the default config
+ROTATED = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
 
 BUMP = ("bytes changed: bump fblink.__version__, record the change in "
         "CHANGES.md, then update the digest in tests/test_golden.py")
@@ -86,7 +91,7 @@ def eavesdropper_path_digest():
     # a rotated channel, a loose tau so that some blocks alias, and the
     # dither on: z_seq, the receiver's decisions, the alias counts and the
     # fold-ladder attack's decisions all go into one digest
-    real = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
+    real = ROTATED
     noise = NoiseSpec(1.0, 1.0, 1.0)
     sched = codec.build_schedule(SNR, SNR_FB, 0.05, 10, real, noise)
     const = codec.build_constellation(12)
@@ -113,9 +118,33 @@ def test_eavesdropper_path_digest():
     ), BUMP
 
 
+def transport_digest():
+    # 239 bits, two full chunks and a tail padded into the same batch, sent
+    # with the eavesdropper tap: the decoded bits, her bits and the link
+    # counters go into one digest
+    cfg = SystemConfig()
+    bits = substream(11, 0).integers(0, 2, 239, dtype=np.uint8)
+    (grp,) = source_coding.chunk(239, cfg.snr, cfg.snr_fb, ROTATED.gain_fwd,
+                                 ROTATED.gain_fb, cfg.tau, cfg.n_max)
+    dec, eve, link = _send_bits(bits, grp, ROTATED, cfg, cfg.noise_spec(),
+                                (7, 0, 0), capture_eve=True)
+    digest = hashlib.sha256()
+    for arr in (dec, eve):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update(repr(sorted(link.items())).encode())
+    return digest.hexdigest()
+
+
+def test_transport_digest():
+    assert transport_digest() == (
+        "50df6f26c352c21ffd3c7f5edc45c7b11d1baaaeb9e5a8af04a880a8351c9e79"
+    ), BUMP
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for scenario, overrides, _ in CASES:
             print(scenario, overrides, scenario_digests(scenario, overrides,
                                                         tmp))
     print("eavesdropper path", eavesdropper_path_digest())
+    print("transport", transport_digest())

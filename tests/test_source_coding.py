@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -102,35 +103,90 @@ def test_dequantize_length_check():
 
 
 def _layout(groups):
-    return [(g.start, g.count, g.n_bits) for g in groups]
+    return [(g.count, g.n_bits) for g in groups]
 
 
 def test_chunk_slicing_and_budget_split():
-    groups = chunk(200, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
-    # ascending chunk size: the 40-bit tail, then both full chunks
-    assert _layout(groups) == [(160, 1, 40), (0, 2, MAX_CHUNK_BITS)]
-    assert all(g.tau_chunk == TAU / 3 for g in groups)
+    # 200 bits: two full chunks and a 40-bit tail padded to a third
+    (grp,) = chunk(200, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
+    assert (grp.count, grp.n_bits) == (3, MAX_CHUNK_BITS)
+    assert grp.tau_chunk == TAU / 3
 
 
 def test_chunk_plans_match_direct_planning():
-    for g in chunk(200, SNR, SNR_FB, 1.0, 1.0, TAU, 256):
-        rep = plan_blocklength(g.n_bits, SNR, SNR_FB, 1.0, 1.0, TAU / 3, 256)
-        assert (g.n_t, g.rate) == (rep.n_t, rep.rate)
+    (grp,) = chunk(200, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
+    rep = plan_blocklength(MAX_CHUNK_BITS, SNR, SNR_FB, 1.0, 1.0, TAU / 3, 256)
+    assert grp.n_t == rep.n_t
 
 
 def test_chunk_odd_tail_planned_at_even_budget():
-    groups = chunk(119, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
-    assert _layout(groups) == [(80, 1, 39), (0, 1, 80)]
-    rep = plan_blocklength(40, SNR, SNR_FB, 1.0, 1.0, TAU / 2, 256)
-    assert (groups[0].n_t, groups[0].rate) == (rep.n_t, rep.rate)
+    # an odd payload shorter than a chunk is padded by one bit to split
+    # evenly across the sub-channels; a longer one pads its tail to 80
+    (short,) = chunk(39, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
+    assert (short.count, short.n_bits) == (1, 40)
+    assert short.n_t == plan_blocklength(40, SNR, SNR_FB, 1.0, 1.0, TAU,
+                                         256).n_t
+    assert _layout(chunk(119, SNR, SNR_FB, 1.0, 1.0, TAU, 256)) == [(2, 80)]
 
 
 def test_chunk_single_group_layouts():
-    # a whole number of full chunks, or a payload shorter than one chunk
-    assert _layout(chunk(240, SNR, SNR_FB, 1.0, 1.0, TAU, 256)) \
-        == [(0, 3, 80)]
+    # a whole number of full chunks, a padded tail, or a payload shorter
+    # than one chunk: always one group
+    assert _layout(chunk(240, SNR, SNR_FB, 1.0, 1.0, TAU, 256)) == [(3, 80)]
+    assert _layout(chunk(241, SNR, SNR_FB, 1.0, 1.0, TAU, 256)) == [(4, 80)]
     short = chunk(7, SNR, SNR_FB, 1.0, 1.0, TAU, 256)
-    assert _layout(short) == [(0, 1, 7)] and short[0].tau_chunk == TAU
+    assert _layout(short) == [(1, 8)] and short[0].tau_chunk == TAU
+
+
+def _two_plan_rule(total_bits, gain_fwd, gain_fb, tau, n_max):
+    """The two-group rule the padded chunk replaced: full chunks and an
+    even-rounded tail, each planned at tau/n_chunks; None if either is
+    infeasible, else the largest n_t."""
+    n_full, tail = divmod(total_bits, MAX_CHUNK_BITS)
+    tau_chunk = tau / (n_full + (tail > 0))
+    n_ts = []
+    for count, n_bits in ((n_full, MAX_CHUNK_BITS), (tail > 0, tail)):
+        if count:
+            rep = plan_blocklength(n_bits + (n_bits & 1), SNR, SNR_FB,
+                                   gain_fwd, gain_fb, tau_chunk, n_max)
+            if not rep.feasible:
+                return None
+            n_ts.append(rep.n_t)
+    return max(n_ts)
+
+
+def _feasibility_edge(total_bits, gain_fwd, tau, n_max):
+    """The two feedback gains, a hair apart, across which the two-plan rule
+    leaves feedback outage at this forward gain; () if it never does."""
+    lo, hi = 1e-4, 100.0
+    if _two_plan_rule(total_bits, gain_fwd, hi, tau, n_max) is None:
+        return ()
+    for _ in range(40):
+        mid = math.sqrt(lo * hi)
+        if _two_plan_rule(total_bits, gain_fwd, mid, tau, n_max) is None:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_chunk_matches_two_plan_rule():
+    grid = np.geomspace(1e-3, 10.0, 9).tolist()
+    cases = 0
+    for total, g_fwd, n_max in itertools.product(
+            (1, 7, 79, 80, 81, 161, 239, 190920), (0.02, 0.3, 1.0, 4.0),
+            (24, 256)):
+        edge = _feasibility_edge(total, g_fwd, TAU, n_max)
+        for g_fb in grid + list(edge):
+            want = _two_plan_rule(total, g_fwd, g_fb, TAU, n_max)
+            got = chunk(total, SNR, SNR_FB, g_fwd, g_fb, TAU, n_max)
+            case = (total, g_fwd, g_fb, n_max)
+            if want is None:
+                assert got is None, case
+            else:
+                assert len(got) == 1 and got[0].n_t == want, case
+        cases += len(edge) // 2
+    assert cases >= 30  # most of the grid has an edge to sit on
 
 
 def test_chunk_empty_payload():
@@ -144,7 +200,7 @@ def test_chunk_infeasible_returns_none():
 
 def test_chunk_respects_n_max():
     assert chunk(80, SNR, SNR_FB, 1.0, 1.0, TAU, 4) is None
-    # the 1-bit tail fits in 4 uses, but the full chunk does not
+    # the 1-bit tail rides a padded full chunk, which does not fit
     assert chunk(81, SNR, SNR_FB, 1.0, 1.0, TAU, 4) is None
 
 

@@ -43,21 +43,22 @@ def _slice_first_use(z1, g, power):
     return derotate(z1, g) / math.sqrt(power / 2.0)
 
 
-def attack_first_use(z1, g, power, const_r, const_i, rng):
-    """Derotate-and-slice on the (2, n) opening use. Returns (dec_r, dec_i).
+def attack_first_use(z1, g, power, const, rng):
+    """Derotate-and-slice on the (2, n) opening use. Returns (dec_r, dec_i),
+    the rows of one (2, n) decision against const, the constellation both
+    sub-channels share.
 
     g == 0 leaves the observation useless; the attack falls back to uniform
     guessing from rng, which is also its exact performance in that case.
     """
     if g == 0:
-        return (rng.integers(0, const_r.m_levels, size=z1.shape[1:]),
-                rng.integers(0, const_i.m_levels, size=z1.shape[1:]))
-    th = _slice_first_use(z1, g, power)
-    return const_r.decode(th[0]), const_i.decode(th[1])
+        return rng.integers(0, const.m_levels, size=z1.shape)
+    return const.decode(_slice_first_use(z1, g, power))
 
 
-def attack_full_sequence(z, g, g_fb, sched, const_r, const_i, rng):
-    """Fold-ladder unwrap over all observed uses. Returns (dec_r, dec_i).
+def attack_full_sequence(z, g, g_fb, sched, const, rng):
+    """Fold-ladder unwrap over all observed uses. Returns (dec_r, dec_i),
+    the rows of one (2, n) decision against const.
 
     z is the tap's (2, n_t, n) record, one column per use (the feedback sent
     after use i shares column i-1, the last is forward-only). Each feedback
@@ -67,7 +68,7 @@ def attack_full_sequence(z, g, g_fb, sched, const_r, const_i, rng):
     there is no feedback to exploit or no feedback path gain.
     """
     if sched.n_t == 1 or g_fb == 0:
-        return attack_first_use(z[:, 0], g, sched.P, const_r, const_i, rng)
+        return attack_first_use(z[:, 0], g, sched.P, const, rng)
     th = (_slice_first_use(z[:, 0], g, sched.P) if g != 0
           else np.zeros(z[:, 0].shape))
     for j in range(1, sched.n_t):
@@ -75,7 +76,7 @@ def attack_full_sequence(z, g, g_fb, sched, const_r, const_i, rng):
         base = derotate(z[:, j - 1], g_fb) / gam
         wrap = sched.d / gam
         th = base + np.rint((th - base) / wrap) * wrap
-    return const_r.decode(th[0]), const_i.decode(th[1])
+    return const.decode(th)
 
 
 def exact_posterior_mi(bits_r, bits_i, g2, power, sigma_e2, rng, n_mc=200000):

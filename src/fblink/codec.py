@@ -26,14 +26,16 @@ choice, putting the per-step fold ("aliasing") probability at its budgeted
 share of tau. A fold is invisible in-protocol: the encoder refines a wrong
 error, the block usually dies, and only the simulator-side transcript knows.
 
+Both sub-channels carry half a block, so one constellation serves both.
 Batch arrays are real and component first, blocks on the last axis: dither
-(use, pair, block), channel noise (pair, use, block), so a use reads one
-(2, n) slab, row 0 R and row 1 I, and the two sub-channels' state is one
-(2, n) array: one fold per feedback direction, one alias test. The loop
-builds no complex symbol; it derotates a use's noise alone (x + derotate(eta,
-h) is the projection of h*x + eta). draw_block_noise draws the noise in its
-documented order and run_block_batch is a pure function of those arrays, the
-one path through a block; a single block is a one-row batch.
+(use, pair, block); noise, tap and transcript (pair, use, block). A use
+reads and writes one (2, n) slab, row 0 R and row 1 I, and the two
+sub-channels' state is one (2, n) array: one fold per feedback direction,
+one alias test, one decode. The engine allocates no complex array; it
+derotates a use's noise alone (x + derotate(eta, h) is the projection of
+h*x + eta). draw_block_noise draws the noise in its documented order and
+run_block_batch is a pure function of those arrays, the one path through a
+block; a single block is a one-row batch.
 
 Message indices are read from bits MSB first through to_bits/from_bits, the
 one bit packer that the quantizer and the transport share; the transport
@@ -227,10 +229,10 @@ class BatchResult:
     dec_i: np.ndarray
     error: np.ndarray
     alias_events: np.ndarray
-    eps_hist: np.ndarray | None = None  # (n, n_t, 2)
-    x_seq: np.ndarray | None = None     # (n, n_t) complex
-    x_fb_seq: np.ndarray | None = None  # (n, n_t-1) complex
-    z_seq: np.ndarray | None = None     # (2, n_t, n) real
+    eps_hist: np.ndarray | None = None  # (2, n_t, n)
+    x_seq: np.ndarray | None = None     # (2, n_t, n)
+    x_fb_seq: np.ndarray | None = None  # (2, n_t-1, n)
+    z_seq: np.ndarray | None = None     # (2, n_t, n)
 
 
 def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False):
@@ -252,33 +254,32 @@ def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False):
 
 
 def run_block_batch(sched: Schedule, realization: Realization,
-                    const_r: PamConstellation, const_i: PamConstellation,
-                    msg_r, msg_i, dither, eta_fwd, eta_fb, eta_eve=None,
-                    record=False) -> BatchResult:
+                    const: PamConstellation, msg_r, msg_i, dither, eta_fwd,
+                    eta_fb, *, eta_eve=None, record=False) -> BatchResult:
     """Run n blocks through the feedback loop with externally drawn noise.
 
     Pure function of its arrays: no RNG inside, so zero-noise limits and
-    transcript replays are exact. msg_* are (n,) integer indices inside their
-    constellations (ValueError otherwise); the noise is laid out as
-    draw_block_noise draws it, and eta_eve enables the adversary tap, z_seq
-    (2, n_t, n). record=True keeps the transcript, each array a transposed
-    view of the buffer the loop writes: the estimation errors (n, n_t, 2),
-    the forward symbols (n, n_t) and the feedback symbols (n, n_t-1).
+    transcript replays are exact. msg_r and msg_i are (n,) integer indices
+    inside const, which both sub-channels share (ValueError otherwise); the
+    noise is laid out as draw_block_noise draws it, and eta_eve enables the
+    adversary tap, z_seq. record=True keeps the transcript in the layout of
+    the noise: the estimation errors and the forward symbols (2, n_t, n),
+    the feedback symbols (2, n_t-1, n).
     """
     n_t = sched.n_t
     msg = np.asarray([msg_r, msg_i], dtype=np.int64).reshape(2, -1)
-    if ((msg < 0) | (msg >= [[const_r.m_levels], [const_i.m_levels]])).any():
-        raise ValueError("message indices outside the constellations")
+    if ((msg < 0) | (msg >= const.m_levels)).any():
+        raise ValueError("message indices outside the constellation")
     n = msg.shape[1]
-    theta = np.stack([const_r.center(msg[0]), const_i.center(msg[1])])
+    theta = const.center(msg)
     sqrt_pr = math.sqrt(sched.P / 2.0)
     half_d = sched.d / 2.0
 
     alias = np.zeros((2, n), dtype=np.int64)
+    eps_hist = x_seq = xfb_seq = None
     if record:
-        eps_hist = np.empty((n_t, 2, n))
-        x_seq = np.empty((n_t, n), dtype=complex)
-        xfb_seq = np.empty((n_t - 1, n), dtype=complex)
+        eps_hist, x_seq, xfb_seq = (np.empty((2, uses, n))
+                                    for uses in (n_t, n_t, n_t - 1))
     z_seq = np.empty((2, n_t, n)) if eta_eve is not None else None
     ge, gf = realization.g, realization.g_fb
     # c*p = c.real*p + [-c.imag, c.imag]*p[::-1] for a component-first pair p
@@ -288,9 +289,9 @@ def run_block_batch(sched: Schedule, realization: Realization,
     for i in range(n_t):
         yp = x + derotate(eta_fwd[:, i], realization.h)
         th = yp / sqrt_pr if i == 0 else th - sched.beta[i - 1] * yp
-        eps = np.subtract(th, theta, out=eps_hist[i] if record else None)
+        eps = np.subtract(th, theta, out=eps_hist[:, i] if record else None)
         if record:
-            x_seq[i].real, x_seq[i].imag = x
+            x_seq[:, i] = x
         if i == n_t - 1:
             break
 
@@ -306,16 +307,10 @@ def run_block_batch(sched: Schedule, realization: Realization,
         alias += (arg < -half_d) | (arg >= half_d)
         x = sched.lam * modulo_d(w - g * theta - dither[i], sched.d)
         if record:
-            xfb_seq[i].real, xfb_seq[i].imag = fold
+            xfb_seq[:, i] = fold
     if z_seq is not None:
         z_seq[:, -1] = ge.real * x + ge_i * x[::-1] + eta_eve[:, -1]
 
-    dec_r = const_r.decode(th[0])
-    dec_i = const_i.decode(th[1])
-    err = (dec_r != msg[0]) | (dec_i != msg[1])
-    return BatchResult(
-        dec_r, dec_i, err, alias.sum(axis=0),
-        eps_hist=eps_hist.transpose(2, 0, 1) if record else None,
-        x_seq=x_seq.T if record else None,
-        x_fb_seq=xfb_seq.T if record else None,
-        z_seq=z_seq)
+    dec = const.decode(th)
+    return BatchResult(dec[0], dec[1], (dec != msg).any(axis=0),
+                       alias.sum(axis=0), eps_hist, x_seq, xfb_seq, z_seq)

@@ -264,6 +264,30 @@ def _unpack_group(w_r, w_i, order):
                       codec.to_bits(w_i, len(order))[:, inv]])
 
 
+def _feasible_channel(cfg, n_bits, key, pinned=None, where=""):
+    """(realization, chunk groups, failed candidates) of the first channel
+    whose source_coding.chunk plan carries n_bits: pinned alone, else draws
+    at (DOMAIN_REALIZATION, *key, attempt) for up to max_redraws attempts.
+    None feasible is an InfeasibleError; where ends the text for draws."""
+    if pinned is not None:
+        candidates = [pinned]
+    else:
+        candidates = (sample_realization(substream(
+            cfg.seed, DOMAIN_REALIZATION, *key, attempt))
+            for attempt in range(cfg.max_redraws))
+    for failed, real in enumerate(candidates):
+        groups = source_coding.chunk(n_bits, cfg.snr, cfg.snr_fb,
+                                     real.gain_fwd, real.gain_fb, cfg.tau,
+                                     cfg.n_max)
+        if groups is not None:
+            return real, groups, failed
+    if pinned is not None:
+        raise InfeasibleError("pinned channel cannot carry a %d-bit round"
+                              % n_bits)
+    raise InfeasibleError("no feasible channel in %d draws%s"
+                          % (cfg.max_redraws, where))
+
+
 def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
                capture_eve):
     """Send a bit string as one block batch of the ChunkGroup grp: zero-pad
@@ -287,13 +311,13 @@ def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
     dith, ef, eb, ee = codec.draw_block_noise(
         substream(seed, DOMAIN_BLOCKS, *path), grp.count, grp.n_t, noise,
         sched.d, capture_eve)
-    out = codec.run_block_batch(sched, realization, const, const, w_r, w_i,
-                                dith, ef, eb, eta_eve=ee)
+    out = codec.run_block_batch(sched, realization, const, w_r, w_i, dith,
+                                ef, eb, eta_eve=ee)
     dec = _unpack_group(out.dec_r, out.dec_i, order).ravel()[:n]
     eve = None
     if capture_eve:
         att_r, att_i = adversary.attack_full_sequence(
-            out.z_seq, realization.g, realization.g_fb, sched, const, const,
+            out.z_seq, realization.g, realization.g_fb, sched, const,
             substream(seed, DOMAIN_ATTACK, *path))
         eve = _unpack_group(att_r, att_i, order).ravel()[:n]
     return dec, eve, {"n_chunks": grp.count,
@@ -311,7 +335,8 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
     through the feedback code as one block batch, and dequantizes through
     the replayed dither stream. The channel is redrawn each round
     unless fixed_realization pins it; rounds in outage are redrawn up to
-    max_redraws, and the count is reported.
+    max_redraws, and the count is reported. A round with nothing to send
+    takes the first candidate and reports its gains and C_e.
     """
     noise = cfg.noise_spec()
 
@@ -322,38 +347,19 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
         stats = {"accounted_bits": payload.accounted_bits,
                  "physical_bits": payload.physical_bits,
                  "rate_per_coord": payload.rate_bits_per_coord}
-        if payload.physical_bits == 0:
-            stats.update(redraws=0, n_chunks=0, chunk_errors=0, n_t_max=0,
-                         gain_fwd=0.0, gain_eve=0.0, c_e=0.0, delta_round=1.0)
-            zero = np.zeros(payload.n_coords)
-            return zero, (zero.copy() if capture_eve else None), stats
-
-        if fixed_realization is not None:
-            candidates = [fixed_realization]
+        real, groups, redraws = _feasible_channel(
+            cfg, payload.physical_bits, (r_idx, round_idx), fixed_realization,
+            " for round %d" % round_idx)
+        if groups:
+            dec_bits, eve_bits, link = _send_bits(
+                payload.indices, groups[0], real, cfg, noise,
+                (cfg.seed, r_idx, round_idx), capture_eve)
         else:
-            candidates = (sample_realization(substream(
-                cfg.seed, DOMAIN_REALIZATION, r_idx, round_idx, attempt))
-                for attempt in range(cfg.max_redraws))
-        redraws = 0
-        for real in candidates:
-            groups = source_coding.chunk(payload.physical_bits, cfg.snr,
-                                         cfg.snr_fb, real.gain_fwd,
-                                         real.gain_fb, cfg.tau, cfg.n_max)
-            if groups is not None:
-                break
-            redraws += 1
-        else:
-            if fixed_realization is not None:
-                raise InfeasibleError(
-                    "pinned channel cannot carry a %d-bit round"
-                    % payload.physical_bits)
-            raise InfeasibleError(
-                "no feasible channel in %d draws for round %d"
-                % (cfg.max_redraws, round_idx))
-
-        dec_bits, eve_bits, link = _send_bits(
-            payload.indices, groups[0], real, cfg, noise,
-            (cfg.seed, r_idx, round_idx), capture_eve)
+            # a zero-rate round sends nothing over the channel it drew
+            dec_bits = eve_bits = payload.indices
+            link = {"n_chunks": 0, "chunk_errors": 0, "n_t_max": 0,
+                    "c_e": analysis.eve_capacity_bits(
+                        real.gain_eve, cfg.power, cfg.sigma_e2)}
         decoded = source_coding.dequantize(
             replace(payload, indices=dec_bits), substream(*dither_key))
         eve_agg = None
@@ -361,8 +367,10 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
             eve_agg = source_coding.dequantize(
                 replace(payload, indices=eve_bits), None)
 
-        delta = analysis.secrecy_level_bound(
-            payload.accounted_bits, real.gain_eve, cfg.power, cfg.sigma_e2)
+        delta = (analysis.secrecy_level_bound(payload.accounted_bits,
+                                              real.gain_eve, cfg.power,
+                                              cfg.sigma_e2)
+                 if payload.accounted_bits else 1.0)
         stats.update(link, redraws=redraws, gain_fwd=real.gain_fwd,
                      gain_eve=real.gain_eve, delta_round=delta)
         return decoded, eve_agg, stats
@@ -449,13 +457,13 @@ def _scn_codec_validation(cfg, r_idx):
         brng = substream(cfg.seed, DOMAIN_BLOCKS, r_idx, batch_idx)
         dith, ef, eb, _ = codec.draw_block_noise(brng, n, cfg.n_t, noise,
                                                  sched.d)
-        out = codec.run_block_batch(sched, real, const, const, mr, mi, dith,
-                                    ef, eb, record=True)
+        out = codec.run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
+                                    record=True)
         errs += int(out.error.sum())
-        pow_fwd += float((np.abs(out.x_seq) ** 2).sum())
-        pow_fb += float((np.abs(out.x_fb_seq) ** 2).sum())
+        pow_fwd += float(np.square(out.x_seq).sum())
+        pow_fb += float(np.square(out.x_fb_seq).sum())
         mask = out.alias_events == 0
-        eps2 += ((out.eps_hist ** 2).sum(axis=2) * mask[:, None]).sum(axis=0)
+        eps2 += (np.square(out.eps_hist).sum(axis=0) * mask).sum(axis=1)
         clean += int(mask.sum())
         done += n
         batch_idx += 1
@@ -478,20 +486,6 @@ _SECRECY_HEADER = ("realization", "round", "sigma_w2_hat", "source_var",
                    "chunk_errors", "redraws_to_feasible")
 
 
-def _feasible_realization(cfg, r_idx):
-    """Rejection-sample a channel whose chunk plan carries the widest round
-    this model can send, 24 bits per parameter, and so every round."""
-    worst_bits = mlp.n_params(cfg.mlp_spec()) * 24
-    for attempt in range(cfg.max_redraws):
-        real = sample_realization(substream(cfg.seed, DOMAIN_REALIZATION,
-                                            r_idx, attempt))
-        if source_coding.chunk(worst_bits, cfg.snr, cfg.snr_fb,
-                               real.gain_fwd, real.gain_fb, cfg.tau,
-                               cfg.n_max) is not None:
-            return real, attempt
-    raise InfeasibleError("no feasible channel in %d draws" % cfg.max_redraws)
-
-
 def _load_learning_data(cfg):
     """The learning data; a data_dir that cannot be read, or whose IDX
     files are malformed or too short, is a ConfigError."""
@@ -504,7 +498,10 @@ def _load_learning_data(cfg):
 
 def _scn_secrecy_level_vs_round(cfg, r_idx):
     x_tr, y_tr, x_te, y_te = _load_learning_data(cfg)
-    real, redraws = _feasible_realization(cfg, r_idx)
+    # the widest round this model can send is 24 bits per parameter, so a
+    # channel that carries it carries every round
+    real, _, redraws = _feasible_channel(
+        cfg, mlp.n_params(cfg.mlp_spec()) * 24, (r_idx,))
     fn = coded_transmitter(cfg, r_idx, fixed_realization=real)
     res = hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
                     cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,

@@ -47,7 +47,8 @@ def assert_uses_replay(out, sched, real, theta, dither, eta_fwd, eta_fb):
     """A record=True transcript obeys every forward and feedback use.
 
     theta is the (2, n) message centers, rows R and I, and the noise is laid
-    out as draw_block_noise draws it. Each use is rebuilt here as a complex
+    out as draw_block_noise draws it, like the transcript: column i of every
+    (2, uses, n) array is use i. Each use is rebuilt here as a complex
     symbol through its coefficient. Forward use i refines the error by the
     derotated y_i = h*x_i + eta_fwd; feedback use i arrives as
     h_fb*x_fb_i + eta_fb, and the encoder's next symbol is that reply
@@ -57,20 +58,21 @@ def assert_uses_replay(out, sched, real, theta, dither, eta_fwd, eta_fb):
     alias_events counts those per block, over both sub-channels.
     """
     tol = dict(rtol=1e-12, atol=1e-12)
-    eps = out.eps_hist.transpose(1, 2, 0)  # (n_t, 2, n)
+    eps = out.eps_hist
     for i in range(sched.n_t):
-        y = real.h * out.x_seq[:, i] + as_complex(eta_fwd[:, i])
+        y = real.h * as_complex(out.x_seq[:, i]) + as_complex(eta_fwd[:, i])
         yp = derotate(np.array([y.real, y.imag]), real.h)
         want = (yp / math.sqrt(sched.P / 2.0) - theta if i == 0
-                else eps[i - 1] - sched.beta[i - 1] * yp)
-        np.testing.assert_allclose(eps[i], want, **tol)
+                else eps[:, i - 1] - sched.beta[i - 1] * yp)
+        np.testing.assert_allclose(eps[:, i], want, **tol)
     alias = np.zeros(theta.shape[1], dtype=np.int64)
     for i in range(sched.n_t - 1):
-        y_fb = real.h_fb * out.x_fb_seq[:, i] + as_complex(eta_fb[:, i])
+        y_fb = (real.h_fb * as_complex(out.x_fb_seq[:, i])
+                + as_complex(eta_fb[:, i]))
         w = derotate(np.array([y_fb.real, y_fb.imag]), real.h_fb)
         et = modulo_d(w - sched.gamma[i] * theta - dither[i], sched.d)
-        np.testing.assert_allclose(out.x_seq[:, i + 1],
-                                   sched.lam * as_complex(et), **tol)
-        arg = sched.gamma[i] * eps[i] + derotate(eta_fb[:, i], real.h_fb)
+        np.testing.assert_allclose(out.x_seq[:, i + 1], sched.lam * et,
+                                   **tol)
+        arg = sched.gamma[i] * eps[:, i] + derotate(eta_fb[:, i], real.h_fb)
         alias += ((arg < -sched.d / 2) | (arg >= sched.d / 2)).sum(axis=0)
     np.testing.assert_array_equal(out.alias_events, alias)

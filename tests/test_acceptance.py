@@ -69,11 +69,11 @@ def _run_blocks(sched, const, n_blocks, seed, batch=20000):
         mr = rng.integers(0, const.m_levels, n)
         mi = rng.integers(0, const.m_levels, n)
         dith, ef, eb, _ = draw_block_noise(rng, n, sched.n_t, NOISE, sched.d)
-        out = run_block_batch(sched, UNIT, const, const, mr, mi, dith, ef, eb,
+        out = run_block_batch(sched, UNIT, const, mr, mi, dith, ef, eb,
                               record=True)
         errs += int(out.error.sum())
         mask = out.alias_events == 0
-        eps2_r += (out.eps_hist[mask, :, 0] ** 2).sum(axis=0)
+        eps2_r += (out.eps_hist[0][:, mask] ** 2).sum(axis=1)
         clean += int(mask.sum())
         done += n
         b_idx += 1
@@ -139,13 +139,14 @@ def test_c04_feedback_power_and_masking():
         n = 12_000  # n*(n_t-1) = 108k feedback uses per message
         rng = substream(404 + tag, 0)
         dith, ef, eb, _ = draw_block_noise(rng, n, 10, NOISE, sched.d)
-        out = run_block_batch(sched, UNIT, const, const,
+        out = run_block_batch(sched, UNIT, const,
                               np.full(n, wr), np.full(n, wi),
                               dith, ef, eb, record=True)
-        for part in (out.x_fb_seq.real, out.x_fb_seq.imag):
+        for part in out.x_fb_seq:
             power_devs.append(abs(np.mean(part ** 2) / (sched.P_fb / 2.0)
                                   - 1.0))
-        pops.append(out.x_fb_seq.real.ravel()[:100_000])
+        # the R sub-channel's first 100k feedback symbols, block by block
+        pops.append(out.x_fb_seq[0].T.ravel()[:100_000])
     ks = stats.ks_2samp(pops[0], pops[1]).statistic
     assert max(power_devs) <= 0.02
     assert ks < 0.02
@@ -194,10 +195,10 @@ def test_c06_eavesdropper_chance_level_at_scale():
         mi = rng.integers(0, const.m_levels, n)
         dith, ef, eb, ee = draw_block_noise(rng, n, n_t, NOISE, sched.d,
                                             capture_eve=True)
-        out = run_block_batch(sched, eve, const, const, mr, mi, dith, ef, eb,
+        out = run_block_batch(sched, eve, const, mr, mi, dith, ef, eb,
                               eta_eve=ee)
         dec_r, dec_i = attack_full_sequence(out.z_seq, eve.g, eve.g_fb,
-                                            sched, const, const,
+                                            sched, const,
                                             substream(607, b_idx))
         hits += int(np.sum((dec_r == mr) & (dec_i == mi)))
         lsb_err += int(np.sum((dec_i & 1) != (mi & 1)))

@@ -27,8 +27,8 @@ def _eavesdropped_batch(n, n_t, bits_per_sub, seed, zero_dither=False):
                                           capture_eve=True)
     if zero_dither:
         dither = np.zeros_like(dither)
-    out = run_block_batch(sched, EVE, const, const, msg_r, msg_i,
-                          dither, ef, eb, eta_eve=ee)
+    out = run_block_batch(sched, EVE, const, msg_r, msg_i, dither, ef, eb,
+                          eta_eve=ee)
     return sched, const, msg_r, msg_i, out
 
 
@@ -40,14 +40,13 @@ def _eavesdropped_batch(n, n_t, bits_per_sub, seed, zero_dither=False):
 def test_first_use_zero_gain_guesses_uniformly():
     const = build_constellation(4)
     z1 = np.full((2, 40000), 5.0)
-    dec_r, dec_i = attack_first_use(z1, 0.0, SNR, const, const,
-                                    substream(1, 0))
+    dec_r, dec_i = attack_first_use(z1, 0.0, SNR, const, substream(1, 0))
     assert dec_r.shape == dec_i.shape == (40000,)
     counts = np.bincount(dec_r, minlength=const.m_levels)
     assert counts.min() > 0.8 * 40000 / const.m_levels
     assert counts.max() < 1.2 * 40000 / const.m_levels
     # replaying the rng replays the guesses
-    again = attack_first_use(z1, 0.0, SNR, const, const, substream(1, 0))
+    again = attack_first_use(z1, 0.0, SNR, const, substream(1, 0))
     np.testing.assert_array_equal(dec_r, again[0])
     np.testing.assert_array_equal(dec_i, again[1])
 
@@ -61,7 +60,7 @@ def test_first_use_strong_eavesdropper_reads_bare_symbol():
     wi = rng.integers(0, 4, size=5000)
     x = math.sqrt(SNR / 2.0) * np.stack([const.center(wr), const.center(wi)])
     z1 = g * x + cn_sample(rng, 1.0, 5000)
-    dec_r, dec_i = attack_first_use(z1, g, SNR, const, const, rng)
+    dec_r, dec_i = attack_first_use(z1, g, SNR, const, rng)
     assert np.mean((dec_r == wr) & (dec_i == wi)) > 0.95
 
 
@@ -73,7 +72,7 @@ def test_full_sequence_dither_off_beats_guessing():
     sched, const, wr, wi, out = _eavesdropped_batch(
         20000, 11, 10, seed=3, zero_dither=True)
     dec_r, dec_i = attack_full_sequence(out.z_seq, EVE.g, EVE.g_fb, sched,
-                                        const, const, substream(3, 1))
+                                        const, substream(3, 1))
     rec = np.mean((dec_r == wr) & (dec_i == wi))
     assert rec >= 0.01
     # the legitimate link is unaffected by which dither was drawn
@@ -83,7 +82,7 @@ def test_full_sequence_dither_off_beats_guessing():
 def test_full_sequence_dither_on_degenerates_to_guessing():
     sched, const, wr, wi, out = _eavesdropped_batch(20000, 11, 10, seed=3)
     dec_r, dec_i = attack_full_sequence(out.z_seq, EVE.g, EVE.g_fb, sched,
-                                        const, const, substream(3, 2))
+                                        const, substream(3, 2))
     rec = np.mean((dec_r == wr) & (dec_i == wi))
     assert rec <= 5e-4
     lsb = np.mean((dec_i & 1) != (wi & 1))
@@ -99,10 +98,9 @@ def test_full_sequence_single_use_falls_back_to_first_use():
     x = math.sqrt(SNR / 2.0) * np.stack([const.center(wr), const.center(wi)])
     z = (EVE.g * x + cn_sample(rng, 1.0, 1000))[:, None, :]
     assert z.shape == (2, 1, 1000)
-    a = attack_full_sequence(z, EVE.g, EVE.g_fb, sched, const, const,
+    a = attack_full_sequence(z, EVE.g, EVE.g_fb, sched, const,
                              substream(4, 1))
-    b = attack_first_use(z[:, 0], EVE.g, sched.P, const, const,
-                         substream(4, 1))
+    b = attack_first_use(z[:, 0], EVE.g, sched.P, const, substream(4, 1))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 

@@ -72,7 +72,7 @@ def _recorded_uses(real, noise, n_t=4, n=128, seed=1):
     mi = rng.integers(0, const.m_levels, n)
     dith, ef, eb, ee = draw_block_noise(substream(seed, 1), n, n_t, noise,
                                         sched.d, capture_eve=True)
-    out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
+    out = run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
                           eta_eve=ee, record=True)
     theta = np.stack([const.center(mr), const.center(mi)])
     return out, sched, theta, dith, ef, eb, ee
@@ -85,8 +85,8 @@ def test_uses_are_replayable_linear_maps():
     assert_uses_replay(out, sched, real, theta, dith, ef, eb)
     assert out.z_seq.shape == (2, 4, 128)
     np.testing.assert_allclose(
-        as_complex(out.z_seq[:, :-1]), (real.g * out.x_seq[:, :-1]
-        + real.g_fb * out.x_fb_seq).T + as_complex(ee[:, :-1]),
+        as_complex(out.z_seq[:, :-1]), real.g * as_complex(out.x_seq[:, :-1])
+        + real.g_fb * as_complex(out.x_fb_seq) + as_complex(ee[:, :-1]),
         rtol=1e-12, atol=1e-12)
     again = _recorded_uses(real, noise)[0]
     for name in ("eps_hist", "x_seq", "x_fb_seq", "z_seq"):
@@ -103,7 +103,8 @@ def test_eve_use_final_use_has_no_feedback_term():
                        noise, seed=5)[0]
     np.testing.assert_array_equal(a.x_seq, b.x_seq)
     np.testing.assert_allclose(as_complex(a.z_seq[:, -1]),
-                               2.0 * a.x_seq[:, -1] + as_complex(ee[:, -1]),
+                               2.0 * as_complex(a.x_seq[:, -1])
+                               + as_complex(ee[:, -1]),
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(a.z_seq[:, -1], b.z_seq[:, -1])
     assert np.all(a.z_seq[:, :-1] != b.z_seq[:, :-1])

@@ -334,7 +334,7 @@ def _run(sched, real, noise, n, seed, const, capture_eve=False, record=False):
     dith, ef, eb, ee = codec.draw_block_noise(substream(seed, 1), n,
                                               sched.n_t, noise, sched.d,
                                               capture_eve)
-    out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
+    out = run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
                           eta_eve=ee, record=record)
     return mr, mi, out
 
@@ -348,7 +348,7 @@ def test_zero_noise_decodes_exactly():
     dith = np.zeros((4, 2, n))
     ef = np.zeros((2, 5, n))
     eb = np.zeros((2, 4, n))
-    out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
+    out = run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
                           record=True)
     assert not out.error.any()
     assert not out.alias_events.any()
@@ -372,7 +372,7 @@ def test_error_rate_and_variance_recursion_sanity():
     mr, mi, out = _run(sched, real, noise, 20000, 7, const, record=True)
     assert out.error.mean() <= 2.0 * TAU
     clean = out.alias_events == 0
-    var_r = (out.eps_hist[clean, :, 0] ** 2).mean(axis=0)
+    var_r = (out.eps_hist[0][:, clean] ** 2).mean(axis=1)
     np.testing.assert_allclose(var_r, sched.alpha, rtol=0.10)
 
 
@@ -380,8 +380,8 @@ def test_forward_and_feedback_power_normalized():
     sched, real, noise = make_schedule(10)
     const = build_constellation(9)
     _, _, out = _run(sched, real, noise, 20000, 11, const, record=True)
-    p_fwd = float(np.mean(np.abs(out.x_seq) ** 2))
-    p_fb = float(np.mean(np.abs(out.x_fb_seq) ** 2))
+    p_fwd = float(np.mean(np.abs(as_complex(out.x_seq)) ** 2))
+    p_fb = float(np.mean(np.abs(as_complex(out.x_fb_seq)) ** 2))
     assert abs(p_fwd / sched.P - 1.0) < 0.02
     assert abs(p_fb / sched.P_fb - 1.0) < 0.02
 
@@ -402,7 +402,7 @@ def test_eve_tap_layout():
     mi = rng.integers(0, const.m_levels, n)
     dith, ef, eb, ee = codec.draw_block_noise(substream(4, 1), n, 3, noise,
                                               sched.d, capture_eve=True)
-    out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
+    out = run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
                           eta_eve=ee, record=True)
     theta = np.stack([const.center(mr), const.center(mi)])
     assert_uses_replay(out, sched, real, theta, dith, ef, eb)
@@ -411,10 +411,12 @@ def test_eve_tap_layout():
     tol = dict(rtol=1e-12, atol=1e-12)
     for i in range(2):
         np.testing.assert_allclose(
-            z[i], real.g * out.x_seq[:, i]
-            + real.g_fb * out.x_fb_seq[:, i] + as_complex(ee[:, i]), **tol)
+            z[i], real.g * as_complex(out.x_seq[:, i])
+            + real.g_fb * as_complex(out.x_fb_seq[:, i])
+            + as_complex(ee[:, i]), **tol)
     np.testing.assert_allclose(
-        z[-1], real.g * out.x_seq[:, -1] + as_complex(ee[:, -1]), **tol)
+        z[-1], real.g * as_complex(out.x_seq[:, -1]) + as_complex(ee[:, -1]),
+        **tol)
 
 
 def test_rotated_coefficients_are_transparent():
@@ -434,8 +436,8 @@ def test_rotated_coefficients_are_transparent():
                                              s1.d)
     # rotate the forward noise with the channel so the projected noise matches
     ef2 = as_complex(ef) * ph
-    o1 = run_block_batch(s1, r1, const, const, mr, mi, dith, ef, eb)
-    o2 = run_block_batch(s2, r2, const, const, mr, mi, dith,
+    o1 = run_block_batch(s1, r1, const, mr, mi, dith, ef, eb)
+    o2 = run_block_batch(s2, r2, const, mr, mi, dith,
                          np.array([ef2.real, ef2.imag]), eb)
     np.testing.assert_array_equal(o1.dec_r, o2.dec_r)
     np.testing.assert_array_equal(o1.dec_i, o2.dec_i)
@@ -452,7 +454,7 @@ def test_alias_events_replay_when_blocks_fold():
     mi = rng.integers(0, const.m_levels, 500)
     dith, ef, eb, _ = codec.draw_block_noise(substream(8, 1), 500, 10, noise,
                                              sched.d)
-    out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
+    out = run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
                           record=True)
     assert out.alias_events.max() >= 2
     theta = np.stack([const.center(mr), const.center(mi)])
@@ -465,11 +467,11 @@ def test_single_block_transcript():
     const = build_constellation(4)
     dith, ef, eb, ee = codec.draw_block_noise(substream(3, 1), 1, 5, noise,
                                               sched.d, capture_eve=True)
-    out = run_block_batch(sched, real, const, const, [3], [9], dith, ef, eb,
+    out = run_block_batch(sched, real, const, [3], [9], dith, ef, eb,
                           eta_eve=ee, record=True)
-    assert out.x_seq.shape == (1, 5) and out.x_fb_seq.shape == (1, 4)
+    assert out.x_seq.shape == (2, 5, 1) and out.x_fb_seq.shape == (2, 4, 1)
     assert out.z_seq.shape == (2, 5, 1)
-    assert out.eps_hist.shape == (1, 5, 2)
+    assert out.eps_hist.shape == (2, 5, 1)
     assert_uses_replay(out, sched, real, const.center([[3], [9]]), dith, ef,
                        eb)
     # at tau=1e-3 this seeded block decodes correctly
@@ -483,12 +485,16 @@ def test_run_block_batch_validates_message():
     dith, ef, eb, _ = codec.draw_block_noise(substream(3, 1), 3, 5, noise,
                                              sched.d)
     for bad_r, bad_i in ((16, 0), (0, 16), (-1, 0), (0, -1)):
-        with pytest.raises(ValueError, match="outside the constellations"):
-            run_block_batch(sched, real, const, const, [0, 5, bad_r],
+        with pytest.raises(ValueError, match="outside the constellation"):
+            run_block_batch(sched, real, const, [0, 5, bad_r],
                             [15, 2, bad_i], dith, ef, eb)
-    out = run_block_batch(sched, real, const, const, [0, 5, 15],
+    out = run_block_batch(sched, real, const, [0, 5, 15],
                           [15, 2, 0], dith, ef, eb)
     assert len(out.dec_r) == 3
+    # the tap and the record flag are keyword-only
+    with pytest.raises(TypeError):
+        run_block_batch(sched, real, const, [0, 5, 15], [15, 2, 0], dith, ef,
+                        eb, None)
 
 
 def test_single_use_block_with_tap_and_transcript():
@@ -502,14 +508,14 @@ def test_single_use_block_with_tap_and_transcript():
     assert dith.shape == (0, 2, 50) and eb.shape == (2, 0, 50)
     mr = np.arange(50) % const.m_levels
     mi = (np.arange(50) * 3) % const.m_levels
-    out = run_block_batch(sched, real, const, const, mr, mi, dith, ef, eb,
+    out = run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
                           eta_eve=ee, record=True)
-    assert out.x_fb_seq.shape == (50, 0)
-    assert out.x_seq.shape == (50, 1) and out.eps_hist.shape == (50, 1, 2)
+    assert out.x_fb_seq.shape == (2, 0, 50)
+    assert out.x_seq.shape == out.eps_hist.shape == (2, 1, 50)
     assert out.z_seq.shape == (2, 1, 50)
     np.testing.assert_allclose(
         as_complex(out.z_seq[:, -1]),
-        real.g * out.x_seq[:, -1] + as_complex(ee[:, -1]),
+        real.g * as_complex(out.x_seq[:, -1]) + as_complex(ee[:, -1]),
         rtol=1e-12, atol=1e-12)
     assert_uses_replay(out, sched, real,
                        np.stack([const.center(mr), const.center(mi)]),
@@ -517,17 +523,32 @@ def test_single_use_block_with_tap_and_transcript():
     assert not out.alias_events.any()
 
 
-def test_zero_bit_sub_channel_beside_forty_bits():
-    # a one-level I sub-channel carries no payload next to a full-width R
-    # sub-channel; at zero noise both decode exactly
+def test_record_transcript_is_real_and_component_first():
+    # the transcript has the layout of the noise it replays: float64,
+    # (pair, use, block), each a buffer of its own and not a transposed view
+    sched, real, noise = make_schedule(4)
+    _, _, out = _run(sched, real, noise, 7, 12, build_constellation(3),
+                     capture_eve=True, record=True)
+    for name, shape in (("eps_hist", (2, 4, 7)), ("x_seq", (2, 4, 7)),
+                        ("z_seq", (2, 4, 7)), ("x_fb_seq", (2, 3, 7))):
+        arr = getattr(out, name)
+        assert arr.dtype == np.float64 and arr.shape == shape, name
+        assert arr.flags.c_contiguous and arr.base is None, name
+
+
+@pytest.mark.parametrize("bits", [codec.MAX_SUB_CHANNEL_BITS, 0])
+def test_shared_constellation_at_its_width_limits(bits):
+    # one constellation on both sub-channels, 40 bits wide or a single
+    # point: at zero noise every index, the edge ones included, decodes
+    # exactly on both
     sched, real, _ = make_schedule(5)
-    cr = build_constellation(codec.MAX_SUB_CHANNEL_BITS)
-    ci = build_constellation(0)
+    const = build_constellation(bits)
     n = 64
-    mr = substream(10, 0).integers(0, cr.m_levels, n)
-    mr[:2] = 0, cr.m_levels - 1
-    mi = np.zeros(n, dtype=np.int64)
-    out = run_block_batch(sched, real, cr, ci, mr, mi, np.zeros((4, 2, n)),
+    rng = substream(10, 0)
+    mr = rng.integers(0, const.m_levels, n)
+    mi = rng.integers(0, const.m_levels, n)
+    mr[:2] = mi[2:4] = 0, const.m_levels - 1
+    out = run_block_batch(sched, real, const, mr, mi, np.zeros((4, 2, n)),
                           np.zeros((2, 5, n)), np.zeros((2, 4, n)),
                           record=True)
     np.testing.assert_array_equal(out.dec_r, mr)

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from fblink import adversary, analysis, codec, expcli, hfl, source_coding
-from fblink.channel import Realization
+from fblink.channel import Realization, sample_realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            SystemConfig, _bit_order, _ordered, _pack_group,
                            _send_bits, _task_args, _unpack_group,
                            _worker_count, coded_transmitter, main,
                            parse_config, run_scenario)
-from fblink.streams import substream
+from fblink.streams import DOMAIN_REALIZATION, substream
 
+from conftest import as_complex
 from test_datasets import write_idx_pair
 
 
@@ -227,6 +228,25 @@ def test_eavesdropper_model_stays_near_chance(seed):
                     transmit_fn=coded_transmitter(cfg, 0, capture_eve=True),
                     tag=0)
     assert res.eve_accuracy[-1] <= 0.15, res.eve_accuracy[-1]
+
+
+def test_zero_rate_round_reports_its_channel():
+    # a distortion above the source variance sends no bits, but the round
+    # still draws, or is pinned to, a channel, and reports its gains and C_e
+    cfg = SystemConfig(seed=5, distortion=100.0)
+    drawn = sample_realization(substream(cfg.seed, DOMAIN_REALIZATION, 0, 0,
+                                         0))
+    for pinned, real in ((ROTATED, ROTATED), (None, drawn)):
+        agg, eve, stats = _transmit_round(
+            coded_transmitter(cfg, 0, pinned, capture_eve=True), cfg)
+        assert stats["physical_bits"] == stats["accounted_bits"] == 0
+        assert (stats["gain_fwd"], stats["gain_eve"]) == (real.gain_fwd,
+                                                          real.gain_eve)
+        assert stats["c_e"] == analysis.eve_capacity_bits(
+            real.gain_eve, cfg.power, cfg.sigma_e2) > 0.0
+        assert stats["delta_round"] == 1.0 and stats["redraws"] == 0
+        assert stats["n_chunks"] == stats["chunk_errors"] == 0
+        assert not agg.any() and not eve.any()
 
 
 def test_redraws_count_failed_candidates(monkeypatch):
@@ -512,6 +532,32 @@ def test_codec_validation_quick_run(tmp_path):
     assert abs(float(row["power_fwd_ratio"]) - 1.0) < 0.05
     assert abs(float(row["power_fb_ratio"]) - 1.0) < 0.05
     assert float(row["max_var_dev"]) < 0.25
+
+
+def test_codec_validation_power_is_complex_symbol_power(tmp_path,
+                                                       monkeypatch):
+    # the power ratios, summed over real components, equal |x|^2 of the
+    # complex symbols the scenario sent, over two batches of blocks
+    outs = []
+
+    def recorded(*args, _fn=codec.run_block_batch, **kwargs):
+        outs.append(_fn(*args, **kwargs))
+        return outs[-1]
+    monkeypatch.setattr(codec, "run_block_batch", recorded)
+    cfg = parse_config(None, n_blocks=20500, fixed_gains=1, n_t=5)
+    run_scenario(cfg, "codec_validation", str(tmp_path))
+    (row,) = read_csv(tmp_path / "codec_validation.csv")
+    assert len(outs) == 2
+    sched = codec.build_schedule(cfg.snr, cfg.snr_fb, cfg.tau, cfg.n_t,
+                                 Realization(1.0, 1.0, 1.0, 1.0),
+                                 cfg.noise_spec())
+    for key, name, uses, power in (
+            ("power_fwd_ratio", "x_seq", cfg.n_t, sched.P),
+            ("power_fb_ratio", "x_fb_seq", cfg.n_t - 1, sched.P_fb)):
+        total = sum(float((np.abs(as_complex(getattr(out, name))) ** 2).sum())
+                    for out in outs)
+        assert float(row[key]) == pytest.approx(
+            total / (cfg.n_blocks * uses * power), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.filterwarnings("error")

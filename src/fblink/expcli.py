@@ -5,7 +5,8 @@ manifest carrying the config echo, the seed, and a sha256 of every table.
 Scenario cells are int, float or str only, and the csv module writes floats
 with repr(), so equal runs produce byte-identical files; the manifest's
 wall_time_s is the one deliberately non-reproducible field and stays out of
-the hashes.
+the hashes. Its environment object names what else the bytes depend on:
+the Python, numpy and scipy versions and the substreams' bit generator.
 
 Realizations are independent, each on substreams keyed by its own index.
 _task_args maps them to tasks: a rate_vs_blocklength task is a range of
@@ -37,12 +38,14 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
+import scipy
 
 from . import __version__, adversary, analysis, codec, datasets, hfl, mlp, \
     source_coding
@@ -753,6 +756,13 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
         "files": {name: {"sha256": digests[name].hexdigest(),
                          "rows": n_rows[name]} for name in files},
         "wall_time_s": time.monotonic() - t0,
+        # what the bytes depend on besides the config
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "bit_generator": type(substream(0).bit_generator).__name__,
+        },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w",
               encoding="utf-8") as f:

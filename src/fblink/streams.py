@@ -1,4 +1,4 @@
-"""Counter-derived random substreams.
+"""Seed-derived random substreams on SFC64.
 
 Every Monte Carlo unit of work (a channel realization, a batch of blocks, a
 training round's noise draw) owns its own generator, derived from the campaign
@@ -19,13 +19,19 @@ DOMAIN_MESSAGES = 7
 DOMAIN_ATTACK = 8
 
 
-def substream(seed, *path):
-    """Return a Generator for (seed, *path), counter-derived via Philox.
+def _is_index(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
 
-    Identical arguments give an identical stream on any platform and in any
-    spawn order; distinct paths give statistically independent streams.
+
+def substream(seed, *path):
+    """Return an SFC64 Generator for (seed, *path).
+
+    The state is seeded by SeedSequence(entropy=seed, spawn_key=path), so
+    identical arguments give an identical stream on any platform and in any
+    spawn order, and distinct paths give statistically independent streams.
+    The seed and every path entry must be non-negative integers (not bool).
     """
-    if not all(isinstance(p, (int, np.integer)) and p >= 0 for p in path):
-        raise ValueError("stream path must be non-negative integers")
+    if not (_is_index(seed) and all(_is_index(p) for p in path)):
+        raise ValueError("stream seed and path must be non-negative integers")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))

@@ -419,6 +419,16 @@ def test_failed_run_leaves_no_partial_tables(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_manifest_records_environment(tmp_path):
+    cfg = parse_config(None, realizations=2, n_t_max_scan=3)
+    man = run_scenario(cfg, "rate_vs_blocklength", str(tmp_path))
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env == man["environment"]
+    assert env["bit_generator"] == "SFC64"
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] and env["python"]
+
+
 @pytest.mark.parametrize("overrides", [
     {}, {"realizations": 1}, {"n_max": 5000}, {"n_t_max_scan": 300},
     {"n_max": 2, "n_t_max_scan": 1}])

@@ -5,13 +5,11 @@ with a version bump and a CHANGES.md entry (ROADMAP, aim 3). The reruns in
 test_acceptance.py only check that a run repeats itself; these digests pin
 the bytes across changes. The MLP scenarios are left out, because their
 bytes depend on the BLAS thread count; the transport digest pins the bytes
-they send instead. The 50-realization rate_vs_blocklength and
-privacy_utility_sweep digests date from fblink 0.2.1, the 77-realization
-ones from 0.3.0; the eavesdropper-path digest was retaken at 0.3.0, when
-the block noise became component first; the transport digest dates from
-0.4.0, when a round became one block batch; the codec_validation digests
-were retaken at 0.5.0, when its power sums became sums of real squares.
-After a deliberate change,
+they send instead. The privacy_utility_sweep digest, which draws nothing,
+dates from fblink 0.2.1, and the plans.csv digest of the outage case from
+0.3.0. Every other digest was retaken at 0.6.0, when substreams became
+SFC64; test_streams.py pins the stream's own first draws. After a
+deliberate change,
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -41,17 +39,17 @@ BUMP = ("bytes changed: bump fblink.__version__, record the change in "
 CASES = [
     ("rate_vs_blocklength", {"realizations": 50}, {
         "rates.csv":
-            "d1b27490e782c93a1526ab4b3ed1db04f130b1dac7f38d74a032df05b6f172d0",
+            "63b1a8c124885f94ecf3e5bee2302330806ddfb5042dd3e6313cfca9d354f9ab",
         "plans.csv":
-            "6743dc29e94b4e23629e4e50bbb0667388b1d3fbf8a9ecadc7af4ffa0a06d525",
+            "4ff49aa3d05f7f65c9764595e4d8b97524d45fbd8829e27bfbf5d979962972bb",
     }),
     ("codec_validation", {"fixed_gains": 1, "n_t": 10, "n_blocks": 20000}, {
         "codec_validation.csv":
-            "f78f1118ff22a9b4ae08f8586e88158d9cd2be2b113ba024a2bc28e5f9cc9564",
+            "b9298a52e8a3b940e9e62f86d7455539c848de04fe3c54cd4ba3c7cc53a74ba1",
     }),
     ("codec_validation", {"realizations": 2, "n_blocks": 20000}, {
         "codec_validation.csv":
-            "d1927cec79116c181ddd0203095c6bdf7938983ac543889bf1171ce885a78233",
+            "39b79df156515e9534f9d8d115cee2264d48dc0d279ac1031ec70a1fd64ab72d",
     }),
     ("privacy_utility_sweep", {}, {
         "privacy_utility_sweep.csv":
@@ -61,16 +59,16 @@ CASES = [
     # the last task is a short one
     ("rate_vs_blocklength", {"realizations": 77}, {
         "rates.csv":
-            "cb6b825574cda98d3eca7e63c9872676a784ec0d7a47f2ff6b97319eb6204096",
+            "0966e7f903cbdbce8aa2e9fd7ad63749dd0bb80e775bb1cb40c7f46bdc9a8461",
         "plans.csv":
-            "a3159bca22772fdcf09f7dfee6c67c74cf1db24b7a215707320627a4a8e3e3e8",
+            "66b37807230071b2b2d7106bdad0a479dc5a599e86402d8bc86ebd04c19838fb",
     }),
     # a weak feedback link and a large payload: most scan points are in
     # feedback outage and no plan is feasible
     ("rate_vs_blocklength", {"realizations": 77, "snr_fb_db": 5,
                              "payload_bits": 200, "n_t_max_scan": 40}, {
         "rates.csv":
-            "5d4f8479eaf2149eb1a2be64c244d1b1e77506d889734ceaf6b5f1ad04a3d94f",
+            "baf70411f01909083bf7de559100c1264eb4767210a302f4673e3a37151afbf5",
         "plans.csv":
             "f6fd9052cde1acf0c463b4b2c498ceadde485d1d7f1f5050b83d9891ce4c4158",
     }),
@@ -115,7 +113,7 @@ def eavesdropper_path_digest():
 
 def test_eavesdropper_path_digest():
     assert eavesdropper_path_digest() == (
-        "e605f094728c9c7ecbac55ccc838dfb091cc6f472c05fb7a835a03b485ca0c30"
+        "2ea8e17883d7af3a3ad9278dc98fc822db56da4dcf8047f0766087b8abf66fee"
     ), BUMP
 
 
@@ -138,7 +136,7 @@ def transport_digest():
 
 def test_transport_digest():
     assert transport_digest() == (
-        "50df6f26c352c21ffd3c7f5edc45c7b11d1baaaeb9e5a8af04a880a8351c9e79"
+        "778f2b57d96a253da6f6fdf8623a5d5219a012be3b0b5383cf03fe2d24845c07"
     ), BUMP
 
 

@@ -6,7 +6,8 @@ Scenario cells are int, float or str only, and the csv module writes floats
 with repr(), so equal runs produce byte-identical files; the manifest's
 wall_time_s is the one deliberately non-reproducible field and stays out of
 the hashes. Its environment object names what else the bytes depend on:
-the Python, numpy and scipy versions and the substreams' bit generator.
+the Python and numpy versions, the C library (whose erfc sets the Gaussian
+tail) and the substreams' bit generator.
 
 Realizations are independent, each on substreams keyed by its own index.
 _task_args maps them to tasks: a rate_vs_blocklength task is a range of
@@ -41,11 +42,9 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-import scipy
 
 from . import __version__, adversary, analysis, codec, datasets, hfl, mlp, \
     source_coding
@@ -147,6 +146,13 @@ class SystemConfig:
         return mlp.MlpSpec(784, self.n_hidden, 10)
 
 
+# The planner splits tau into shares tau/(8*n_chunks*(n_t - 1)) before
+# inverting the Gaussian tail; from this floor every share stays a normal
+# float for any divisor below 1e100, where a tau near the subnormal range
+# would underflow to 0 and leave q_inv nothing to invert.
+_TAU_MIN = 1e-200
+
+
 def _validate(cfg: SystemConfig) -> SystemConfig:
     try:
         snr_ok = all(0.0 < s < math.inf for s in (cfg.snr, cfg.snr_fb))
@@ -159,7 +165,7 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
         (cfg.realizations >= 1, "realizations must be >= 1"),
         (cfg.sigma1_2 > 0 and cfg.sigma2_2 > 0 and cfg.sigma_e2 > 0,
          "noise variances must be positive"),
-        (0.0 < cfg.tau < 1.0, "tau must be in (0, 1)"),
+        (_TAU_MIN <= cfg.tau < 1.0, "tau must be in [%g, 1)" % _TAU_MIN),
         (cfg.n_t >= 1, "n_t must be >= 1"),
         (cfg.n_max >= 2, "n_max must be >= 2"),
         (cfg.uses_per_second > 0, "uses_per_second must be positive"),
@@ -669,6 +675,8 @@ def _task_results(scenario, cfg, task_args, workers):
     if workers == 1:
         yield from map(_run_task, tasks)
     else:
+        # imported here: a one-worker run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from _ordered(pool, tasks, 2 * workers)
 
@@ -760,7 +768,7 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "libc": " ".join(platform.libc_ver()).strip(),
             "bit_generator": type(substream(0).bit_generator).__name__,
         },
     }

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from fblink import analysis
 from fblink.analysis import (RateReport, achievable_rate, aliasing_budget,
@@ -92,6 +93,24 @@ def test_q_roundtrip(x):
 def test_q_roundtrip_deep_upper_tail():
     for x in (6.0, 7.0, 7.5):
         assert abs(q_inv(float(q_func(x))) - x) <= 1e-12
+
+
+def test_q_func_matches_scipy_erfc():
+    x = np.linspace(-6.0, 37.0, 4301)
+    want = special.erfc(x / math.sqrt(2.0)) / 2.0
+    assert np.max(np.abs(q_func(x) - want) / want) < 1e-13
+
+
+def test_q_inv_matches_scipy_erfcinv():
+    # one array spans both regions of the seed; near p = 1 the inverse is
+    # ill-conditioned and the roundtrip tests above cover it
+    p = np.logspace(-300.0, math.log10(0.49), 3001)
+    want = math.sqrt(2.0) * special.erfcinv(2.0 * p)
+    assert np.max(np.abs(q_inv(p) - want) / want) < 1e-14
+    # x crosses 0 here, so the error is absolute
+    p = np.linspace(0.49, 0.51, 2001)
+    want = math.sqrt(2.0) * special.erfcinv(2.0 * p)
+    assert np.max(np.abs(q_inv(p) - want)) < 1e-15
 
 
 # ---------------------------------------------------------------------

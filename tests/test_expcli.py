@@ -3,7 +3,10 @@ import csv
 import itertools
 import json
 import math
+import platform
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -13,8 +16,8 @@ import pytest
 from fblink import adversary, analysis, codec, expcli, hfl, source_coding
 from fblink.channel import Realization, sample_realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
-                           SystemConfig, _bit_order, _ordered, _pack_group,
-                           _send_bits, _task_args, _unpack_group,
+                           SystemConfig, _TAU_MIN, _bit_order, _ordered,
+                           _pack_group, _send_bits, _task_args, _unpack_group,
                            _worker_count, coded_transmitter, main,
                            parse_config, run_scenario)
 from fblink.streams import DOMAIN_REALIZATION, substream
@@ -426,7 +429,21 @@ def test_manifest_records_environment(tmp_path):
     assert env == man["environment"]
     assert env["bit_generator"] == "SFC64"
     assert env["numpy"] == np.__version__
-    assert env["scipy"] and env["python"]
+    # the Gaussian tail is the C library's erfc; scipy is not a dependency
+    assert env["libc"] == " ".join(platform.libc_ver()).strip()
+    assert "scipy" not in env and env["python"]
+
+
+def test_cli_import_leaves_scipy_and_the_pool_unloaded():
+    # a one-worker run needs neither; FBLINK_WORKERS=2 tests load the pool
+    code = ("import sys, fblink.expcli\n"
+            "fblink.expcli.parse_config()\n"
+            "print([m for m in ('scipy', 'concurrent.futures.process')"
+            " if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("overrides", [
@@ -682,6 +699,29 @@ def test_cli_bad_value_is_exit_1(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario,tau", [
+    ("rate_vs_blocklength", 5e-324), ("learning_curves", 1e-321)])
+def test_cli_underflowing_tau_is_exit_1(tmp_path, scenario, tau):
+    # tau/8, or a chunk's share tau/n_chunks of it, would round to 0 before
+    # q_inv sees it
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"tau": tau}))
+    proc = subprocess.run([sys.executable, "-m", "fblink.expcli", "run",
+                           "--scenario", scenario, "--config", str(p),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: tau")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_tau_floor():
+    assert parse_config(None, tau=_TAU_MIN).tau == _TAU_MIN
+    with pytest.raises(ConfigError, match="tau"):
+        parse_config(None, tau=_TAU_MIN / 2)
 
 
 @pytest.mark.parametrize("defect,message", [

@@ -139,11 +139,11 @@ class RateReport:
     rate is bits per channel use (0.0 when infeasible); total_bits = n_t*rate
     is the block payload budget across both real sub-channels. outage_reason
     is None when feasible, else "feedback_outage" (psi2 pole),
-    "alpha_underflow" (asked for with schedulable=True: the error variance
-    alpha before the block's last refinement underflows float64, so its
-    feedback scaling gamma is not finite; about a thousand bits in one
-    block, which build_schedule refuses), "rate_nonpositive" (log argument
-    <= 1), or "no_feasible_blocklength" (planner exhausted its scan).
+    "alpha_underflow" (the error variance alpha before the block's last
+    refinement underflows float64, so its feedback scaling gamma is not
+    finite; about a thousand bits in one block), "rate_nonpositive" (log
+    argument <= 1), or "no_feasible_blocklength" (planner exhausted its
+    scan). build_schedule refuses the first two, at any feedback noise.
 
     achievable_rate over an array of n_t, or over arrays of gains, returns
     one report whose fields are arrays (outage_reason an object array):
@@ -251,29 +251,24 @@ def _feedback_loop(snr, snr_fb, gain_fwd, gain_fb, L):
     return psi1, psi2, c, growth, outage
 
 
-def _refinement_variances(snr, snr_fb, gain_fwd, gain_fb, L, growth, steps,
-                          sigma2_2=1.0):
+def _refinement_variances(snr, snr_fb, gain_fwd, gain_fb, L, growth, steps):
     """(alpha, gamma2) of the refinement steps `steps`, step 0 being use 1.
 
     alpha = alpha1*growth^-step is the error variance after use step+1,
-    alpha1 = 1/(|h|^2*snr); gamma2 = (P_fb/(2L) - sigma2^2/(2|h_fb|^2))/alpha
-    is the squared feedback scaling that would follow it, at feedback noise
-    sigma2_2 and P_fb = snr_fb*sigma2_2. A non-finite gamma2 means alpha
-    has underflowed float64. build_schedule takes its schedule from here,
-    and achievable_rate screens every block by the same test at its last
-    refinement step (gamma2 only grows with the step) at unit noise, so the
-    two refuse the same blocks.
+    alpha1 = 1/(|h|^2*snr); gamma2 = (snr_fb/(2L) - 1/(2|h_fb|^2))/alpha is
+    the squared feedback scaling that would follow it at unit feedback
+    noise, and sigma2*sqrt(gamma2) at noise sigma2^2, so a non-finite gamma2
+    (alpha has underflowed float64) refuses a block at every noise.
+    achievable_rate applies this one test at each block's last refinement
+    step (gamma2 only grows with the step); build_schedule at every step.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         alpha = (1.0 / (gain_fwd * snr)) * growth ** -steps
-        fb_signal_var = snr_fb * sigma2_2 / (2.0 * L) \
-            - sigma2_2 / (2.0 * gain_fb)
-        gamma2 = fb_signal_var / alpha
+        gamma2 = (snr_fb / (2.0 * L) - 1.0 / (2.0 * gain_fb)) / alpha
     return alpha, gamma2
 
 
-def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t,
-                    schedulable=False) -> RateReport:
+def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t) -> RateReport:
     """Rate report for an n_t-use block at fixed channel gains.
 
     Args:
@@ -286,11 +281,10 @@ def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t,
         tau: target block error probability.
         n_t: block length in channel uses, >= 1; or a 1-D integer array of
             them.
-        schedulable: also refuse, as "alpha_underflow", the blocks whose
-            error variance underflows float64, which build_schedule refuses
-            by the same test. Off, the report is the closed-form rate alone,
-            which stays finite far past that point (n_t = 700 at unit gains
-            is about 1100 bits).
+
+    A block is feasible when its rate is positive and finite and
+    build_schedule builds it: no feedback outage, and no "alpha_underflow"
+    (from n_t = 654 at unit gains and tau 1e-3).
 
     Array gains and an array n_t give fields of shape (R, len(n_t)); one of
     them an array gives that array's shape. Scalars run as one-element
@@ -309,7 +303,6 @@ def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t,
     log_base = np.array([math.log2(b) if b > 0 else -math.inf
                          for b in base.tolist()])
 
-    shape = (gf.size, n.size)
     coded = n >= 2
     uncoded = ~coded
     L = np.zeros(n.size)
@@ -322,12 +315,11 @@ def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t,
     # loop's values at its L = 0 are overwritten
     psi1[:, uncoded] = psi2[:, uncoded] = growth[:, uncoded] = 1.0
     outage[:, uncoded] = False
-    underflow = np.zeros(shape, dtype=bool)
-    if schedulable:
-        _, gamma2 = _refinement_variances(snr, snr_fb, gain_fwd, gain_fb, L,
-                                          growth, n - 2.0)
-        underflow = coded & ~outage & ~np.isfinite(gamma2)
-    # log2(arg) computed in log space: arg overflows float64 near n_t ~ 550
+    _, gamma2 = _refinement_variances(snr, snr_fb, gain_fwd, gain_fb, L,
+                                      growth, n - 2.0)
+    underflow = coded & ~outage & ~np.isfinite(gamma2)
+    # log2(arg) computed in log space: arg passes 2^1024 in blocks that
+    # build, such as n_t = 339 at gains 10/2.25 and tau 1e-3 (1024.03 bits)
     total = log_base[:, None] + (n - 1) * np.log2(growth)
     # snr*|h|^2 past float64 range gives an inf or nan total: infeasible
     feasible = ~outage & ~underflow & (total > 0.0) & (total < math.inf)
@@ -337,8 +329,8 @@ def achievable_rate(snr, snr_fb, gain_fwd, gain_fb, tau, n_t,
     code[underflow] = 2
     code[outage] = 1
     reason = _OUTAGE_REASONS[code]
-    rep = RateReport(np.broadcast_to(n, shape), rate,
-                     np.broadcast_to(L, shape), psi1, psi2, feasible,
+    rep = RateReport(np.broadcast_to(n, rate.shape), rate,
+                     np.broadcast_to(L, rate.shape), psi1, psi2, feasible,
                      reason)
     if scalar_gains or scalar_n:
         rep = rep.at((0 if scalar_gains else slice(None),
@@ -355,16 +347,15 @@ def plan_blocklength(payload_bits, snr, snr_fb, gain_fwd, gain_fb, tau,
     grows with n_t), so binary search has no footing. The returned report is
     that element of the array report, bit for bit. Returns an infeasible
     report with outage_reason "no_feasible_blocklength" when no n_t in the
-    range qualifies. Only blocks build_schedule can build qualify (the
-    rate is screened with schedulable=True). Array gains plan every
-    realization in that one call and return a report of (R,) arrays.
+    range qualifies. achievable_rate's verdict is build_schedule's, so
+    every planned block builds. Array gains plan every realization in that
+    one call and return a report of (R,) arrays.
     """
     if payload_bits < 1:
         raise ValueError("payload_bits must be >= 1")
     n_max = int(n_max)
     gf, gb, scalar = _gain_arrays(gain_fwd, gain_fb)
-    rep = achievable_rate(snr, snr_fb, gf, gb, tau, np.arange(2, n_max + 1),
-                          schedulable=True)
+    rep = achievable_rate(snr, snr_fb, gf, gb, tau, np.arange(2, n_max + 1))
     hit = rep.feasible & (rep.total_bits >= payload_bits)
     found = hit.any(axis=1)
     plan = RateReport(np.full(gf.size, n_max), np.zeros(gf.size),

@@ -93,10 +93,16 @@ class PamConstellation:
         return -_SQRT3 + (2.0 * idx + 1.0) * (_SQRT3 / self.m_levels)
 
     def decode(self, theta_hat):
-        """Index of the sub-interval containing theta_hat, clamped at the edges."""
-        idx = np.floor((np.asarray(theta_hat) + _SQRT3)
-                       * (self.m_levels / (2.0 * _SQRT3))).astype(np.int64)
-        return np.clip(idx, 0, self.m_levels - 1)
+        """Index of the sub-interval containing theta_hat, clamped at the
+        edges before the int64 cast, so an infinite theta_hat has one too."""
+        # one buffer, in place: the temporaries of a chained expression
+        # here move the peak heap of a whole run by megabytes
+        idx = np.array(theta_hat, dtype=float)
+        idx += _SQRT3
+        idx *= self.m_levels / (2.0 * _SQRT3)
+        np.floor(idx, out=idx)
+        np.clip(idx, 0, self.m_levels - 1, out=idx)
+        return idx.astype(np.int64)[()]
 
 
 def build_constellation(payload_bits_sub) -> PamConstellation:
@@ -156,10 +162,9 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
     """Coefficients for an n_t-use block; raises if the realization is in outage.
 
     Callers are expected to have screened feasibility through
-    analysis.achievable_rate; an infeasible schedule here is a programming
-    error, hence ValueError rather than a flag. That screen reports a block
-    whose alpha underflows float64 (about a thousand bits) as
-    "alpha_underflow"; here it raises, by the same test at the given noise.
+    analysis.achievable_rate, which reports the blocks refused here, at any
+    noise, as "feedback_outage" or "alpha_underflow"; an infeasible schedule
+    here is a programming error, hence ValueError rather than a flag.
     """
     n_t = int(n_t)
     if n_t < 1:
@@ -186,13 +191,12 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
             % (gain_fb * snr_fb, L))
 
     alpha, gamma2 = _refinement_variances(snr, snr_fb, gain_fwd, gain_fb, L,
-                                          growth, np.arange(n_t, dtype=float),
-                                          noise.sigma2_2)
+                                          growth, np.arange(n_t, dtype=float))
     gamma2 = gamma2[:-1]
     if not np.isfinite(gamma2).all():
         raise ValueError("schedule infeasible: error variance alpha "
                          "underflows float64 at n_t = %d" % n_t)
-    gamma = np.sqrt(gamma2)
+    gamma = math.sqrt(noise.sigma2_2) * np.sqrt(gamma2)
     lam = math.sqrt(L * P / P_fb)
     # decoder regression coefficient, kept in its published form; it equals
     # the MMSE weight sqrt(2*P*c*alpha)/(P + sigma1^2/|h|^2) algebraically

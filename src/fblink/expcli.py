@@ -156,11 +156,17 @@ _TAU_MIN = 1e-200
 def _validate(cfg: SystemConfig) -> SystemConfig:
     try:
         snr_ok = all(0.0 < s < math.inf for s in (cfg.snr, cfg.snr_fb))
+        # the feedback power P_fb = snr_fb*sigma2_2 sets the fold width
+        # sqrt(6*P_fb), the range of the dither draw
+        powers_ok = all(map(math.isfinite, (cfg.power,
+                                            6.0 * cfg.snr_fb * cfg.sigma2_2)))
     except OverflowError:
-        snr_ok = False
+        snr_ok = powers_ok = False
     checks = [
         (snr_ok, "snr_db and snr_fb_db must give a finite positive linear "
                  "SNR"),
+        (powers_ok, "the power snr*sigma1_2 and the squared fold width "
+                    "6*snr_fb*sigma2_2 must be finite"),
         (cfg.seed >= 0, "seed must be >= 0"),
         (cfg.realizations >= 1, "realizations must be >= 1"),
         (cfg.sigma1_2 > 0 and cfg.sigma2_2 > 0 and cfg.sigma_e2 > 0,
@@ -308,7 +314,9 @@ def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
     n = len(bit_string)
     c_e = analysis.eve_capacity_bits(realization.gain_eve, cfg.power,
                                      cfg.sigma_e2)
-    order = _bit_order(grp.n_bits // 2, math.ceil(c_e / 2.0))
+    half = grp.n_bits // 2
+    # capped first: C_e is inf at a subnormal sigma_e2
+    order = _bit_order(half, math.ceil(min(c_e / 2.0, half)))
     w_r, w_i = _pack_group(np.pad(bit_string, (0, grp.count * grp.n_bits - n))
                            .reshape(grp.count, grp.n_bits), order)
     const = codec.build_constellation(len(order))

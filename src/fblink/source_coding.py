@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import plan_blocklength, rate_distortion
-from .codec import from_bits, to_bits
+from .codec import MAX_SUB_CHANNEL_BITS, from_bits, to_bits
 
 __all__ = [
     "QuantizedPayload",
@@ -28,8 +28,8 @@ __all__ = [
     "MAX_CHUNK_BITS",
 ]
 
-# Two real sub-channels at 40 bits each; a chunk never exceeds one block.
-MAX_CHUNK_BITS = 80
+# Two real sub-channels at their widest; a chunk never exceeds one block.
+MAX_CHUNK_BITS = 2 * MAX_SUB_CHANNEL_BITS
 
 
 @dataclass

@@ -177,8 +177,10 @@ def test_rate_frozen_blocklengths(n_t, rate, total):
 # cross-checked by erfinv), rounded to 19 digits. Up to n_t = 20 they pin the
 # values above a thousand times tighter (the 1e-8 values themselves are off
 # by up to 1e-9); past n_t = 40 the rate rests on the log-space growth term,
-# which the values above never reach.
-MP_FROZEN = {  # (tau, n_t): (rate, L)
+# which the values above never reach. At n_t = 700 the error variance alpha
+# underflows float64, so the block is refused and only L is pinned; its
+# closed-form rate, about 1091 bits over 700 uses, is reported as 0.0.
+MP_FROZEN = {  # (tau, n_t): (rate, L); rate None where alpha underflows
     (1e-3, 2): (1.674784449741763116, 4.470715933795196781),
     (1e-3, 5): (1.858079392823747774, 5.341783535037528408),
     (1e-3, 10): (1.869116949757843015, 5.854712628946192283),
@@ -189,28 +191,39 @@ MP_FROZEN = {  # (tau, n_t): (rate, L)
     (1e-3, 64): (1.752663660658410146, 7.093373714472656283),
     (1e-3, 128): (1.696090819894720296, 7.541846550884025632),
     (1e-3, 256): (1.639416341253097310, 7.988750545055570056),
-    (1e-3, 700): (1.559228038741380507, 8.636770047178619910),
+    (1e-3, 700): (None, 8.636770047178619910),
 }
 
 
-def check_mp_frozen(tau, n_t):
-    rate, L = MP_FROZEN[(tau, n_t)]
-    rep = achievable_rate(SNR, SNR_FB, 1.0, 1.0, tau, n_t)
+def check_mp_frozen(tau, n_t, rate, L, gains=(1.0, 1.0)):
+    rep = achievable_rate(SNR, SNR_FB, *gains, tau, n_t)
+    arr = achievable_rate(SNR, SNR_FB, *gains, tau, np.array([n_t]))
+    assert rel(rep.L, L) <= 1e-12
+    if rate is None:
+        assert rep.outage_reason == "alpha_underflow"
+        assert rep.rate == 0.0 and arr.rate[0] == 0.0
+        return
     assert rep.feasible
     assert rel(rep.rate, rate) <= 1e-12
-    assert rel(rep.L, L) <= 1e-12
-    arr = achievable_rate(SNR, SNR_FB, 1.0, 1.0, tau, np.array([n_t]))
     assert rel(arr.rate[0], rate) <= 1e-12
 
 
 @pytest.mark.parametrize("tau,n_t", [k for k in MP_FROZEN if k[1] <= 20])
 def test_rate_frozen_short_blocklengths_tight(tau, n_t):
-    check_mp_frozen(tau, n_t)
+    check_mp_frozen(tau, n_t, *MP_FROZEN[(tau, n_t)])
 
 
 @pytest.mark.parametrize("n_t", [n for _, n in MP_FROZEN if n > 40])
 def test_rate_frozen_long_blocklengths(n_t):
-    check_mp_frozen(1e-3, n_t)
+    check_mp_frozen(1e-3, n_t, *MP_FROZEN[(1e-3, n_t)])
+
+
+def test_rate_frozen_past_float64_log_argument():
+    # gains 10 and 2.25: n_t = 339 builds and carries 1024.03 bits, so the
+    # log argument 2^1024.03 overflows float64 and only the log-space sum
+    # gives the rate; pinned by the method of MP_FROZEN
+    check_mp_frozen(1e-3, 339, 3.020749769628136503, 8.169658380779178910,
+                    gains=(10.0, 2.25))
 
 
 def test_rate_frozen_tight_target():
@@ -279,10 +292,14 @@ def test_rate_monotone_in_error_target():
 
 
 def test_rate_large_blocklength_no_overflow():
+    # at unit gains alpha underflows float64 from n_t = 654 on: those blocks
+    # are refused, quietly (pytest turns a RuntimeWarning into an error)
+    reps = achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, np.arange(650, 711))
+    assert reps.feasible[:4].all() and np.isfinite(reps.total_bits[:4]).all()
+    assert (reps.outage_reason[4:] == "alpha_underflow").all()
+    assert (reps.rate[4:] == 0.0).all()
     rep = achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, 700)
-    assert rep.feasible and np.isfinite(rep.total_bits)
-    reps = achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, np.arange(650, 710))
-    assert reps.feasible.all() and np.isfinite(reps.total_bits).all()
+    assert rep.outage_reason == "alpha_underflow" and rep.rate == 0.0
 
 
 def test_rate_array_form_fields():

@@ -65,6 +65,15 @@ def test_decode_clamps_out_of_range():
     c = build_constellation(3)
     assert c.decode(-5.0) == 0
     assert c.decode(5.0) == c.m_levels - 1
+    # past int64 the clamp must come before the cast (pytest turns the
+    # cast's RuntimeWarning into an error)
+    for bits in (2, 40):
+        c = build_constellation(bits)
+        for x in (1e30, math.inf):
+            assert c.decode(x) == c.m_levels - 1
+            assert c.decode(-x) == 0
+        np.testing.assert_array_equal(c.decode([3e7, 1e19, -1e30]),
+                                      [c.m_levels - 1] * 2 + [0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -181,11 +190,14 @@ def test_schedule_fold_width_carries_mask_power():
 
 
 def test_schedule_gamma_saturates_feedback_budget():
-    # gamma^2*alpha + sigma2^2/(2*gain_fb) = P_fb/(2L) by construction
-    sched, real, noise = make_schedule(10)
-    lhs = sched.gamma ** 2 * sched.alpha[:-1] \
-        + noise.sigma2_2 / (2.0 * real.gain_fb)
-    np.testing.assert_allclose(lhs, sched.P_fb / (2.0 * sched.L), rtol=1e-12)
+    # gamma^2*alpha + sigma2^2/(2*gain_fb) = P_fb/(2L) by construction, at
+    # unit feedback noise and off it
+    for noise in (NoiseSpec(1.0, 1.0, 1.0), NoiseSpec(1.0, 0.5, 1.5)):
+        sched, real, _ = make_schedule(10, noise=noise)
+        lhs = sched.gamma ** 2 * sched.alpha[:-1] \
+            + noise.sigma2_2 / (2.0 * real.gain_fb)
+        np.testing.assert_allclose(lhs, sched.P_fb / (2.0 * sched.L),
+                                   rtol=1e-12)
 
 
 def test_schedule_beta_equals_mmse_weight():
@@ -224,7 +236,7 @@ def test_schedule_outage_raises():
        st.floats(min_value=0.0, max_value=2.0),
        st.floats(min_value=1e-6, max_value=0.9),
        st.integers(min_value=2, max_value=256))
-# a 1088-bit block the rate formula calls feasible, whose alpha underflows
+# a 1088-bit block by the closed form, whose alpha underflows
 @example(2.0, 2.0, 0.9, 256)
 @settings(max_examples=200, deadline=None)
 def test_schedule_takes_its_loop_from_the_rate_formula(amp_fwd, amp_fb, tau,
@@ -246,7 +258,7 @@ def test_schedule_takes_its_loop_from_the_rate_formula(amp_fwd, amp_fb, tau,
     with np.errstate(divide="ignore", over="ignore"):
         gamma2 = fb_signal_var / alpha[:-1]
     if not np.isfinite(gamma2).all():
-        assert rep.feasible
+        assert rep.outage_reason == "alpha_underflow"
         with pytest.raises(ValueError, match="underflows"):
             build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
         return
@@ -257,31 +269,36 @@ def test_schedule_takes_its_loop_from_the_rate_formula(amp_fwd, amp_fb, tau,
 
 
 AMP = st.floats(min_value=0.03, max_value=2.0)
+FB_NOISE = [1e-3, 1.0, 1e3, 1e6]
 
 
 @given(AMP, st.floats(min_value=0.0, max_value=2.0),
        st.floats(min_value=1e-6, max_value=0.9),
-       st.integers(min_value=2, max_value=700))
-@example(2.0, 2.0, 0.9, 241)   # gains 4 and 4: the last block that builds
-@example(2.0, 2.0, 0.9, 242)   # ... and the first whose alpha underflows
-@example(1.0, 1.0, 1e-3, 700)  # the frozen closed-form rate past that point
+       st.integers(min_value=2, max_value=700), st.sampled_from(FB_NOISE))
+# gains 4 and 4: n_t = 241 is the last block that builds, 242 the first
+# whose alpha underflows, at every feedback noise
+@example(2.0, 2.0, 0.9, 241, 1e-3)
+@example(2.0, 2.0, 0.9, 241, 1.0)
+@example(2.0, 2.0, 0.9, 241, 1e3)
+@example(2.0, 2.0, 0.9, 241, 1e6)
+@example(2.0, 2.0, 0.9, 242, 1e-3)
+@example(2.0, 2.0, 0.9, 242, 1.0)
+@example(2.0, 2.0, 0.9, 242, 1e3)
+@example(2.0, 2.0, 0.9, 242, 1e6)
+@example(1.0, 1.0, 1e-3, 700, 1.0)  # the frozen n_t = 700, alpha underflows
 @settings(max_examples=200, deadline=None)
-def test_schedulable_screen_agrees_with_schedule(amp_fwd, amp_fb, tau, n_t):
-    # the screen refuses a block exactly when build_schedule does; every
-    # other verdict is the closed form's own
+def test_rate_verdict_agrees_with_schedule(amp_fwd, amp_fb, tau, n_t,
+                                           sigma2_2):
+    # build_schedule refuses a block exactly when achievable_rate reports
+    # it in outage or with alpha underflowing, whatever the feedback noise
     real = Realization(complex(amp_fwd), complex(amp_fb), 1.0 + 0j, 1.0 + 0j)
-    args = (SNR, SNR_FB, real.gain_fwd, real.gain_fb, tau, n_t)
-    rep = achievable_rate(*args, schedulable=True)
-    noise = NoiseSpec(1.0, 1.0, 1.0)
-    if rep.outage_reason == "alpha_underflow":
+    rep = achievable_rate(SNR, SNR_FB, real.gain_fwd, real.gain_fb, tau, n_t)
+    noise = NoiseSpec(1.0, sigma2_2, 1.0)
+    refusal = {"feedback_outage": "outage",
+               "alpha_underflow": "underflows"}.get(rep.outage_reason)
+    if refusal:
         assert not rep.feasible and rep.rate == 0.0
-        assert achievable_rate(*args).feasible
-        with pytest.raises(ValueError, match="underflows"):
-            build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
-        return
-    assert rep == achievable_rate(*args)
-    if rep.outage_reason == "feedback_outage":
-        with pytest.raises(ValueError, match="outage"):
+        with pytest.raises(ValueError, match=refusal):
             build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
         return
     sched = build_schedule(SNR, SNR_FB, tau, n_t, real, noise)
@@ -308,7 +325,8 @@ def test_plan_skips_blocks_whose_alpha_underflows():
     # gains 4 and 4 at tau 0.9: n_t = 241 carries 1026.5 bits and builds;
     # n_t = 242 would carry 1030.6 bits by the closed form, but its alpha
     # underflows, and so does every longer block's
-    assert achievable_rate(SNR, SNR_FB, 4.0, 4.0, 0.9, 242).total_bits > 1030
+    rep = achievable_rate(SNR, SNR_FB, 4.0, 4.0, 0.9, 242)
+    assert rep.outage_reason == "alpha_underflow"
     plan = plan_blocklength(1026, SNR, SNR_FB, 4.0, 4.0, 0.9, 256)
     assert plan.feasible and plan.n_t == 241
     plan = plan_blocklength(1030, SNR, SNR_FB, 4.0, 4.0, 0.9, 256)

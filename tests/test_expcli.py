@@ -169,6 +169,25 @@ def test_send_bits_roundtrip(n_bits):
     np.testing.assert_array_equal(dec, bits)
 
 
+def test_send_bits_at_an_infinite_eve_capacity():
+    # C_e = log2(1 + |g|^2*P/sigma_e2) is inf at a subnormal sigma_e2; at
+    # most a half-chunk can be exposed, so the round is sent as at any
+    # C_e >= 80
+    bits = substream(31, 160).integers(0, 2, 160, dtype=np.uint8)
+    cfg = SystemConfig()
+    (grp,) = source_coding.chunk(160, cfg.snr, cfg.snr_fb, ROTATED.gain_fwd,
+                                 ROTATED.gain_fb, cfg.tau, cfg.n_max)
+    sent = []
+    for sigma_e2 in (1e-320, 1e-30):
+        cfg = SystemConfig(sigma_e2=sigma_e2)
+        sent.append(_send_bits(bits, grp, ROTATED, cfg, cfg.noise_spec(),
+                               (7, 0, 0), capture_eve=False))
+    (dec, _, link), (dec_finite, _, link_finite) = sent
+    assert link["c_e"] == math.inf and link_finite["c_e"] > 80
+    np.testing.assert_array_equal(dec, bits)
+    np.testing.assert_array_equal(dec, dec_finite)
+
+
 def _transmit_round(transmit, cfg):
     agg = substream(32, 0).normal(size=200)
     source_var = cfg.s_total * cfg.sigma_w2_max + cfg.n_users * cfg.sigma2
@@ -605,7 +624,8 @@ def test_codec_validation_every_block_aliasing(tmp_path):
                                           (800, 0)])
 def test_codec_validation_sub_channel_limit(tmp_path, n_t, feasible):
     # 46 uses carry 40 bits per sub-channel at the defaults; past that the
-    # interval decode is below float64 resolution, so no block is run
+    # interval decode is below float64 resolution, so no block is run. At
+    # 800 uses alpha underflows float64 first, which build_schedule refuses
     cfg = parse_config(None, fixed_gains=1, n_t=n_t, n_blocks=200)
     run_scenario(cfg, "codec_validation", str(tmp_path))
     (row,) = read_csv(tmp_path / "codec_validation.csv")
@@ -614,11 +634,25 @@ def test_codec_validation_sub_channel_limit(tmp_path, n_t, feasible):
         assert int(row["bits_per_sub"]) == codec.MAX_SUB_CHANNEL_BITS
         assert row["outage_reason"] == ""
     else:
-        assert row["outage_reason"] == "exceeds_sub_channel_bits"
+        assert row["outage_reason"] == ("alpha_underflow" if n_t == 800
+                                        else "exceeds_sub_channel_bits")
         assert [row[k] for k in ("bits_per_sub", "n_blocks")] == ["0", "0"]
         assert all(row[k] == "" for k in (
             "err_rate", "alias_rate", "power_fwd_ratio", "power_fb_ratio",
             "max_var_dev"))
+
+
+@pytest.mark.parametrize("scenario", ["learning_curves",
+                                      "secrecy_level_vs_round"])
+def test_huge_feedback_noise_plans_only_blocks_that_build(tmp_path,
+                                                          scenario):
+    # at sigma2_2 = 1e300 the chunk plans must already refuse the blocks whose
+    # alpha underflows, and the eavesdropper's unwrap decodes estimates far
+    # outside the constellation; pytest turns a RuntimeWarning into an error
+    cfg = parse_config(None, sigma2_2=1e300, n_rounds=2)
+    run_scenario(cfg, scenario, str(tmp_path))
+    (name,) = SCENARIOS[scenario][1]
+    assert {r["round"] for r in read_csv(tmp_path / name)} == {"0", "1"}
 
 
 def test_secrecy_running_min_tracks_round_bound(tmp_path):
@@ -689,6 +723,8 @@ def test_cli_infeasible_is_exit_2(tmp_path, capsys, monkeypatch):
     ('{"snr_db": true}', "snr_db"),
     ('{"tau": false}', "tau"),
     ('{"payload_bits": 0}', "payload_bits"),
+    ('{"sigma1_2": 1e308}', "sigma1_2"),
+    ('{"sigma2_2": 1e308}', "sigma2_2"),
 ])
 def test_cli_bad_value_is_exit_1(tmp_path, capsys, text, key):
     p = tmp_path / "cfg.json"

@@ -10,7 +10,8 @@ and L = qinv(tau/(8*(n_t-1)))^2 / 3 the fold budget. The psi2 pole at
 |h_fb|^2*snr_fb <= L is a feedback outage: the refinement loop cannot keep its
 fold probability inside the budget at any power, so the block is infeasible
 rather than erroneous. Everything here is base-2; rates are bits per channel
-use, payloads are bits.
+use, payloads are bits. Q is the C library's erfc and Q^-1 the standard
+library's normal quantile, so the Python build sets the fold budgets' ulps.
 
 achievable_rate and plan_blocklength also take the two gains as equal-length
 1-D arrays, one entry per channel realization; their reports then carry a
@@ -21,6 +22,7 @@ All functions are pure and safe to call from any thread.
 """
 
 import math
+import statistics
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -46,27 +48,9 @@ __all__ = [
 # =====================================================================
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation of the normal quantile: numerator and
-# denominator coefficients, highest power first, one row per power. MID is
-# in r = (p - 1/2)^2 on the central region |p - 1/2| <= 1/2 - _P_TAIL, TAIL
-# in t = sqrt(-2 ln p) below it. Relative error below 1.2e-9 on (0, 1).
-_ACKLAM_MID = np.array([
-    (-3.969683028665376e+01, -5.447609879822406e+01),
-    (2.209460984245205e+02, 1.615858368580409e+02),
-    (-2.759285104469687e+02, -1.556989798598866e+02),
-    (1.383577518672690e+02, 6.680131188771972e+01),
-    (-3.066479806614716e+01, -1.328068155288572e+01),
-    (2.506628277459239e+00, 1.0)])[:, :, None]
-_ACKLAM_TAIL = np.array([
-    (-7.784894002430293e-03, 0.0),
-    (-3.223964580411365e-01, 7.784695709041462e-03),
-    (-2.400758277161838e+00, 3.224671290700398e-01),
-    (-2.549732539343734e+00, 2.445134137142996e+00),
-    (4.374664141464968e+00, 3.754408661907416e+00),
-    (2.938163982698783e+00, 1.0)])[:, :, None]
-_P_TAIL = 0.02425
+# Phi^-1 by Wichura's AS241 (Applied Statistics 37(3), 1988), which CPython
+# evaluates in C to about 1e-16 relative
+_PHI_INV = statistics.NormalDist().inv_cdf
 
 
 def q_func(x):
@@ -80,51 +64,20 @@ def q_func(x):
     return 0.5 * erfc.reshape(x.shape)
 
 
-def _rational(coeffs, t):
-    """Numerator over denominator at the 1-D t, both by Horner's rule."""
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * t + c
-    return acc[0] / acc[1]
-
-
-def _q_inv_seed(p):
-    """Acklam's approximation of Q^-1(p) = -Phi^-1(p) at the 1-D p in
-    (0, 1); each region is evaluated only where it is needed."""
-    lo = np.minimum(p, 1.0 - p)
-    tail = lo < _P_TAIL
-    if tail.all():
-        # the tail ratio is negative: x > 0 below p = 1/2
-        return np.copysign(_rational(_ACKLAM_TAIL, np.sqrt(-2.0 * np.log(lo))),
-                           0.5 - p)
-    x = np.empty_like(p)
-    h = 0.5 - p[~tail]
-    x[~tail] = h * _rational(_ACKLAM_MID, h * h)
-    if tail.any():
-        x[tail] = _q_inv_seed(p[tail])
-    return x
-
-
 def q_inv(p):
-    """Inverse of q_func on (0, 1).
+    """Inverse of q_func on (0, 1): Q^-1(p) = -Phi^-1(p).
 
-    Seeded by Acklam's rational approximation of the normal quantile
-    (relative error below 1.2e-9), then polished with two Newton steps
-    against our own q_func so the roundtrip q_inv(q_func(x)) is
-    self-consistent to better than 1e-9 relative for x in [-5, 8]. Below
-    about -6, q_func saturates toward 1.0 in float64 and no inverse can
-    recover x; callers never evaluate there, every use being an upper-tail
-    probability of at most 1/8. The fold budget squares this value, so the
-    polish is not decorative. NaN is outside (0, 1) and raises too.
+    The standard library's normal quantile, statistics.NormalDist.inv_cdf,
+    element by element and negated. Below about x = -6, q_func saturates
+    toward 1.0 in float64 and no inverse can recover x; callers never
+    evaluate there, every use being an upper-tail probability of at most
+    1/8. NaN is outside (0, 1) and raises too.
     """
     p = np.asarray(p, dtype=float)
     if not ((p > 0.0) & (p < 1.0)).all():
         raise ValueError("q_inv requires 0 < p < 1")
-    x = _q_inv_seed(p.ravel()).reshape(p.shape)
-    for _ in range(2):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        x = x + (q_func(x) - p) / pdf
-    return x if x.ndim else float(x)
+    x = -np.fromiter(map(_PHI_INV, p.ravel().tolist()), float, p.size)
+    return x.reshape(p.shape) if p.ndim else float(x[0])
 
 
 # =====================================================================

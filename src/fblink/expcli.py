@@ -6,8 +6,9 @@ Scenario cells are int, float or str only, and the csv module writes floats
 with repr(), so equal runs produce byte-identical files; the manifest's
 wall_time_s is the one deliberately non-reproducible field and stays out of
 the hashes. Its environment object names what else the bytes depend on:
-the Python and numpy versions, the C library (whose erfc sets the Gaussian
-tail) and the substreams' bit generator.
+the Python version and implementation (whose statistics module sets the
+normal quantile), numpy and its BLAS build, the C library (whose erfc sets
+the Gaussian tail) and the substreams' bit generator.
 
 Realizations are independent, each on substreams keyed by its own index.
 _task_args maps them to tasks: a rate_vs_blocklength task is a range of
@@ -152,21 +153,34 @@ class SystemConfig:
 # would underflow to 0 and leave q_inv nothing to invert.
 _TAU_MIN = 1e-200
 
+# The block engine scales its forward symbols by lam = sqrt(L*P/P_fb), to
+# squares of at most 1.5*L*P, and draws its dither over the fold width
+# sqrt(6*P_fb). The fold budget L stays below 400 for every tau share down
+# to 1e-260, which a tau of at least _TAU_MIN keeps while
+# 8*n_chunks*(n_t - 1) is below 1e60; so under this bound on P, P_fb and
+# P/P_fb every symbol and its square stay finite. At P = 1.7e308 lam was
+# inf and NaN estimates reached the decoder.
+_POWER_MAX = 1e302
+
 
 def _validate(cfg: SystemConfig) -> SystemConfig:
     try:
         snr_ok = all(0.0 < s < math.inf for s in (cfg.snr, cfg.snr_fb))
-        # the feedback power P_fb = snr_fb*sigma2_2 sets the fold width
-        # sqrt(6*P_fb), the range of the dither draw
-        powers_ok = all(map(math.isfinite, (cfg.power,
-                                            6.0 * cfg.snr_fb * cfg.sigma2_2)))
+        p, p_fb = cfg.power, cfg.snr_fb * cfg.sigma2_2
     except OverflowError:
-        snr_ok = powers_ok = False
+        snr_ok, p, p_fb = False, math.inf, math.inf
+    # a non-positive P_fb fails the SNR or the noise check below
+    ratio = p / p_fb if p_fb > 0 else 0.0
     checks = [
         (snr_ok, "snr_db and snr_fb_db must give a finite positive linear "
                  "SNR"),
-        (powers_ok, "the power snr*sigma1_2 and the squared fold width "
-                    "6*snr_fb*sigma2_2 must be finite"),
+        (p <= _POWER_MAX, "the power snr*sigma1_2 must be at most %g"
+                          % _POWER_MAX),
+        (p_fb <= _POWER_MAX, "the feedback power snr_fb*sigma2_2 must be at "
+                             "most %g" % _POWER_MAX),
+        (ratio <= _POWER_MAX, "the power ratio snr*sigma1_2 / "
+                              "(snr_fb*sigma2_2) must be at most %g"
+                              % _POWER_MAX),
         (cfg.seed >= 0, "seed must be >= 0"),
         (cfg.realizations >= 1, "realizations must be >= 1"),
         (cfg.sigma1_2 > 0 and cfg.sigma2_2 > 0 and cfg.sigma_e2 > 0,
@@ -462,6 +476,12 @@ def _scn_codec_validation(cfg, r_idx):
     noise = cfg.noise_spec()
     sched = codec.build_schedule(cfg.snr, cfg.snr_fb, cfg.tau, cfg.n_t, real,
                                  noise)
+    # the power sums below add 2*n_t*n_blocks squared symbols, each at most
+    # 1.5*max(L, 1)*P forward and 1.5*P_fb back
+    if not math.isfinite(3.0 * cfg.n_blocks * cfg.n_t * max(sched.L, 1.0)
+                         * max(sched.P, sched.P_fb)):
+        raise ConfigError("n_blocks * n_t * power overflows the power sums; "
+                          "lower n_blocks, sigma1_2 or sigma2_2")
     const = codec.build_constellation(bits_sub)
     msg_rng = substream(cfg.seed, DOMAIN_MESSAGES, r_idx)
     errs = clean = done = batch_idx = 0
@@ -762,6 +782,7 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
         _discard(files)
         raise
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     manifest = {
         "format_version": 1,
         "package_version": __version__,
@@ -775,7 +796,11 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
         # what the bytes depend on besides the config
         "environment": {
             "python": platform.python_version(),
+            "python_implementation": platform.python_implementation(),
             "numpy": np.__version__,
+            # numpy's BLAS build, None where its build record has no entry
+            "blas": {k: blas.get(k) for k in ("name", "version",
+                                              "openblas configuration")},
             "libc": " ".join(platform.libc_ver()).strip(),
             "bit_generator": type(substream(0).bit_generator).__name__,
         },

@@ -6,6 +6,7 @@ scratch) and are pinned here to 9-10 significant digits.
 """
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ QINV_FROZEN = [
 @pytest.mark.parametrize("p,expected", QINV_FROZEN)
 def test_q_inv_frozen(p, expected):
     assert rel(q_inv(p), expected) < 1e-9
+
+
+def test_q_inv_is_the_standard_library_quantile():
+    # bit for bit, element by element, in every shape
+    phi_inv = statistics.NormalDist().inv_cdf
+    for p in (0.05, 1.25e-7, 0.5, 0.97, 1e-300):
+        got = q_inv(p)
+        assert type(got) is float and got == -phi_inv(p)
+    p = np.logspace(-300.0, math.log10(0.999), 2001).reshape(3, 667)
+    got = q_inv(p)
+    assert got.shape == p.shape
+    want = [-phi_inv(x) for x in p.ravel().tolist()]
+    assert got.ravel().tolist() == want
 
 
 def test_q_func_half_at_zero():
@@ -102,8 +116,8 @@ def test_q_func_matches_scipy_erfc():
 
 
 def test_q_inv_matches_scipy_erfcinv():
-    # one array spans both regions of the seed; near p = 1 the inverse is
-    # ill-conditioned and the roundtrip tests above cover it
+    # one array spans all three branches of AS241; near p = 1 the inverse
+    # is ill-conditioned and the roundtrip tests above cover it
     p = np.logspace(-300.0, math.log10(0.49), 3001)
     want = math.sqrt(2.0) * special.erfcinv(2.0 * p)
     assert np.max(np.abs(q_inv(p) - want) / want) < 1e-14

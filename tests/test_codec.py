@@ -4,14 +4,16 @@ Statistical assertions here run at 2e4 blocks with generous margins; the
 tight large-sample versions live in the acceptance suite.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from fblink import codec
+from fblink import codec, source_coding
 from fblink.analysis import achievable_rate, plan_blocklength, q_inv
 from fblink.channel import NoiseSpec, Realization
 from fblink.codec import (build_constellation, build_schedule, from_bits,
@@ -392,6 +394,47 @@ def test_error_rate_and_variance_recursion_sanity():
     clean = out.alias_events == 0
     var_r = (out.eps_hist[0][:, clean] ** 2).mean(axis=1)
     np.testing.assert_allclose(var_r, sched.alpha, rtol=0.10)
+
+
+# Fading draws whose 80-bit chunk at tau = 1e-3 plans n_t from 40 to 250,
+# where the learning scenarios send most of their rounds: (gain_fwd,
+# gain_fb, planned n_t).
+OPERATING_CHANNELS = [(0.041, 0.883, 250), (0.032, 1.975, 246),
+                      (4.503, 0.516, 68), (4.472, 0.922, 40)]
+
+
+@pytest.mark.parametrize("gain_fwd,gain_fb,n_t", OPERATING_CHANNELS)
+def test_planned_chunk_meets_tau_where_the_system_operates(gain_fwd, gain_fb,
+                                                           n_t):
+    rot = cmath.exp(0.7j)
+    real = Realization(math.sqrt(gain_fwd) * rot, math.sqrt(gain_fb) / rot,
+                       0.3 + 0.2j, -0.5 + 1.0j)
+    noise = NoiseSpec(1.0, 1.0, 1.0)
+    (grp,) = source_coding.chunk(source_coding.MAX_CHUNK_BITS, SNR, SNR_FB,
+                                 real.gain_fwd, real.gain_fb, TAU, 256)
+    assert (grp.count, grp.n_t) == (1, n_t)
+    sched = build_schedule(SNR, SNR_FB, grp.tau_chunk, n_t, real, noise)
+    const = build_constellation(grp.n_bits // 2)
+    n_blocks, batch = 20000, 2500  # batches bound the transcript's memory
+    errors = clean = 0
+    eps2 = np.zeros(n_t)
+    for b in range(n_blocks // batch):
+        rng = substream(900 + n_t, b)
+        mr = rng.integers(0, const.m_levels, batch)
+        mi = rng.integers(0, const.m_levels, batch)
+        dith, ef, eb, _ = codec.draw_block_noise(rng, batch, n_t, noise,
+                                                 sched.d)
+        out = run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
+                              record=True)
+        errors += int(out.error.sum())
+        mask = out.alias_events == 0
+        eps2 += (out.eps_hist[:, :, mask] ** 2).sum(axis=(0, 2))
+        clean += int(mask.sum())
+    # one-sided: an error count this high has probability 1e-3 at rate tau
+    assert errors <= stats.binom.ppf(0.999, n_blocks, TAU), errors
+    # c02's check on both sub-channels of the aliasing-free blocks
+    dev = np.abs(eps2 / (2 * clean) / sched.alpha - 1.0)
+    assert dev.max() <= 0.05, dev.max()
 
 
 def test_forward_and_feedback_power_normalized():

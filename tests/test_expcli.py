@@ -16,10 +16,10 @@ import pytest
 from fblink import adversary, analysis, codec, expcli, hfl, source_coding
 from fblink.channel import Realization, sample_realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
-                           SystemConfig, _TAU_MIN, _bit_order, _ordered,
-                           _pack_group, _send_bits, _task_args, _unpack_group,
-                           _worker_count, coded_transmitter, main,
-                           parse_config, run_scenario)
+                           SystemConfig, _POWER_MAX, _TAU_MIN, _bit_order,
+                           _ordered, _pack_group, _send_bits, _task_args,
+                           _unpack_group, _worker_count, coded_transmitter,
+                           main, parse_config, run_scenario)
 from fblink.streams import DOMAIN_REALIZATION, substream
 
 from conftest import as_complex
@@ -451,6 +451,11 @@ def test_manifest_records_environment(tmp_path):
     # the Gaussian tail is the C library's erfc; scipy is not a dependency
     assert env["libc"] == " ".join(platform.libc_ver()).strip()
     assert "scipy" not in env and env["python"]
+    # the normal quantile is the interpreter's statistics module
+    assert env["python_implementation"] == platform.python_implementation()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {k: blas.get(k) for k in (
+        "name", "version", "openblas configuration")}
 
 
 def test_cli_import_leaves_scipy_and_the_pool_unloaded():
@@ -752,6 +757,38 @@ def test_cli_underflowing_tau_is_exit_1(tmp_path, scenario, tau):
     assert proc.stderr.startswith("config error: tau")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario,config,key", [
+    # P = 1.7e308 made lam inf and sent NaN estimates to the decoder
+    ("secrecy_level_vs_round", {"sigma1_2": 1.7e307, "n_rounds": 1},
+     "sigma1_2"),
+    # the feedback power sums overflowed in the reduce
+    ("codec_validation", {"sigma2_2": 9e305, "realizations": 2}, "sigma2_2"),
+    # lam^2 = L*P/P_fb overflowed
+    ("secrecy_level_vs_round", {"sigma1_2": 1e10, "sigma2_2": 1e-300,
+                                "n_rounds": 1}, "sigma2_2"),
+    # every power within bounds, but n_blocks * n_t * P is not
+    ("codec_validation", {"sigma1_2": 1e301, "fixed_gains": 1,
+                          "n_blocks": 200000}, "n_blocks"),
+])
+def test_cli_near_limit_power_is_exit_1(tmp_path, capsys, scenario, config,
+                                        key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    code = main(["run", "--scenario", scenario, "--config", str(p),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert list((tmp_path / "out").glob("*.csv")) == []
+
+
+def test_power_bound():
+    # snr is 10 at the defaults
+    assert parse_config(None, sigma1_2=_POWER_MAX / 20).power <= _POWER_MAX
+    with pytest.raises(ConfigError, match="sigma1_2"):
+        parse_config(None, sigma1_2=_POWER_MAX / 5)
 
 
 def test_tau_floor():

@@ -55,10 +55,13 @@ class NoiseSpec:
             raise ValueError("noise variances must be positive")
 
 
-def cn_sample(rng, var, size=None):
+def cn_sample(rng, var, size=None, out=None):
     """CN(0, var) noise, component first: (2,) + size floats, real parts then
-    imaginary parts: two normal(0, sqrt(var/2), size) calls as one draw."""
-    z = rng.standard_normal((2, *np.atleast_1d(() if size is None else size)))
+    imaginary parts: two normal(0, sqrt(var/2), size) calls as one draw. out,
+    a C-contiguous float array of that shape, is filled and returned instead
+    of a fresh one, with the same draws."""
+    z = rng.standard_normal((2, *np.atleast_1d(() if size is None else size)),
+                            out=out)
     z *= np.sqrt(var / 2.0)
     return z
 

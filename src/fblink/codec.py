@@ -239,21 +239,41 @@ class BatchResult:
     z_seq: np.ndarray | None = None     # (2, n_t, n)
 
 
-def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False):
+def _noise_arrays(n, n_t, capture_eve=False):
+    """Uninitialized arrays in the layout draw_block_noise fills: dither
+    (n_t-1, 2, n), forward (2, n_t, n), feedback (2, n_t-1, n), and
+    adversary (2, n_t, n) or None."""
+    return (np.empty((n_t - 1, 2, n)), np.empty((2, n_t, n)),
+            np.empty((2, n_t - 1, n)),
+            np.empty((2, n_t, n)) if capture_eve else None)
+
+
+def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False,
+                     out=None):
     """Draw everything a batch of n blocks consumes, in documented order.
 
     Order: dither (n_t-1, 2, n), forward noise (2, n_t, n), feedback noise
     (2, n_t-1, n), then adversary noise (2, n_t, n) only when capture_eve,
     each as one cn_sample. The fixed order lets a substream replay its batch.
+    The arrays come from _noise_arrays(n, n_t, capture_eve), or are out, so
+    that a caller can allocate them on one thread and fill them on another;
+    either way they hold the same draws.
 
     The dither is uniform on [-d/2, d/2); row 0 of its middle axis masks the
     R sub-channel, row 1 the I. Encoder and decoder share it ahead of time
     and the adversary never sees it, which is the whole security story.
     """
-    dither = rng.uniform(-d / 2.0, d / 2.0, size=(n_t - 1, 2, n))
-    eta_fwd = cn_sample(rng, noise.sigma1_2, (n_t, n))
-    eta_fb = cn_sample(rng, noise.sigma2_2, (n_t - 1, n))
-    eta_eve = cn_sample(rng, noise.sigma_e2, (n_t, n)) if capture_eve else None
+    dither, eta_fwd, eta_fb, eta_eve = (
+        _noise_arrays(n, n_t, capture_eve) if out is None else out)
+    # rng.uniform(-d/2, d/2) in place: low + (high - low) * U[0, 1)
+    half = d / 2.0
+    rng.random(out=dither)
+    dither *= 2.0 * half
+    dither -= half
+    cn_sample(rng, noise.sigma1_2, (n_t, n), out=eta_fwd)
+    cn_sample(rng, noise.sigma2_2, (n_t - 1, n), out=eta_fb)
+    if eta_eve is not None:
+        cn_sample(rng, noise.sigma_e2, (n_t, n), out=eta_eve)
     return dither, eta_fwd, eta_fb, eta_eve
 
 

@@ -21,9 +21,15 @@ ahead of the one being written. Tables are streamed: every file is opened
 before the first task runs, and each task's bytes are appended in task
 order as they arrive and fed to a running sha256. Memory therefore stays
 flat in the realization count, and neither the worker count nor the task
-size changes the bytes. The tables
-are written under a ".part" suffix and renamed when the run succeeds; a run
-that raises removes them, so it leaves no partial tables and no manifest.
+size changes the bytes. When the tasks run in this process (one worker)
+and os.cpu_count() is at least 2, codec_validation draws the noise of its
+next block batch on one helper thread while the engine runs the current
+batch; numpy's noise fills release the GIL. Pool workers and 1-CPU hosts
+draw every batch inline through the same loop, so busy threads never
+outnumber the CPUs, and each batch's own substream keeps the bytes the
+same. The manifest records the worker count. The tables are written
+under a ".part" suffix and renamed when the run succeeds; a run that
+raises removes them, so it leaves no partial tables and no manifest.
 An unusable output directory and a non-integer FBLINK_WORKERS are
 configuration errors.
 
@@ -35,6 +41,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -42,6 +49,7 @@ import math
 import os
 import platform
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -171,6 +179,11 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
         snr_ok, p, p_fb = False, math.inf, math.inf
     # a non-positive P_fb fails the SNR or the noise check below
     ratio = p / p_fb if p_fb > 0 else 0.0
+    # the privacy floor divides by 2^(2*privacy_eps) - 1
+    try:
+        eps_gain = 2.0 ** (2.0 * cfg.privacy_eps) - 1.0
+    except OverflowError:
+        eps_gain = math.inf
     checks = [
         (snr_ok, "snr_db and snr_fb_db must give a finite positive linear "
                  "SNR"),
@@ -196,6 +209,9 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
         (cfg.max_redraws >= 1, "max_redraws must be >= 1"),
         (cfg.distortion > 0, "distortion must be positive"),
         (cfg.privacy_eps > 0, "privacy_eps must be positive"),
+        (0 < eps_gain < math.inf,
+         "privacy_eps must be at least about 1e-16 and below 512, so that "
+         "2^(2*privacy_eps) - 1 is positive and finite"),
         (cfg.utility_cap > 0, "utility_cap must be positive"),
         (cfg.sigma2 >= 0, "sigma2 must be >= 0"),
         (cfg.sigma_w2_max > 0, "sigma_w2_max must be positive"),
@@ -457,6 +473,38 @@ _CODEC_HEADER = ("realization", "n_t", "bits_per_sub", "n_blocks",
                  "outage_reason")
 
 
+# blocks per engine call of codec_validation; each batch draws its noise
+# from its own substream, so the batches' bytes do not depend on the thread
+# that draws them
+_CODEC_BATCH = 20000
+
+
+@contextlib.contextmanager
+def _on_helper(fn):
+    """Run fn() on a helper thread alongside the body of the with
+    statement; None runs nothing. The helper is joined even when the body
+    raises, and what fn raised is raised after the body, unchanged."""
+    if fn is None:
+        yield
+        return
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as e:
+            raised.append(e)
+
+    helper = threading.Thread(target=run, name="fblink-noise")
+    helper.start()
+    try:
+        yield
+    finally:
+        helper.join()
+    if raised:
+        raise raised[0]
+
+
 def _scn_codec_validation(cfg, r_idx):
     if cfg.fixed_gains:
         real = Realization(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
@@ -484,26 +532,47 @@ def _scn_codec_validation(cfg, r_idx):
                           "lower n_blocks, sigma1_2 or sigma2_2")
     const = codec.build_constellation(bits_sub)
     msg_rng = substream(cfg.seed, DOMAIN_MESSAGES, r_idx)
-    errs = clean = done = batch_idx = 0
+    n_batches = -(-cfg.n_blocks // _CODEC_BATCH)
+
+    def size(k):
+        return min(_CODEC_BATCH, cfg.n_blocks - k * _CODEC_BATCH)
+
+    def draw(k, out=None):
+        return codec.draw_block_noise(
+            substream(cfg.seed, DOMAIN_BLOCKS, r_idx, k), size(k), cfg.n_t,
+            noise, sched.d, out=out)
+
+    # numpy's noise fills release the GIL, so a helper thread draws batch
+    # k+1 while this one runs batch k, when this process runs every task
+    # and a second CPU is free
+    threaded = (_workers("codec_validation", cfg) == 1
+                and (os.cpu_count() or 1) >= 2)
+    errs = clean = 0
     pow_fwd = pow_fb = 0.0
     eps2 = np.zeros(cfg.n_t)
-    while done < cfg.n_blocks:
-        n = min(20000, cfg.n_blocks - done)
+    ahead = None
+    for k in range(n_batches):
+        n = size(k)
         mr = msg_rng.integers(0, const.m_levels, n)
         mi = msg_rng.integers(0, const.m_levels, n)
-        brng = substream(cfg.seed, DOMAIN_BLOCKS, r_idx, batch_idx)
-        dith, ef, eb, _ = codec.draw_block_noise(brng, n, cfg.n_t, noise,
-                                                 sched.d)
-        out = codec.run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
-                                    record=True)
-        errs += int(out.error.sum())
-        pow_fwd += float(np.square(out.x_seq).sum())
-        pow_fb += float(np.square(out.x_fb_seq).sum())
-        mask = out.alias_events == 0
-        eps2 += (np.square(out.eps_hist).sum(axis=0) * mask).sum(axis=1)
-        clean += int(mask.sum())
-        done += n
-        batch_idx += 1
+        dith, ef, eb, _ = ahead if ahead is not None else draw(k)
+        # allocated on this thread: glibc serves a helper's allocations from
+        # a heap arena of its own, which costs CPU time and RSS
+        ahead = (codec._noise_arrays(size(k + 1), cfg.n_t)
+                 if threaded and k + 1 < n_batches else None)
+        with _on_helper(None if ahead is None
+                        else functools.partial(draw, k + 1, ahead)):
+            # the last batch's transcript is dropped only when this call
+            # returns: freed earlier, glibc trims the heap top and the
+            # engine faults it back in
+            out = codec.run_block_batch(sched, real, const, mr, mi, dith, ef,
+                                        eb, record=True)
+            errs += int(out.error.sum())
+            pow_fwd += float(np.square(out.x_seq).sum())
+            pow_fb += float(np.square(out.x_fb_seq).sum())
+            mask = out.alias_events == 0
+            eps2 += (np.square(out.eps_hist).sum(axis=0) * mask).sum(axis=1)
+            clean += int(mask.sum())
     # every block aliased leaves no clean error sample: an empty cell
     var_dev = (float(np.abs(eps2 / (2.0 * clean) / sched.alpha - 1.0).max())
                if clean else "")
@@ -599,6 +668,14 @@ _SWEEP_HEADER = ("grid_index", "sigma2", "window_lower", "window_upper",
 def _scn_privacy_utility_sweep(cfg, r_idx):
     win = analysis.sigma2_window(cfg.privacy_eps, cfg.utility_cap,
                                  cfg.n_users, cfg.s_total, cfg.sigma_w2_max)
+    # the grid is geometric, from a quarter of the lower window bound to
+    # four times the upper, so both ends must be positive finite floats
+    for key, bound in (("utility_cap", win.upper),
+                       ("sigma_w2_max with privacy_eps", win.lower)):
+        if not (bound / 4.0 > 0.0 and bound * 4.0 < math.inf):
+            raise ConfigError("%s puts a window bound at %r; the sweep grid "
+                              "needs a quarter and four times it to be "
+                              "positive and finite" % (key, bound))
     lo = min(win.lower, win.upper) / 4.0
     hi = max(win.lower, win.upper) * 4.0
     grid = np.geomspace(lo, hi, cfg.sweep_points)
@@ -675,6 +752,13 @@ def _worker_count(env, cpu_count):
     except ValueError:
         raise ConfigError("FBLINK_WORKERS must be an integer, got %r" % raw)
     return max(1, min(workers, cpu_count or 1))
+
+
+def _workers(scenario, cfg):
+    """Processes that run the tasks of scenario: FBLINK_WORKERS clamped to
+    the CPU count and to the task count."""
+    return min(_worker_count(os.environ, os.cpu_count()),
+               _task_args(scenario, cfg)[0])
 
 
 def _ordered(pool, tasks, window):
@@ -759,8 +843,8 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
                           % (scenario, list(SCENARIO_NAMES)))
     _, file_headers = SCENARIOS[scenario]
     t0 = time.monotonic()
-    n_tasks, task_args = _task_args(scenario, cfg)
-    workers = min(_worker_count(os.environ, os.cpu_count()), n_tasks)
+    _, task_args = _task_args(scenario, cfg)
+    workers = _workers(scenario, cfg)
     files = _open_tables(out_dir, file_headers)
     digests = {name: hashlib.sha256() for name in files}
     n_rows = dict.fromkeys(files, 0)
@@ -803,6 +887,8 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
                                               "openblas configuration")},
             "libc": " ".join(platform.libc_ver()).strip(),
             "bit_generator": type(substream(0).bit_generator).__name__,
+            # processes that ran the tasks, after clamping
+            "workers": workers,
         },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w",

@@ -3,10 +3,12 @@ import csv
 import itertools
 import json
 import math
+import os
 import platform
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -344,22 +346,36 @@ def test_sweep_scenario_contents_and_rerun_identity(tmp_path):
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    # two CPUs whatever the host has, so that FBLINK_WORKERS=2 runs a pool
+    # and a one-worker codec_validation draws its noise on a helper thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     # at least five tasks of many realizations each overrun the pool's
     # window of 2 per worker
     cfg = parse_config(None, realizations=160, n_t_max_scan=6,
                        payload_bits=10)
     tasks = list(_task_args("rate_vs_blocklength", cfg)[1])
     assert len(tasks) >= 5 and all(len(t) > 1 for t in tasks)
-    monkeypatch.setenv("FBLINK_WORKERS", "1")
-    serial = run_scenario(cfg, "rate_vs_blocklength", str(tmp_path / "serial"))
-    monkeypatch.setenv("FBLINK_WORKERS", "2")
-    pool = run_scenario(cfg, "rate_vs_blocklength", str(tmp_path / "pool"))
-    for name in ("rates.csv", "plans.csv"):
-        assert ((tmp_path / "serial" / name).read_bytes()
-                == (tmp_path / "pool" / name).read_bytes())
-    assert serial["files"] == pool["files"]
-    assert pool["files"]["plans.csv"]["rows"] == 160
-    rows = read_csv(tmp_path / "pool" / "rates.csv")
+    # three batches of blocks, the last one short: the helper thread's
+    # draws (one worker) against the pool workers' inline ones
+    codec_cfg = parse_config(None, realizations=2, n_blocks=45000)
+    pool = {}
+    for scenario, cfg, names in (
+            ("rate_vs_blocklength", cfg, ("rates.csv", "plans.csv")),
+            ("codec_validation", codec_cfg, ("codec_validation.csv",))):
+        runs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("FBLINK_WORKERS", workers)
+            out = tmp_path / scenario / workers
+            runs[workers] = run_scenario(cfg, scenario, str(out))
+            assert runs[workers]["environment"]["workers"] == int(workers)
+        for name in names:
+            assert ((tmp_path / scenario / "1" / name).read_bytes()
+                    == (tmp_path / scenario / "2" / name).read_bytes())
+        assert runs["1"]["files"] == runs["2"]["files"]
+        pool.update(runs["2"]["files"])
+    assert pool["plans.csv"]["rows"] == 160
+    assert pool["codec_validation.csv"]["rows"] == 2
+    rows = read_csv(tmp_path / "rate_vs_blocklength" / "2" / "rates.csv")
     assert len(rows) == 160 * 6
     assert [int(r["realization"]) for r in rows] == sorted(
         int(r["realization"]) for r in rows)
@@ -456,6 +472,92 @@ def test_manifest_records_environment(tmp_path):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env["blas"] == {k: blas.get(k) for k in (
         "name", "version", "openblas configuration")}
+
+
+def test_manifest_records_the_clamped_worker_count(tmp_path, monkeypatch):
+    # the processes that ran the tasks: FBLINK_WORKERS clamped to the CPU
+    # count and the task count; the files do not depend on it
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = parse_config(None, n_blocks=200)
+    seen = {}
+    for env, real, want in (("1", 3, 1), ("2", 3, 2), ("8", 3, 2),
+                            ("2", 1, 1)):
+        monkeypatch.setenv("FBLINK_WORKERS", env)
+        out = tmp_path / ("%s-%d" % (env, real))
+        man = run_scenario(replace(cfg, realizations=real),
+                           "codec_validation", str(out))
+        on_disk = json.loads((out / "manifest.json").read_text())
+        assert man["environment"]["workers"] == want
+        assert on_disk["environment"]["workers"] == want
+        seen.setdefault(real, []).append(man["files"])
+    assert all(files == runs[0] for runs in seen.values() for files in runs)
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("target", ["draw_block_noise", "run_block_batch"])
+def test_codec_validation_failure_mid_loop_leaves_no_thread(tmp_path,
+                                                           monkeypatch,
+                                                           target):
+    # batch 1 of three fails: its noise fill on the helper thread, or the
+    # engine on this thread while the helper fills batch 2. The run raises
+    # that error, joins the helper, and leaves no table and no manifest.
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    original = getattr(codec, target)
+    error = Boom("batch 1")
+    threads = []
+
+    def fails_at_batch_1(*args, **kwargs):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise error
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(codec, target, fails_at_batch_1)
+    before = threading.active_count()
+    out = tmp_path / "out"
+    with pytest.raises(Boom) as info:
+        run_scenario(parse_config(None, fixed_gains=1, n_blocks=45000),
+                     "codec_validation", str(out))
+    assert info.value is error
+    assert threading.active_count() == before
+    assert list(out.iterdir()) == []
+    # batch 0 is drawn before the loop; the loop's draws run on the helper
+    on_helper = [t is not threading.main_thread() for t in threads]
+    assert on_helper == ([False, True] if target == "draw_block_noise"
+                         else [False, False])
+
+
+def test_codec_validation_helper_and_inline_draws_agree(monkeypatch):
+    # one CPU draws every batch on the calling thread; two draw batches 1
+    # and 2 on the helper. With the interpreter switching threads every
+    # microsecond, an engine that read a batch before its fill ended would
+    # change the row.
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    cfg = parse_config(None, fixed_gains=1, n_blocks=45000)
+    original = codec.draw_block_noise
+    rows = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            threads = []
+
+            def recorded(*args, **kwargs):
+                threads.append(threading.current_thread())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(codec, "draw_block_noise", recorded)
+            rows[cpus] = SCENARIOS["codec_validation"][0](cfg, 0)
+            assert [t is threading.main_thread() for t in threads] == (
+                [True] * 3 if cpus == 1 else [True, False, False])
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows[1] == rows[2]
 
 
 def test_cli_import_leaves_scipy_and_the_pool_unloaded():
@@ -778,6 +880,27 @@ def test_cli_near_limit_power_is_exit_1(tmp_path, capsys, scenario, config,
     p.write_text(json.dumps(config))
     code = main(["run", "--scenario", scenario, "--config", str(p),
                  "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert list((tmp_path / "out").glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("config,key", [
+    # 2^(2*privacy_eps) - 1 is 0, and the privacy floor divided by it
+    ({"privacy_eps": 1e-300}, "privacy_eps"),
+    # utility_cap / n_users underflows to 0, the sweep grid's lower end
+    ({"utility_cap": 5e-324}, "utility_cap"),
+    # 2^(2*privacy_eps) overflows
+    ({"privacy_eps": 600}, "privacy_eps"),
+    # the privacy floor overflows, and the grid's upper end with it
+    ({"sigma_w2_max": 1e308}, "sigma_w2_max"),
+])
+def test_cli_sweep_window_limits_are_exit_1(tmp_path, capsys, config, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    code = main(["run", "--scenario", "privacy_utility_sweep", "--config",
+                 str(p), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err

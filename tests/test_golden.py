@@ -10,11 +10,14 @@ dates from fblink 0.2.1, and the plans.csv digest of the outage case from
 0.3.0. The rates.csv digests and the other two plans.csv digests were
 retaken at 0.7.0, when the Gaussian tail moved from scipy to the C
 library's erfc and q_inv, then Acklam's seed with two Newton steps, moved
-in the last ulp. They and the two codec_validation digests were retaken
-at 0.9.0, when q_inv became the standard library's normal quantile and
-the fold budgets moved by a few ulps. The eavesdropper path and transport
-digests date from 0.6.0, when substreams became SFC64; test_streams.py
-pins the stream's own first draws. After a deliberate change,
+in the last ulp. They and the two 20000-block codec_validation digests
+were retaken at 0.9.0, when q_inv became the standard library's normal
+quantile and the fold budgets moved by a few ulps. The two 45000-block
+codec_validation digests, three batches each, were taken at 0.9.0 before
+the next batch's noise moved to a helper thread, and that move kept them.
+The eavesdropper path and transport digests date from 0.6.0, when
+substreams became SFC64; test_streams.py pins the stream's own first
+draws. After a deliberate change,
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -76,6 +79,16 @@ CASES = [
             "752bcf8e3a5266da606ae3c2e6326dcb474797e34716a4d24c518677bc6f7baf",
         "plans.csv":
             "f6fd9052cde1acf0c463b4b2c498ceadde485d1d7f1f5050b83d9891ce4c4158",
+    }),
+    # three batches of blocks, the last one short: the noise of batches 1
+    # and 2 is drawn while the engine runs the batch before
+    ("codec_validation", {"fixed_gains": 1, "n_t": 10, "n_blocks": 45000}, {
+        "codec_validation.csv":
+            "e0b3dbff368ff619625138a58b7cb85bc65e902c256f5327a20acae739efb1fb",
+    }),
+    ("codec_validation", {"realizations": 2, "n_blocks": 45000}, {
+        "codec_validation.csv":
+            "b8a75274c246a0c5c803bbd796b3c1bdf48ca8de665ac560af60f089639f2b0d",
     }),
 ]
 

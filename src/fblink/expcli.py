@@ -2,13 +2,14 @@
 
 Each scenario turns a SystemConfig into one or more CSV tables plus a JSON
 manifest carrying the config echo, the seed, and a sha256 of every table.
-Scenario cells are int, float or str only, and the csv module writes floats
-with repr(), so equal runs produce byte-identical files; the manifest's
-wall_time_s is the one deliberately non-reproducible field and stays out of
-the hashes. Its environment object names what else the bytes depend on:
-the Python version and implementation (whose statistics module sets the
-normal quantile), numpy and its BLAS build, the C library (whose erfc sets
-the Gaussian tail) and the substreams' bit generator.
+Scenario cells are int, float or str only, and _csv_bytes, the one
+formatter, writes each as str() gives it (a float's shortest repr) with
+csv's minimal quoting, so equal runs produce byte-identical files; the
+manifest's wall_time_s is the one deliberately non-reproducible field and
+stays out of the hashes. Its environment object names what else the bytes
+depend on: the Python version and implementation (whose statistics module
+sets the normal quantile), numpy and its BLAS build, the C library (whose
+erfc sets the Gaussian tail) and the substreams' bit generator.
 
 Realizations are independent, each on substreams keyed by its own index.
 _task_args maps them to tasks: a rate_vs_blocklength task is a range of
@@ -40,10 +41,8 @@ configured system infeasible at runtime.
 import argparse
 import collections
 import contextlib
-import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -388,9 +387,17 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
     noise = cfg.noise_spec()
 
     def transmit(agg, round_idx, source_var):
+        if not (math.isfinite(source_var) and np.isfinite(agg).all()):
+            raise ConfigError("round %d's aggregate is not finite: the model "
+                              "diverged or its noise overflowed; lower lr or "
+                              "sigma2" % round_idx)
         dither_key = (cfg.seed, DOMAIN_MESSAGES, r_idx, round_idx)
-        payload = source_coding.quantize(agg, cfg.distortion, source_var,
-                                         substream(*dither_key))
+        try:
+            payload = source_coding.quantize(agg, cfg.distortion, source_var,
+                                             substream(*dither_key))
+        except OverflowError as e:
+            raise ConfigError("round %d: %s; raise distortion or lower "
+                              "sigma2" % (round_idx, e))
         stats = {"accounted_bits": payload.accounted_bits,
                  "physical_bits": payload.physical_bits,
                  "rate_per_coord": payload.rate_bits_per_coord}
@@ -818,10 +825,42 @@ def _discard(files):
 
 
 def _csv_bytes(rows):
-    """rows as the UTF-8 bytes of one csv writerows call."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue().encode("utf-8")
+    """Equal-length rows as the UTF-8 bytes that
+    csv.writer(lineterminator="\n").writerows(rows) writes: each cell as
+    str() gives it, a text holding ',', '"' or a newline quoted with its '"'
+    doubled, and a one-cell row of empty text as "". Ragged rows are a
+    ValueError.
+
+    A float's repr is the costly part and columns repeat floats (a draw's
+    gains down its scan, L per n_t), so each column formats a nonzero float
+    of exact type float once per distinct value; 0.0 and -0.0, or 1 and
+    1.0, would share a memo key.
+    """
+    if not rows:
+        return b""
+    width = len(rows[0])
+    if set(map(len, rows)) != {width}:
+        raise ValueError("CSV rows differ in length: %s"
+                         % sorted(set(map(len, rows))))
+    columns = []
+    for cells in zip(*rows):
+        memo = {}
+        texts = []
+        for v in cells:
+            if type(v) is float and v:
+                s = memo.get(v)
+                if s is None:
+                    s = memo[v] = repr(v)
+            else:
+                s = str(v)
+                if "," in s or '"' in s or "\n" in s:
+                    s = '"%s"' % s.replace('"', '""')
+            texts.append(s)
+        columns.append(texts)
+    if width == 1:
+        columns[0] = [s or '""' for s in columns[0]]
+    lines = map(",".join, zip(*columns)) if width else [""] * len(rows)
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _write_csv(f, digest, data):

@@ -31,6 +31,11 @@ __all__ = [
 # Two real sub-channels at their widest; a chunk never exceeds one block.
 MAX_CHUNK_BITS = 2 * MAX_SUB_CHANNEL_BITS
 
+# The cell indices k and the reconstruction k*step pass through float64,
+# exact for integers below 2^53: at most this k_half keeps the 2*k_half + 1
+# cells inside 53-bit indices.
+_MAX_K_HALF = 2 ** 52 - 1
+
 
 @dataclass
 class QuantizedPayload:
@@ -65,11 +70,12 @@ def quantize(w, distortion, source_var, rng) -> QuantizedPayload:
     the index width.
 
     D >= source_var means the rate-distortion value is zero: nothing is
-    transmitted and the reconstruction is the all-zero vector.
+    transmitted and the reconstruction is the all-zero vector. A ratio
+    source_var/D whose cell indices would pass 53 bits is an OverflowError.
     """
     w = np.asarray(w, dtype=float)
-    if source_var <= 0.0:
-        raise ValueError("source_var must be positive")
+    if not 0.0 < source_var < math.inf:
+        raise ValueError("source_var must be positive and finite")
     rate = rate_distortion(distortion, source_var)
     if rate == 0.0:
         return QuantizedPayload(np.empty(0, dtype=np.uint8), len(w), 0, 0,
@@ -78,11 +84,17 @@ def quantize(w, distortion, source_var, rng) -> QuantizedPayload:
     # clip at 5 sigma: the tail's squared-error contribution is ~2e-8 of
     # source_var, negligible against D even at source_var/D ~ 1e5, while a
     # 4 sigma clip already costs several percent of D at that ratio
-    k_half = int(math.ceil(5.0 * math.sqrt(source_var) / step))
+    reach = 5.0 * math.sqrt(source_var) / step
+    if not reach <= _MAX_K_HALF:
+        raise OverflowError(
+            "distortion %r at source_var %r needs %.3g cells on either side "
+            "of zero, more than the %d that 53-bit cell indices hold"
+            % (distortion, source_var, reach, _MAX_K_HALF))
+    k_half = int(math.ceil(reach))
     width = max(1, int(math.ceil(math.log2(2 * k_half + 1))))
     u = rng.uniform(-step / 2.0, step / 2.0, size=len(w))
-    k = np.rint((w + u) / step).astype(np.int64)
-    np.clip(k, -k_half, k_half, out=k)
+    # clipped before the cast: a cell past the int64 range has no cast
+    k = np.clip(np.rint((w + u) / step), -k_half, k_half).astype(np.int64)
     bits = to_bits(k + k_half, width).ravel()
     return QuantizedPayload(bits, len(w), width, k_half, rate,
                             int(math.ceil(len(w) * rate)), distortion)

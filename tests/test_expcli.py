@@ -1,10 +1,12 @@
 import collections
 import csv
+import io
 import itertools
 import json
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -14,14 +16,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fblink import adversary, analysis, codec, expcli, hfl, source_coding
 from fblink.channel import Realization, sample_realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            SystemConfig, _POWER_MAX, _TAU_MIN, _bit_order,
-                           _ordered, _pack_group, _send_bits, _task_args,
-                           _unpack_group, _worker_count, coded_transmitter,
-                           main, parse_config, run_scenario)
+                           _csv_bytes, _ordered, _pack_group, _send_bits,
+                           _task_args, _unpack_group, _worker_count,
+                           coded_transmitter, main, parse_config,
+                           run_scenario)
 from fblink.streams import DOMAIN_REALIZATION, substream
 
 from conftest import as_complex
@@ -287,27 +292,89 @@ def test_redraws_count_failed_candidates(monkeypatch):
                         cfg)
 
 
+def csv_writer_bytes(rows):
+    """The oracle: what the csv module writes for rows."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+_CELLS = st.one_of(
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, 1, 1.0, True, math.nan, math.inf, -math.inf,
+                     5e-324, -2.5e-310, 1e16, 1e-5]),
+    st.text(st.sampled_from(list('a1.,"\n\r -')), max_size=5),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5))
+
+
+@st.composite
+def _tables(draw):
+    """Equal-length rows whose columns each draw from a few cells, so that
+    values repeat down a column as they do in the scenarios."""
+    width = draw(st.integers(min_value=0, max_value=4))
+    pools = [draw(st.lists(_CELLS, min_size=1, max_size=4))
+             for _ in range(width)]
+    n_rows = draw(st.integers(min_value=0, max_value=6))
+    return [tuple(draw(st.sampled_from(pool)) for pool in pools)
+            for _ in range(n_rows)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_tables())
+@example([])
+@example([("",)])
+@example([("",), ("",), ("x",)])
+@example([("", "")])
+@example([(0.0,), (-0.0,), (1,), (1.0,), (True,), (-0.0,), (0.0,)])
+@example([(math.nan, "a,b"), (math.nan, 'q"x'), (np.float64(-0.0), "l\nm"),
+          (np.float64(2.5), "r\rs"), (2.5, "")])
+def test_csv_bytes_are_the_csv_modules(rows):
+    assert _csv_bytes(rows) == csv_writer_bytes(rows)
+
+
+def test_csv_bytes_refuse_ragged_rows():
+    with pytest.raises(ValueError, match="length"):
+        _csv_bytes([(1, 2.5), (1,)])
+    with pytest.raises(ValueError, match="length"):
+        _csv_bytes([(1,), (1, 2.5), (3,)])
+
+
 def test_scenario_cells_are_int_float_or_str():
-    # the csv module writes exactly these three types as intended, floats by
-    # repr; a bool would print as True and a numpy float as np.float64(...)
+    # _csv_bytes writes exactly these three types as intended, floats by
+    # their shortest repr and each table as the csv module would, headers
+    # included; a bool would print as True and a numpy scalar by its own
+    # str, outside the memo
     small = dict(n_blocks=2000, n_rounds=2, n_train=100, n_test=50,
-                 n_t_max_scan=4, sweep_points=3)
+                 n_t_max_scan=4, sweep_points=3, realizations=3)
     runs = [(name, parse_config(None, **small)) for name in SCENARIOS]
-    # the infeasible codec_validation row has its own cells
-    runs.append(("codec_validation",
-                 parse_config(None, snr_db=-20.0, **small)))
+    # the infeasible codec_validation row has empty cells, and the outage
+    # rows of a faint feedback link hold inf
+    runs += [("codec_validation", parse_config(None, snr_db=-20.0, **small)),
+             ("rate_vs_blocklength", parse_config(None, snr_fb_db=-10.0,
+                                                  **small))]
+    seen = set()
     for name, cfg in runs:
         fn, headers = SCENARIOS[name]
-        tables = fn(cfg, next(iter(_task_args(name, cfg)[1])))
-        assert set(tables) == set(headers)
-        for table, rows in tables.items():
-            assert rows
-            for row in rows:
-                assert len(row) == len(headers[table])
-                bad = [(col, type(v)) for col, v in zip(headers[table], row)
-                       if type(v) not in (int, float, str)]
-                assert not bad, (name, table, bad)
-    (row,) = SCENARIOS["codec_validation"][0](runs[-1][1], 0)[
+        for header in headers.values():
+            assert _csv_bytes([header]) == csv_writer_bytes([header])
+        for arg in _task_args(name, cfg)[1]:
+            tables = fn(cfg, arg)
+            assert set(tables) == set(headers)
+            for table, rows in tables.items():
+                assert rows
+                for row in rows:
+                    assert len(row) == len(headers[table])
+                    bad = [(col, type(v))
+                           for col, v in zip(headers[table], row)
+                           if type(v) not in (int, float, str)]
+                    assert not bad, (name, table, bad)
+                assert _csv_bytes(rows) == csv_writer_bytes(rows), (name, arg)
+                seen.update(v for row in rows for v in row
+                            if v == "" or v == math.inf)
+    assert seen == {"", math.inf}
+    (row,) = SCENARIOS["codec_validation"][0](runs[-2][1], 0)[
         "codec_validation.csv"]
     assert row[-2] == 0 and row[-1]
 
@@ -904,6 +971,29 @@ def test_cli_sweep_window_limits_are_exit_1(tmp_path, capsys, config, key):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
+    assert list((tmp_path / "out").glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("scenario,config,key", [
+    # a 500-bit cell index overflowed int64 in source_coding.quantize
+    ("secrecy_level_vs_round", {"sigma2": 1e300, "n_rounds": 1}, "sigma2"),
+    ("secrecy_level_vs_round", {"distortion": 1e-300, "n_rounds": 1},
+     "distortion"),
+    # the model diverges in round 1 and its NaN variance reached the
+    # quantizer; the baseline run warns on its way there
+    pytest.param("learning_curves", {"lr": 1e300, "n_rounds": 2}, "lr",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+])
+def test_cli_quantizer_limits_are_exit_1(tmp_path, capsys, scenario, config,
+                                         key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    code = main(["run", "--scenario", scenario, "--config", str(p),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert re.search(r"\b%s\b" % key, err)
     assert list((tmp_path / "out").glob("*.csv")) == []
 
 

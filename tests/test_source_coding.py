@@ -87,6 +87,35 @@ def test_quantize_validation():
         quantize(np.zeros(4), D, 0.0, substream(0, 0))
     with pytest.raises(ValueError):
         quantize(np.zeros(4), 0.0, 1.0, substream(0, 0))
+    # a diverged model's variance
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            quantize(np.zeros(4), D, bad, substream(0, 0))
+
+
+def test_far_cells_saturate_with_their_sign():
+    # (w + u)/step past the int64 range: cast before the clip, 1e300 came
+    # out at the negative end
+    p = quantize(np.array([1e300, -1e300, np.inf]), D, 1.0, substream(0, 0))
+    assert np.rint(dequantize(p, None) / math.sqrt(12.0 * D)).tolist() == [
+        p.k_half, -p.k_half, p.k_half]
+
+
+def test_quantize_index_width_limit():
+    # 5*sqrt(source_var)/step cells on either side of zero, 2^52 - 1 at most:
+    # the widest payload has 53-bit indices, and one more cell is refused
+    # before any integer index overflows
+    step = math.sqrt(12.0 * D)
+    widest = ((2 ** 52 - 1) * step / 5.0) ** 2
+    p = quantize(np.array([-1e300, 0.0, 1e300]), D, widest, substream(0, 0))
+    assert p.width_bits == 53
+    assert np.rint(dequantize(p, None) / step).tolist() == [
+        -(2 ** 52 - 1), 0, 2 ** 52 - 1]
+    for var in (widest * 1.001, 1e301):
+        with pytest.raises(OverflowError, match="53-bit"):
+            quantize(np.zeros(4), D, var, substream(0, 0))
+    with pytest.raises(OverflowError, match="53-bit"):
+        quantize(np.zeros(4), 1e-300, 1.0, substream(0, 0))
 
 
 def test_dequantize_length_check():

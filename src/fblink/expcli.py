@@ -8,8 +8,10 @@ csv's minimal quoting, so equal runs produce byte-identical files; the
 manifest's wall_time_s is the one deliberately non-reproducible field and
 stays out of the hashes. Its environment object names what else the bytes
 depend on: the Python version and implementation (whose statistics module
-sets the normal quantile), numpy and its BLAS build, the C library (whose
-erfc sets the Gaussian tail) and the substreams' bit generator.
+sets the normal quantile), numpy and its BLAS build, the live OpenBLAS
+thread count and core (the MLP scenarios' products round by them), the C
+library (whose erfc sets the Gaussian tail) and the substreams' bit
+generator.
 
 Realizations are independent, each on substreams keyed by its own index.
 _task_args maps them to tasks: a rate_vs_blocklength task is a range of
@@ -22,13 +24,19 @@ ahead of the one being written. Tables are streamed: every file is opened
 before the first task runs, and each task's bytes are appended in task
 order as they arrive and fed to a running sha256. Memory therefore stays
 flat in the realization count, and neither the worker count nor the task
-size changes the bytes. When the tasks run in this process (one worker)
-and os.cpu_count() is at least 2, codec_validation draws the noise of its
-next block batch on one helper thread while the engine runs the current
-batch; numpy's noise fills release the GIL. Pool workers and 1-CPU hosts
-draw every batch inline through the same loop, so busy threads never
-outnumber the CPUs, and each batch's own substream keeps the bytes the
-same. The manifest records the worker count. The tables are written
+size changes the bytes. Two scenarios run one helper thread beside a task
+where it finds an idle CPU (_helper_cpu_free): the tasks run in this
+process (one worker) and os.cpu_count() is at least 2. codec_validation
+draws the noise of its next block batch on it while the engine runs the
+current batch; numpy's noise fills release the GIL. learning_curves trains
+its error-free baseline on it while the calling thread trains the coded
+run, and only where the live OpenBLAS thread count is 1, since more BLAS
+threads already keep every CPU busy. Pool workers, 1-CPU hosts and
+learning tasks on a multi-threaded or unknown BLAS do the same work inline,
+so busy threads never outnumber the CPUs. Each batch and each run keeps its
+own substreams, so the bytes are the same either way; the helper costs
+some CPU time and a few MiB of peak memory (its buffers and its glibc
+arena). The manifest records the worker count. The tables are written
 under a ".part" suffix and renamed when the run succeeds; a run that
 raises removes them, so it leaves no partial tables and no manifest.
 An unusable output directory and a non-integer FBLINK_WORKERS are
@@ -387,10 +395,6 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
     noise = cfg.noise_spec()
 
     def transmit(agg, round_idx, source_var):
-        if not (math.isfinite(source_var) and np.isfinite(agg).all()):
-            raise ConfigError("round %d's aggregate is not finite: the model "
-                              "diverged or its noise overflowed; lower lr or "
-                              "sigma2" % round_idx)
         dither_key = (cfg.seed, DOMAIN_MESSAGES, r_idx, round_idx)
         try:
             payload = source_coding.quantize(agg, cfg.distortion, source_var,
@@ -502,7 +506,7 @@ def _on_helper(fn):
         except BaseException as e:
             raised.append(e)
 
-    helper = threading.Thread(target=run, name="fblink-noise")
+    helper = threading.Thread(target=run, name="fblink-helper")
     helper.start()
     try:
         yield
@@ -550,10 +554,8 @@ def _scn_codec_validation(cfg, r_idx):
             noise, sched.d, out=out)
 
     # numpy's noise fills release the GIL, so a helper thread draws batch
-    # k+1 while this one runs batch k, when this process runs every task
-    # and a second CPU is free
-    threaded = (_workers("codec_validation", cfg) == 1
-                and (os.cpu_count() or 1) >= 2)
+    # k+1 while this one runs batch k where a CPU is idle
+    threaded = _helper_cpu_free("codec_validation", cfg)
     errs = clean = 0
     pow_fwd = pow_fb = 0.0
     eps2 = np.zeros(cfg.n_t)
@@ -609,16 +611,27 @@ def _load_learning_data(cfg):
         raise ConfigError("cannot load data_dir %r: %s" % (cfg.data_dir, e))
 
 
+def _train(cfg, data, r_idx, transmit_fn=None):
+    """hfl.train of the configured model on data, the four arrays of
+    _load_learning_data, for realization r_idx; a round whose aggregate is
+    not finite is a ConfigError."""
+    x_tr, y_tr, x_te, y_te = data
+    try:
+        return hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
+                         cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
+                         transmit_fn=transmit_fn, tag=r_idx)
+    except FloatingPointError as e:
+        raise ConfigError("%s; lower lr or sigma2" % e)
+
+
 def _scn_secrecy_level_vs_round(cfg, r_idx):
-    x_tr, y_tr, x_te, y_te = _load_learning_data(cfg)
+    data = _load_learning_data(cfg)
     # the widest round this model can send is 24 bits per parameter, so a
     # channel that carries it carries every round
     real, _, redraws = _feasible_channel(
         cfg, mlp.n_params(cfg.mlp_spec()) * 24, (r_idx,))
-    fn = coded_transmitter(cfg, r_idx, fixed_realization=real)
-    res = hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
-                    cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
-                    transmit_fn=fn, tag=r_idx)
+    res = _train(cfg, data, r_idx,
+                 coded_transmitter(cfg, r_idx, fixed_realization=real))
     rows = []
     running = math.inf
     for rec in res.rounds:
@@ -641,17 +654,22 @@ _LEARNING_HEADER = ("realization", "variant", "round", "test_accuracy",
 
 
 def _scn_learning_curves(cfg, r_idx):
-    x_tr, y_tr, x_te, y_te = _load_learning_data(cfg)
-    spec = cfg.mlp_spec()
-    base = hfl.train(x_tr, y_tr, x_te, y_te, spec, cfg.n_users, cfg.n_rounds,
-                     cfg.lr, cfg.reg, cfg.sigma2, cfg.seed, transmit_fn=None,
-                     tag=r_idx)
-    fn = coded_transmitter(cfg, r_idx, capture_eve=True)
-    coded = hfl.train(x_tr, y_tr, x_te, y_te, spec, cfg.n_users,
-                      cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
-                      transmit_fn=fn, tag=r_idx)
+    data = _load_learning_data(cfg)
+    base = []
+
+    def train_baseline():
+        base.append(_train(cfg, data, r_idx))
+
+    # the two runs share only the read-only data, so where a CPU is idle the
+    # error-free baseline trains on a helper thread beside the coded run
+    threaded = _helper_cpu_free("learning_curves", cfg)
+    if not threaded:
+        train_baseline()
+    with _on_helper(train_baseline if threaded else None):
+        coded = _train(cfg, data, r_idx,
+                       coded_transmitter(cfg, r_idx, capture_eve=True))
     rows = []
-    for rec in base.rounds:
+    for rec in base[0].rounds:
         rows.append((r_idx, "baseline", rec.round_index, rec.test_accuracy,
                      rec.train_loss, rec.sigma_w2_hat, rec.source_var,
                      rec.mi_per_coord, rec.utility_noise,
@@ -766,6 +784,64 @@ def _workers(scenario, cfg):
     the CPU count and to the task count."""
     return min(_worker_count(os.environ, os.cpu_count()),
                _task_args(scenario, cfg)[0])
+
+
+@functools.cache
+def _openblas():
+    """(get_num_threads, get_corename or None) of the OpenBLAS that numpy
+    loaded, found by its shared object in /proc/self/maps; None where there
+    is none (another BLAS, or no /proc). Looked up once per process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({line.split()[-1] for line in f
+                           if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    # imported on the first reading, not with the module
+    import ctypes
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        # scipy-openblas's symbols, then those of plain 64- and 32-bit builds
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            threads = getattr(handle, "%s_get_num_threads%s"
+                              % (prefix, suffix), None)
+            if threads is None:
+                continue
+            core = getattr(handle, "%s_get_corename%s" % (prefix, suffix),
+                           None)
+            threads.restype, threads.argtypes = ctypes.c_int, []
+            if core is not None:
+                core.restype, core.argtypes = ctypes.c_char_p, []
+            return threads, core
+    return None
+
+
+def _blas_runtime():
+    """The live OpenBLAS thread count and core name, each None where no
+    OpenBLAS handle is found."""
+    fns = _openblas()
+    if fns is None:
+        return {"threads": None, "core": None}
+    threads, core = fns
+    return {"threads": threads(),
+            "core": core().decode() if core is not None else None}
+
+
+def _helper_cpu_free(scenario, cfg):
+    """Whether a task of scenario may run one helper thread beside itself,
+    which it does only where that thread finds an idle CPU: the tasks run in
+    this process (a pool already keeps its CPUs busy) on at least 2 CPUs.
+    learning_curves's helper trains a model whose matrix products OpenBLAS
+    spreads over all of its threads, so that scenario also needs a live
+    OpenBLAS thread count of 1; an unknown count trains inline."""
+    if _workers(scenario, cfg) != 1 or (os.cpu_count() or 1) < 2:
+        return False
+    return (scenario != "learning_curves"
+            or _blas_runtime()["threads"] == 1)
 
 
 def _ordered(pool, tasks, window):
@@ -921,9 +997,12 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
             "python": platform.python_version(),
             "python_implementation": platform.python_implementation(),
             "numpy": np.__version__,
-            # numpy's BLAS build, None where its build record has no entry
-            "blas": {k: blas.get(k) for k in ("name", "version",
-                                              "openblas configuration")},
+            # numpy's BLAS build, None where its build record has no entry,
+            # and the live OpenBLAS thread count and core, None where no
+            # OpenBLAS handle is found
+            "blas": dict({k: blas.get(k) for k in (
+                "name", "version", "openblas configuration")},
+                **_blas_runtime()),
             "libc": " ".join(platform.libc_ver()).strip(),
             "bit_generator": type(substream(0).bit_generator).__name__,
             # processes that ran the tasks, after clamping

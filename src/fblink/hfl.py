@@ -127,6 +127,10 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
     runs with the same (seed, tag) that differ only in transmit_fn share
     their initial point and every local noise draw, which is what makes
     coded-versus-clean comparisons paired.
+
+    A round whose aggregate or source_var is not finite (the model diverged
+    or the noise overflowed) raises FloatingPointError before transmit_fn
+    sees it, so a diverging run stops at that round whatever its transport.
     """
     shards = shard_data(x_train, y_train, n_users)
     s_total = sum(len(yk) for _, yk in shards)
@@ -141,6 +145,10 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
         agg = edge_aggregate(noisy)
         sigma_w2_hat = estimate_sigma_w2(locals_, [len(yk) for _, yk in shards])
         source_var = s_total * sigma_w2_hat + n_users * sigma2
+        if not (math.isfinite(source_var) and np.isfinite(agg).all()):
+            raise FloatingPointError(
+                "round %d's aggregate is not finite: the model diverged or "
+                "its noise overflowed" % t)
 
         eve_agg = None
         stats = {}

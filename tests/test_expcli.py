@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fblink import adversary, analysis, codec, expcli, hfl, source_coding
+from fblink import adversary, analysis, codec, expcli, hfl, mlp, source_coding
 from fblink.channel import Realization, sample_realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            SystemConfig, _POWER_MAX, _TAU_MIN, _bit_order,
@@ -537,8 +537,22 @@ def test_manifest_records_environment(tmp_path):
     # the normal quantile is the interpreter's statistics module
     assert env["python_implementation"] == platform.python_implementation()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert env["blas"] == {k: blas.get(k) for k in (
-        "name", "version", "openblas configuration")}
+    live = expcli._blas_runtime()
+    assert env["blas"] == dict({k: blas.get(k) for k in (
+        "name", "version", "openblas configuration")}, **live)
+    # the live OpenBLAS, read through its library handle, or None for both
+    # where there is none
+    if live["threads"] is None:
+        assert live["core"] is None
+        pytest.skip("numpy loaded no OpenBLAS with a thread count")
+    assert live["threads"] >= 1 and live["core"]
+    code = ("import json, fblink.expcli\n"
+            "print(json.dumps(fblink.expcli._blas_runtime()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ,
+                                              OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"threads": 1, "core": live["core"]}
 
 
 def test_manifest_records_the_clamped_worker_count(tmp_path, monkeypatch):
@@ -625,6 +639,157 @@ def test_codec_validation_helper_and_inline_draws_agree(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert rows[1] == rows[2]
+
+
+def blas_threads(monkeypatch, threads):
+    """Make expcli read this live OpenBLAS thread count."""
+    monkeypatch.setattr(expcli, "_blas_runtime",
+                        lambda: {"threads": threads, "core": None})
+
+
+def test_helper_cpu_free_conditions(monkeypatch):
+    cfg = parse_config(None, realizations=2)
+    for cpus, workers, threads, noise, learning in (
+            (2, "1", 1, True, True),
+            # OpenBLAS already spreads the products over both CPUs, or the
+            # count is unknown: only the noise helper runs
+            (2, "1", 2, True, False), (2, "1", None, True, False),
+            (1, "1", 1, False, False), (2, "2", 1, False, False)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("FBLINK_WORKERS", workers)
+        blas_threads(monkeypatch, threads)
+        assert expcli._helper_cpu_free("codec_validation", cfg) is noise
+        assert expcli._helper_cpu_free("learning_curves", cfg) is learning
+    # one task clamps the pool to this process
+    assert expcli._helper_cpu_free("learning_curves",
+                                   replace(cfg, realizations=1))
+
+
+# two realizations of a few rounds on a small sample
+SMALL_LEARNING = dict(realizations=2, n_rounds=3, n_train=200, n_test=100)
+
+
+def record_training(monkeypatch, fail=None, error=None):
+    """Record (variant, thread) of every hfl.train call; the variant named
+    by fail raises error instead of training."""
+    original = hfl.train
+    runs = []
+
+    def recorded(*args, transmit_fn=None, **kwargs):
+        variant = "baseline" if transmit_fn is None else "coded"
+        runs.append((variant, threading.current_thread()))
+        if variant == fail:
+            raise error
+        return original(*args, transmit_fn=transmit_fn, **kwargs)
+
+    monkeypatch.setattr(hfl, "train", recorded)
+    return runs
+
+
+def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
+    # the baseline trains on the helper thread only on 2 CPUs with one
+    # OpenBLAS thread and one worker; one CPU, two OpenBLAS threads and a
+    # pool all train it inline first. The interpreter switches threads
+    # every 10 microseconds, so two runs that shared any state would
+    # change the rows.
+    cfg = parse_config(None, **SMALL_LEARNING)
+    data = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for case, cpus, threads, workers in (
+                ("helper", 2, 1, "1"), ("one_cpu", 1, 1, "1"),
+                ("blas_2", 2, 2, "1"), ("pool", 2, 1, "2")):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            blas_threads(monkeypatch, threads)
+            monkeypatch.setenv("FBLINK_WORKERS", workers)
+            runs = record_training(monkeypatch)
+            before = threading.active_count()
+            man = run_scenario(cfg, "learning_curves", str(tmp_path / case))
+            assert threading.active_count() == before
+            assert man["environment"]["workers"] == int(workers)
+            data[case] = (tmp_path / case / "learning_curves.csv").read_bytes()
+            main_thread = threading.main_thread()
+            if case == "helper":
+                # the two runs of a realization start in either order
+                assert sorted((v, t.name) for v, t in runs) == [
+                    ("baseline", "fblink-helper")] * 2 + [
+                    ("coded", main_thread.name)] * 2
+                assert all((t is main_thread) == (v == "coded")
+                           for v, t in runs)
+            elif case != "pool":  # the pool trains in its own processes
+                assert runs == [("baseline", main_thread),
+                                ("coded", main_thread)] * 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(data.values())) == 1
+    assert data["helper"].count(b"\n") == 1 + 2 * 2 * 3
+
+
+@pytest.mark.parametrize("fail", ["baseline", "coded"])
+def test_learning_curves_failure_leaves_no_thread(tmp_path, monkeypatch,
+                                                  fail):
+    # the baseline fails on the helper, or the coded run fails on this
+    # thread while the helper trains the baseline: the run raises that
+    # error, joins the helper, and leaves no table and no manifest
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    blas_threads(monkeypatch, 1)
+    error = Boom(fail)
+    runs = record_training(monkeypatch, fail, error)
+    before = threading.active_count()
+    out = tmp_path / "out"
+    with pytest.raises(Boom) as info:
+        run_scenario(parse_config(None, **SMALL_LEARNING), "learning_curves",
+                     str(out))
+    assert info.value is error
+    assert threading.active_count() == before
+    assert list(out.iterdir()) == []
+    # realization 0 failed; realization 1 never started
+    assert sorted((v, t is threading.main_thread()) for v, t in runs) == [
+        ("baseline", False), ("coded", True)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          threads):
+    # round 0's step at lr 1e300 throws the model far off, and round 1's
+    # aggregate is not finite. Each variant stops there, on the helper
+    # (one OpenBLAS thread) or inline (two), where the baseline's error
+    # ends the run before the coded run starts.
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    blas_threads(monkeypatch, threads)
+    original_train, original_grad = hfl.train, mlp.loss_and_grad
+    variant_of = {}
+    calls = collections.Counter()
+
+    def train(*args, transmit_fn=None, **kwargs):
+        variant_of[threading.get_ident()] = ("baseline" if transmit_fn is None
+                                             else "coded")
+        return original_train(*args, transmit_fn=transmit_fn, **kwargs)
+
+    def loss_and_grad(*args):
+        # each thread counts under its own variant's key
+        calls[variant_of[threading.get_ident()]] += 1
+        return original_grad(*args)
+
+    monkeypatch.setattr(hfl, "train", train)
+    monkeypatch.setattr(mlp, "loss_and_grad", loss_and_grad)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"lr": 1e300, "n_rounds": 30}))
+    code = main(["run", "--scenario", "learning_curves", "--config", str(p),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: round 1's aggregate is not finite")
+    assert re.search(r"\blr\b", err) and re.search(r"\bsigma2\b", err)
+    assert list((tmp_path / "out").iterdir()) == []
+    n_users = parse_config().n_users
+    assert calls == ({"baseline": 2 * n_users, "coded": 2 * n_users}
+                     if threads == 1 else {"baseline": 2 * n_users})
 
 
 def test_cli_import_leaves_scipy_and_the_pool_unloaded():

@@ -203,6 +203,29 @@ def test_transport_is_handed_the_round_source_var():
     assert handed == [rec.source_var for rec in res.rounds]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sigma2", [0.3, 1e308])
+def test_non_finite_round_stops_before_the_transport(sigma2):
+    # lr 1e300 throws the model far off in round 0, so round 1's gradients
+    # overflow; a noise variance of 1e308 sums to inf in round 0. Either
+    # way the baseline stops at that round too, and no transport sees it.
+    x, y = small_data(15, n=60)
+    kw = dict(n_users=6, n_rounds=30, lr=1e300, reg=5e-5, sigma2=sigma2,
+              seed=4)
+    stop = 0 if sigma2 > 1.0 else 1
+    handed = []
+
+    def recording(agg, t, source_var):
+        handed.append(t)
+        return agg, None, {}
+
+    for fn in (None, recording):
+        with pytest.raises(FloatingPointError,
+                           match="round %d's aggregate is not finite" % stop):
+            train(x, y, x, y, SMALL, transmit_fn=fn, **kw)
+    assert handed == list(range(stop))
+
+
 def test_tag_diversifies_runs():
     x, y = small_data(12, n=60)
     kw = dict(n_users=6, n_rounds=2, lr=0.5, reg=5e-5, sigma2=0.3, seed=99)

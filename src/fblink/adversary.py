@@ -44,9 +44,8 @@ def _slice_first_use(z1, g, power):
 
 
 def attack_first_use(z1, g, power, const, rng):
-    """Derotate-and-slice on the (2, n) opening use. Returns (dec_r, dec_i),
-    the rows of one (2, n) decision against const, the constellation both
-    sub-channels share.
+    """Derotate-and-slice on the (2, n) opening use: the (2, n) decision,
+    rows R and I, against const, which both sub-channels share.
 
     g == 0 leaves the observation useless; the attack falls back to uniform
     guessing from rng, which is also its exact performance in that case.
@@ -57,8 +56,7 @@ def attack_first_use(z1, g, power, const, rng):
 
 
 def attack_full_sequence(z, g, g_fb, sched, const, rng):
-    """Fold-ladder unwrap over all observed uses. Returns (dec_r, dec_i),
-    the rows of one (2, n) decision against const.
+    """Fold-ladder unwrap over all observed uses: the (2, n) decision.
 
     z is the tap's (2, n_t, n) record, one column per use (the feedback sent
     after use i shares column i-1, the last is forward-only). Each feedback

@@ -1,8 +1,8 @@
 """Modulo-folded feedback coding of short blocks over the duplex link.
 
-One block carries a message pair (w_R, w_I), one index per real sub-channel,
-as PAM centers on [-sqrt(3), sqrt(3)]. Use 1 sends the centers at power P/2
-per sub-channel. After every use the decoder feeds back its running estimate,
+One block carries a column of the (2, n) message array, one index per real
+sub-channel, as PAM centers on [-sqrt(3), sqrt(3)]. Use 1 sends the centers
+at power P/2 each. After every use the decoder feeds back its running estimate,
 folded into [-d/2, d/2) and masked by a shared uniform dither; the encoder
 recovers the estimation error through the same fold, rescales it to full
 power, and sends it back. Each round trip contracts the error variance by the
@@ -27,15 +27,16 @@ share of tau. A fold is invisible in-protocol: the encoder refines a wrong
 error, the block usually dies, and only the simulator-side transcript knows.
 
 Both sub-channels carry half a block, so one constellation serves both.
-Batch arrays are real and component first, blocks on the last axis: dither
-(use, pair, block); noise, tap and transcript (pair, use, block). A use
-reads and writes one (2, n) slab, row 0 R and row 1 I, and the two
-sub-channels' state is one (2, n) array: one fold per feedback direction,
-one alias test, one decode. The engine allocates no complex array; it
-derotates a use's noise alone (x + derotate(eta, h) is the projection of
-h*x + eta). draw_block_noise draws the noise in its documented order and
-run_block_batch is a pure function of those arrays, the one path through a
-block; a single block is a one-row batch.
+Batch arrays are real and component first, blocks on the last axis:
+messages and decisions (pair, block); dither (use, pair, block); noise, tap
+and transcript (pair, use, block). A use reads and writes one (2, n) slab,
+row 0 R and row 1 I, and the two sub-channels' state is one (2, n) array:
+one fold per feedback direction, one alias test, one decode. The engine
+allocates no complex array; it derotates a use's noise alone
+(x + derotate(eta, h) is the projection of h*x + eta). draw_block_noise
+draws the noise in its documented order and run_block_batch is a pure
+function of those arrays, the one path through a block; a single block is
+a batch of one.
 
 Message indices are read from bits MSB first through to_bits/from_bits, the
 one bit packer that the quantizer and the transport share; the transport
@@ -229,14 +230,15 @@ def modulo_d(x, d):
 
 @dataclass
 class BatchResult:
-    dec_r: np.ndarray
-    dec_i: np.ndarray
+    dec: np.ndarray                     # (2, n)
     error: np.ndarray
     alias_events: np.ndarray
     eps_hist: np.ndarray | None = None  # (2, n_t, n)
     x_seq: np.ndarray | None = None     # (2, n_t, n)
     x_fb_seq: np.ndarray | None = None  # (2, n_t-1, n)
     z_seq: np.ndarray | None = None     # (2, n_t, n)
+    # row 0 of dec, read-only, for perfbench's block counter (tracing.py)
+    dec_r = property(lambda self: self.dec[0])
 
 
 def _noise_arrays(n, n_t, capture_eve=False):
@@ -278,20 +280,22 @@ def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False,
 
 
 def run_block_batch(sched: Schedule, realization: Realization,
-                    const: PamConstellation, msg_r, msg_i, dither, eta_fwd,
-                    eta_fb, *, eta_eve=None, record=False) -> BatchResult:
+                    const: PamConstellation, msg, dither, eta_fwd, eta_fb,
+                    *, eta_eve=None, record=False) -> BatchResult:
     """Run n blocks through the feedback loop with externally drawn noise.
 
     Pure function of its arrays: no RNG inside, so zero-noise limits and
-    transcript replays are exact. msg_r and msg_i are (n,) integer indices
-    inside const, which both sub-channels share (ValueError otherwise); the
-    noise is laid out as draw_block_noise draws it, and eta_eve enables the
-    adversary tap, z_seq. record=True keeps the transcript in the layout of
-    the noise: the estimation errors and the forward symbols (2, n_t, n),
-    the feedback symbols (2, n_t-1, n).
+    transcript replays are exact. msg is the (2, n) integer indices, rows R
+    and I, inside const, which both sub-channels share (ValueError
+    otherwise), and the decision dec comes back in its layout; the noise is
+    laid out as draw_block_noise draws it, and eta_eve enables the adversary
+    tap, z_seq. record=True keeps the transcript in the layout of the noise:
+    errors and forward symbols (2, n_t, n), feedback symbols (2, n_t-1, n).
     """
     n_t = sched.n_t
-    msg = np.asarray([msg_r, msg_i], dtype=np.int64).reshape(2, -1)
+    msg = np.asarray(msg, dtype=np.int64)
+    if msg.ndim != 2 or len(msg) != 2:
+        raise ValueError("msg must have shape (2, n), not %s" % (msg.shape,))
     if ((msg < 0) | (msg >= const.m_levels)).any():
         raise ValueError("message indices outside the constellation")
     n = msg.shape[1]
@@ -336,5 +340,5 @@ def run_block_batch(sched: Schedule, realization: Realization,
         z_seq[:, -1] = ge.real * x + ge_i * x[::-1] + eta_eve[:, -1]
 
     dec = const.decode(th)
-    return BatchResult(dec[0], dec[1], (dec != msg).any(axis=0),
+    return BatchResult(dec, (dec != msg).any(axis=0),
                        alias.sum(axis=0), eps_hist, x_seq, xfb_seq, z_seq)

@@ -10,8 +10,8 @@ stays out of the hashes. Its environment object names what else the bytes
 depend on: the Python version and implementation (whose statistics module
 sets the normal quantile), numpy and its BLAS build, the live OpenBLAS
 thread count and core (the MLP scenarios' products round by them), the C
-library (whose erfc sets the Gaussian tail) and the substreams' bit
-generator.
+library (whose log2 sets the rates, the eavesdropper's capacity and the
+rate-distortion bits) and the substreams' bit generator.
 
 Realizations are independent, each on substreams keyed by its own index.
 _task_args maps them to tasks: a rate_vs_blocklength task is a range of
@@ -177,6 +177,15 @@ _TAU_MIN = 1e-200
 # inf and NaN estimates reached the decoder.
 _POWER_MAX = 1e302
 
+# A feasible plan carries payload_bits >= 1 in n_t <= n_max uses, so its rate
+# is at least 1/n_max and its latency payload_bits/(rate*uses_per_second) at
+# most n_max/uses_per_second. From this floor the product stays a normal
+# float for any n_max below 1e100 and the latency finite below 1e108, far
+# above any n_max whose planner arrays fit in memory; near the subnormal
+# range the product underflowed to 0 (a ZeroDivisionError) or the latency
+# of a feasible plan overflowed to inf, the infeasible sentinel.
+_UPS_MIN = 1e-200
+
 
 def _validate(cfg: SystemConfig) -> SystemConfig:
     try:
@@ -208,7 +217,8 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
         (_TAU_MIN <= cfg.tau < 1.0, "tau must be in [%g, 1)" % _TAU_MIN),
         (cfg.n_t >= 1, "n_t must be >= 1"),
         (cfg.n_max >= 2, "n_max must be >= 2"),
-        (cfg.uses_per_second > 0, "uses_per_second must be positive"),
+        (cfg.uses_per_second >= _UPS_MIN, "uses_per_second must be at "
+                                          "least %g" % _UPS_MIN),
         (cfg.n_blocks >= 1, "n_blocks must be >= 1"),
         (cfg.payload_bits >= 1, "payload_bits must be >= 1"),
         (cfg.n_t_max_scan >= 1, "n_t_max_scan must be >= 1"),
@@ -303,17 +313,16 @@ def _bit_order(half, exposed):
 
 
 def _pack_group(bits_mat, order):
-    """(n, 2h) bit matrix to the index pair (w_r, w_i), R from the first h
-    bits of each row and I from the last h, each in the h-bit order."""
-    return (codec.from_bits(bits_mat[:, order]),
-            codec.from_bits(bits_mat[:, len(order) + order]))
+    """(n, 2h) bit matrix to (2, n) indices: row 0 (R) from the first h bits
+    of each row and row 1 (I) from the last h, each in the h-bit order."""
+    return np.stack([codec.from_bits(bits_mat[:, order]),
+                     codec.from_bits(bits_mat[:, len(order) + order])])
 
 
-def _unpack_group(w_r, w_i, order):
-    """Inverse of _pack_group: the (n, 2h) bit matrix."""
+def _unpack_group(w, order):
+    """Inverse of _pack_group: the (n, 2h) bit matrix of (2, n) indices."""
     inv = np.argsort(order)
-    return np.hstack([codec.to_bits(w_r, len(order))[:, inv],
-                      codec.to_bits(w_i, len(order))[:, inv]])
+    return np.hstack([codec.to_bits(row, len(order))[:, inv] for row in w])
 
 
 def _feasible_channel(cfg, n_bits, key, pinned=None, where=""):
@@ -354,8 +363,8 @@ def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
     half = grp.n_bits // 2
     # capped first: C_e is inf at a subnormal sigma_e2
     order = _bit_order(half, math.ceil(min(c_e / 2.0, half)))
-    w_r, w_i = _pack_group(np.pad(bit_string, (0, grp.count * grp.n_bits - n))
-                           .reshape(grp.count, grp.n_bits), order)
+    msg = _pack_group(np.pad(bit_string, (0, grp.count * grp.n_bits - n))
+                      .reshape(grp.count, grp.n_bits), order)
     const = codec.build_constellation(len(order))
     sched = codec.build_schedule(cfg.snr, cfg.snr_fb, grp.tau_chunk, grp.n_t,
                                  realization, noise)
@@ -365,15 +374,14 @@ def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
     dith, ef, eb, ee = codec.draw_block_noise(
         substream(seed, DOMAIN_BLOCKS, *path), grp.count, grp.n_t, noise,
         sched.d, capture_eve)
-    out = codec.run_block_batch(sched, realization, const, w_r, w_i, dith,
-                                ef, eb, eta_eve=ee)
-    dec = _unpack_group(out.dec_r, out.dec_i, order).ravel()[:n]
+    out = codec.run_block_batch(sched, realization, const, msg, dith, ef, eb,
+                                eta_eve=ee)
+    dec = _unpack_group(out.dec, order).ravel()[:n]
     eve = None
     if capture_eve:
-        att_r, att_i = adversary.attack_full_sequence(
+        eve = _unpack_group(adversary.attack_full_sequence(
             out.z_seq, realization.g, realization.g_fb, sched, const,
-            substream(seed, DOMAIN_ATTACK, *path))
-        eve = _unpack_group(att_r, att_i, order).ravel()[:n]
+            substream(seed, DOMAIN_ATTACK, *path)), order).ravel()[:n]
     return dec, eve, {"n_chunks": grp.count,
                       "chunk_errors": int(out.error.sum()),
                       "n_t_max": grp.n_t, "c_e": c_e}
@@ -562,8 +570,8 @@ def _scn_codec_validation(cfg, r_idx):
     ahead = None
     for k in range(n_batches):
         n = size(k)
-        mr = msg_rng.integers(0, const.m_levels, n)
-        mi = msg_rng.integers(0, const.m_levels, n)
+        # R's indices, then I's: two draws, as the stream was always read
+        msg = np.stack([msg_rng.integers(0, const.m_levels, n) for _ in "RI"])
         dith, ef, eb, _ = ahead if ahead is not None else draw(k)
         # allocated on this thread: glibc serves a helper's allocations from
         # a heap arena of its own, which costs CPU time and RSS
@@ -574,7 +582,7 @@ def _scn_codec_validation(cfg, r_idx):
             # the last batch's transcript is dropped only when this call
             # returns: freed earlier, glibc trims the heap top and the
             # engine faults it back in
-            out = codec.run_block_batch(sched, real, const, mr, mi, dith, ef,
+            out = codec.run_block_batch(sched, real, const, msg, dith, ef,
                                         eb, record=True)
             errs += int(out.error.sum())
             pow_fwd += float(np.square(out.x_seq).sum())
@@ -613,15 +621,15 @@ def _load_learning_data(cfg):
 
 def _train(cfg, data, r_idx, transmit_fn=None):
     """hfl.train of the configured model on data, the four arrays of
-    _load_learning_data, for realization r_idx; a round whose aggregate is
-    not finite is a ConfigError."""
+    _load_learning_data, for realization r_idx; a round whose model math
+    faults or whose aggregate is not finite is a ConfigError."""
     x_tr, y_tr, x_te, y_te = data
     try:
         return hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
                          cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
                          transmit_fn=transmit_fn, tag=r_idx)
     except FloatingPointError as e:
-        raise ConfigError("%s; lower lr or sigma2" % e)
+        raise ConfigError("%s; lower lr, reg or sigma2" % e)
 
 
 def _scn_secrecy_level_vs_round(cfg, r_idx):
@@ -694,13 +702,15 @@ def _scn_privacy_utility_sweep(cfg, r_idx):
     win = analysis.sigma2_window(cfg.privacy_eps, cfg.utility_cap,
                                  cfg.n_users, cfg.s_total, cfg.sigma_w2_max)
     # the grid is geometric, from a quarter of the lower window bound to
-    # four times the upper, so both ends must be positive finite floats
+    # four times the upper, so both ends must be positive finite floats, and
+    # so must the utility noise n_users*sigma2 at its upper end
     for key, bound in (("utility_cap", win.upper),
                        ("sigma_w2_max with privacy_eps", win.lower)):
-        if not (bound / 4.0 > 0.0 and bound * 4.0 < math.inf):
+        if not (bound / 4.0 > 0.0 and bound * 4.0 * cfg.n_users < math.inf):
             raise ConfigError("%s puts a window bound at %r; the sweep grid "
-                              "needs a quarter and four times it to be "
-                              "positive and finite" % (key, bound))
+                              "needs a quarter of it and n_users times four "
+                              "times it to be positive and finite"
+                              % (key, bound))
     lo = min(win.lower, win.upper) / 4.0
     hi = max(win.lower, win.upper) * 4.0
     grid = np.geomspace(lo, hi, cfg.sweep_points)
@@ -789,34 +799,29 @@ def _workers(scenario, cfg):
 @functools.cache
 def _openblas():
     """(get_num_threads, get_corename or None) of the OpenBLAS that numpy
-    loaded, found by its shared object in /proc/self/maps; None where there
-    is none (another BLAS, or no /proc). Looked up once per process."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = sorted({line.split()[-1] for line in f
-                           if "openblas" in line and ".so" in line})
-    except OSError:
-        return None
+    calls, resolved through numpy's own linalg extension, whose dependencies
+    name numpy's BLAS even where another library (scipy's) has loaded an
+    OpenBLAS of its own; None where it exports none (another BLAS). Looked
+    up once per process."""
     # imported on the first reading, not with the module
     import ctypes
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
+    from numpy.linalg import _umath_linalg
+    try:
+        handle = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    # scipy-openblas's symbols, then those of plain 64- and 32-bit builds
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                           ("openblas", "")):
+        threads = getattr(handle, "%s_get_num_threads%s" % (prefix, suffix),
+                          None)
+        if threads is None:
             continue
-        # scipy-openblas's symbols, then those of plain 64- and 32-bit builds
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
-                               ("openblas", "")):
-            threads = getattr(handle, "%s_get_num_threads%s"
-                              % (prefix, suffix), None)
-            if threads is None:
-                continue
-            core = getattr(handle, "%s_get_corename%s" % (prefix, suffix),
-                           None)
-            threads.restype, threads.argtypes = ctypes.c_int, []
-            if core is not None:
-                core.restype, core.argtypes = ctypes.c_char_p, []
-            return threads, core
+        core = getattr(handle, "%s_get_corename%s" % (prefix, suffix), None)
+        threads.restype, threads.argtypes = ctypes.c_int, []
+        if core is not None:
+            core.restype, core.argtypes = ctypes.c_char_p, []
+        return threads, core
     return None
 
 

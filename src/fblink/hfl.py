@@ -12,6 +12,7 @@ test double. Local noise is drawn from substreams keyed (seed, round, user)
 so runs that differ only in transport see identical noise.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -90,6 +91,19 @@ def privacy_mi_per_coord(sigma_w2, s_total, n_users, sigma2):
     return 0.5 * math.log2(1.0 + s_total * sigma_w2 / (n_users * sigma2))
 
 
+@contextlib.contextmanager
+def _model_math(t):
+    """numpy's overflow, invalid value and division by zero raise inside, as
+    a FloatingPointError naming round t."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as e:
+        raise FloatingPointError(
+            "round %d's model math failed (%s): the model diverged or its "
+            "noise overflowed" % (t, e)) from None
+
+
 @dataclass
 class RoundRecord:
     round_index: int
@@ -128,9 +142,11 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
     their initial point and every local noise draw, which is what makes
     coded-versus-clean comparisons paired.
 
-    A round whose aggregate or source_var is not finite (the model diverged
-    or the noise overflowed) raises FloatingPointError before transmit_fn
-    sees it, so a diverging run stops at that round whatever its transport.
+    The model math of every round runs with numpy's overflow, invalid value
+    and division by zero raised, and a round whose aggregate or source_var
+    is not finite raises before transmit_fn sees it: a diverging run stops
+    at its first fault with a FloatingPointError naming the round, whatever
+    its transport. transmit_fn runs outside this, under its own checks.
     """
     shards = shard_data(x_train, y_train, n_users)
     s_total = sum(len(yk) for _, yk in shards)
@@ -139,11 +155,16 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
     records = []
     eve_acc = []
     for t in range(n_rounds):
-        locals_ = [local_gradient(m, xk, yk, spec, reg) for xk, yk in shards]
-        noisy = [add_ldp_noise(w, sigma2, substream(seed, DOMAIN_LDP, tag, t, k))
-                 for k, w in enumerate(locals_)]
-        agg = edge_aggregate(noisy)
-        sigma_w2_hat = estimate_sigma_w2(locals_, [len(yk) for _, yk in shards])
+        with _model_math(t):
+            locals_ = [local_gradient(m, xk, yk, spec, reg)
+                       for xk, yk in shards]
+            noisy = [add_ldp_noise(w, sigma2,
+                                   substream(seed, DOMAIN_LDP, tag, t, k))
+                     for k, w in enumerate(locals_)]
+            agg = edge_aggregate(noisy)
+            sigma_w2_hat = estimate_sigma_w2(locals_,
+                                             [len(yk) for _, yk in shards])
+        # a Python float overflows to inf without a fault
         source_var = s_total * sigma_w2_hat + n_users * sigma2
         if not (math.isfinite(source_var) and np.isfinite(agg).all()):
             raise FloatingPointError(
@@ -155,17 +176,21 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
         if transmit_fn is not None:
             agg, eve_agg, stats = transmit_fn(agg, t, source_var)
 
-        m = cloud_update(m, agg, lr, s_total)
-        if eve_agg is not None:
-            if m_eve is None:
-                m_eve = mlp.init_params(spec, substream(seed, DOMAIN_INIT, tag))
-            m_eve = cloud_update(m_eve, eve_agg, lr, s_total)
-            eve_acc.append(mlp.accuracy(m_eve, x_test, y_test, spec))
+        with _model_math(t):
+            m = cloud_update(m, agg, lr, s_total)
+            if eve_agg is not None:
+                if m_eve is None:
+                    m_eve = mlp.init_params(spec,
+                                            substream(seed, DOMAIN_INIT, tag))
+                m_eve = cloud_update(m_eve, eve_agg, lr, s_total)
+                eve_acc.append(mlp.accuracy(m_eve, x_test, y_test, spec))
+            train_loss = float(mlp.loss(m, x_train, y_train, spec, reg))
+            test_accuracy = mlp.accuracy(m, x_test, y_test, spec)
 
         records.append(RoundRecord(
             round_index=t,
-            train_loss=float(mlp.loss(m, x_train, y_train, spec, reg)),
-            test_accuracy=mlp.accuracy(m, x_test, y_test, spec),
+            train_loss=train_loss,
+            test_accuracy=test_accuracy,
             sigma_w2_hat=sigma_w2_hat,
             source_var=source_var,
             mi_per_coord=privacy_mi_per_coord(sigma_w2_hat, s_total, n_users,

@@ -38,6 +38,12 @@ def unit_noise():
     return NoiseSpec(1.0, 1.0, 1.0)
 
 
+def draw_messages(rng, const, n):
+    """A batch's (2, n) message indices inside const: n for R, then n for I,
+    in two draws from rng."""
+    return np.stack([rng.integers(0, const.m_levels, n) for _ in "RI"])
+
+
 def as_complex(pair):
     """Complex symbols from a component-first (2, ...) array."""
     return pair[0] + 1j * pair[1]

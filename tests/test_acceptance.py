@@ -45,7 +45,7 @@ from fblink.expcli import parse_config, run_scenario
 from fblink.source_coding import dequantize, quantize
 from fblink.streams import substream
 
-from conftest import SNR, SNR_FB, TAU
+from conftest import SNR, SNR_FB, TAU, draw_messages
 
 UNIT = Realization(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
 NOISE = NoiseSpec(1.0, 1.0, 1.0)
@@ -66,10 +66,9 @@ def _run_blocks(sched, const, n_blocks, seed, batch=20000):
     while done < n_blocks:
         n = min(batch, n_blocks - done)
         rng = substream(seed, b_idx)
-        mr = rng.integers(0, const.m_levels, n)
-        mi = rng.integers(0, const.m_levels, n)
+        msg = draw_messages(rng, const, n)
         dith, ef, eb, _ = draw_block_noise(rng, n, sched.n_t, NOISE, sched.d)
-        out = run_block_batch(sched, UNIT, const, mr, mi, dith, ef, eb,
+        out = run_block_batch(sched, UNIT, const, msg, dith, ef, eb,
                               record=True)
         errs += int(out.error.sum())
         mask = out.alias_events == 0
@@ -133,14 +132,13 @@ def test_c04_feedback_power_and_masking():
     _, sched, const = _scheduled_code(10)
     pops = []
     power_devs = []
-    for tag, (wr, wi) in enumerate([(0, 0),
-                                    (const.m_levels - 1,
-                                     const.m_levels // 3)]):
+    for tag, pair in enumerate([(0, 0), (const.m_levels - 1,
+                                         const.m_levels // 3)]):
         n = 12_000  # n*(n_t-1) = 108k feedback uses per message
         rng = substream(404 + tag, 0)
         dith, ef, eb, _ = draw_block_noise(rng, n, 10, NOISE, sched.d)
         out = run_block_batch(sched, UNIT, const,
-                              np.full(n, wr), np.full(n, wi),
+                              np.repeat(np.array(pair)[:, None], n, axis=1),
                               dith, ef, eb, record=True)
         for part in out.x_fb_seq:
             power_devs.append(abs(np.mean(part ** 2) / (sched.P_fb / 2.0)
@@ -191,17 +189,15 @@ def test_c06_eavesdropper_chance_level_at_scale():
     for b_idx in range(10):
         n = n_blocks // 10
         rng = substream(606, b_idx)
-        mr = rng.integers(0, const.m_levels, n)
-        mi = rng.integers(0, const.m_levels, n)
+        msg = draw_messages(rng, const, n)
         dith, ef, eb, ee = draw_block_noise(rng, n, n_t, NOISE, sched.d,
                                             capture_eve=True)
-        out = run_block_batch(sched, eve, const, mr, mi, dith, ef, eb,
+        out = run_block_batch(sched, eve, const, msg, dith, ef, eb,
                               eta_eve=ee)
-        dec_r, dec_i = attack_full_sequence(out.z_seq, eve.g, eve.g_fb,
-                                            sched, const,
-                                            substream(607, b_idx))
-        hits += int(np.sum((dec_r == mr) & (dec_i == mi)))
-        lsb_err += int(np.sum((dec_i & 1) != (mi & 1)))
+        dec = attack_full_sequence(out.z_seq, eve.g, eve.g_fb, sched, const,
+                                   substream(607, b_idx))
+        hits += int((dec == msg).all(axis=0).sum())
+        lsb_err += int(np.sum((dec[1] & 1) != (msg[1] & 1)))
     recovery = hits / n_blocks
     lsb = lsb_err / n_blocks
     bound = 10.0 * 2.0 ** (2 - 20)

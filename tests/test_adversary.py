@@ -11,7 +11,7 @@ from fblink.codec import (build_constellation, build_schedule,
                           draw_block_noise, run_block_batch)
 from fblink.streams import substream
 
-from conftest import SNR, SNR_FB, TAU
+from conftest import SNR, SNR_FB, TAU, draw_messages
 
 EVE = Realization(h=1.0, h_fb=1.0, g=math.sqrt(0.3), g_fb=1.0)
 NOISE = NoiseSpec(1.0, 1.0, 1.0)
@@ -21,15 +21,13 @@ def _eavesdropped_batch(n, n_t, bits_per_sub, seed, zero_dither=False):
     sched = build_schedule(SNR, SNR_FB, TAU, n_t, EVE, NOISE)
     const = build_constellation(bits_per_sub)
     rng = substream(seed, 0)
-    msg_r = rng.integers(0, const.m_levels, size=n)
-    msg_i = rng.integers(0, const.m_levels, size=n)
+    msg = draw_messages(rng, const, n)
     dither, ef, eb, ee = draw_block_noise(rng, n, n_t, NOISE, sched.d,
                                           capture_eve=True)
     if zero_dither:
         dither = np.zeros_like(dither)
-    out = run_block_batch(sched, EVE, const, msg_r, msg_i, dither, ef, eb,
-                          eta_eve=ee)
-    return sched, const, msg_r, msg_i, out
+    out = run_block_batch(sched, EVE, const, msg, dither, ef, eb, eta_eve=ee)
+    return sched, const, msg, out
 
 
 # ---------------------------------------------------------------------
@@ -40,15 +38,14 @@ def _eavesdropped_batch(n, n_t, bits_per_sub, seed, zero_dither=False):
 def test_first_use_zero_gain_guesses_uniformly():
     const = build_constellation(4)
     z1 = np.full((2, 40000), 5.0)
-    dec_r, dec_i = attack_first_use(z1, 0.0, SNR, const, substream(1, 0))
-    assert dec_r.shape == dec_i.shape == (40000,)
-    counts = np.bincount(dec_r, minlength=const.m_levels)
+    dec = attack_first_use(z1, 0.0, SNR, const, substream(1, 0))
+    assert dec.shape == (2, 40000)
+    counts = np.bincount(dec[0], minlength=const.m_levels)
     assert counts.min() > 0.8 * 40000 / const.m_levels
     assert counts.max() < 1.2 * 40000 / const.m_levels
     # replaying the rng replays the guesses
     again = attack_first_use(z1, 0.0, SNR, const, substream(1, 0))
-    np.testing.assert_array_equal(dec_r, again[0])
-    np.testing.assert_array_equal(dec_i, again[1])
+    np.testing.assert_array_equal(dec, again)
 
 
 def test_first_use_strong_eavesdropper_reads_bare_symbol():
@@ -56,12 +53,11 @@ def test_first_use_strong_eavesdropper_reads_bare_symbol():
     const = build_constellation(2)
     g = 10.0
     rng = substream(2, 0)
-    wr = rng.integers(0, 4, size=5000)
-    wi = rng.integers(0, 4, size=5000)
-    x = math.sqrt(SNR / 2.0) * np.stack([const.center(wr), const.center(wi)])
-    z1 = g * x + cn_sample(rng, 1.0, 5000)
-    dec_r, dec_i = attack_first_use(z1, g, SNR, const, rng)
-    assert np.mean((dec_r == wr) & (dec_i == wi)) > 0.95
+    msg = draw_messages(rng, const, 5000)
+    z1 = g * math.sqrt(SNR / 2.0) * const.center(msg) + cn_sample(rng, 1.0,
+                                                                  5000)
+    dec = attack_first_use(z1, g, SNR, const, rng)
+    assert np.mean((dec == msg).all(axis=0)) > 0.95
 
 
 def test_full_sequence_dither_off_beats_guessing():
@@ -69,23 +65,23 @@ def test_full_sequence_dither_off_beats_guessing():
     # orders of magnitude above the 2^-20 guessing floor, but stays far from
     # receiver fidelity because she reads feedback through the concurrent
     # forward symbol
-    sched, const, wr, wi, out = _eavesdropped_batch(
-        20000, 11, 10, seed=3, zero_dither=True)
-    dec_r, dec_i = attack_full_sequence(out.z_seq, EVE.g, EVE.g_fb, sched,
-                                        const, substream(3, 1))
-    rec = np.mean((dec_r == wr) & (dec_i == wi))
+    sched, const, msg, out = _eavesdropped_batch(20000, 11, 10, seed=3,
+                                                 zero_dither=True)
+    dec = attack_full_sequence(out.z_seq, EVE.g, EVE.g_fb, sched, const,
+                               substream(3, 1))
+    rec = np.mean((dec == msg).all(axis=0))
     assert rec >= 0.01
     # the legitimate link is unaffected by which dither was drawn
     assert out.error.mean() <= 2.0 * TAU
 
 
 def test_full_sequence_dither_on_degenerates_to_guessing():
-    sched, const, wr, wi, out = _eavesdropped_batch(20000, 11, 10, seed=3)
-    dec_r, dec_i = attack_full_sequence(out.z_seq, EVE.g, EVE.g_fb, sched,
-                                        const, substream(3, 2))
-    rec = np.mean((dec_r == wr) & (dec_i == wi))
+    sched, const, msg, out = _eavesdropped_batch(20000, 11, 10, seed=3)
+    dec = attack_full_sequence(out.z_seq, EVE.g, EVE.g_fb, sched, const,
+                               substream(3, 2))
+    rec = np.mean((dec == msg).all(axis=0))
     assert rec <= 5e-4
-    lsb = np.mean((dec_i & 1) != (wi & 1))
+    lsb = np.mean((dec[1] & 1) != (msg[1] & 1))
     assert abs(lsb - 0.5) < 0.02
 
 
@@ -93,16 +89,13 @@ def test_full_sequence_single_use_falls_back_to_first_use():
     sched = build_schedule(SNR, SNR_FB, TAU, 1, EVE, NOISE)
     const = build_constellation(2)
     rng = substream(4, 0)
-    wr = rng.integers(0, 4, size=1000)
-    wi = rng.integers(0, 4, size=1000)
-    x = math.sqrt(SNR / 2.0) * np.stack([const.center(wr), const.center(wi)])
+    x = math.sqrt(SNR / 2.0) * const.center(draw_messages(rng, const, 1000))
     z = (EVE.g * x + cn_sample(rng, 1.0, 1000))[:, None, :]
     assert z.shape == (2, 1, 1000)
     a = attack_full_sequence(z, EVE.g, EVE.g_fb, sched, const,
                              substream(4, 1))
     b = attack_first_use(z[:, 0], EVE.g, sched.P, const, substream(4, 1))
-    np.testing.assert_array_equal(a[0], b[0])
-    np.testing.assert_array_equal(a[1], b[1])
+    np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------

@@ -9,7 +9,8 @@ from fblink.codec import (build_constellation, build_schedule,
                           draw_block_noise, run_block_batch)
 from fblink.streams import substream
 
-from conftest import SNR, SNR_FB, TAU, as_complex, assert_uses_replay
+from conftest import (SNR, SNR_FB, TAU, as_complex, assert_uses_replay,
+                      draw_messages)
 
 
 def test_realization_gains():
@@ -67,15 +68,12 @@ def _recorded_uses(real, noise, n_t=4, n=128, seed=1):
     # the block engine applies every channel use; run it on drawn noise
     sched = build_schedule(SNR, SNR_FB, TAU, n_t, real, noise)
     const = build_constellation(2)
-    rng = substream(seed, 0)
-    mr = rng.integers(0, const.m_levels, n)
-    mi = rng.integers(0, const.m_levels, n)
+    msg = draw_messages(substream(seed, 0), const, n)
     dith, ef, eb, ee = draw_block_noise(substream(seed, 1), n, n_t, noise,
                                         sched.d, capture_eve=True)
-    out = run_block_batch(sched, real, const, mr, mi, dith, ef, eb,
-                          eta_eve=ee, record=True)
-    theta = np.stack([const.center(mr), const.center(mi)])
-    return out, sched, theta, dith, ef, eb, ee
+    out = run_block_batch(sched, real, const, msg, dith, ef, eb, eta_eve=ee,
+                          record=True)
+    return out, sched, const.center(msg), dith, ef, eb, ee
 
 
 def test_uses_are_replayable_linear_maps():

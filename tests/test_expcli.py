@@ -121,10 +121,11 @@ def test_pack_group_matches_scalar_packer():
                                              (0, 1, 2, 5, 40)):
         mat = rng.integers(0, 2, size=(20, n_bits), dtype=np.uint8)
         half = n_bits // 2
-        w_r, w_i = _pack_group(mat, _bit_order(half, exposed))
+        w = _pack_group(mat, _bit_order(half, exposed))
+        assert w.shape == (2, len(mat))
         for row in range(len(mat)):
-            assert int(w_r[row]) == scalar(mat[row, :half], exposed)
-            assert int(w_i[row]) == scalar(mat[row, half:], exposed)
+            assert int(w[0, row]) == scalar(mat[row, :half], exposed)
+            assert int(w[1, row]) == scalar(mat[row, half:], exposed)
 
 
 def test_pack_group_exposes_trailing_bits():
@@ -133,11 +134,11 @@ def test_pack_group_exposes_trailing_bits():
     mat = np.zeros((1, 80), dtype=np.uint8)
     for exposed, lsb in ((2, 37), (40, 0)):
         order = _bit_order(40, exposed)
-        w_r, w_i = _pack_group(mat, order)
-        assert np.flatnonzero(_unpack_group(w_r ^ 1, w_i, order)).tolist() \
-            == [lsb]
+        w = _pack_group(mat, order)
+        w[0] ^= 1
+        assert np.flatnonzero(_unpack_group(w, order)).tolist() == [lsb]
     mat[0, [38, 39]] = 1  # the trailing bits lead the index
-    assert int(_pack_group(mat, _bit_order(40, 2))[0][0]) == 3 << 38
+    assert int(_pack_group(mat, _bit_order(40, 2))[0, 0]) == 3 << 38
 
 
 def test_pack_group_roundtrip():
@@ -145,8 +146,8 @@ def test_pack_group_roundtrip():
     for n_bits, exposed in itertools.product((2, 34, 80), (0, 3, 40)):
         mat = rng.integers(0, 2, size=(200, n_bits), dtype=np.uint8)
         order = _bit_order(n_bits // 2, exposed)
-        w_r, w_i = _pack_group(mat, order)
-        np.testing.assert_array_equal(_unpack_group(w_r, w_i, order), mat)
+        np.testing.assert_array_equal(
+            _unpack_group(_pack_group(mat, order), order), mat)
 
 
 # ---------------------------------------------------------------------
@@ -531,7 +532,7 @@ def test_manifest_records_environment(tmp_path):
     assert env == man["environment"]
     assert env["bit_generator"] == "SFC64"
     assert env["numpy"] == np.__version__
-    # the Gaussian tail is the C library's erfc; scipy is not a dependency
+    # the C library's log2 sets the rates; scipy is not a dependency
     assert env["libc"] == " ".join(platform.libc_ver()).strip()
     assert "scipy" not in env and env["python"]
     # the normal quantile is the interpreter's statistics module
@@ -553,6 +554,32 @@ def test_manifest_records_environment(tmp_path):
                                               OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"threads": 1, "core": live["core"]}
+
+
+def test_blas_runtime_reads_numpys_openblas_beside_scipys():
+    # scipy loads an OpenBLAS of its own; given another thread count through
+    # its own symbol, it must not be the one the manifest reads
+    code = (
+        "import ctypes, json, scipy.linalg, fblink.expcli\n"
+        "from scipy.linalg import _fblas\n"
+        "scipy_blas = ctypes.CDLL(_fblas.__file__)\n"
+        "set_threads = getattr(scipy_blas, 'scipy_openblas_set_num_threads',"
+        " None)\n"
+        "if set_threads is not None:\n"
+        "    set_threads(2)\n"
+        "    scipy_threads = scipy_blas.scipy_openblas_get_num_threads()\n"
+        "else:\n"
+        "    scipy_threads = None\n"
+        "print(json.dumps([scipy_threads,"
+        " fblink.expcli._blas_runtime()['threads']]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ,
+                                              OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    scipy_threads, threads = json.loads(proc.stdout)
+    if scipy_threads is None or threads is None:
+        pytest.skip("numpy or scipy loaded no scipy-openblas")
+    assert (scipy_threads, threads) == (2, 1)
 
 
 def test_manifest_records_the_clamped_worker_count(tmp_path, monkeypatch):
@@ -750,15 +777,14 @@ def test_learning_curves_failure_leaves_no_thread(tmp_path, monkeypatch,
         ("baseline", False), ("coded", True)]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
                                                           monkeypatch,
                                                           threads):
-    # round 0's step at lr 1e300 throws the model far off, and round 1's
-    # aggregate is not finite. Each variant stops there, on the helper
-    # (one OpenBLAS thread) or inline (two), where the baseline's error
-    # ends the run before the coded run starts.
+    # round 0's step at lr 1e300 throws the model far off, and the loss
+    # after it overflows. Each variant stops there, in round 0, on the
+    # helper (one OpenBLAS thread) or inline (two), where the baseline's
+    # error ends the run before the coded run starts.
     monkeypatch.setenv("FBLINK_WORKERS", "1")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     blas_threads(monkeypatch, threads)
@@ -784,12 +810,13 @@ def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
                  "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: round 1's aggregate is not finite")
-    assert re.search(r"\blr\b", err) and re.search(r"\bsigma2\b", err)
+    assert err.startswith("config error: round 0's model math failed")
+    assert all(re.search(r"\b%s\b" % key, err)
+               for key in ("lr", "reg", "sigma2"))
     assert list((tmp_path / "out").iterdir()) == []
     n_users = parse_config().n_users
-    assert calls == ({"baseline": 2 * n_users, "coded": 2 * n_users}
-                     if threads == 1 else {"baseline": 2 * n_users})
+    assert calls == ({"baseline": n_users, "coded": n_users}
+                     if threads == 1 else {"baseline": n_users})
 
 
 def test_cli_import_leaves_scipy_and_the_pool_unloaded():
@@ -1053,6 +1080,29 @@ def test_cli_infeasible_is_exit_2(tmp_path, capsys, monkeypatch):
     assert list((tmp_path / "pool").iterdir()) == []
 
 
+def assert_cli_config_error(tmp_path, capsys, scenario, config, key):
+    """The one body of the config-error CLI cases: scenario run on config, a
+    dict or the JSON text of the file, exits 1 with a "config error: " line
+    that names key as a word and no traceback. Nothing is left under --out:
+    no table, ".part" file or manifest, and no --out at all where
+    parse_config itself rejects the file."""
+    p = tmp_path / "cfg.json"
+    p.write_text(config if isinstance(config, str) else json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", scenario, "--config", str(p),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert re.search(r"\b%s\b" % key, err), err
+    try:
+        parse_config(str(p))
+    except ConfigError:
+        assert not out.exists()
+    else:
+        assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("text,key", [
     ('{"n_t_max_scan": 1e400}', "n_t_max_scan"),
     ('{"snr_db": "nan"}', "snr_db"),
@@ -1064,16 +1114,14 @@ def test_cli_infeasible_is_exit_2(tmp_path, capsys, monkeypatch):
     ('{"payload_bits": 0}', "payload_bits"),
     ('{"sigma1_2": 1e308}', "sigma1_2"),
     ('{"sigma2_2": 1e308}', "sigma2_2"),
+    # rate * uses_per_second underflowed to 0 in analysis.latency_seconds
+    ('{"uses_per_second": 5e-324, "realizations": 3}', "uses_per_second"),
+    # a feasible plan's latency overflowed to inf, the infeasible sentinel
+    ('{"uses_per_second": 1e-310, "realizations": 3}', "uses_per_second"),
 ])
 def test_cli_bad_value_is_exit_1(tmp_path, capsys, text, key):
-    p = tmp_path / "cfg.json"
-    p.write_text(text)
-    code = main(["run", "--scenario", "rate_vs_blocklength", "--config",
-                 str(p), "--out", str(tmp_path / "out")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and key in err
-    assert not (tmp_path / "out").exists()
+    assert_cli_config_error(tmp_path, capsys, "rate_vs_blocklength", text,
+                            key)
 
 
 @pytest.mark.parametrize("scenario,tau", [
@@ -1108,14 +1156,7 @@ def test_cli_underflowing_tau_is_exit_1(tmp_path, scenario, tau):
 ])
 def test_cli_near_limit_power_is_exit_1(tmp_path, capsys, scenario, config,
                                         key):
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(config))
-    code = main(["run", "--scenario", scenario, "--config", str(p),
-                 "--out", str(tmp_path / "out")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err
-    assert list((tmp_path / "out").glob("*.csv")) == []
+    assert_cli_config_error(tmp_path, capsys, scenario, config, key)
 
 
 @pytest.mark.parametrize("config,key", [
@@ -1127,16 +1168,12 @@ def test_cli_near_limit_power_is_exit_1(tmp_path, capsys, scenario, config,
     ({"privacy_eps": 600}, "privacy_eps"),
     # the privacy floor overflows, and the grid's upper end with it
     ({"sigma_w2_max": 1e308}, "sigma_w2_max"),
+    # the utility noise n_users*sigma2 at the grid's upper end overflowed
+    ({"utility_cap": 1e308}, "utility_cap"),
 ])
 def test_cli_sweep_window_limits_are_exit_1(tmp_path, capsys, config, key):
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(config))
-    code = main(["run", "--scenario", "privacy_utility_sweep", "--config",
-                 str(p), "--out", str(tmp_path / "out")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err
-    assert list((tmp_path / "out").glob("*.csv")) == []
+    assert_cli_config_error(tmp_path, capsys, "privacy_utility_sweep", config,
+                            key)
 
 
 @pytest.mark.parametrize("scenario,config,key", [
@@ -1144,22 +1181,29 @@ def test_cli_sweep_window_limits_are_exit_1(tmp_path, capsys, config, key):
     ("secrecy_level_vs_round", {"sigma2": 1e300, "n_rounds": 1}, "sigma2"),
     ("secrecy_level_vs_round", {"distortion": 1e-300, "n_rounds": 1},
      "distortion"),
-    # the model diverges in round 1 and its NaN variance reached the
-    # quantizer; the baseline run warns on its way there
-    pytest.param("learning_curves", {"lr": 1e300, "n_rounds": 2}, "lr",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # the model diverged in round 0's step and its NaN variance reached the
+    # quantizer in round 1; round 0's loss now faults first
+    ("learning_curves", {"lr": 1e300, "n_rounds": 2}, "lr"),
 ])
 def test_cli_quantizer_limits_are_exit_1(tmp_path, capsys, scenario, config,
                                          key):
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(config))
-    code = main(["run", "--scenario", scenario, "--config", str(p),
-                 "--out", str(tmp_path / "out")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert re.search(r"\b%s\b" % key, err)
-    assert list((tmp_path / "out").glob("*.csv")) == []
+    assert_cli_config_error(tmp_path, capsys, scenario, config, key)
+
+
+@pytest.mark.parametrize("scenario", ["learning_curves",
+                                      "secrecy_level_vs_round"])
+@pytest.mark.parametrize("config,key", [
+    # one round at lr 1e300 exited 0 with NaN train_loss cells, after
+    # overflow and invalid-value warnings from mlp
+    ({"lr": 1e300, "n_rounds": 1}, "lr"),
+    # hfl.estimate_sigma_w2 overflowed, and the message named lr and sigma2
+    ({"reg": 1e300, "n_rounds": 1}, "reg"),
+    # a matmul overflowed before the quantizer's config error
+    ({"sigma2": 1.7e307, "n_rounds": 1}, "sigma2"),
+])
+def test_cli_diverging_model_is_exit_1(tmp_path, capsys, scenario, config,
+                                       key):
+    assert_cli_config_error(tmp_path, capsys, scenario, config, key)
 
 
 def test_power_bound():

@@ -35,7 +35,7 @@ from fblink.channel import NoiseSpec, Realization
 from fblink.expcli import SystemConfig, _send_bits, parse_config, run_scenario
 from fblink.streams import substream
 
-from conftest import SNR, SNR_FB
+from conftest import SNR, SNR_FB, draw_messages
 
 # a rotated channel that carries full chunks at the default config
 ROTATED = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
@@ -113,18 +113,16 @@ def eavesdropper_path_digest():
     sched = codec.build_schedule(SNR, SNR_FB, 0.05, 10, real, noise)
     const = codec.build_constellation(12)
     rng = substream(7, 0)
-    msg_r = rng.integers(0, const.m_levels, 2000)
-    msg_i = rng.integers(0, const.m_levels, 2000)
+    msg = draw_messages(rng, const, 2000)
     dith, ef, eb, ee = codec.draw_block_noise(rng, 2000, 10, noise, sched.d,
                                               capture_eve=True)
-    out = codec.run_block_batch(sched, real, const, msg_r, msg_i, dith, ef,
-                                eb, eta_eve=ee)
-    att_r, att_i = adversary.attack_full_sequence(
-        out.z_seq, real.g, real.g_fb, sched, const, rng)
+    out = codec.run_block_batch(sched, real, const, msg, dith, ef, eb,
+                                eta_eve=ee)
+    att = adversary.attack_full_sequence(out.z_seq, real.g, real.g_fb, sched,
+                                         const, rng)
     assert out.alias_events.sum() > 0
     digest = hashlib.sha256()
-    for arr in (out.z_seq, out.dec_r, out.dec_i, out.alias_events, att_r,
-                att_i):
+    for arr in (out.z_seq, out.dec, out.alias_events, att):
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
 

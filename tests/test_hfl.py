@@ -203,16 +203,18 @@ def test_transport_is_handed_the_round_source_var():
     assert handed == [rec.source_var for rec in res.rounds]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("sigma2", [0.3, 1e308])
 def test_non_finite_round_stops_before_the_transport(sigma2):
-    # lr 1e300 throws the model far off in round 0, so round 1's gradients
-    # overflow; a noise variance of 1e308 sums to inf in round 0. Either
-    # way the baseline stops at that round too, and no transport sees it.
+    # lr 1e300 throws the model far off in round 0's step, and the loss
+    # after it overflows: the transport saw round 0's finite aggregate, and
+    # no other. A noise variance of 1e308 sums to an infinite source
+    # variance in round 0, which no transport sees. The baseline stops at
+    # the same fault, and no RuntimeWarning is printed on the way.
     x, y = small_data(15, n=60)
     kw = dict(n_users=6, n_rounds=30, lr=1e300, reg=5e-5, sigma2=sigma2,
               seed=4)
-    stop = 0 if sigma2 > 1.0 else 1
+    fault, sent = (("round 0's aggregate is not finite", []) if sigma2 > 1.0
+                   else (r"round 0's model math failed \(overflow", [0]))
     handed = []
 
     def recording(agg, t, source_var):
@@ -220,10 +222,26 @@ def test_non_finite_round_stops_before_the_transport(sigma2):
         return agg, None, {}
 
     for fn in (None, recording):
-        with pytest.raises(FloatingPointError,
-                           match="round %d's aggregate is not finite" % stop):
+        with pytest.raises(FloatingPointError, match=fault):
             train(x, y, x, y, SMALL, transmit_fn=fn, **kw)
-    assert handed == list(range(stop))
+    assert handed == sent
+
+
+def test_model_math_fault_raises_before_the_transport():
+    # reg 1e300 overflows round 0's gradient power estimate, which warned
+    # before the round's finiteness check stopped it
+    x, y = small_data(15, n=60)
+    handed = []
+
+    def recording(agg, t, source_var):
+        handed.append(t)
+        return agg, None, {}
+
+    with pytest.raises(FloatingPointError,
+                       match="round 0's model math failed"):
+        train(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5, reg=1e300,
+              sigma2=0.3, seed=4, transmit_fn=recording)
+    assert handed == []
 
 
 def test_tag_diversifies_runs():

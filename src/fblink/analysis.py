@@ -10,8 +10,8 @@ and L = qinv(tau/(8*(n_t-1)))^2 / 3 the fold budget. The psi2 pole at
 |h_fb|^2*snr_fb <= L is a feedback outage: the refinement loop cannot keep its
 fold probability inside the budget at any power, so the block is infeasible
 rather than erroneous. Everything here is base-2; rates are bits per channel
-use, payloads are bits. Q is the C library's erfc and Q^-1 the standard
-library's normal quantile, so the Python build sets the fold budgets' ulps.
+use, payloads are bits. Q^-1 is the standard library's normal quantile, so
+the Python build sets the fold budgets' ulps.
 
 achievable_rate and plan_blocklength also take the two gains as equal-length
 1-D arrays, one entry per channel realization; their reports then carry a
@@ -30,7 +30,6 @@ import numpy as np
 __all__ = [
     "RateReport",
     "SigmaWindow",
-    "q_func",
     "q_inv",
     "aliasing_budget",
     "achievable_rate",
@@ -47,28 +46,17 @@ __all__ = [
 # Gaussian tail
 # =====================================================================
 
-_SQRT2 = math.sqrt(2.0)
 # Phi^-1 by Wichura's AS241 (Applied Statistics 37(3), 1988), which CPython
 # evaluates in C to about 1e-16 relative
 _PHI_INV = statistics.NormalDist().inv_cdf
 
 
-def q_func(x):
-    """Upper tail of the standard normal, Q(x) = P(N(0,1) > x).
-
-    The C library's erfc, element by element: Q(x) = erfc(x/sqrt(2))/2.
-    """
-    x = np.asarray(x, dtype=float)
-    erfc = np.fromiter(map(math.erfc, (x / _SQRT2).ravel().tolist()),
-                       float, x.size)
-    return 0.5 * erfc.reshape(x.shape)
-
-
 def q_inv(p):
-    """Inverse of q_func on (0, 1): Q^-1(p) = -Phi^-1(p).
+    """Inverse on (0, 1) of the standard normal's upper tail
+    Q(x) = P(N(0,1) > x): Q^-1(p) = -Phi^-1(p).
 
     The standard library's normal quantile, statistics.NormalDist.inv_cdf,
-    element by element and negated. Below about x = -6, q_func saturates
+    element by element and negated. Below about x = -6, Q saturates
     toward 1.0 in float64 and no inverse can recover x; callers never
     evaluate there, every use being an upper-tail probability of at most
     1/8. NaN is outside (0, 1) and raises too.

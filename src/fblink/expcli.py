@@ -8,10 +8,10 @@ csv's minimal quoting, so equal runs produce byte-identical files; the
 manifest's wall_time_s is the one deliberately non-reproducible field and
 stays out of the hashes. Its environment object names what else the bytes
 depend on: the Python version and implementation (whose statistics module
-sets the normal quantile), numpy and its BLAS build, the live OpenBLAS
-thread count and core (the MLP scenarios' products round by them), the C
-library (whose log2 sets the rates, the eavesdropper's capacity and the
-rate-distortion bits) and the substreams' bit generator.
+sets the normal quantile), numpy, its BLAS build and its OpenBLAS core
+(the MLP scenarios' products round by it; every task runs on one OpenBLAS
+thread), the C library (whose log2 sets the rates, the eavesdropper's
+capacity and the rate-distortion bits) and the substreams' bit generator.
 
 Realizations are independent, each on substreams keyed by its own index.
 _task_args maps them to tasks: a rate_vs_blocklength task is a range of
@@ -30,15 +30,13 @@ process (one worker) and os.cpu_count() is at least 2. codec_validation
 draws the noise of its next block batch on it while the engine runs the
 current batch; numpy's noise fills release the GIL. learning_curves trains
 its error-free baseline on it while the calling thread trains the coded
-run, and only where the live OpenBLAS thread count is 1, since more BLAS
-threads already keep every CPU busy. Pool workers, 1-CPU hosts and
-learning tasks on a multi-threaded or unknown BLAS do the same work inline,
-so busy threads never outnumber the CPUs. Each batch and each run keeps its
-own substreams, so the bytes are the same either way; the helper costs
-some CPU time and a few MiB of peak memory (its buffers and its glibc
-arena). The manifest records the worker count. The tables are written
-under a ".part" suffix and renamed when the run succeeds; a run that
-raises removes them, so it leaves no partial tables and no manifest.
+run. Pool workers and 1-CPU hosts do the same work inline, so busy
+threads never outnumber the CPUs. Each batch and each run keeps its own
+substreams, so the bytes are the same either way; the helper costs some
+CPU time and a few MiB of peak memory (its buffers and its glibc arena).
+The manifest records the worker count. The tables are written under a
+".part" suffix and renamed when the run succeeds; a run that raises
+removes them, so it leaves no partial tables and no manifest.
 An unusable output directory and a non-integer FBLINK_WORKERS are
 configuration errors.
 
@@ -177,14 +175,14 @@ _TAU_MIN = 1e-200
 # inf and NaN estimates reached the decoder.
 _POWER_MAX = 1e302
 
-# A feasible plan carries payload_bits >= 1 in n_t <= n_max uses, so its rate
-# is at least 1/n_max and its latency payload_bits/(rate*uses_per_second) at
-# most n_max/uses_per_second. From this floor the product stays a normal
-# float for any n_max below 1e100 and the latency finite below 1e108, far
-# above any n_max whose planner arrays fit in memory; near the subnormal
-# range the product underflowed to 0 (a ZeroDivisionError) or the latency
-# of a feasible plan overflowed to inf, the infeasible sentinel.
-_UPS_MIN = 1e-200
+# A feasible plan carries payload_bits >= 1 in n_t <= n_max uses at a rate
+# of at least 1/n_max and, as a weighted mean of the log2 of two finite
+# floats, below 1024 bits per use. Within these bounds rate*uses_per_second
+# stays a normal float and the latency payload_bits/(rate*uses_per_second),
+# at most n_max/uses_per_second, finite for any n_max below 1e100. Near the
+# float64 limits the product underflowed to 0 or overflowed to inf (latency
+# 0.0), or a feasible latency overflowed to inf, the infeasible sentinel.
+_UPS_MIN, _UPS_MAX = 1e-200, 1e300
 
 
 def _validate(cfg: SystemConfig) -> SystemConfig:
@@ -217,8 +215,8 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
         (_TAU_MIN <= cfg.tau < 1.0, "tau must be in [%g, 1)" % _TAU_MIN),
         (cfg.n_t >= 1, "n_t must be >= 1"),
         (cfg.n_max >= 2, "n_max must be >= 2"),
-        (cfg.uses_per_second >= _UPS_MIN, "uses_per_second must be at "
-                                          "least %g" % _UPS_MIN),
+        (_UPS_MIN <= cfg.uses_per_second <= _UPS_MAX,
+         "uses_per_second must be in [%g, %g]" % (_UPS_MIN, _UPS_MAX)),
         (cfg.n_blocks >= 1, "n_blocks must be >= 1"),
         (cfg.payload_bits >= 1, "payload_bits must be >= 1"),
         (cfg.n_t_max_scan >= 1, "n_t_max_scan must be >= 1"),
@@ -770,12 +768,13 @@ def _task_args(scenario, cfg):
 
 
 def _run_task(packed):
-    """One task's tables, each as its row count and its CSV bytes: the rows
-    are formatted where they were computed, in the worker of a pool."""
+    """One task's tables on one OpenBLAS thread, each as its row count and
+    its CSV bytes, formatted where computed, in the worker of a pool."""
     scenario, cfg, arg = packed
     fn, _ = SCENARIOS[scenario]
-    return {name: (len(rows), _csv_bytes(rows))
-            for name, rows in fn(cfg, arg).items()}
+    with _one_blas_thread():
+        tables = fn(cfg, arg).items()
+    return {name: (len(rows), _csv_bytes(rows)) for name, rows in tables}
 
 
 def _worker_count(env, cpu_count):
@@ -798,11 +797,11 @@ def _workers(scenario, cfg):
 
 @functools.cache
 def _openblas():
-    """(get_num_threads, get_corename or None) of the OpenBLAS that numpy
-    calls, resolved through numpy's own linalg extension, whose dependencies
-    name numpy's BLAS even where another library (scipy's) has loaded an
-    OpenBLAS of its own; None where it exports none (another BLAS). Looked
-    up once per process."""
+    """(get_num_threads, set_num_threads, get_corename or None) of the
+    OpenBLAS that numpy calls, resolved through numpy's own linalg extension,
+    whose dependencies name numpy's BLAS even where another library (scipy's)
+    has loaded an OpenBLAS of its own; None where it exports no thread count
+    to set (another BLAS). Looked up once per process."""
     # imported on the first reading, not with the module
     import ctypes
     from numpy.linalg import _umath_linalg
@@ -813,40 +812,53 @@ def _openblas():
     # scipy-openblas's symbols, then those of plain 64- and 32-bit builds
     for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
                            ("openblas", "")):
-        threads = getattr(handle, "%s_get_num_threads%s" % (prefix, suffix),
-                          None)
-        if threads is None:
+        get, put, core = (getattr(handle, "%s_%s%s" % (prefix, name, suffix),
+                                  None)
+                          for name in ("get_num_threads", "set_num_threads",
+                                       "get_corename"))
+        if get is None or put is None:
             continue
-        core = getattr(handle, "%s_get_corename%s" % (prefix, suffix), None)
-        threads.restype, threads.argtypes = ctypes.c_int, []
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
         if core is not None:
             core.restype, core.argtypes = ctypes.c_char_p, []
-        return threads, core
+        return get, put, core
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the count it had, also
+    when the body raises; nothing where numpy has no OpenBLAS handle."""
+    fns = _openblas()
+    if fns is None:
+        yield
+        return
+    get, put, _ = fns
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _blas_runtime():
     """The live OpenBLAS thread count and core name, each None where no
     OpenBLAS handle is found."""
-    fns = _openblas()
-    if fns is None:
-        return {"threads": None, "core": None}
-    threads, core = fns
-    return {"threads": threads(),
-            "core": core().decode() if core is not None else None}
+    get, _, core = _openblas() or (None, None, None)
+    return {"threads": get and get(), "core": core and core().decode()}
 
 
 def _helper_cpu_free(scenario, cfg):
     """Whether a task of scenario may run one helper thread beside itself,
     which it does only where that thread finds an idle CPU: the tasks run in
-    this process (a pool already keeps its CPUs busy) on at least 2 CPUs.
-    learning_curves's helper trains a model whose matrix products OpenBLAS
-    spreads over all of its threads, so that scenario also needs a live
-    OpenBLAS thread count of 1; an unknown count trains inline."""
+    this process (a pool already keeps its CPUs busy) on at least 2 CPUs,
+    and for learning_curves, whose helper trains a model, on an OpenBLAS
+    that _run_task pins to one thread; any other BLAS trains inline."""
     if _workers(scenario, cfg) != 1 or (os.cpu_count() or 1) < 2:
         return False
-    return (scenario != "learning_curves"
-            or _blas_runtime()["threads"] == 1)
+    return scenario != "learning_curves" or _openblas() is not None
 
 
 def _ordered(pool, tasks, window):

@@ -668,26 +668,29 @@ def test_codec_validation_helper_and_inline_draws_agree(monkeypatch):
     assert rows[1] == rows[2]
 
 
-def blas_threads(monkeypatch, threads):
-    """Make expcli read this live OpenBLAS thread count."""
-    monkeypatch.setattr(expcli, "_blas_runtime",
-                        lambda: {"threads": threads, "core": None})
+# the learning helper needs an OpenBLAS thread count that a task can pin
+needs_openblas = pytest.mark.skipif(
+    expcli._openblas() is None,
+    reason="numpy has no OpenBLAS thread count to pin")
 
 
 def test_helper_cpu_free_conditions(monkeypatch):
     cfg = parse_config(None, realizations=2)
-    for cpus, workers, threads, noise, learning in (
-            (2, "1", 1, True, True),
-            # OpenBLAS already spreads the products over both CPUs, or the
-            # count is unknown: only the noise helper runs
-            (2, "1", 2, True, False), (2, "1", None, True, False),
-            (1, "1", 1, False, False), (2, "2", 1, False, False)):
+    handle = object()
+    for cpus, workers, pinnable, noise, learning in (
+            (2, "1", True, True, True),
+            # no OpenBLAS thread count to pin: the baseline trains inline,
+            # and only the noise helper runs
+            (2, "1", False, True, False),
+            (1, "1", True, False, False), (2, "2", True, False, False)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("FBLINK_WORKERS", workers)
-        blas_threads(monkeypatch, threads)
+        monkeypatch.setattr(expcli, "_openblas",
+                            lambda: handle if pinnable else None)
         assert expcli._helper_cpu_free("codec_validation", cfg) is noise
         assert expcli._helper_cpu_free("learning_curves", cfg) is learning
     # one task clamps the pool to this process
+    monkeypatch.setattr(expcli, "_openblas", lambda: handle)
     assert expcli._helper_cpu_free("learning_curves",
                                    replace(cfg, realizations=1))
 
@@ -713,22 +716,20 @@ def record_training(monkeypatch, fail=None, error=None):
     return runs
 
 
+@needs_openblas
 def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
     # the baseline trains on the helper thread only on 2 CPUs with one
-    # OpenBLAS thread and one worker; one CPU, two OpenBLAS threads and a
-    # pool all train it inline first. The interpreter switches threads
-    # every 10 microseconds, so two runs that shared any state would
-    # change the rows.
+    # worker; one CPU and a pool train it inline first. The interpreter
+    # switches threads every 10 microseconds, so two runs that shared any
+    # state would change the rows.
     cfg = parse_config(None, **SMALL_LEARNING)
     data = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for case, cpus, threads, workers in (
-                ("helper", 2, 1, "1"), ("one_cpu", 1, 1, "1"),
-                ("blas_2", 2, 2, "1"), ("pool", 2, 1, "2")):
+        for case, cpus, workers in (("helper", 2, "1"), ("one_cpu", 1, "1"),
+                                    ("pool", 2, "2")):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            blas_threads(monkeypatch, threads)
             monkeypatch.setenv("FBLINK_WORKERS", workers)
             runs = record_training(monkeypatch)
             before = threading.active_count()
@@ -753,6 +754,7 @@ def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
     assert data["helper"].count(b"\n") == 1 + 2 * 2 * 3
 
 
+@needs_openblas
 @pytest.mark.parametrize("fail", ["baseline", "coded"])
 def test_learning_curves_failure_leaves_no_thread(tmp_path, monkeypatch,
                                                   fail):
@@ -761,7 +763,6 @@ def test_learning_curves_failure_leaves_no_thread(tmp_path, monkeypatch,
     # error, joins the helper, and leaves no table and no manifest
     monkeypatch.setenv("FBLINK_WORKERS", "1")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    blas_threads(monkeypatch, 1)
     error = Boom(fail)
     runs = record_training(monkeypatch, fail, error)
     before = threading.active_count()
@@ -777,17 +778,15 @@ def test_learning_curves_failure_leaves_no_thread(tmp_path, monkeypatch,
         ("baseline", False), ("coded", True)]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("cpus", [pytest.param(2, marks=needs_openblas), 1])
 def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
-                                                          monkeypatch,
-                                                          threads):
+                                                          monkeypatch, cpus):
     # round 0's step at lr 1e300 throws the model far off, and the loss
     # after it overflows. Each variant stops there, in round 0, on the
-    # helper (one OpenBLAS thread) or inline (two), where the baseline's
-    # error ends the run before the coded run starts.
+    # helper (2 CPUs) or inline (1 CPU), where the baseline's error ends
+    # the run before the coded run starts.
     monkeypatch.setenv("FBLINK_WORKERS", "1")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    blas_threads(monkeypatch, threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     original_train, original_grad = hfl.train, mlp.loss_and_grad
     variant_of = {}
     calls = collections.Counter()
@@ -816,7 +815,63 @@ def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
     assert list((tmp_path / "out").iterdir()) == []
     n_users = parse_config().n_users
     assert calls == ({"baseline": n_users, "coded": n_users}
-                     if threads == 1 else {"baseline": n_users})
+                     if cpus == 2 else {"baseline": n_users})
+
+
+def test_mlp_bytes_do_not_move_with_blas_threads_or_workers(tmp_path):
+    # every task pins numpy's OpenBLAS to one thread, so fresh processes
+    # started on one and two BLAS threads, and on two workers, write the
+    # same MLP tables, whatever core the kernels were chosen for
+    code = ("import sys\n"
+            "from fblink.expcli import parse_config, run_scenario\n"
+            "cfg = parse_config(None, **%r)\n"
+            "for scenario in ('learning_curves', 'secrecy_level_vs_round'):\n"
+            "    run_scenario(cfg, scenario, sys.argv[1])\n" % SMALL_LEARNING)
+    tables = {}
+    for threads, workers in (("1", "1"), ("2", "1"), ("2", "2")):
+        out = tmp_path / (threads + workers)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(out)], capture_output=True,
+            text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                FBLINK_WORKERS=workers))
+        assert proc.returncode == 0, proc.stderr
+        tables[threads, workers] = [(out / name).read_bytes() for name in (
+            "learning_curves.csv", "secrecy_level_vs_round.csv")]
+    assert tables["1", "1"] == tables["2", "1"] == tables["2", "2"]
+
+
+@needs_openblas
+def test_tasks_run_on_one_blas_thread_and_restore_the_count(tmp_path,
+                                                            monkeypatch):
+    # a task runs on one OpenBLAS thread, and the count set before the run
+    # is back after it, also when the task raises
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    get, put, _ = expcli._openblas()
+    fn, headers = SCENARIOS["privacy_utility_sweep"]
+    seen = []
+    before = get()
+    put(2)
+    try:
+        for error in (None, Boom("task")):
+            def task(cfg, arg, error=error):
+                seen.append(get())
+                if error is not None:
+                    raise error
+                return fn(cfg, arg)
+
+            monkeypatch.setitem(SCENARIOS, "privacy_utility_sweep",
+                                (task, headers))
+            out = str(tmp_path / ("ok" if error is None else "raises"))
+            if error is None:
+                run_scenario(parse_config(), "privacy_utility_sweep", out)
+            else:
+                with pytest.raises(Boom) as info:
+                    run_scenario(parse_config(), "privacy_utility_sweep", out)
+                assert info.value is error
+            assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1, 1]
 
 
 def test_cli_import_leaves_scipy_and_the_pool_unloaded():
@@ -1118,6 +1173,9 @@ def assert_cli_config_error(tmp_path, capsys, scenario, config, key):
     ('{"uses_per_second": 5e-324, "realizations": 3}', "uses_per_second"),
     # a feasible plan's latency overflowed to inf, the infeasible sentinel
     ('{"uses_per_second": 1e-310, "realizations": 3}', "uses_per_second"),
+    # rate * uses_per_second overflowed to inf: a feasible plan's latency 0.0
+    ('{"uses_per_second": 1e308, "snr_db": 60, "snr_fb_db": 80,'
+     ' "realizations": 3}', "uses_per_second"),
 ])
 def test_cli_bad_value_is_exit_1(tmp_path, capsys, text, key):
     assert_cli_config_error(tmp_path, capsys, "rate_vs_blocklength", text,

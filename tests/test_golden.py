@@ -3,11 +3,14 @@
 A changed CSV byte changes what a run at a given version means, so it comes
 with a version bump and a CHANGES.md entry (ROADMAP, aim 3). The reruns in
 test_acceptance.py only check that a run repeats itself; these digests pin
-the bytes across changes. The MLP scenarios are left out, because their
-bytes depend on the BLAS thread count; the transport digest pins the bytes
-they send instead. The privacy_utility_sweep digest, which draws nothing,
-dates from fblink 0.2.1, and the plans.csv digest of the outage case from
-0.3.0. The rates.csv digests and the other two plans.csv digests were
+the bytes across changes. The MLP scenarios' bytes depend on numpy's BLAS
+build and on the core its kernels were chosen for, so their digests are
+keyed by both and skipped elsewhere; every task runs on one OpenBLAS
+thread, so the thread count does not move them. They were taken at 0.9.1,
+and equal the one-thread bytes of 0.9.0. The transport digest pins the
+bytes they send on any BLAS. The privacy_utility_sweep digest, which draws
+nothing, dates from fblink 0.2.1, and the plans.csv digest of the outage
+case from 0.3.0. The rates.csv digests and the other two plans.csv digests were
 retaken at 0.7.0, when the Gaussian tail moved from scipy to the C
 library's erfc and q_inv, then Acklam's seed with two Newton steps, moved
 in the last ulp. They and the two 20000-block codec_validation digests
@@ -32,7 +35,8 @@ import pytest
 
 from fblink import adversary, codec, source_coding
 from fblink.channel import NoiseSpec, Realization
-from fblink.expcli import SystemConfig, _send_bits, parse_config, run_scenario
+from fblink.expcli import (SystemConfig, _blas_runtime, _send_bits,
+                           parse_config, run_scenario)
 from fblink.streams import substream
 
 from conftest import SNR, SNR_FB, draw_messages
@@ -93,6 +97,23 @@ CASES = [
 ]
 
 
+# the MLP scenarios' tables at the defaults, by (BLAS name, OpenBLAS core)
+MLP_DIGESTS = {
+    ("scipy-openblas", "SkylakeX"): {
+        "learning_curves.csv":
+            "3adaf9a5f2140dfd75c8a993784b16cba24b55824ac4ed3bfa20b91cfc4f8ef5",
+        "secrecy_level_vs_round.csv":
+            "a5e7cafb3c0dddedd3b01ef8e948319c2c1176ffe5e486533152e8164e8938ed",
+    },
+}
+
+
+def blas_key():
+    """(BLAS name, OpenBLAS core) of numpy's BLAS, either None if unknown."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return blas.get("name"), _blas_runtime()["core"]
+
+
 def scenario_digests(scenario, overrides, out_dir):
     man = run_scenario(parse_config(None, **overrides), scenario, out_dir)
     return {name: info["sha256"] for name, info in man["files"].items()}
@@ -102,6 +123,17 @@ def scenario_digests(scenario, overrides, out_dir):
 def test_scenario_csv_digests(tmp_path, scenario, overrides, want):
     got = scenario_digests(scenario, overrides, str(tmp_path))
     assert got == want, "%s %s: %s" % (scenario, overrides, BUMP)
+
+
+@pytest.mark.parametrize("scenario", ["learning_curves",
+                                      "secrecy_level_vs_round"])
+def test_mlp_csv_digests(tmp_path, scenario):
+    key = blas_key()
+    if key not in MLP_DIGESTS:
+        pytest.skip("no MLP digests pinned for BLAS %r on core %r" % key)
+    name = scenario + ".csv"
+    got = scenario_digests(scenario, {}, str(tmp_path))
+    assert got == {name: MLP_DIGESTS[key][name]}, "%s: %s" % (scenario, BUMP)
 
 
 def eavesdropper_path_digest():
@@ -161,5 +193,8 @@ if __name__ == "__main__":
         for scenario, overrides, _ in CASES:
             print(scenario, overrides, scenario_digests(scenario, overrides,
                                                         tmp))
+        for scenario in ("learning_curves", "secrecy_level_vs_round"):
+            print(scenario, "on", blas_key(), scenario_digests(scenario, {},
+                                                                tmp))
     print("eavesdropper path", eavesdropper_path_digest())
     print("transport", transport_digest())

@@ -19,29 +19,32 @@ consecutive realizations, planned in one array call and sized by a fixed
 element budget over n_max + n_t_max_scan; the sweep is one task; every
 other scenario runs one realization per task. A task formats its rows as
 CSV bytes itself. With FBLINK_WORKERS > 1 tasks run in a process pool of
-at most os.cpu_count() workers, with at most two tasks per worker submitted
-ahead of the one being written. Tables are streamed: every file is opened
-before the first task runs, and each task's bytes are appended in task
-order as they arrive and fed to a running sha256. Memory therefore stays
-flat in the realization count, and neither the worker count nor the task
-size changes the bytes. Two scenarios run one helper thread beside a task
-where it finds an idle CPU (_helper_cpu_free): the tasks run in this
-process (one worker) and os.cpu_count() is at least 2. codec_validation
-draws the noise of its next block batch on it while the engine runs the
-current batch; numpy's noise fills release the GIL. learning_curves trains
-its error-free baseline on it while the calling thread trains the coded
-run. Pool workers and 1-CPU hosts do the same work inline, so busy
-threads never outnumber the CPUs. Each batch and each run keeps its own
-substreams, so the bytes are the same either way; the helper costs some
-CPU time and a few MiB of peak memory (its buffers and its glibc arena).
+at most _cpus() workers, the CPUs in this process's affinity mask, with at
+most two tasks per worker submitted ahead of the one being written. Tables
+are streamed: every file is opened before the first task runs, and each
+task's bytes are appended in task order as they arrive and fed to a
+running sha256. Memory therefore stays flat in the realization count, and
+neither the worker count nor the task size changes the bytes. Two
+scenarios hand helper work to _on_helper, which runs it on one helper
+thread beside the task where that thread finds an idle CPU
+(_helper_cpu_free: the tasks run in this process, one worker, and _cpus()
+is at least 2), and otherwise on the calling thread after the task's own
+work. codec_validation draws the noise of its next block batch there while
+the engine runs the current batch; numpy's noise fills release the GIL.
+learning_curves trains its error-free baseline there while the calling
+thread trains the coded run. So busy threads never outnumber the CPUs.
+Each batch and each run keeps its own substreams, so the bytes are the
+same either way; the helper thread costs some CPU time and a few MiB of
+peak memory (its buffers and its glibc arena).
 The manifest records the worker count. The tables are written under a
 ".part" suffix and renamed when the run succeeds; a run that raises
 removes them, so it leaves no partial tables and no manifest.
 An unusable output directory and a non-integer FBLINK_WORKERS are
 configuration errors.
 
-Exit codes: 0 success, 1 configuration error, 2 a scenario found the
-configured system infeasible at runtime.
+Exit codes: 0 success, 1 configuration error (sizes whose arrays the
+process cannot allocate among them), 2 a scenario found the configured
+system infeasible at runtime.
 """
 
 import argparse
@@ -54,7 +57,6 @@ import math
 import os
 import platform
 import sys
-import threading
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -497,29 +499,22 @@ _CODEC_BATCH = 20000
 
 
 @contextlib.contextmanager
-def _on_helper(fn):
-    """Run fn() on a helper thread alongside the body of the with
-    statement; None runs nothing. The helper is joined even when the body
-    raises, and what fn raised is raised after the body, unchanged."""
-    if fn is None:
+def _on_helper(fn, threaded):
+    """Run fn() on a helper thread beside the body of the with statement
+    where threaded is set, else on this thread after the body; None runs
+    nothing. The helper is joined even when the body raises, and what fn
+    raised is raised after the body, unchanged."""
+    if threaded and fn is not None:
+        # imported here: a run without a helper thread never loads it
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1, "fblink-helper") as helper:
+            job = helper.submit(fn)
+            yield
+        job.result()
+    else:
         yield
-        return
-    raised = []
-
-    def run():
-        try:
+        if fn is not None:
             fn()
-        except BaseException as e:
-            raised.append(e)
-
-    helper = threading.Thread(target=run, name="fblink-helper")
-    helper.start()
-    try:
-        yield
-    finally:
-        helper.join()
-    if raised:
-        raise raised[0]
 
 
 def _scn_codec_validation(cfg, r_idx):
@@ -568,15 +563,16 @@ def _scn_codec_validation(cfg, r_idx):
     ahead = None
     for k in range(n_batches):
         n = size(k)
+        dith, ef, eb, _ = ahead or draw(k)
         # R's indices, then I's: two draws, as the stream was always read
         msg = np.stack([msg_rng.integers(0, const.m_levels, n) for _ in "RI"])
-        dith, ef, eb, _ = ahead if ahead is not None else draw(k)
-        # allocated on this thread: glibc serves a helper's allocations from
-        # a heap arena of its own, which costs CPU time and RSS
+        # allocated on this thread, where glibc serves no heap arena of a
+        # helper's own (which costs CPU time and RSS), and only once the
+        # rebinding above has freed batch k-1's arrays
         ahead = (codec._noise_arrays(size(k + 1), cfg.n_t)
-                 if threaded and k + 1 < n_batches else None)
-        with _on_helper(None if ahead is None
-                        else functools.partial(draw, k + 1, ahead)):
+                 if k + 1 < n_batches else None)
+        with _on_helper(ahead and functools.partial(draw, k + 1, ahead),
+                        threaded):
             # the last batch's transcript is dropped only when this call
             # returns: freed earlier, glibc trims the heap top and the
             # engine faults it back in
@@ -608,13 +604,24 @@ _SECRECY_HEADER = ("realization", "round", "sigma_w2_hat", "source_var",
 
 
 def _load_learning_data(cfg):
-    """The learning data; a data_dir that cannot be read, or whose IDX
-    files are malformed or too short, is a ConfigError."""
+    """The learning data; a data_dir that cannot be read, whose IDX files
+    are malformed or too short, or whose images or labels the model cannot
+    take, is a ConfigError."""
     try:
-        return datasets.load_dataset(cfg.data_dir or None, cfg.n_train,
+        data = datasets.load_dataset(cfg.data_dir or None, cfg.n_train,
                                      cfg.n_test, cfg.seed)
     except (OSError, ValueError) as e:
         raise ConfigError("cannot load data_dir %r: %s" % (cfg.data_dir, e))
+    spec = cfg.mlp_spec()
+    x_tr, y_tr, x_te, y_te = data
+    pixels = {x_tr.shape[1], x_te.shape[1]} - {spec.n_in}
+    if pixels:
+        raise ConfigError("data_dir %r holds images of %d pixels; the model "
+                          "takes %d" % (cfg.data_dir, pixels.pop(), spec.n_in))
+    if not all(0 <= y.min() and y.max() < spec.n_out for y in (y_tr, y_te)):
+        raise ConfigError("data_dir %r holds labels outside [0, %d)"
+                          % (cfg.data_dir, spec.n_out))
+    return data
 
 
 def _train(cfg, data, r_idx, transmit_fn=None):
@@ -667,11 +674,9 @@ def _scn_learning_curves(cfg, r_idx):
         base.append(_train(cfg, data, r_idx))
 
     # the two runs share only the read-only data, so where a CPU is idle the
-    # error-free baseline trains on a helper thread beside the coded run
-    threaded = _helper_cpu_free("learning_curves", cfg)
-    if not threaded:
-        train_baseline()
-    with _on_helper(train_baseline if threaded else None):
+    # error-free baseline trains on a helper thread beside the coded run,
+    # and otherwise after it; the rows are assembled once both are done
+    with _on_helper(train_baseline, _helper_cpu_free("learning_curves", cfg)):
         coded = _train(cfg, data, r_idx,
                        coded_transmitter(cfg, r_idx, capture_eve=True))
     rows = []
@@ -777,22 +782,24 @@ def _run_task(packed):
     return {name: (len(rows), _csv_bytes(rows)) for name, rows in tables}
 
 
-def _worker_count(env, cpu_count):
-    """Worker processes for the realization fan-out: FBLINK_WORKERS from env
-    (default 1), at least 1 and at most cpu_count."""
-    raw = env.get("FBLINK_WORKERS", "1")
+def _cpus():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(scenario, cfg):
+    """Processes that run the tasks of scenario: FBLINK_WORKERS (default 1),
+    at least 1 and at most _cpus() and the task count; a value that is not
+    an integer is a ConfigError."""
+    raw = os.environ.get("FBLINK_WORKERS", "1")
     try:
         workers = int(raw)
     except ValueError:
         raise ConfigError("FBLINK_WORKERS must be an integer, got %r" % raw)
-    return max(1, min(workers, cpu_count or 1))
-
-
-def _workers(scenario, cfg):
-    """Processes that run the tasks of scenario: FBLINK_WORKERS clamped to
-    the CPU count and to the task count."""
-    return min(_worker_count(os.environ, os.cpu_count()),
-               _task_args(scenario, cfg)[0])
+    return max(1, min(workers, _cpus(), _task_args(scenario, cfg)[0]))
 
 
 @functools.cache
@@ -851,12 +858,13 @@ def _blas_runtime():
 
 
 def _helper_cpu_free(scenario, cfg):
-    """Whether a task of scenario may run one helper thread beside itself,
-    which it does only where that thread finds an idle CPU: the tasks run in
-    this process (a pool already keeps its CPUs busy) on at least 2 CPUs,
-    and for learning_curves, whose helper trains a model, on an OpenBLAS
-    that _run_task pins to one thread; any other BLAS trains inline."""
-    if _workers(scenario, cfg) != 1 or (os.cpu_count() or 1) < 2:
+    """Whether a task of scenario runs its helper work on a helper thread
+    beside itself, which it does only where that thread finds an idle CPU:
+    the tasks run in this process (a pool already keeps its CPUs busy) and
+    _cpus() is at least 2, and for learning_curves, whose helper trains a
+    model, on an OpenBLAS that _run_task pins to one thread. Elsewhere
+    _on_helper runs the same work on the calling thread."""
+    if _workers(scenario, cfg) != 1 or _cpus() < 2:
         return False
     return scenario != "learning_curves" or _openblas() is not None
 
@@ -1061,6 +1069,11 @@ def main(argv=None) -> int:
         manifest = run_scenario(cfg, args.scenario, args.out)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print("config error: the configured sizes need more memory than this "
+              "process may allocate (%s)" % (str(e) or "no size given"),
+              file=sys.stderr)
         return 1
     except InfeasibleError as e:
         print("infeasible: %s" % e, file=sys.stderr)

@@ -14,6 +14,11 @@ import threading
 import tracemalloc
 from dataclasses import replace
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +29,7 @@ from fblink.channel import Realization, sample_realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            SystemConfig, _POWER_MAX, _TAU_MIN, _bit_order,
                            _csv_bytes, _ordered, _pack_group, _send_bits,
-                           _task_args, _unpack_group, _worker_count,
+                           _task_args, _unpack_group, _workers,
                            coded_transmitter, main, parse_config,
                            run_scenario)
 from fblink.streams import DOMAIN_REALIZATION, substream
@@ -416,7 +421,7 @@ def test_sweep_scenario_contents_and_rerun_identity(tmp_path):
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     # two CPUs whatever the host has, so that FBLINK_WORKERS=2 runs a pool
     # and a one-worker codec_validation draws its noise on a helper thread
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(expcli, "_cpus", lambda: 2)
     # at least five tasks of many realizations each overrun the pool's
     # window of 2 per worker
     cfg = parse_config(None, realizations=160, n_t_max_scan=6,
@@ -585,7 +590,7 @@ def test_blas_runtime_reads_numpys_openblas_beside_scipys():
 def test_manifest_records_the_clamped_worker_count(tmp_path, monkeypatch):
     # the processes that ran the tasks: FBLINK_WORKERS clamped to the CPU
     # count and the task count; the files do not depend on it
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(expcli, "_cpus", lambda: 2)
     cfg = parse_config(None, n_blocks=200)
     seen = {}
     for env, real, want in (("1", 3, 1), ("2", 3, 2), ("8", 3, 2),
@@ -613,7 +618,7 @@ def test_codec_validation_failure_mid_loop_leaves_no_thread(tmp_path,
     # engine on this thread while the helper fills batch 2. The run raises
     # that error, joins the helper, and leaves no table and no manifest.
     monkeypatch.setenv("FBLINK_WORKERS", "1")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(expcli, "_cpus", lambda: 2)
     original = getattr(codec, target)
     error = Boom("batch 1")
     threads = []
@@ -652,7 +657,7 @@ def test_codec_validation_helper_and_inline_draws_agree(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 2):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
             threads = []
 
             def recorded(*args, **kwargs):
@@ -683,7 +688,7 @@ def test_helper_cpu_free_conditions(monkeypatch):
             # and only the noise helper runs
             (2, "1", False, True, False),
             (1, "1", True, False, False), (2, "2", True, False, False)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
         monkeypatch.setenv("FBLINK_WORKERS", workers)
         monkeypatch.setattr(expcli, "_openblas",
                             lambda: handle if pinnable else None)
@@ -693,6 +698,21 @@ def test_helper_cpu_free_conditions(monkeypatch):
     monkeypatch.setattr(expcli, "_openblas", lambda: handle)
     assert expcli._helper_cpu_free("learning_curves",
                                    replace(cfg, realizations=1))
+
+
+def test_cpus_follow_the_affinity_mask(tmp_path, monkeypatch):
+    # a process held to one CPU of a larger host runs no helper thread and
+    # no second worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert expcli._cpus() == 1
+    cfg = parse_config(None, realizations=2, n_blocks=200)
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    assert not expcli._helper_cpu_free("codec_validation", cfg)
+    assert not expcli._helper_cpu_free("learning_curves", cfg)
+    monkeypatch.setenv("FBLINK_WORKERS", "2")
+    man = run_scenario(cfg, "codec_validation", str(tmp_path))
+    assert man["environment"]["workers"] == 1
 
 
 # two realizations of a few rounds on a small sample
@@ -719,9 +739,9 @@ def record_training(monkeypatch, fail=None, error=None):
 @needs_openblas
 def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
     # the baseline trains on the helper thread only on 2 CPUs with one
-    # worker; one CPU and a pool train it inline first. The interpreter
-    # switches threads every 10 microseconds, so two runs that shared any
-    # state would change the rows.
+    # worker; one CPU and a pool train it inline after the coded run. The
+    # interpreter switches threads every 10 microseconds, so two runs that
+    # shared any state would change the rows.
     cfg = parse_config(None, **SMALL_LEARNING)
     data = {}
     interval = sys.getswitchinterval()
@@ -729,7 +749,7 @@ def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
     try:
         for case, cpus, workers in (("helper", 2, "1"), ("one_cpu", 1, "1"),
                                     ("pool", 2, "2")):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
             monkeypatch.setenv("FBLINK_WORKERS", workers)
             runs = record_training(monkeypatch)
             before = threading.active_count()
@@ -741,13 +761,13 @@ def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
             if case == "helper":
                 # the two runs of a realization start in either order
                 assert sorted((v, t.name) for v, t in runs) == [
-                    ("baseline", "fblink-helper")] * 2 + [
+                    ("baseline", "fblink-helper_0")] * 2 + [
                     ("coded", main_thread.name)] * 2
                 assert all((t is main_thread) == (v == "coded")
                            for v, t in runs)
             elif case != "pool":  # the pool trains in its own processes
-                assert runs == [("baseline", main_thread),
-                                ("coded", main_thread)] * 2
+                assert runs == [("coded", main_thread),
+                                ("baseline", main_thread)] * 2
     finally:
         sys.setswitchinterval(interval)
     assert len(set(data.values())) == 1
@@ -762,7 +782,7 @@ def test_learning_curves_failure_leaves_no_thread(tmp_path, monkeypatch,
     # thread while the helper trains the baseline: the run raises that
     # error, joins the helper, and leaves no table and no manifest
     monkeypatch.setenv("FBLINK_WORKERS", "1")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(expcli, "_cpus", lambda: 2)
     error = Boom(fail)
     runs = record_training(monkeypatch, fail, error)
     before = threading.active_count()
@@ -783,10 +803,10 @@ def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
                                                           monkeypatch, cpus):
     # round 0's step at lr 1e300 throws the model far off, and the loss
     # after it overflows. Each variant stops there, in round 0, on the
-    # helper (2 CPUs) or inline (1 CPU), where the baseline's error ends
-    # the run before the coded run starts.
+    # helper (2 CPUs) or inline (1 CPU), where the coded run's error ends
+    # the run before the baseline starts.
     monkeypatch.setenv("FBLINK_WORKERS", "1")
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
     original_train, original_grad = hfl.train, mlp.loss_and_grad
     variant_of = {}
     calls = collections.Counter()
@@ -815,7 +835,7 @@ def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
     assert list((tmp_path / "out").iterdir()) == []
     n_users = parse_config().n_users
     assert calls == ({"baseline": n_users, "coded": n_users}
-                     if cpus == 2 else {"baseline": n_users})
+                     if cpus == 2 else {"coded": n_users})
 
 
 def test_mlp_bytes_do_not_move_with_blas_threads_or_workers(tmp_path):
@@ -947,16 +967,21 @@ def test_planner_memory_is_flat_in_realizations(tmp_path, monkeypatch):
     assert peak(wide, 4) <= 1.1 * wide_one and wide_one <= 1.1 * one
 
 
-def test_worker_count_parsing_and_clamp():
-    assert _worker_count({}, 8) == 1
-    assert _worker_count({"FBLINK_WORKERS": "2"}, 8) == 2
-    assert _worker_count({"FBLINK_WORKERS": "64"}, 2) == 2
-    assert _worker_count({"FBLINK_WORKERS": "0"}, 8) == 1
-    assert _worker_count({"FBLINK_WORKERS": "-3"}, 8) == 1
-    assert _worker_count({"FBLINK_WORKERS": "4"}, None) == 1
+def test_worker_count_parsing_and_clamp(monkeypatch):
+    # FBLINK_WORKERS clamped to [1, CPUs] and to the task count
+    cfg = parse_config(None, realizations=3)
+    for env, cpus, want in ((None, 8, 1), ("2", 8, 2), ("64", 2, 2),
+                            ("0", 8, 1), ("-3", 8, 1), ("64", 8, 3)):
+        if env is None:
+            monkeypatch.delenv("FBLINK_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("FBLINK_WORKERS", env)
+        monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
+        assert _workers("codec_validation", cfg) == want
     for bad in ("two", "", "1.5"):
+        monkeypatch.setenv("FBLINK_WORKERS", bad)
         with pytest.raises(ConfigError, match="FBLINK_WORKERS"):
-            _worker_count({"FBLINK_WORKERS": bad}, 8)
+            _workers("codec_validation", cfg)
 
 
 def test_plans_are_first_hits_of_their_rate_scan(tmp_path):
@@ -1279,14 +1304,20 @@ def test_tau_floor():
 
 @pytest.mark.parametrize("defect,message", [
     ("magic", "magic"), ("truncated", "truncated"), ("short", "n_train"),
-    ("missing", "not found"), ("partial", "t10k-labels-idx1-ubyte")])
+    ("missing", "not found"), ("partial", "t10k-labels-idx1-ubyte"),
+    ("pixels", "16 pixels; the model takes 784"),
+    ("labels", "labels outside [0, 10)")])
 def test_cli_bad_data_dir_is_exit_1(tmp_path, capsys, defect, message):
     # 100 rows under the default n_train of 1000 would train on 100 while
     # the quantizer is sized for 1000; a missing directory, or one holding
-    # three of the four files, would run the synthetic mixture instead
+    # three of the four files, would run the synthetic mixture instead;
+    # 4x4 images or a label of 12 would fault in the model's math
     rng = np.random.default_rng(0)
-    imgs = rng.integers(0, 256, size=(100, 28, 28), dtype=np.uint8)
+    side = 4 if defect == "pixels" else 28
+    imgs = rng.integers(0, 256, size=(100, side, side), dtype=np.uint8)
     labs = rng.integers(0, 10, size=100, dtype=np.uint8)
+    if defect == "labels":
+        labs[:] = 12
     data = tmp_path / "data"
     data.mkdir()
     write_idx_pair(data, "train", imgs, labs)
@@ -1311,6 +1342,34 @@ def test_cli_bad_data_dir_is_exit_1(tmp_path, capsys, defect, message):
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert list((tmp_path / "out").glob("*.csv")) == []
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module")
+def test_cli_out_of_memory_is_exit_1(tmp_path):
+    # one realization at n_max 1e8 asks for arrays of 763 MiB each; a child
+    # capped at about 2.4 GiB of address space cannot allocate them. The
+    # cap is set in the child before it starts: without it the same config
+    # would ask the host for several GiB. One BLAS thread keeps OpenBLAS's
+    # own buffers small on a host of many CPUs.
+    def cap_address_space():
+        limit = 2500000 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n_max": 100000000, "realizations": 1}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fblink", "run", "--scenario",
+         "rate_vs_blocklength", "--config", str(p), "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error: the configured sizes need "
+                                  "more memory")
+    # numpy names the size it could not allocate
+    assert re.search(r"\d[\d.]* [KMG]iB", proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("under", [False, True])

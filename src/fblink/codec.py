@@ -36,7 +36,10 @@ allocates no complex array; it derotates a use's noise alone
 (x + derotate(eta, h) is the projection of h*x + eta). draw_block_noise
 draws the noise in its documented order and run_block_batch is a pure
 function of those arrays, the one path through a block; a single block is
-a batch of one.
+a batch of one. The eavesdropper tap records only the signal she hears,
+g*x + g_fb*x_fb; eve_observation adds her receiver noise, the generator's
+next draw after draw_block_noise's, as the last term, so her side of a
+batch can run apart from the link's, on another thread or later.
 
 Message indices are read from bits MSB first through to_bits/from_bits, the
 one bit packer that the quantizer and the transport share; the transport
@@ -63,6 +66,7 @@ __all__ = [
     "modulo_d",
     "draw_block_noise",
     "run_block_batch",
+    "eve_observation",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -241,32 +245,30 @@ class BatchResult:
     dec_r = property(lambda self: self.dec[0])
 
 
-def _noise_arrays(n, n_t, capture_eve=False):
+def _noise_arrays(n, n_t):
     """Uninitialized arrays in the layout draw_block_noise fills: dither
-    (n_t-1, 2, n), forward (2, n_t, n), feedback (2, n_t-1, n), and
-    adversary (2, n_t, n) or None."""
+    (n_t-1, 2, n), forward (2, n_t, n) and feedback (2, n_t-1, n)."""
     return (np.empty((n_t - 1, 2, n)), np.empty((2, n_t, n)),
-            np.empty((2, n_t - 1, n)),
-            np.empty((2, n_t, n)) if capture_eve else None)
+            np.empty((2, n_t - 1, n)))
 
 
-def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False,
-                     out=None):
-    """Draw everything a batch of n blocks consumes, in documented order.
+def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, out=None):
+    """Draw everything the link consumes in a batch of n blocks, in
+    documented order.
 
-    Order: dither (n_t-1, 2, n), forward noise (2, n_t, n), feedback noise
-    (2, n_t-1, n), then adversary noise (2, n_t, n) only when capture_eve,
-    each as one cn_sample. The fixed order lets a substream replay its batch.
-    The arrays come from _noise_arrays(n, n_t, capture_eve), or are out, so
-    that a caller can allocate them on one thread and fill them on another;
-    either way they hold the same draws.
+    Order: dither (n_t-1, 2, n), forward noise (2, n_t, n), then feedback
+    noise (2, n_t-1, n), each as one cn_sample. The eavesdropper's noise
+    (2, n_t, n) is the next cn_sample of the same rng, which
+    eve_observation draws on her side of the batch. The fixed order lets a
+    substream replay its batch. The arrays come from _noise_arrays(n, n_t),
+    or are out, so that a caller can allocate them on one thread and fill
+    them on another; either way they hold the same draws.
 
     The dither is uniform on [-d/2, d/2); row 0 of its middle axis masks the
     R sub-channel, row 1 the I. Encoder and decoder share it ahead of time
     and the adversary never sees it, which is the whole security story.
     """
-    dither, eta_fwd, eta_fb, eta_eve = (
-        _noise_arrays(n, n_t, capture_eve) if out is None else out)
+    dither, eta_fwd, eta_fb = _noise_arrays(n, n_t) if out is None else out
     # rng.uniform(-d/2, d/2) in place: low + (high - low) * U[0, 1)
     half = d / 2.0
     rng.random(out=dither)
@@ -274,22 +276,22 @@ def draw_block_noise(rng, n, n_t, noise: NoiseSpec, d, capture_eve=False,
     dither -= half
     cn_sample(rng, noise.sigma1_2, (n_t, n), out=eta_fwd)
     cn_sample(rng, noise.sigma2_2, (n_t - 1, n), out=eta_fb)
-    if eta_eve is not None:
-        cn_sample(rng, noise.sigma_e2, (n_t, n), out=eta_eve)
-    return dither, eta_fwd, eta_fb, eta_eve
+    return dither, eta_fwd, eta_fb
 
 
 def run_block_batch(sched: Schedule, realization: Realization,
                     const: PamConstellation, msg, dither, eta_fwd, eta_fb,
-                    *, eta_eve=None, record=False) -> BatchResult:
+                    *, tap=False, record=False) -> BatchResult:
     """Run n blocks through the feedback loop with externally drawn noise.
 
     Pure function of its arrays: no RNG inside, so zero-noise limits and
     transcript replays are exact. msg is the (2, n) integer indices, rows R
     and I, inside const, which both sub-channels share (ValueError
     otherwise), and the decision dec comes back in its layout; the noise is
-    laid out as draw_block_noise draws it, and eta_eve enables the adversary
-    tap, z_seq. record=True keeps the transcript in the layout of the noise:
+    laid out as draw_block_noise draws it. tap=True keeps the adversary tap
+    z_seq (2, n_t, n), the signal part g*x + g_fb*x_fb of what she hears at
+    each use (g*x alone at the last), which eve_observation completes with
+    her noise. record=True keeps the transcript in the layout of the noise:
     errors and forward symbols (2, n_t, n), feedback symbols (2, n_t-1, n).
     """
     n_t = sched.n_t
@@ -308,7 +310,7 @@ def run_block_batch(sched: Schedule, realization: Realization,
     if record:
         eps_hist, x_seq, xfb_seq = (np.empty((2, uses, n))
                                     for uses in (n_t, n_t, n_t - 1))
-    z_seq = np.empty((2, n_t, n)) if eta_eve is not None else None
+    z_seq = np.empty((2, n_t, n)) if tap else None
     ge, gf = realization.g, realization.g_fb
     # c*p = c.real*p + [-c.imag, c.imag]*p[::-1] for a component-first pair p
     ge_i, gf_i = (np.array([[-c.imag], [c.imag]]) for c in (ge, gf))
@@ -327,7 +329,7 @@ def run_block_batch(sched: Schedule, realization: Realization,
         fold = modulo_d(g * th + dither[i], sched.d)
         if z_seq is not None:
             z_seq[:, i] = (ge.real * x + ge_i * x[::-1] + gf.real * fold
-                           + gf_i * fold[::-1] + eta_eve[:, i])
+                           + gf_i * fold[::-1])
         noise_fb = derotate(eta_fb[:, i], realization.h_fb)
         w = fold + noise_fb
         # simulator-side truth: fold events, counted per sub-channel
@@ -337,8 +339,19 @@ def run_block_batch(sched: Schedule, realization: Realization,
         if record:
             xfb_seq[:, i] = fold
     if z_seq is not None:
-        z_seq[:, -1] = ge.real * x + ge_i * x[::-1] + eta_eve[:, -1]
+        z_seq[:, -1] = ge.real * x + ge_i * x[::-1]
 
     dec = const.decode(th)
     return BatchResult(dec, (dec != msg).any(axis=0),
                        alias.sum(axis=0), eps_hist, x_seq, xfb_seq, z_seq)
+
+
+def eve_observation(rng, z_seq, noise: NoiseSpec):
+    """The eavesdropper's (2, n_t, n) record of a batch: the engine's tap
+    z_seq plus her receiver noise, the (2, n_t, n) cn_sample of variance
+    sigma_e2 that rng, the batch's generator, draws next after
+    draw_block_noise. The noise is added in place and last, so each entry
+    is the float sum (signal + noise) whichever thread or time draws it;
+    z_seq is returned."""
+    z_seq += cn_sample(rng, noise.sigma_e2, z_seq.shape[1:])
+    return z_seq

@@ -25,20 +25,25 @@ are streamed: every file is opened before the first task runs, and each
 task's bytes are appended in task order as they arrive and fed to a
 running sha256. Memory therefore stays flat in the realization count, and
 neither the worker count nor the task size changes the bytes. Two
-scenarios hand helper work to _on_helper, which runs it on one helper
-thread beside the task where that thread finds an idle CPU
-(_helper_cpu_free: the tasks run in this process, one worker, and _cpus()
-is at least 2), and otherwise on the calling thread after the task's own
-work. codec_validation draws the noise of its next block batch there while
-the engine runs the current batch; numpy's noise fills release the GIL.
-learning_curves trains its error-free baseline there while the calling
-thread trains the coded run. So busy threads never outnumber the CPUs.
-Each batch and each run keeps its own substreams, so the bytes are the
-same either way; the helper thread costs some CPU time and a few MiB of
-peak memory (its buffers and its glibc arena).
-The manifest records the worker count. The tables are written under a
-".part" suffix and renamed when the run succeeds; a run that raises
-removes them, so it leaves no partial tables and no manifest.
+scenarios hand helper work to a _Helper, one per task, which runs one job
+at a time on one helper thread beside the task where that thread finds an
+idle CPU (_helper_cpu_free: the tasks run in this process, one worker,
+and _cpus() is at least 2), and otherwise on the calling thread when the
+task joins the job. codec_validation draws the noise of its next block
+batch there while the engine runs the current batch; numpy's noise fills
+release the GIL. learning_curves hands it, each coded round, the error-free
+baseline's round and the eavesdropper's: her receiver noise, her attack on
+what she heard, her unpacking and dequantizing, and her shadow model's
+step and accuracy. Neither feeds the coded run, which joins round t's job
+only when it hands over round t+1's, so at most one round is in flight.
+So busy threads never outnumber the CPUs. Each batch, each run and each
+of her rounds keeps its own substreams, so the bytes are the same either
+way; the helper thread costs some CPU time and a few MiB of peak memory
+(its buffers and its glibc arena).
+The manifest records the worker count and whether the helper work ran on
+a helper thread. The tables are written under a ".part" suffix and
+renamed when the run succeeds; a run that raises removes them, so it
+leaves no partial tables and no manifest.
 An unusable output directory and a non-integer FBLINK_WORKERS are
 configuration errors.
 
@@ -354,8 +359,14 @@ def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
     """Send a bit string as one block batch of the ChunkGroup grp: zero-pad
     it to grp.count chunks of grp.n_bits, pack it in the _bit_order of the
     eavesdropper's capacity C_e at this realization, and slice the padding
-    off. Returns (decoded bits, eavesdropper bits or None, diagnostics with
-    that C_e)."""
+    off. Returns (decoded bits, the eavesdropper's job or None, diagnostics
+    with that C_e).
+
+    With capture_eve the engine keeps its tap, and the job, called once on
+    any thread after this returns, gives her bits: it draws her receiver
+    noise, the batch generator's next draw, runs the fold-ladder attack on
+    what she heard and unpacks her decisions. She is passive, so nothing
+    returned here waits on her."""
     seed, r_idx, round_idx = rng_key
     n = len(bit_string)
     c_e = analysis.eve_capacity_bits(realization.gain_eve, cfg.power,
@@ -371,34 +382,45 @@ def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
     # batch index 0 keeps the streams, and so the bytes, of rounds whose
     # payload already filled whole chunks before the tail was padded in
     path = (r_idx, round_idx, 0)
-    dith, ef, eb, ee = codec.draw_block_noise(
-        substream(seed, DOMAIN_BLOCKS, *path), grp.count, grp.n_t, noise,
-        sched.d, capture_eve)
+    rng = substream(seed, DOMAIN_BLOCKS, *path)
+    dith, ef, eb = codec.draw_block_noise(rng, grp.count, grp.n_t, noise,
+                                          sched.d)
     out = codec.run_block_batch(sched, realization, const, msg, dith, ef, eb,
-                                eta_eve=ee)
+                                tap=capture_eve)
     dec = _unpack_group(out.dec, order).ravel()[:n]
     eve = None
     if capture_eve:
-        eve = _unpack_group(adversary.attack_full_sequence(
-            out.z_seq, realization.g, realization.g_fb, sched, const,
-            substream(seed, DOMAIN_ATTACK, *path)), order).ravel()[:n]
+        tap = out.z_seq
+
+        def eve():
+            z = codec.eve_observation(rng, tap, noise)
+            return _unpack_group(adversary.attack_full_sequence(
+                z, realization.g, realization.g_fb, sched, const,
+                substream(seed, DOMAIN_ATTACK, *path)), order).ravel()[:n]
     return dec, eve, {"n_chunks": grp.count,
                       "chunk_errors": int(out.error.sum()),
                       "n_t_max": grp.n_t, "c_e": c_e}
 
 
 def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
-                      capture_eve=False):
+                      on_eve=None):
     """Build the transmit_fn used by hfl.train for the coded pipeline.
 
     transmit(agg, round_idx, source_var) quantizes the aggregate at the
     configured distortion and the source_var hfl.train hands it, plans the
     physical bit string as equal chunks at the round's channel, sends them
-    through the feedback code as one block batch, and dequantizes through
-    the replayed dither stream. The channel is redrawn each round
-    unless fixed_realization pins it; rounds in outage are redrawn up to
-    max_redraws, and the count is reported. A round with nothing to send
-    takes the first candidate and reports its gains and C_e.
+    through the feedback code as one block batch, dequantizes through
+    the replayed dither stream, and returns (decoded aggregate, stats). The
+    channel is redrawn each round unless fixed_realization pins it; rounds
+    in outage are redrawn up to max_redraws, and the count is reported. A
+    round with nothing to send takes the first candidate and reports its
+    gains and C_e.
+
+    on_eve, when given, taps the link: each round calls it once as
+    on_eve(round_idx, job) before transmit returns. job(), called once on
+    any thread, gives the aggregate the eavesdropper reconstructs without
+    the dither stream; her noise, attack, unpacking and dequantizing all
+    run inside it, and none of it changes what transmit returns.
     """
     noise = cfg.noise_spec()
 
@@ -416,22 +438,26 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
         real, groups, redraws = _feasible_channel(
             cfg, payload.physical_bits, (r_idx, round_idx), fixed_realization,
             " for round %d" % round_idx)
+        eve_bits = None
         if groups:
             dec_bits, eve_bits, link = _send_bits(
                 payload.indices, groups[0], real, cfg, noise,
-                (cfg.seed, r_idx, round_idx), capture_eve)
+                (cfg.seed, r_idx, round_idx), on_eve is not None)
         else:
             # a zero-rate round sends nothing over the channel it drew
-            dec_bits = eve_bits = payload.indices
+            dec_bits = payload.indices
             link = {"n_chunks": 0, "chunk_errors": 0, "n_t_max": 0,
                     "c_e": analysis.eve_capacity_bits(
                         real.gain_eve, cfg.power, cfg.sigma_e2)}
+        if on_eve is not None:
+            def eve_aggregate():
+                # a round that sent nothing leaves her its empty indices
+                bits = payload.indices if eve_bits is None else eve_bits()
+                return source_coding.dequantize(
+                    replace(payload, indices=bits), None)
+            on_eve(round_idx, eve_aggregate)
         decoded = source_coding.dequantize(
             replace(payload, indices=dec_bits), substream(*dither_key))
-        eve_agg = None
-        if capture_eve:
-            eve_agg = source_coding.dequantize(
-                replace(payload, indices=eve_bits), None)
 
         delta = (analysis.secrecy_level_bound(payload.accounted_bits,
                                               real.gain_eve, cfg.power,
@@ -439,7 +465,7 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
                  if payload.accounted_bits else 1.0)
         stats.update(link, redraws=redraws, gain_fwd=real.gain_fwd,
                      gain_eve=real.gain_eve, delta_round=delta)
-        return decoded, eve_agg, stats
+        return decoded, stats
 
     return transmit
 
@@ -498,23 +524,50 @@ _CODEC_HEADER = ("realization", "n_t", "bits_per_sub", "n_blocks",
 _CODEC_BATCH = 20000
 
 
-@contextlib.contextmanager
-def _on_helper(fn, threaded):
-    """Run fn() on a helper thread beside the body of the with statement
-    where threaded is set, else on this thread after the body; None runs
-    nothing. The helper is joined even when the body raises, and what fn
-    raised is raised after the body, unchanged."""
-    if threaded and fn is not None:
-        # imported here: a run without a helper thread never loads it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(1, "fblink-helper") as helper:
-            job = helper.submit(fn)
-            yield
-        job.result()
-    else:
-        yield
-        if fn is not None:
-            fn()
+class _Helper:
+    """Where a task's helper work runs, one job at a time. submit(fn) hands
+    fn over, and join() returns once it has run, raising what it raised,
+    unchanged. Threaded, as _helper_cpu_free decides, submit starts fn on
+    the task's one helper thread, beside the caller; otherwise join runs it
+    on the calling thread, after whatever the caller did in between. submit
+    joins the job before it first, so at most one is in flight.
+
+    A context manager: leaving the with block joins the job in flight;
+    leaving it by an exception drops that job, and what it raised, once a
+    running one has finished. Either way the helper thread ends with it.
+    """
+
+    def __init__(self, threaded):
+        self._pool = self._job = None
+        if threaded:
+            # imported here: a run without a helper thread never loads it
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(1, "fblink-helper")
+
+    def submit(self, fn):
+        self.join()
+        self._job = fn if self._pool is None else self._pool.submit(fn)
+
+    def join(self):
+        job, self._job = self._job, None
+        if job is None:
+            return
+        if self._pool is None:
+            job()
+        else:
+            job.result()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        try:
+            if exc_type is None:
+                self.join()
+        finally:
+            self._job = None
+            if self._pool is not None:
+                self._pool.shutdown()
 
 
 def _scn_codec_validation(cfg, r_idx):
@@ -554,25 +607,27 @@ def _scn_codec_validation(cfg, r_idx):
             substream(cfg.seed, DOMAIN_BLOCKS, r_idx, k), size(k), cfg.n_t,
             noise, sched.d, out=out)
 
-    # numpy's noise fills release the GIL, so a helper thread draws batch
-    # k+1 while this one runs batch k where a CPU is idle
-    threaded = _helper_cpu_free("codec_validation", cfg)
     errs = clean = 0
     pow_fwd = pow_fb = 0.0
     eps2 = np.zeros(cfg.n_t)
     ahead = None
-    for k in range(n_batches):
-        n = size(k)
-        dith, ef, eb, _ = ahead or draw(k)
-        # R's indices, then I's: two draws, as the stream was always read
-        msg = np.stack([msg_rng.integers(0, const.m_levels, n) for _ in "RI"])
-        # allocated on this thread, where glibc serves no heap arena of a
-        # helper's own (which costs CPU time and RSS), and only once the
-        # rebinding above has freed batch k-1's arrays
-        ahead = (codec._noise_arrays(size(k + 1), cfg.n_t)
-                 if k + 1 < n_batches else None)
-        with _on_helper(ahead and functools.partial(draw, k + 1, ahead),
-                        threaded):
+    # numpy's noise fills release the GIL, so where a CPU is idle the
+    # helper thread draws batch k+1 while this one runs batch k, and
+    # otherwise this thread draws it after the engine
+    with _Helper(_helper_cpu_free("codec_validation", cfg)) as helper:
+        for k in range(n_batches):
+            n = size(k)
+            dith, ef, eb = ahead or draw(k)
+            # R's indices, then I's: two draws, as the stream was always read
+            msg = np.stack([msg_rng.integers(0, const.m_levels, n)
+                            for _ in "RI"])
+            # allocated on this thread, where glibc serves no heap arena of
+            # a helper's own (which costs CPU time and RSS), and only once
+            # the rebinding above has freed batch k-1's arrays
+            ahead = (codec._noise_arrays(size(k + 1), cfg.n_t)
+                     if k + 1 < n_batches else None)
+            if ahead:
+                helper.submit(functools.partial(draw, k + 1, ahead))
             # the last batch's transcript is dropped only when this call
             # returns: freed earlier, glibc trims the heap top and the
             # engine faults it back in
@@ -584,6 +639,7 @@ def _scn_codec_validation(cfg, r_idx):
             mask = out.alias_events == 0
             eps2 += (np.square(out.eps_hist).sum(axis=0) * mask).sum(axis=1)
             clean += int(mask.sum())
+            helper.join()
     # every block aliased leaves no clean error sample: an empty cell
     var_dev = (float(np.abs(eps2 / (2.0 * clean) / sched.alpha - 1.0).max())
                if clean else "")
@@ -624,15 +680,22 @@ def _load_learning_data(cfg):
     return data
 
 
-def _train(cfg, data, r_idx, transmit_fn=None):
+def _train(cfg, data, r_idx, transmit_fn=None, steps=False):
     """hfl.train of the configured model on data, the four arrays of
-    _load_learning_data, for realization r_idx; a round whose model math
-    faults or whose aggregate is not finite is a ConfigError."""
-    x_tr, y_tr, x_te, y_te = data
+    _load_learning_data, for realization r_idx; with steps, the
+    hfl.train_rounds generator of the same run instead."""
+    train = hfl.train_rounds if steps else hfl.train
+    return train(*data, cfg.mlp_spec(), cfg.n_users, cfg.n_rounds, cfg.lr,
+                 cfg.reg, cfg.sigma2, cfg.seed, transmit_fn=transmit_fn,
+                 tag=r_idx)
+
+
+@contextlib.contextmanager
+def _model_faults():
+    """A round whose model math faults or whose aggregate is not finite,
+    hfl's FloatingPointError, is a ConfigError."""
     try:
-        return hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
-                         cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
-                         transmit_fn=transmit_fn, tag=r_idx)
+        yield
     except FloatingPointError as e:
         raise ConfigError("%s; lower lr, reg or sigma2" % e)
 
@@ -643,8 +706,9 @@ def _scn_secrecy_level_vs_round(cfg, r_idx):
     # channel that carries it carries every round
     real, _, redraws = _feasible_channel(
         cfg, mlp.n_params(cfg.mlp_spec()) * 24, (r_idx,))
-    res = _train(cfg, data, r_idx,
-                 coded_transmitter(cfg, r_idx, fixed_realization=real))
+    with _model_faults():
+        res = _train(cfg, data, r_idx,
+                     coded_transmitter(cfg, r_idx, fixed_realization=real))
     rows = []
     running = math.inf
     for rec in res.rounds:
@@ -668,19 +732,28 @@ _LEARNING_HEADER = ("realization", "variant", "round", "test_accuracy",
 
 def _scn_learning_curves(cfg, r_idx):
     data = _load_learning_data(cfg)
-    base = []
+    _, _, x_te, y_te = data
+    baseline = _train(cfg, data, r_idx, steps=True)
+    shadow = hfl.ShadowModel(x_te, y_te, cfg.mlp_spec(), cfg.lr, cfg.s_total,
+                             cfg.seed, r_idx)
+    base, eve_accuracy = [], []
 
-    def train_baseline():
-        base.append(_train(cfg, data, r_idx))
+    def round_job(t, eve_aggregate):
+        base.append(next(baseline)[1])
+        eve_accuracy.append(shadow.step(t, eve_aggregate()))
 
-    # the two runs share only the read-only data, so where a CPU is idle the
-    # error-free baseline trains on a helper thread beside the coded run,
-    # and otherwise after it; the rows are assembled once both are done
-    with _on_helper(train_baseline, _helper_cpu_free("learning_curves", cfg)):
-        coded = _train(cfg, data, r_idx,
-                       coded_transmitter(cfg, r_idx, capture_eve=True))
+    # neither the error-free baseline nor the passive eavesdropper feeds
+    # the coded run, so each coded round hands the helper "baseline round
+    # t, then her round t", which runs beside the coded run where a CPU is
+    # idle and otherwise on this thread at the next round's hand-over; the
+    # rows are assembled once the last job is done
+    with _model_faults(), \
+            _Helper(_helper_cpu_free("learning_curves", cfg)) as helper:
+        coded = _train(cfg, data, r_idx, coded_transmitter(
+            cfg, r_idx, on_eve=lambda t, job: helper.submit(
+                functools.partial(round_job, t, job))))
     rows = []
-    for rec in base[0].rounds:
+    for rec in base:
         rows.append((r_idx, "baseline", rec.round_index, rec.test_accuracy,
                      rec.train_loss, rec.sigma_w2_hat, rec.source_var,
                      rec.mi_per_coord, rec.utility_noise,
@@ -692,7 +765,7 @@ def _scn_learning_curves(cfg, r_idx):
                      rec.mi_per_coord, rec.utility_noise,
                      s["accounted_bits"], s["physical_bits"], s["n_chunks"],
                      s["chunk_errors"], s["redraws"], s["delta_round"],
-                     coded.eve_accuracy[rec.round_index]))
+                     eve_accuracy[rec.round_index]))
     return {"learning_curves.csv": rows}
 
 
@@ -863,8 +936,10 @@ def _helper_cpu_free(scenario, cfg):
     the tasks run in this process (a pool already keeps its CPUs busy) and
     _cpus() is at least 2, and for learning_curves, whose helper trains a
     model, on an OpenBLAS that _run_task pins to one thread. Elsewhere
-    _on_helper runs the same work on the calling thread."""
-    if _workers(scenario, cfg) != 1 or _cpus() < 2:
+    _Helper runs the same work on the calling thread. A scenario without
+    helper work runs no helper thread."""
+    if scenario not in ("codec_validation", "learning_curves") \
+            or _workers(scenario, cfg) != 1 or _cpus() < 2:
         return False
     return scenario != "learning_curves" or _openblas() is not None
 
@@ -1030,8 +1105,10 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
                 **_blas_runtime()),
             "libc": " ".join(platform.libc_ver()).strip(),
             "bit_generator": type(substream(0).bit_generator).__name__,
-            # processes that ran the tasks, after clamping
+            # processes that ran the tasks, after clamping, and whether the
+            # tasks ran their helper work on a helper thread
             "workers": workers,
+            "helper_thread": _helper_cpu_free(scenario, cfg),
         },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w",

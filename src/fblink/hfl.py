@@ -9,7 +9,13 @@ cloud, which applies a plain gradient step scaled by the total sample count.
 The transport between edge and cloud is injected (transmit_fn), so the same
 loop runs the error-free baseline, the quantize-and-transmit chain, or any
 test double. Local noise is drawn from substreams keyed (seed, round, user)
-so runs that differ only in transport see identical noise.
+so runs that differ only in transport see identical noise. train_rounds is
+the loop one round at a time, so a caller can pace two runs against each
+other; train runs it to the end.
+
+What a passive observer learns is kept out of the loop: ShadowModel applies
+the public update rule to whatever aggregates she decodes, from the run's
+initial point, and nothing she computes feeds back into the run.
 """
 
 import contextlib
@@ -31,7 +37,9 @@ __all__ = [
     "privacy_mi_per_coord",
     "RoundRecord",
     "TrainResult",
+    "train_rounds",
     "train",
+    "ShadowModel",
 ]
 
 
@@ -120,22 +128,19 @@ class RoundRecord:
 class TrainResult:
     params: np.ndarray
     rounds: list
-    eve_params: np.ndarray | None = None
-    eve_accuracy: list = field(default_factory=list)
 
 
-def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
-          sigma2, seed, transmit_fn=None, tag=0):
-    """Run the full loop and return the model plus per-round records.
+def train_rounds(x_train, y_train, x_test, y_test, spec, n_users, n_rounds,
+                 lr, reg, sigma2, seed, transmit_fn=None, tag=0):
+    """The loop of train one round at a time: a generator that yields, as
+    each round ends, the model after it and the round's RoundRecord. It does
+    no work before its first step, and each step runs one round.
 
     transmit_fn, when given, is called once per round as
     transmit_fn(aggregate, round_index, source_var), source_var being the
     round's RoundRecord.source_var, and returns (decoded_aggregate,
-    eve_aggregate_or_None, stats_dict). None means the edge-to-cloud hop is
-    error-free and the aggregate passes through unchanged. When any round
-    reports an eavesdropped aggregate, a shadow model is updated with it from
-    the same initial point: that is what an observer applying the public
-    update rule to her own decodes would hold.
+    stats_dict). None means the edge-to-cloud hop is error-free and the
+    aggregate passes through unchanged.
 
     tag diversifies the init and noise substreams across repetitions; two
     runs with the same (seed, tag) that differ only in transmit_fn share
@@ -151,9 +156,6 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
     shards = shard_data(x_train, y_train, n_users)
     s_total = sum(len(yk) for _, yk in shards)
     m = mlp.init_params(spec, substream(seed, DOMAIN_INIT, tag))
-    m_eve = None
-    records = []
-    eve_acc = []
     for t in range(n_rounds):
         with _model_math(t):
             locals_ = [local_gradient(m, xk, yk, spec, reg)
@@ -171,23 +173,16 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
                 "round %d's aggregate is not finite: the model diverged or "
                 "its noise overflowed" % t)
 
-        eve_agg = None
         stats = {}
         if transmit_fn is not None:
-            agg, eve_agg, stats = transmit_fn(agg, t, source_var)
+            agg, stats = transmit_fn(agg, t, source_var)
 
         with _model_math(t):
             m = cloud_update(m, agg, lr, s_total)
-            if eve_agg is not None:
-                if m_eve is None:
-                    m_eve = mlp.init_params(spec,
-                                            substream(seed, DOMAIN_INIT, tag))
-                m_eve = cloud_update(m_eve, eve_agg, lr, s_total)
-                eve_acc.append(mlp.accuracy(m_eve, x_test, y_test, spec))
             train_loss = float(mlp.loss(m, x_train, y_train, spec, reg))
             test_accuracy = mlp.accuracy(m, x_test, y_test, spec)
 
-        records.append(RoundRecord(
+        yield m, RoundRecord(
             round_index=t,
             train_loss=train_loss,
             test_accuracy=test_accuracy,
@@ -197,6 +192,39 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
                                               sigma2),
             utility_noise=n_users * sigma2,
             stats=stats,
-        ))
-    return TrainResult(params=m, rounds=records, eve_params=m_eve,
-                       eve_accuracy=eve_acc)
+        )
+
+
+def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
+          sigma2, seed, transmit_fn=None, tag=0):
+    """Run train_rounds to the end: the final model (None after zero
+    rounds) and every round's record. The arguments are train_rounds'."""
+    rounds = train_rounds(x_train, y_train, x_test, y_test, spec, n_users,
+                          n_rounds, lr, reg, sigma2, seed,
+                          transmit_fn=transmit_fn, tag=tag)
+    params, records = None, []
+    for params, rec in rounds:
+        records.append(rec)
+    return TrainResult(params=params, rounds=records)
+
+
+class ShadowModel:
+    """The model an observer holds who applies the public update rule to her
+    own decodes of the round aggregates, from the initial point of run
+    (seed, tag); s_total is the run's sample count.
+
+    step(t, aggregate) makes round t's update under the loop's model-math
+    checks and returns the shadow's accuracy on (x_test, y_test).
+    """
+
+    def __init__(self, x_test, y_test, spec, lr, s_total, seed, tag=0):
+        self.params = mlp.init_params(spec, substream(seed, DOMAIN_INIT, tag))
+        self.x_test, self.y_test, self.spec = x_test, y_test, spec
+        self.lr, self.s_total = lr, s_total
+
+    def step(self, t, aggregate):
+        with _model_math(t):
+            self.params = cloud_update(self.params, aggregate, self.lr,
+                                       self.s_total)
+            return mlp.accuracy(self.params, self.x_test, self.y_test,
+                                self.spec)

@@ -40,7 +40,7 @@ from fblink import analysis
 from fblink.adversary import attack_full_sequence, exact_posterior_mi
 from fblink.channel import NoiseSpec, Realization
 from fblink.codec import (build_constellation, build_schedule,
-                          draw_block_noise, run_block_batch)
+                          draw_block_noise, eve_observation, run_block_batch)
 from fblink.expcli import parse_config, run_scenario
 from fblink.source_coding import dequantize, quantize
 from fblink.streams import substream
@@ -67,7 +67,7 @@ def _run_blocks(sched, const, n_blocks, seed, batch=20000):
         n = min(batch, n_blocks - done)
         rng = substream(seed, b_idx)
         msg = draw_messages(rng, const, n)
-        dith, ef, eb, _ = draw_block_noise(rng, n, sched.n_t, NOISE, sched.d)
+        dith, ef, eb = draw_block_noise(rng, n, sched.n_t, NOISE, sched.d)
         out = run_block_batch(sched, UNIT, const, msg, dith, ef, eb,
                               record=True)
         errs += int(out.error.sum())
@@ -136,7 +136,7 @@ def test_c04_feedback_power_and_masking():
                                          const.m_levels // 3)]):
         n = 12_000  # n*(n_t-1) = 108k feedback uses per message
         rng = substream(404 + tag, 0)
-        dith, ef, eb, _ = draw_block_noise(rng, n, 10, NOISE, sched.d)
+        dith, ef, eb = draw_block_noise(rng, n, 10, NOISE, sched.d)
         out = run_block_batch(sched, UNIT, const,
                               np.repeat(np.array(pair)[:, None], n, axis=1),
                               dith, ef, eb, record=True)
@@ -190,11 +190,10 @@ def test_c06_eavesdropper_chance_level_at_scale():
         n = n_blocks // 10
         rng = substream(606, b_idx)
         msg = draw_messages(rng, const, n)
-        dith, ef, eb, ee = draw_block_noise(rng, n, n_t, NOISE, sched.d,
-                                            capture_eve=True)
-        out = run_block_batch(sched, eve, const, msg, dith, ef, eb,
-                              eta_eve=ee)
-        dec = attack_full_sequence(out.z_seq, eve.g, eve.g_fb, sched, const,
+        dith, ef, eb = draw_block_noise(rng, n, n_t, NOISE, sched.d)
+        out = run_block_batch(sched, eve, const, msg, dith, ef, eb, tap=True)
+        dec = attack_full_sequence(eve_observation(rng, out.z_seq, NOISE),
+                                   eve.g, eve.g_fb, sched, const,
                                    substream(607, b_idx))
         hits += int((dec == msg).all(axis=0).sum())
         lsb_err += int(np.sum((dec[1] & 1) != (msg[1] & 1)))

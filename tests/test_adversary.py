@@ -8,7 +8,7 @@ from fblink.adversary import (attack_first_use, attack_full_sequence,
 from fblink.analysis import eve_capacity_bits
 from fblink.channel import NoiseSpec, Realization, cn_sample
 from fblink.codec import (build_constellation, build_schedule,
-                          draw_block_noise, run_block_batch)
+                          draw_block_noise, eve_observation, run_block_batch)
 from fblink.streams import substream
 
 from conftest import SNR, SNR_FB, TAU, draw_messages
@@ -22,11 +22,11 @@ def _eavesdropped_batch(n, n_t, bits_per_sub, seed, zero_dither=False):
     const = build_constellation(bits_per_sub)
     rng = substream(seed, 0)
     msg = draw_messages(rng, const, n)
-    dither, ef, eb, ee = draw_block_noise(rng, n, n_t, NOISE, sched.d,
-                                          capture_eve=True)
+    dither, ef, eb = draw_block_noise(rng, n, n_t, NOISE, sched.d)
     if zero_dither:
         dither = np.zeros_like(dither)
-    out = run_block_batch(sched, EVE, const, msg, dither, ef, eb, eta_eve=ee)
+    out = run_block_batch(sched, EVE, const, msg, dither, ef, eb, tap=True)
+    eve_observation(rng, out.z_seq, NOISE)
     return sched, const, msg, out
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from fblink.channel import (NoiseSpec, Realization, cn_sample, derotate,
                             sample_realization)
 from fblink.codec import (build_constellation, build_schedule,
-                          draw_block_noise, run_block_batch)
+                          draw_block_noise, eve_observation, run_block_batch)
 from fblink.streams import substream
 
 from conftest import (SNR, SNR_FB, TAU, as_complex, assert_uses_replay,
@@ -69,10 +70,13 @@ def _recorded_uses(real, noise, n_t=4, n=128, seed=1):
     sched = build_schedule(SNR, SNR_FB, TAU, n_t, real, noise)
     const = build_constellation(2)
     msg = draw_messages(substream(seed, 0), const, n)
-    dith, ef, eb, ee = draw_block_noise(substream(seed, 1), n, n_t, noise,
-                                        sched.d, capture_eve=True)
-    out = run_block_batch(sched, real, const, msg, dith, ef, eb, eta_eve=ee,
+    rng = substream(seed, 1)
+    dith, ef, eb = draw_block_noise(rng, n, n_t, noise, sched.d)
+    out = run_block_batch(sched, real, const, msg, dith, ef, eb, tap=True,
                           record=True)
+    # her record: the tap plus her noise, the generator's next draw
+    ee = cn_sample(copy.deepcopy(rng), noise.sigma_e2, (n_t, n))
+    eve_observation(rng, out.z_seq, noise)
     return out, sched, const.center(msg), dith, ef, eb, ee
 
 

@@ -15,7 +15,7 @@ from scipy import stats
 
 from fblink import codec, source_coding
 from fblink.analysis import achievable_rate, plan_blocklength, q_inv
-from fblink.channel import NoiseSpec, Realization
+from fblink.channel import NoiseSpec, Realization, cn_sample
 from fblink.codec import (build_constellation, build_schedule, from_bits,
                           modulo_d, run_block_batch, to_bits)
 from fblink.streams import substream
@@ -132,22 +132,24 @@ def test_modulo_properties(x, d):
 
 def test_block_dither_shape_and_range():
     noise = NoiseSpec(1.0, 1.0, 1.0)
-    v, _, _, _ = codec.draw_block_noise(substream(0, 0), 7, 10, noise, 8.0)
+    v, _, _ = codec.draw_block_noise(substream(0, 0), 7, 10, noise, 8.0)
     assert v.shape == (9, 2, 7)
     assert np.all(v >= -4.0) and np.all(v < 4.0)
     # single-use blocks send no feedback and need no dither
-    v1, _, _, _ = codec.draw_block_noise(substream(0, 0), 7, 1, noise, 8.0)
+    v1, _, _ = codec.draw_block_noise(substream(0, 0), 7, 1, noise, 8.0)
     assert v1.shape == (0, 2, 7)
 
 
 def test_block_noise_draw_order():
     # replayed by hand from a fresh generator of the same seed: the uniform
-    # dither, then the forward, feedback and eavesdropper normals, each one
-    # draw in its documented component-first shape
+    # dither, then the forward and feedback normals, each one draw in its
+    # documented component-first shape, and the eavesdropper's normals as
+    # the generator's next draw, added to a silent tap
     noise = NoiseSpec(1.0, 0.5, 1.5)
     n, n_t, d = 9, 4, 6.0
-    drawn = codec.draw_block_noise(substream(4, 1), n, n_t, noise, d,
-                                   capture_eve=True)
+    rng = substream(4, 1)
+    drawn = codec.draw_block_noise(rng, n, n_t, noise, d)
+    drawn += (codec.eve_observation(rng, np.zeros((2, n_t, n)), noise),)
     replay = substream(4, 1)
     want = (replay.uniform(-d / 2.0, d / 2.0, size=(n_t - 1, 2, n)),
             replay.normal(0.0, math.sqrt(0.5), (2, n_t, n)),
@@ -157,10 +159,12 @@ def test_block_noise_draw_order():
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, ref)
         assert np.all(got != 0)
-    # without the tap the same stream stops before the eavesdropper noise
-    plain = codec.draw_block_noise(substream(4, 1), n, n_t, noise, d)
-    assert plain[3] is None
-    for got, ref in zip(plain[:3], want[:3]):
+    # arrays handed in as out are filled with the same draws
+    out = codec._noise_arrays(n, n_t)
+    filled = codec.draw_block_noise(substream(4, 1), n, n_t, noise, d,
+                                    out=out)
+    assert all(a is b for a, b in zip(filled, out))
+    for got, ref in zip(filled, want[:3]):
         np.testing.assert_array_equal(got, ref)
 
 
@@ -348,13 +352,12 @@ def test_schedule_zero_forward_gain_raises():
 # ---------------------------------------------------------------------
 
 
-def _run(sched, real, noise, n, seed, const, capture_eve=False, record=False):
+def _run(sched, real, noise, n, seed, const, tap=False, record=False):
     msg = draw_messages(substream(seed, 0), const, n)
-    dith, ef, eb, ee = codec.draw_block_noise(substream(seed, 1), n,
-                                              sched.n_t, noise, sched.d,
-                                              capture_eve)
-    out = run_block_batch(sched, real, const, msg, dith, ef, eb,
-                          eta_eve=ee, record=record)
+    dith, ef, eb = codec.draw_block_noise(substream(seed, 1), n, sched.n_t,
+                                          noise, sched.d)
+    out = run_block_batch(sched, real, const, msg, dith, ef, eb, tap=tap,
+                          record=record)
     return msg, out
 
 
@@ -418,7 +421,7 @@ def test_planned_chunk_meets_tau_where_the_system_operates(gain_fwd, gain_fb,
     for b in range(n_blocks // batch):
         rng = substream(900 + n_t, b)
         msg = draw_messages(rng, const, batch)
-        dith, ef, eb, _ = codec.draw_block_noise(rng, batch, n_t, noise,
+        dith, ef, eb = codec.draw_block_noise(rng, batch, n_t, noise,
                                                  sched.d)
         out = run_block_batch(sched, real, const, msg, dith, ef, eb,
                               record=True)
@@ -446,19 +449,20 @@ def test_forward_and_feedback_power_normalized():
 def test_eve_tap_layout():
     # every use is the recorded symbol through its coefficient plus the drawn
     # noise: y = h*x + eta_fwd and y_fb = h_fb*x_fb + eta_fb replay the
-    # recorded errors and encoder symbols, and column i-1 of z carries
-    # forward use i plus the feedback reply to it; the final column is
-    # forward-only
+    # recorded errors and encoder symbols, and column i-1 of the tap carries
+    # forward use i plus the feedback reply to it, without her noise; the
+    # final column is forward-only. Her record adds her noise, the
+    # generator's next draw, last: bit for bit the tap plus that draw.
     real = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
     noise = NoiseSpec(1.0, 0.5, 1.5)
     sched, _, _ = make_schedule(3, real=real, noise=noise)
     const = build_constellation(2)
     n = 256
     msg = draw_messages(substream(4, 0), const, n)
-    dith, ef, eb, ee = codec.draw_block_noise(substream(4, 1), n, 3, noise,
-                                              sched.d, capture_eve=True)
-    out = run_block_batch(sched, real, const, msg, dith, ef, eb,
-                          eta_eve=ee, record=True)
+    rng = substream(4, 1)
+    dith, ef, eb = codec.draw_block_noise(rng, n, 3, noise, sched.d)
+    out = run_block_batch(sched, real, const, msg, dith, ef, eb, tap=True,
+                          record=True)
     assert_uses_replay(out, sched, real, const.center(msg), dith, ef, eb)
     assert out.z_seq.shape == (2, 3, n)
     z = as_complex(out.z_seq)
@@ -466,11 +470,16 @@ def test_eve_tap_layout():
     for i in range(2):
         np.testing.assert_allclose(
             z[i], real.g * as_complex(out.x_seq[:, i])
-            + real.g_fb * as_complex(out.x_fb_seq[:, i])
-            + as_complex(ee[:, i]), **tol)
+            + real.g_fb * as_complex(out.x_fb_seq[:, i]), **tol)
     np.testing.assert_allclose(
-        z[-1], real.g * as_complex(out.x_seq[:, -1]) + as_complex(ee[:, -1]),
-        **tol)
+        z[-1], real.g * as_complex(out.x_seq[:, -1]), **tol)
+    tap = out.z_seq.copy()
+    replay = substream(4, 1)
+    codec.draw_block_noise(replay, n, 3, noise, sched.d)
+    ee = cn_sample(replay, noise.sigma_e2, (3, n))
+    observed = codec.eve_observation(rng, out.z_seq, noise)
+    assert observed is out.z_seq
+    np.testing.assert_array_equal(observed, tap + ee)
 
 
 def test_rotated_coefficients_are_transparent():
@@ -484,7 +493,7 @@ def test_rotated_coefficients_are_transparent():
     s2 = build_schedule(SNR, SNR_FB, TAU, 5, r2, noise)
     const = build_constellation(4)
     msg = draw_messages(substream(21, 0), const, 200)
-    dith, ef, eb, _ = codec.draw_block_noise(substream(21, 1), 200, 5, noise,
+    dith, ef, eb = codec.draw_block_noise(substream(21, 1), 200, 5, noise,
                                              s1.d)
     # rotate the forward noise with the channel so the projected noise matches
     ef2 = as_complex(ef) * ph
@@ -501,7 +510,7 @@ def test_alias_events_replay_when_blocks_fold():
     sched, _, noise = make_schedule(10, real=real, tau=0.9)
     const = build_constellation(4)
     msg = draw_messages(substream(8, 0), const, 500)
-    dith, ef, eb, _ = codec.draw_block_noise(substream(8, 1), 500, 10, noise,
+    dith, ef, eb = codec.draw_block_noise(substream(8, 1), 500, 10, noise,
                                              sched.d)
     out = run_block_batch(sched, real, const, msg, dith, ef, eb, record=True)
     assert out.alias_events.max() >= 2
@@ -512,10 +521,10 @@ def test_single_block_transcript():
     # a single block is a batch of one; record=True keeps its transcript
     sched, real, noise = make_schedule(5)
     const = build_constellation(4)
-    dith, ef, eb, ee = codec.draw_block_noise(substream(3, 1), 1, 5, noise,
-                                              sched.d, capture_eve=True)
+    dith, ef, eb = codec.draw_block_noise(substream(3, 1), 1, 5, noise,
+                                          sched.d)
     out = run_block_batch(sched, real, const, [[3], [9]], dith, ef, eb,
-                          eta_eve=ee, record=True)
+                          tap=True, record=True)
     assert out.x_seq.shape == (2, 5, 1) and out.x_fb_seq.shape == (2, 4, 1)
     assert out.z_seq.shape == (2, 5, 1)
     assert out.eps_hist.shape == (2, 5, 1)
@@ -529,7 +538,7 @@ def test_single_block_transcript():
 def test_run_block_batch_validates_message():
     sched, real, noise = make_schedule(5)
     const = build_constellation(4)
-    dith, ef, eb, _ = codec.draw_block_noise(substream(3, 1), 3, 5, noise,
+    dith, ef, eb = codec.draw_block_noise(substream(3, 1), 3, 5, noise,
                                              sched.d)
     for bad_r, bad_i in ((16, 0), (0, 16), (-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="outside the constellation"):
@@ -549,28 +558,34 @@ def test_run_block_batch_validates_message():
         out.dec_r = out.dec[1]
     # the tap and the record flag are keyword-only
     with pytest.raises(TypeError):
-        run_block_batch(sched, real, const, msg, dith, ef, eb, None)
+        run_block_batch(sched, real, const, msg, dith, ef, eb, True)
 
 
 def test_single_use_block_with_tap_and_transcript():
     # n_t = 1: no dither, no feedback noise, an empty feedback transcript,
-    # and the tap's only use is the bare forward symbol g*x + eta_e
+    # and the tap's only use is the bare forward symbol g*x, to which her
+    # record adds eta_e
     real = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
     sched, _, noise = make_schedule(1, real=real)
     const = build_constellation(3)
-    dith, ef, eb, ee = codec.draw_block_noise(substream(6, 1), 50, 1, noise,
-                                              sched.d, capture_eve=True)
+    rng = substream(6, 1)
+    dith, ef, eb = codec.draw_block_noise(rng, 50, 1, noise, sched.d)
     assert dith.shape == (0, 2, 50) and eb.shape == (2, 0, 50)
     msg = (np.arange(50) * [[1], [3]]) % const.m_levels
-    out = run_block_batch(sched, real, const, msg, dith, ef, eb, eta_eve=ee,
+    out = run_block_batch(sched, real, const, msg, dith, ef, eb, tap=True,
                           record=True)
     assert out.x_fb_seq.shape == (2, 0, 50)
     assert out.x_seq.shape == out.eps_hist.shape == (2, 1, 50)
     assert out.z_seq.shape == (2, 1, 50)
+    signal = real.g * as_complex(out.x_seq[:, -1])
+    np.testing.assert_allclose(as_complex(out.z_seq[:, -1]), signal,
+                               rtol=1e-12, atol=1e-12)
+    replay = substream(6, 1)
+    codec.draw_block_noise(replay, 50, 1, noise, sched.d)
+    ee = cn_sample(replay, noise.sigma_e2, (1, 50))
     np.testing.assert_allclose(
-        as_complex(out.z_seq[:, -1]),
-        real.g * as_complex(out.x_seq[:, -1]) + as_complex(ee[:, -1]),
-        rtol=1e-12, atol=1e-12)
+        as_complex(codec.eve_observation(rng, out.z_seq, noise)[:, -1]),
+        signal + as_complex(ee[:, -1]), rtol=1e-12, atol=1e-12)
     assert_uses_replay(out, sched, real, const.center(msg), dith, ef, eb)
     assert not out.alias_events.any()
 
@@ -580,7 +595,7 @@ def test_record_transcript_is_real_and_component_first():
     # (pair, use, block), each a buffer of its own and not a transposed view
     sched, real, noise = make_schedule(4)
     _, out = _run(sched, real, noise, 7, 12, build_constellation(3),
-                  capture_eve=True, record=True)
+                  tap=True, record=True)
     for name, shape in (("eps_hist", (2, 4, 7)), ("x_seq", (2, 4, 7)),
                         ("z_seq", (2, 4, 7)), ("x_fb_seq", (2, 3, 7))):
         arr = getattr(out, name)

@@ -172,6 +172,7 @@ def test_send_bits_roundtrip(n_bits):
                                  cfg.n_max)
     dec, eve, link = _send_bits(bits, grp, ROTATED, cfg, cfg.noise_spec(),
                                 (7, 0, 0), capture_eve=True)
+    eve = eve()
     assert link["n_chunks"] == math.ceil(n_bits / source_coding.MAX_CHUNK_BITS)
     assert link["n_t_max"] == grp.n_t
     assert dec.shape == eve.shape == bits.shape
@@ -207,19 +208,26 @@ def _transmit_round(transmit, cfg):
     return transmit(agg, 0, source_var)
 
 
+def eve_jobs():
+    """(the eavesdropper's jobs, in round order, and the on_eve hook of
+    coded_transmitter that collects them)."""
+    jobs = []
+    return jobs, lambda t, job: jobs.append(job)
+
+
 def test_pinned_channel_in_outage_is_infeasible():
     cfg = SystemConfig(seed=5)
     outage = Realization(1.0 + 0j, 0.01 + 0j, 1.0 + 0j, 1.0 + 0j)
     with pytest.raises(InfeasibleError, match="pinned channel"):
         _transmit_round(coded_transmitter(cfg, 0, outage), cfg)
-    _, _, stats = _transmit_round(coded_transmitter(cfg, 0, ROTATED), cfg)
+    _, stats = _transmit_round(coded_transmitter(cfg, 0, ROTATED), cfg)
     assert stats["redraws"] == 0 and stats["gain_fwd"] == ROTATED.gain_fwd
 
 
 def test_round_secrecy_stats_are_the_analysis_bound():
     # the round's c_e and delta_round are the analysis helpers at its channel
     cfg = SystemConfig(seed=5)
-    _, _, stats = _transmit_round(coded_transmitter(cfg, 0, ROTATED), cfg)
+    _, stats = _transmit_round(coded_transmitter(cfg, 0, ROTATED), cfg)
     assert stats["gain_eve"] == ROTATED.gain_eve
     assert stats["c_e"] == analysis.eve_capacity_bits(
         ROTATED.gain_eve, cfg.power, cfg.sigma_e2)
@@ -242,8 +250,13 @@ def test_round_is_one_block_batch(monkeypatch):
     cfg = SystemConfig(seed=5)
     source_var = cfg.s_total * cfg.sigma_w2_max + cfg.n_users * cfg.sigma2
     agg = substream(32, 0).normal(size=203)
-    _, eve, stats = coded_transmitter(cfg, 0, ROTATED, capture_eve=True)(
+    jobs, on_eve = eve_jobs()
+    _, stats = coded_transmitter(cfg, 0, ROTATED, on_eve=on_eve)(
         agg, 0, source_var)
+    # her attack waits for her job, which the round hands over unrun
+    assert "attack_full_sequence" not in calls
+    (job,) = jobs
+    eve = job()
     assert stats["physical_bits"] % source_coding.MAX_CHUNK_BITS
     assert stats["n_chunks"] == math.ceil(stats["physical_bits"]
                                           / source_coding.MAX_CHUNK_BITS)
@@ -258,11 +271,18 @@ def test_eavesdropper_model_stays_near_chance(seed):
     # use exposes trained her model to 0.2-0.25 at some of these seeds.
     cfg = parse_config(None, seed=seed)
     x_tr, y_tr, x_te, y_te = expcli._load_learning_data(cfg)
-    res = hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
-                    cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
-                    transmit_fn=coded_transmitter(cfg, 0, capture_eve=True),
-                    tag=0)
-    assert res.eve_accuracy[-1] <= 0.15, res.eve_accuracy[-1]
+    shadow = hfl.ShadowModel(x_te, y_te, cfg.mlp_spec(), cfg.lr, cfg.s_total,
+                             cfg.seed)
+    eve_accuracy = []
+
+    def on_eve(t, job):
+        eve_accuracy.append(shadow.step(t, job()))
+
+    hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
+              cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
+              transmit_fn=coded_transmitter(cfg, 0, on_eve=on_eve), tag=0)
+    assert len(eve_accuracy) == cfg.n_rounds
+    assert eve_accuracy[-1] <= 0.15, eve_accuracy[-1]
 
 
 def test_zero_rate_round_reports_its_channel():
@@ -272,8 +292,13 @@ def test_zero_rate_round_reports_its_channel():
     drawn = sample_realization(substream(cfg.seed, DOMAIN_REALIZATION, 0, 0,
                                          0))
     for pinned, real in ((ROTATED, ROTATED), (None, drawn)):
-        agg, eve, stats = _transmit_round(
-            coded_transmitter(cfg, 0, pinned, capture_eve=True), cfg)
+        jobs, on_eve = eve_jobs()
+        agg, stats = _transmit_round(
+            coded_transmitter(cfg, 0, pinned, on_eve=on_eve), cfg)
+        # she still gets a job, and it gives her an all-zero aggregate
+        (job,) = jobs
+        eve = job()
+        assert eve.shape == agg.shape
         assert stats["physical_bits"] == stats["accounted_bits"] == 0
         assert (stats["gain_fwd"], stats["gain_eve"]) == (real.gain_fwd,
                                                           real.gain_eve)
@@ -290,7 +315,7 @@ def test_redraws_count_failed_candidates(monkeypatch):
     draws = iter([outage, outage, ROTATED])
     monkeypatch.setattr(expcli, "sample_realization",
                         lambda rng: next(draws))
-    _, _, stats = _transmit_round(coded_transmitter(cfg, 0), cfg)
+    _, stats = _transmit_round(coded_transmitter(cfg, 0), cfg)
     assert stats["redraws"] == 2 and stats["gain_fwd"] == ROTATED.gain_fwd
     draws = iter([outage] * 3)
     with pytest.raises(InfeasibleError, match="no feasible channel in 3"):
@@ -606,6 +631,30 @@ def test_manifest_records_the_clamped_worker_count(tmp_path, monkeypatch):
     assert all(files == runs[0] for runs in seen.values() for files in runs)
 
 
+def test_manifest_records_the_helper_thread(tmp_path, monkeypatch):
+    # beside the worker count: whether the helper work ran on a helper
+    # thread, which it does on 2 CPUs, for the scenarios that have any; the
+    # files do not depend on it
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    cfg = parse_config(None, n_blocks=25000, n_t_max_scan=3,
+                       **SMALL_LEARNING)
+    pinnable = expcli._openblas() is not None
+    for scenario, helped in (("codec_validation", True),
+                             ("learning_curves", pinnable),
+                             ("rate_vs_blocklength", False)):
+        files = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
+            out = tmp_path / ("%s-%d" % (scenario, cpus))
+            man = run_scenario(cfg, scenario, str(out))
+            on_disk = json.loads((out / "manifest.json").read_text())
+            want = helped and cpus == 2
+            assert man["environment"]["helper_thread"] is want
+            assert on_disk["environment"]["helper_thread"] is want
+            files.append(man["files"])
+        assert files[0] == files[1]
+
+
 class Boom(Exception):
     pass
 
@@ -694,6 +743,10 @@ def test_helper_cpu_free_conditions(monkeypatch):
                             lambda: handle if pinnable else None)
         assert expcli._helper_cpu_free("codec_validation", cfg) is noise
         assert expcli._helper_cpu_free("learning_curves", cfg) is learning
+        # the other scenarios have no helper work
+        for scenario in ("rate_vs_blocklength", "secrecy_level_vs_round",
+                         "privacy_utility_sweep"):
+            assert expcli._helper_cpu_free(scenario, cfg) is False
     # one task clamps the pool to this process
     monkeypatch.setattr(expcli, "_openblas", lambda: handle)
     assert expcli._helper_cpu_free("learning_curves",
@@ -719,29 +772,49 @@ def test_cpus_follow_the_affinity_mask(tmp_path, monkeypatch):
 SMALL_LEARNING = dict(realizations=2, n_rounds=3, n_train=200, n_test=100)
 
 
-def record_training(monkeypatch, fail=None, error=None):
-    """Record (variant, thread) of every hfl.train call; the variant named
-    by fail raises error instead of training."""
-    original = hfl.train
+def record_rounds(monkeypatch, fail=None, error=None):
+    """Record (kind, thread) of every baseline and coded round as it ends and
+    of every attack of the eavesdropper; the kind named by fail raises
+    error in its round 1 instead, recorded as that round starts. Each coded
+    record also notes how many baseline rounds had ended by then."""
+    original_rounds = hfl.train_rounds
+    original_attack = adversary.attack_full_sequence
     runs = []
 
-    def recorded(*args, transmit_fn=None, **kwargs):
-        variant = "baseline" if transmit_fn is None else "coded"
-        runs.append((variant, threading.current_thread()))
-        if variant == fail:
+    def record(kind, failing=False):
+        runs.append((kind, threading.current_thread()))
+        if failing:
             raise error
-        return original(*args, transmit_fn=transmit_fn, **kwargs)
 
-    monkeypatch.setattr(hfl, "train", recorded)
+    def rounds(*args, transmit_fn=None, **kwargs):
+        kind = "baseline" if transmit_fn is None else "coded"
+        for t, step in enumerate(original_rounds(
+                *args, transmit_fn=transmit_fn, **kwargs)):
+            record(kind)
+            if kind == "coded":
+                runs[-1] += (sum(k == "baseline" for k, *_ in runs),)
+            yield step
+            if kind == fail and t == 0:
+                record(kind, failing=True)
+
+    def attack(*args, **kwargs):
+        if fail == "eve" and sum(k == "eve" for k, *_ in runs) == 1:
+            record("eve", failing=True)
+        out = original_attack(*args, **kwargs)
+        record("eve")
+        return out
+
+    monkeypatch.setattr(hfl, "train_rounds", rounds)
+    monkeypatch.setattr(adversary, "attack_full_sequence", attack)
     return runs
 
 
 @needs_openblas
 def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
-    # the baseline trains on the helper thread only on 2 CPUs with one
-    # worker; one CPU and a pool train it inline after the coded run. The
-    # interpreter switches threads every 10 microseconds, so two runs that
-    # shared any state would change the rows.
+    # the baseline's rounds and the eavesdropper's run on the task's one
+    # helper thread only on 2 CPUs with one worker; one CPU and a pool run
+    # them inline. The interpreter switches threads every 10 microseconds,
+    # so runs that shared any state would change the rows.
     cfg = parse_config(None, **SMALL_LEARNING)
     data = {}
     interval = sys.getswitchinterval()
@@ -751,23 +824,35 @@ def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
                                     ("pool", 2, "2")):
             monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
             monkeypatch.setenv("FBLINK_WORKERS", workers)
-            runs = record_training(monkeypatch)
+            runs = record_rounds(monkeypatch)
             before = threading.active_count()
             man = run_scenario(cfg, "learning_curves", str(tmp_path / case))
             assert threading.active_count() == before
             assert man["environment"]["workers"] == int(workers)
+            assert man["environment"]["helper_thread"] is (case == "helper")
             data[case] = (tmp_path / case / "learning_curves.csv").read_bytes()
+            if case == "pool":  # the pool trains in its own processes
+                assert runs == []
+                continue
             main_thread = threading.main_thread()
+            # the coded run hands over round t's job, and ends round t, only
+            # once round t-1's has ended: at most one round in flight
+            coded = [r for r in runs if r[0] == "coded"]
+            ahead = {done - i for i, (_, _, done) in enumerate(coded)}
+            assert ahead <= ({0, 1} if case == "helper" else {0})
+            assert all(t is main_thread for _, t, _ in coded)
+            helpers = {t for k, t, *_ in runs if k != "coded"}
             if case == "helper":
-                # the two runs of a realization start in either order
-                assert sorted((v, t.name) for v, t in runs) == [
-                    ("baseline", "fblink-helper_0")] * 2 + [
-                    ("coded", main_thread.name)] * 2
-                assert all((t is main_thread) == (v == "coded")
-                           for v, t in runs)
-            elif case != "pool":  # the pool trains in its own processes
-                assert runs == [("coded", main_thread),
-                                ("baseline", main_thread)] * 2
+                # one helper thread per task, for the baseline and for her
+                assert len(helpers) == 2 and main_thread not in helpers
+                assert {t.name for t in helpers} == {"fblink-helper_0"}
+            else:
+                assert helpers == {main_thread}
+                # inline, round t's job runs as round t+1 hands over its own
+                assert [k for k, *_ in runs] == [
+                    "coded", "baseline", "eve"] * 6
+            assert sorted(k for k, *_ in runs) == (
+                ["baseline"] * 6 + ["coded"] * 6 + ["eve"] * 6)
     finally:
         sys.setswitchinterval(interval)
     assert len(set(data.values())) == 1
@@ -775,16 +860,17 @@ def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
 
 
 @needs_openblas
-@pytest.mark.parametrize("fail", ["baseline", "coded"])
+@pytest.mark.parametrize("fail", ["baseline", "coded", "eve"])
 def test_learning_curves_failure_leaves_no_thread(tmp_path, monkeypatch,
                                                   fail):
-    # the baseline fails on the helper, or the coded run fails on this
-    # thread while the helper trains the baseline: the run raises that
-    # error, joins the helper, and leaves no table and no manifest
+    # round 1 fails: the baseline's on the helper, the coded run's on this
+    # thread while the helper runs round 0's job, or the eavesdropper's
+    # attack on the helper. The run raises that error unchanged, joins the
+    # helper, and leaves no table and no manifest.
     monkeypatch.setenv("FBLINK_WORKERS", "1")
     monkeypatch.setattr(expcli, "_cpus", lambda: 2)
     error = Boom(fail)
-    runs = record_training(monkeypatch, fail, error)
+    runs = record_rounds(monkeypatch, fail, error)
     before = threading.active_count()
     out = tmp_path / "out"
     with pytest.raises(Boom) as info:
@@ -793,35 +879,46 @@ def test_learning_curves_failure_leaves_no_thread(tmp_path, monkeypatch,
     assert info.value is error
     assert threading.active_count() == before
     assert list(out.iterdir()) == []
-    # realization 0 failed; realization 1 never started
-    assert sorted((v, t is threading.main_thread()) for v, t in runs) == [
-        ("baseline", False), ("coded", True)]
+    # the failing kind got to its round 1 and no further, and the coded run
+    # to the hand-over that joined the failed job; realization 1 never
+    # started
+    assert all((t is threading.main_thread()) == (k == "coded")
+               for k, t, *_ in runs)
+    assert collections.Counter(k for k, *_ in runs) == {
+        "baseline": {"baseline": 2, "coded": 1, "eve": 2}[fail],
+        "coded": 2, "eve": {"baseline": 1, "coded": 1, "eve": 2}[fail]}
 
 
 @pytest.mark.parametrize("cpus", [pytest.param(2, marks=needs_openblas), 1])
 def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
                                                           monkeypatch, cpus):
     # round 0's step at lr 1e300 throws the model far off, and the loss
-    # after it overflows. Each variant stops there, in round 0, on the
-    # helper (2 CPUs) or inline (1 CPU), where the coded run's error ends
-    # the run before the baseline starts.
+    # after it overflows. Each variant stops there, in round 0: the
+    # baseline on the helper (2 CPUs), where the coded run hands it round
+    # 0 before its own step fails; inline (1 CPU) the coded run's error
+    # ends the run before the baseline starts.
     monkeypatch.setenv("FBLINK_WORKERS", "1")
     monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
-    original_train, original_grad = hfl.train, mlp.loss_and_grad
+    original_rounds, original_grad = hfl.train_rounds, mlp.loss_and_grad
     variant_of = {}
     calls = collections.Counter()
 
-    def train(*args, transmit_fn=None, **kwargs):
-        variant_of[threading.get_ident()] = ("baseline" if transmit_fn is None
-                                             else "coded")
-        return original_train(*args, transmit_fn=transmit_fn, **kwargs)
+    def train_rounds(*args, transmit_fn=None, **kwargs):
+        variant = "baseline" if transmit_fn is None else "coded"
+        steps = original_rounds(*args, transmit_fn=transmit_fn, **kwargs)
+        while True:
+            # each step counts under its own variant, on whichever thread
+            variant_of[threading.get_ident()] = variant
+            step = next(steps, None)
+            if step is None:
+                return
+            yield step
 
     def loss_and_grad(*args):
-        # each thread counts under its own variant's key
         calls[variant_of[threading.get_ident()]] += 1
         return original_grad(*args)
 
-    monkeypatch.setattr(hfl, "train", train)
+    monkeypatch.setattr(hfl, "train_rounds", train_rounds)
     monkeypatch.setattr(mlp, "loss_and_grad", loss_and_grad)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"lr": 1e300, "n_rounds": 30}))

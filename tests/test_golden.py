@@ -146,10 +146,10 @@ def eavesdropper_path_digest():
     const = codec.build_constellation(12)
     rng = substream(7, 0)
     msg = draw_messages(rng, const, 2000)
-    dith, ef, eb, ee = codec.draw_block_noise(rng, 2000, 10, noise, sched.d,
-                                              capture_eve=True)
+    dith, ef, eb = codec.draw_block_noise(rng, 2000, 10, noise, sched.d)
     out = codec.run_block_batch(sched, real, const, msg, dith, ef, eb,
-                                eta_eve=ee)
+                                tap=True)
+    codec.eve_observation(rng, out.z_seq, noise)
     att = adversary.attack_full_sequence(out.z_seq, real.g, real.g_fb, sched,
                                          const, rng)
     assert out.alias_events.sum() > 0
@@ -176,7 +176,7 @@ def transport_digest():
     dec, eve, link = _send_bits(bits, grp, ROTATED, cfg, cfg.noise_spec(),
                                 (7, 0, 0), capture_eve=True)
     digest = hashlib.sha256()
-    for arr in (dec, eve):
+    for arr in (dec, eve()):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(repr(sorted(link.items())).encode())
     return digest.hexdigest()

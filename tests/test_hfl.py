@@ -5,9 +5,10 @@ import pytest
 
 from fblink import hfl, mlp
 from fblink.datasets import synthetic_digits
-from fblink.hfl import (add_ldp_noise, cloud_update, edge_aggregate,
-                        estimate_sigma_w2, local_gradient,
-                        privacy_mi_per_coord, shard_data, train)
+from fblink.hfl import (ShadowModel, add_ldp_noise, cloud_update,
+                        edge_aggregate, estimate_sigma_w2, local_gradient,
+                        privacy_mi_per_coord, shard_data, train,
+                        train_rounds)
 from fblink.mlp import MlpSpec, init_params, loss_and_grad, n_params
 from fblink.streams import substream
 
@@ -182,7 +183,7 @@ def test_transport_injection_is_paired():
     x, y = small_data(11, n=60)
     kw = dict(n_users=6, n_rounds=4, lr=0.5, reg=5e-5, sigma2=0.3, seed=99)
     base = train(x, y, x, y, SMALL, **kw)
-    ident = train(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (a, None, {}),
+    ident = train(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (a, {}),
                   **kw)
     np.testing.assert_array_equal(base.params, ident.params)
     for rb, ri in zip(base.rounds, ident.rounds):
@@ -196,7 +197,7 @@ def test_transport_is_handed_the_round_source_var():
 
     def recording(agg, t, source_var):
         handed.append(source_var)
-        return agg, None, {}
+        return agg, {}
 
     res = train(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5, reg=5e-5,
                 sigma2=0.3, seed=21, transmit_fn=recording)
@@ -219,7 +220,7 @@ def test_non_finite_round_stops_before_the_transport(sigma2):
 
     def recording(agg, t, source_var):
         handed.append(t)
-        return agg, None, {}
+        return agg, {}
 
     for fn in (None, recording):
         with pytest.raises(FloatingPointError, match=fault):
@@ -235,7 +236,7 @@ def test_model_math_fault_raises_before_the_transport():
 
     def recording(agg, t, source_var):
         handed.append(t)
-        return agg, None, {}
+        return agg, {}
 
     with pytest.raises(FloatingPointError,
                        match="round 0's model math failed"):
@@ -253,18 +254,48 @@ def test_tag_diversifies_runs():
 
 
 def test_eavesdropper_shadow_model():
+    # the shadow starts at the run's initial point and takes the public
+    # update step on whatever she decodes; all-zero decodes keep it there
     x, y = small_data(13, n=60)
+    kw = dict(n_users=6, n_rounds=3, lr=0.5, reg=0.0, sigma2=0.0, seed=5)
+    run = train(x, y, x, y, SMALL, **kw)
+    shadow = ShadowModel(x, y, SMALL, 0.5, 60, seed=5)
+    init = init_params(SMALL, substream(5, 6, 0))
+    np.testing.assert_array_equal(shadow.params, init)
+    zero = np.zeros(n_params(SMALL))
+    acc = [shadow.step(t, zero) for t in range(3)]
+    np.testing.assert_array_equal(shadow.params, init)
+    assert acc == [mlp.accuracy(init, x, y, SMALL)] * 3
+    # handed the run's own decodes, she holds the run's model
+    aggs = []
+    run_again = train(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (
+        aggs.append(a) or a, {}), **kw)
+    np.testing.assert_array_equal(run_again.params, run.params)
+    shadow = ShadowModel(x, y, SMALL, 0.5, 60, seed=5)
+    acc = [shadow.step(t, a) for t, a in enumerate(aggs)]
+    np.testing.assert_array_equal(shadow.params, run.params)
+    assert acc == [rec.test_accuracy for rec in run.rounds]
+    # a diverging step is a fault naming her round
+    with pytest.raises(FloatingPointError, match="round 7's model math"):
+        shadow.step(7, np.full(n_params(SMALL), 1e308))
 
-    def leaky(agg, t, sw):
-        return agg, np.zeros_like(agg), {}
 
-    res = train(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5, reg=0.0,
-                sigma2=0.0, seed=5, transmit_fn=leaky)
-    assert res.eve_params is not None
-    assert len(res.eve_accuracy) == 3
-    # all-zero decodes keep the shadow model at its initial point
-    np.testing.assert_array_equal(res.eve_params,
-                                  init_params(SMALL, substream(5, 6, 0)))
+def test_train_is_its_round_generator_run_to_the_end():
+    # train_rounds does no work before its first step and one round per
+    # step; train collects the same records and the last model
+    x, y = small_data(16, n=60)
+    kw = dict(n_users=6, n_rounds=3, lr=0.5, reg=5e-5, sigma2=0.3, seed=8)
+    handed = []
+    steps = train_rounds(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (
+        handed.append(t) or a, {}), **kw)
+    assert handed == []
+    stepped = []
+    for t, (m, rec) in enumerate(steps):
+        assert handed == list(range(t + 1)) and rec.round_index == t
+        stepped.append((m, rec))
+    res = train(x, y, x, y, SMALL, **kw)
+    np.testing.assert_array_equal(res.params, stepped[-1][0])
+    assert res.rounds == [rec for _, rec in stepped]
 
 
 def test_utility_identity_aggregate_noise_power():

@@ -344,13 +344,14 @@ def secrecy_level_bound(payload_bits, g2, power, sigma_e2):
     """Lower bound on the eavesdropper's normalized equivocation of one round.
 
     Her channel absorbs at most eve_capacity_bits of the round's payload, so
-    equivocation per payload bit is at least [1 - cap/payload]+. The weakest
-    round bounds the scheme; the scenarios keep that running minimum.
+    equivocation per payload bit is at least [1 - cap/payload]+. A round
+    with nothing to send leaves her nothing to learn: its level is 1.0. The
+    weakest round bounds the scheme; the scenarios keep that running minimum.
     """
-    if payload_bits <= 0:
-        raise ValueError("secrecy level is defined for positive payloads only")
+    if payload_bits < 0:
+        raise ValueError("payload_bits must be >= 0")
     cap = eve_capacity_bits(g2, power, sigma_e2)
-    return max(0.0, 1.0 - cap / payload_bits)
+    return max(0.0, 1.0 - cap / payload_bits) if payload_bits else 1.0
 
 
 @dataclass(frozen=True)

@@ -41,15 +41,21 @@ of her rounds keeps its own substreams, so the bytes are the same either
 way; the helper thread costs some CPU time and a few MiB of peak memory
 (its buffers and its glibc arena).
 The manifest records the worker count and whether the helper work ran on
-a helper thread. The tables are written under a ".part" suffix and
-renamed when the run succeeds; a run that raises removes them, so it
-leaves no partial tables and no manifest.
+a helper thread. The tables, and then the manifest, are written under a
+".part" suffix and renamed once all of them are written; a run that
+raises removes them, so it leaves no partial tables and no manifest, and
+the files of an earlier run keep their bytes.
 An unusable output directory and a non-integer FBLINK_WORKERS are
 configuration errors.
 
-Exit codes: 0 success, 1 configuration error (sizes whose arrays the
-process cannot allocate among them), 2 a scenario found the configured
-system infeasible at runtime.
+The coded transport sends every round of the learning scenarios down one
+path, as one block batch; a round with nothing to send is a batch of no
+blocks, and its secrecy level is analysis.secrecy_level_bound's 1.0.
+
+Exit codes: 0 success (and --help), 1 configuration error (a usage error
+on the command line, or sizes whose arrays the process cannot allocate
+among them), 2 a scenario found the configured system infeasible at
+runtime.
 """
 
 import argparse
@@ -354,27 +360,29 @@ def _feasible_channel(cfg, n_bits, key, pinned=None, where=""):
                           % (cfg.max_redraws, where))
 
 
-def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
-               capture_eve):
-    """Send a bit string as one block batch of the ChunkGroup grp: zero-pad
-    it to grp.count chunks of grp.n_bits, pack it in the _bit_order of the
+def _send_bits(payload, grp, realization, cfg, noise, rng_key, capture_eve):
+    """Send a round's QuantizedPayload as one block batch of the ChunkGroup
+    grp, a batch of no blocks for an empty payload: zero-pad its bits to
+    grp.count chunks of grp.n_bits, pack them in the _bit_order of the
     eavesdropper's capacity C_e at this realization, and slice the padding
     off. Returns (decoded bits, the eavesdropper's job or None, diagnostics
     with that C_e).
 
     With capture_eve the engine keeps its tap, and the job, called once on
-    any thread after this returns, gives her bits: it draws her receiver
-    noise, the batch generator's next draw, runs the fold-ladder attack on
-    what she heard and unpacks her decisions. She is passive, so nothing
-    returned here waits on her."""
+    any thread after this returns, gives her aggregate: it draws her
+    receiver noise, the batch generator's next draw, runs the fold-ladder
+    attack on what she heard, unpacks her decisions and dequantizes them
+    without the dither stream. She is passive, so nothing returned here
+    waits on her."""
     seed, r_idx, round_idx = rng_key
-    n = len(bit_string)
+    n = payload.physical_bits
     c_e = analysis.eve_capacity_bits(realization.gain_eve, cfg.power,
                                      cfg.sigma_e2)
     half = grp.n_bits // 2
     # capped first: C_e is inf at a subnormal sigma_e2
     order = _bit_order(half, math.ceil(min(c_e / 2.0, half)))
-    msg = _pack_group(np.pad(bit_string, (0, grp.count * grp.n_bits - n))
+    msg = _pack_group(np.pad(payload.indices,
+                             (0, grp.count * grp.n_bits - n))
                       .reshape(grp.count, grp.n_bits), order)
     const = codec.build_constellation(len(order))
     sched = codec.build_schedule(cfg.snr, cfg.snr_fb, grp.tau_chunk, grp.n_t,
@@ -394,9 +402,11 @@ def _send_bits(bit_string, grp, realization, cfg, noise, rng_key,
 
         def eve():
             z = codec.eve_observation(rng, tap, noise)
-            return _unpack_group(adversary.attack_full_sequence(
+            heard = _unpack_group(adversary.attack_full_sequence(
                 z, realization.g, realization.g_fb, sched, const,
                 substream(seed, DOMAIN_ATTACK, *path)), order).ravel()[:n]
+            return source_coding.dequantize(replace(payload, indices=heard),
+                                            None)
     return dec, eve, {"n_chunks": grp.count,
                       "chunk_errors": int(out.error.sum()),
                       "n_t_max": grp.n_t, "c_e": c_e}
@@ -413,8 +423,8 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
     the replayed dither stream, and returns (decoded aggregate, stats). The
     channel is redrawn each round unless fixed_realization pins it; rounds
     in outage are redrawn up to max_redraws, and the count is reported. A
-    round with nothing to send takes the first candidate and reports its
-    gains and C_e.
+    round with nothing to send is a batch of no blocks over the first
+    candidate with forward gain, at a secrecy level of 1.0.
 
     on_eve, when given, taps the link: each round calls it once as
     on_eve(round_idx, job) before transmit returns. job(), called once on
@@ -435,34 +445,19 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
         stats = {"accounted_bits": payload.accounted_bits,
                  "physical_bits": payload.physical_bits,
                  "rate_per_coord": payload.rate_bits_per_coord}
-        real, groups, redraws = _feasible_channel(
+        real, (grp,), redraws = _feasible_channel(
             cfg, payload.physical_bits, (r_idx, round_idx), fixed_realization,
             " for round %d" % round_idx)
-        eve_bits = None
-        if groups:
-            dec_bits, eve_bits, link = _send_bits(
-                payload.indices, groups[0], real, cfg, noise,
-                (cfg.seed, r_idx, round_idx), on_eve is not None)
-        else:
-            # a zero-rate round sends nothing over the channel it drew
-            dec_bits = payload.indices
-            link = {"n_chunks": 0, "chunk_errors": 0, "n_t_max": 0,
-                    "c_e": analysis.eve_capacity_bits(
-                        real.gain_eve, cfg.power, cfg.sigma_e2)}
+        dec_bits, eve, link = _send_bits(
+            payload, grp, real, cfg, noise, (cfg.seed, r_idx, round_idx),
+            on_eve is not None)
         if on_eve is not None:
-            def eve_aggregate():
-                # a round that sent nothing leaves her its empty indices
-                bits = payload.indices if eve_bits is None else eve_bits()
-                return source_coding.dequantize(
-                    replace(payload, indices=bits), None)
-            on_eve(round_idx, eve_aggregate)
+            on_eve(round_idx, eve)
         decoded = source_coding.dequantize(
             replace(payload, indices=dec_bits), substream(*dither_key))
-
-        delta = (analysis.secrecy_level_bound(payload.accounted_bits,
-                                              real.gain_eve, cfg.power,
-                                              cfg.sigma_e2)
-                 if payload.accounted_bits else 1.0)
+        delta = analysis.secrecy_level_bound(payload.accounted_bits,
+                                             real.gain_eve, cfg.power,
+                                             cfg.sigma_e2)
         stats.update(link, redraws=redraws, gain_fwd=real.gain_fwd,
                      gain_eve=real.gain_eve, delta_round=delta)
         return decoded, stats
@@ -702,10 +697,11 @@ def _model_faults():
 
 def _scn_secrecy_level_vs_round(cfg, r_idx):
     data = _load_learning_data(cfg)
-    # the widest round this model can send is 24 bits per parameter, so a
-    # channel that carries it carries every round
+    # a channel that carries the widest round this model can send carries
+    # every round
     real, _, redraws = _feasible_channel(
-        cfg, mlp.n_params(cfg.mlp_spec()) * 24, (r_idx,))
+        cfg, mlp.n_params(cfg.mlp_spec()) * source_coding.MAX_CELL_BITS,
+        (r_idx,))
     with _model_faults():
         res = _train(cfg, data, r_idx,
                      coded_transmitter(cfg, r_idx, fixed_realization=real))
@@ -1050,8 +1046,10 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
     """Execute one scenario and write its CSVs and manifest under out_dir.
 
     Rows are streamed to disk in task order as tasks finish, so memory does
-    not grow with the realization count. A run that raises leaves no table
-    of its own and no manifest behind.
+    not grow with the realization count. Every file is written under a
+    ".part" suffix, the manifest last, and renamed only once all of them
+    are written, so a run that raises leaves no table of its own and no
+    manifest behind, and the files of an earlier run keep their bytes.
     """
     if scenario not in SCENARIOS:
         raise ConfigError("unknown scenario %r; choose from %s"
@@ -1061,8 +1059,8 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
     _, task_args = _task_args(scenario, cfg)
     workers = _workers(scenario, cfg)
     files = _open_tables(out_dir, file_headers)
-    digests = {name: hashlib.sha256() for name in files}
-    n_rows = dict.fromkeys(files, 0)
+    digests = {name: hashlib.sha256() for name in file_headers}
+    n_rows = dict.fromkeys(file_headers, 0)
     try:
         for name, header in file_headers.items():
             _write_csv(files[name], digests[name], _csv_bytes([header]))
@@ -1074,47 +1072,50 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
                     n_rows[name] += rows
                 # hold no task's bytes while the next task runs
                 tables = data = None
-        for name, f in files.items():
+        blas = np.show_config(mode="dicts")["Build Dependencies"].get(
+            "blas", {})
+        manifest = {
+            "format_version": 1,
+            "package_version": __version__,
+            "scenario": scenario,
+            "seed": cfg.seed,
+            "realizations": cfg.realizations,
+            "config": asdict(cfg),
+            "files": {name: {"sha256": digests[name].hexdigest(),
+                             "rows": n_rows[name]} for name in file_headers},
+            "wall_time_s": time.monotonic() - t0,
+            # what the bytes depend on besides the config
+            "environment": {
+                "python": platform.python_version(),
+                "python_implementation": platform.python_implementation(),
+                "numpy": np.__version__,
+                # numpy's BLAS build, None where its build record has no
+                # entry, and the live OpenBLAS thread count and core, None
+                # where no OpenBLAS handle is found
+                "blas": dict({k: blas.get(k) for k in (
+                    "name", "version", "openblas configuration")},
+                    **_blas_runtime()),
+                "libc": " ".join(platform.libc_ver()).strip(),
+                "bit_generator": type(substream(0).bit_generator).__name__,
+                # processes that ran the tasks, after clamping, and whether
+                # the tasks ran their helper work on a helper thread
+                "workers": workers,
+                "helper_thread": _helper_cpu_free(scenario, cfg),
+            },
+        }
+        # opened where _discard finds it, once the tables are written
+        files["manifest.json"] = f = open(
+            os.path.join(out_dir, "manifest.json.part"), "w",
+            encoding="utf-8")
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
+        for f in files.values():
             f.close()
+        for name, f in files.items():
             os.replace(f.name, os.path.join(out_dir, name))
     except BaseException:
         _discard(files)
         raise
-
-    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
-    manifest = {
-        "format_version": 1,
-        "package_version": __version__,
-        "scenario": scenario,
-        "seed": cfg.seed,
-        "realizations": cfg.realizations,
-        "config": asdict(cfg),
-        "files": {name: {"sha256": digests[name].hexdigest(),
-                         "rows": n_rows[name]} for name in files},
-        "wall_time_s": time.monotonic() - t0,
-        # what the bytes depend on besides the config
-        "environment": {
-            "python": platform.python_version(),
-            "python_implementation": platform.python_implementation(),
-            "numpy": np.__version__,
-            # numpy's BLAS build, None where its build record has no entry,
-            # and the live OpenBLAS thread count and core, None where no
-            # OpenBLAS handle is found
-            "blas": dict({k: blas.get(k) for k in (
-                "name", "version", "openblas configuration")},
-                **_blas_runtime()),
-            "libc": " ".join(platform.libc_ver()).strip(),
-            "bit_generator": type(substream(0).bit_generator).__name__,
-            # processes that ran the tasks, after clamping, and whether the
-            # tasks ran their helper work on a helper thread
-            "workers": workers,
-            "helper_thread": _helper_cpu_free(scenario, cfg),
-        },
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
     return manifest
 
 
@@ -1138,7 +1139,12 @@ def main(argv=None) -> int:
     run.add_argument("--realizations", type=int, default=None,
                      help="overrides the config realization count")
     run.add_argument("--out", required=True, help="output directory")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, the code of an infeasible
+        # system here; --help exits 0
+        return 1 if e.code else 0
 
     try:
         cfg = parse_config(args.config, seed=args.seed,

@@ -26,6 +26,7 @@ __all__ = [
     "dequantize",
     "chunk",
     "MAX_CHUNK_BITS",
+    "MAX_CELL_BITS",
 ]
 
 # Two real sub-channels at their widest; a chunk never exceeds one block.
@@ -35,6 +36,10 @@ MAX_CHUNK_BITS = 2 * MAX_SUB_CHANNEL_BITS
 # exact for integers below 2^53: at most this k_half keeps the 2*k_half + 1
 # cells inside 53-bit indices.
 _MAX_K_HALF = 2 ** 52 - 1
+
+# The widest cell quantize emits: offsets 0..2*k_half take the bits of
+# 2*k_half, so no round of n coordinates sends more than n*MAX_CELL_BITS.
+MAX_CELL_BITS = (2 * _MAX_K_HALF).bit_length()
 
 
 @dataclass
@@ -91,7 +96,9 @@ def quantize(w, distortion, source_var, rng) -> QuantizedPayload:
             "of zero, more than the %d that 53-bit cell indices hold"
             % (distortion, source_var, reach, _MAX_K_HALF))
     k_half = int(math.ceil(reach))
-    width = max(1, int(math.ceil(math.log2(2 * k_half + 1))))
+    # the bits of the top offset 2*k_half, counted exactly: a float log2
+    # of the cell count rounds 2^49 + 1 cells to 49 bits
+    width = (2 * k_half).bit_length()
     u = rng.uniform(-step / 2.0, step / 2.0, size=len(w))
     # clipped before the cast: a cell past the int64 range has no cast
     k = np.clip(np.rint((w + u) / step), -k_half, k_half).astype(np.int64)
@@ -146,14 +153,15 @@ def chunk(total_bits, snr, snr_fb, gain_fwd, gain_fb, tau, n_max):
     tau. A channel that carries a full chunk carries any shorter tail at
     the same blocklength, so the padding costs no feasibility.
 
-    Returns [ChunkGroup], [] for an empty payload, or None when the chunk
-    has no feasible blocklength at this realization (feedback outage; the
-    caller counts it).
+    Returns [ChunkGroup], for an empty payload a batch of no blocks at the
+    one-use schedule, or None when the chunk has no feasible blocklength at
+    this realization (feedback outage, or no forward gain; the caller counts
+    it).
     """
     if total_bits < 0:
         raise ValueError("total_bits must be >= 0")
     if total_bits == 0:
-        return []
+        return [ChunkGroup(0, 0, 1, tau)] if gain_fwd > 0 else None
     count = -(-total_bits // MAX_CHUNK_BITS)
     n_bits = min(MAX_CHUNK_BITS, total_bits + (total_bits & 1))
     rep = plan_blocklength(n_bits, snr, snr_fb, gain_fwd, gain_fb,

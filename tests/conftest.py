@@ -9,6 +9,7 @@ import pytest
 
 from fblink.channel import NoiseSpec, Realization, derotate
 from fblink.codec import modulo_d
+from fblink.source_coding import QuantizedPayload
 
 # Forward 10 dB, feedback 15 dB over unit noise everywhere.
 SNR = 10.0
@@ -42,6 +43,13 @@ def draw_messages(rng, const, n):
     """A batch's (2, n) message indices inside const: n for R, then n for I,
     in two draws from rng."""
     return np.stack([rng.integers(0, const.m_levels, n) for _ in "RI"])
+
+
+def bits_payload(bits):
+    """A payload whose cells are the given bits: one-bit cells at unit step
+    around k_half = 1, so dequantizing it without dither gives each bit less
+    one."""
+    return QuantizedPayload(bits, len(bits), 1, 1, 1.0, len(bits), 1.0 / 12.0)
 
 
 def as_complex(pair):

@@ -5,6 +5,7 @@ adaptive quadrature, its inverse by bisection, the rate formula typed from
 scratch) and are pinned here to 9-10 significant digits.
 """
 
+import itertools
 import math
 import statistics
 
@@ -19,6 +20,8 @@ from fblink.analysis import (RateReport, achievable_rate, aliasing_budget,
                              eve_capacity_bits, latency_seconds,
                              plan_blocklength, q_inv, rate_distortion,
                              secrecy_level_bound, sigma2_window)
+from fblink.channel import sample_realization
+from fblink.streams import DOMAIN_REALIZATION, substream
 
 SNR = 10.0
 SNR_FB = 10.0 ** 1.5
@@ -292,6 +295,31 @@ def test_rate_monotone_in_error_target():
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
+# 8*Q(sqrt(3)): from here down q = Q^-1(tau/8) >= sqrt(3), so the uncoded
+# term 3*snr*|h|^2/q^2 is at most snr*|h|^2 and the rate stays below capacity
+TAU_CAPACITY_CEILING = 8.0 * statistics.NormalDist().cdf(-math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("snr", [1.0, SNR, 1000.0])
+@pytest.mark.parametrize("tau", [1e-9, 1e-3, 0.05, 0.3,
+                                 TAU_CAPACITY_CEILING])
+def test_rate_stays_below_capacity(snr, tau):
+    # n*R = log2(3*rho/q^2) + (n-1)*log2(growth) with growth <= 1 + rho, so
+    # R < log2(1 + rho) at every blocklength, over fixed gains (rows of a
+    # grid) and drawn ones
+    grid = np.geomspace(1e-2, 1e2, 9)
+    fixed = np.array(list(itertools.product(grid, grid))).T
+    drawn = np.array([(r.gain_fwd, r.gain_fb) for r in (
+        sample_realization(substream(2026, DOMAIN_REALIZATION, i))
+        for i in range(100))]).T
+    n_t = np.arange(1, 257)
+    for gain_fwd, gain_fb in (fixed, drawn):
+        rep = achievable_rate(snr, SNR_FB, gain_fwd, gain_fb, tau, n_t)
+        capacity = np.log2(1.0 + snr * gain_fwd)[:, None]
+        assert rep.feasible.any()
+        assert (rep.rate < capacity)[rep.feasible].all()
+
+
 def test_rate_large_blocklength_no_overflow():
     # at unit gains alpha underflows float64 from n_t = 654 on: those blocks
     # are refused, quietly (pytest turns a RuntimeWarning into an error)
@@ -531,8 +559,13 @@ def test_secrecy_level_clamped_at_zero():
 
 
 def test_secrecy_level_validation():
+    # a round with nothing to send leaves her nothing to learn
+    assert secrecy_level_bound(0, 1.0, 10.0, 1.0) == 1.0
+    assert secrecy_level_bound(0.0, 1e308, 10.0, 1e-320) == 1.0
     with pytest.raises(ValueError):
-        secrecy_level_bound(0.0, 1.0, 10.0, 1.0)
+        secrecy_level_bound(-1, 1.0, 10.0, 1.0)
+    with pytest.raises(ValueError):
+        secrecy_level_bound(0, -1.0, 10.0, 1.0)
     with pytest.raises(ValueError):
         secrecy_level_bound(10.0, -1.0, 10.0, 1.0)
     with pytest.raises(ValueError):

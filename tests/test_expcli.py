@@ -34,7 +34,7 @@ from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            run_scenario)
 from fblink.streams import DOMAIN_REALIZATION, substream
 
-from conftest import as_complex
+from conftest import as_complex, bits_payload
 from test_datasets import write_idx_pair
 
 
@@ -163,21 +163,22 @@ def test_pack_group_roundtrip():
 ROTATED = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
 
 
-@pytest.mark.parametrize("n_bits", [1, 79, 80, 81, 239, 400])
+@pytest.mark.parametrize("n_bits", [0, 1, 79, 80, 81, 239, 400])
 def test_send_bits_roundtrip(n_bits):
     cfg = SystemConfig()
     bits = substream(31, n_bits).integers(0, 2, n_bits, dtype=np.uint8)
     (grp,) = source_coding.chunk(n_bits, cfg.snr, cfg.snr_fb,
                                  ROTATED.gain_fwd, ROTATED.gain_fb, cfg.tau,
                                  cfg.n_max)
-    dec, eve, link = _send_bits(bits, grp, ROTATED, cfg, cfg.noise_spec(),
-                                (7, 0, 0), capture_eve=True)
+    dec, eve, link = _send_bits(bits_payload(bits), grp, ROTATED, cfg,
+                                cfg.noise_spec(), (7, 0, 0), capture_eve=True)
+    # her job ends in her aggregate: each bit she decided, less one
     eve = eve()
     assert link["n_chunks"] == math.ceil(n_bits / source_coding.MAX_CHUNK_BITS)
     assert link["n_t_max"] == grp.n_t
     assert dec.shape == eve.shape == bits.shape
-    assert dec.dtype == eve.dtype == np.uint8
-    assert set(np.unique(eve)) <= {0, 1}
+    assert dec.dtype == np.uint8
+    assert set(np.unique(eve)) <= {-1.0, 0.0}
     # at tau = 1e-3 every chunk of this seed decodes
     assert link["chunk_errors"] == 0
     np.testing.assert_array_equal(dec, bits)
@@ -194,8 +195,9 @@ def test_send_bits_at_an_infinite_eve_capacity():
     sent = []
     for sigma_e2 in (1e-320, 1e-30):
         cfg = SystemConfig(sigma_e2=sigma_e2)
-        sent.append(_send_bits(bits, grp, ROTATED, cfg, cfg.noise_spec(),
-                               (7, 0, 0), capture_eve=False))
+        sent.append(_send_bits(bits_payload(bits), grp, ROTATED, cfg,
+                               cfg.noise_spec(), (7, 0, 0),
+                               capture_eve=False))
     (dec, _, link), (dec_finite, _, link_finite) = sent
     assert link["c_e"] == math.inf and link_finite["c_e"] > 80
     np.testing.assert_array_equal(dec, bits)
@@ -285,9 +287,17 @@ def test_eavesdropper_model_stays_near_chance(seed):
     assert eve_accuracy[-1] <= 0.15, eve_accuracy[-1]
 
 
-def test_zero_rate_round_reports_its_channel():
+def test_zero_rate_round_reports_its_channel(monkeypatch):
     # a distortion above the source variance sends no bits, but the round
-    # still draws, or is pinned to, a channel, and reports its gains and C_e
+    # still draws, or is pinned to, a channel, and reports its gains and C_e;
+    # it takes the one send path as a batch of no blocks
+    sends = []
+
+    def spy(payload, grp, *args):
+        sends.append(grp)
+        return _send_bits(payload, grp, *args)
+
+    monkeypatch.setattr(expcli, "_send_bits", spy)
     cfg = SystemConfig(seed=5, distortion=100.0)
     drawn = sample_realization(substream(cfg.seed, DOMAIN_REALIZATION, 0, 0,
                                          0))
@@ -295,6 +305,9 @@ def test_zero_rate_round_reports_its_channel():
         jobs, on_eve = eve_jobs()
         agg, stats = _transmit_round(
             coded_transmitter(cfg, 0, pinned, on_eve=on_eve), cfg)
+        assert sends.pop() == source_coding.ChunkGroup(0, 0, 1, cfg.tau)
+        # n_t_max is the plan's blocklength, which no block used
+        assert stats["n_t_max"] == 1
         # she still gets a job, and it gives her an all-zero aggregate
         (job,) = jobs
         eve = job()
@@ -307,6 +320,15 @@ def test_zero_rate_round_reports_its_channel():
         assert stats["delta_round"] == 1.0 and stats["redraws"] == 0
         assert stats["n_chunks"] == stats["chunk_errors"] == 0
         assert not agg.any() and not eve.any()
+
+
+def test_zero_rate_round_needs_forward_gain():
+    # a channel without forward gain builds no schedule, not even for a
+    # batch of no blocks: pinned, it is infeasible for an empty round too
+    cfg = SystemConfig(seed=5, distortion=100.0)
+    dead = Realization(0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
+    with pytest.raises(InfeasibleError, match="cannot carry a 0-bit round"):
+        _transmit_round(coded_transmitter(cfg, 0, dead), cfg)
 
 
 def test_redraws_count_failed_candidates(monkeypatch):
@@ -552,6 +574,27 @@ def test_failed_run_leaves_no_partial_tables(tmp_path, monkeypatch):
     with pytest.raises(InfeasibleError, match="realization %d" % failing):
         run_scenario(replace(cfg, seed=7), "rate_vs_blocklength", str(out))
     assert seen == tasks[:3]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_manifest_write_keeps_the_earlier_run(tmp_path,
+                                                      monkeypatch):
+    # the disk fills while the manifest is written, after every table
+    # was: the earlier run's table and manifest keep their bytes, and no
+    # ".part" file is left
+    out = tmp_path / "out"
+    run_scenario(parse_config(), "privacy_utility_sweep", str(out))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["manifest.json", "privacy_utility_sweep.csv"]
+
+    def disk_full(obj, fp, **kwargs):
+        fp.write('{"partial": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        run_scenario(parse_config(None, sweep_points=4),
+                     "privacy_utility_sweep", str(out))
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -1238,6 +1281,23 @@ def test_cli_config_error_is_exit_1(tmp_path, capsys, monkeypatch):
     assert "FBLINK_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["run", "--scenario", "nope", "--out", "d"], 1),
+    (["run", "--scenario", "privacy_utility_sweep", "--seed", "abc",
+      "--out", "d"], 1),
+    ([], 1),
+    (["--help"], 0),
+])
+def test_cli_usage_error_is_exit_1(tmp_path, capsys, monkeypatch, argv,
+                                   code):
+    # argparse's own exit code 2 would read as an infeasible system
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert ("usage: fblink" in out) if code == 0 else ("error:" in err)
+    assert not (tmp_path / "d").exists()
+
+
 def test_cli_infeasible_is_exit_2(tmp_path, capsys, monkeypatch):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"n_max": 2, "max_redraws": 5, "n_train": 50,
@@ -1255,6 +1315,22 @@ def test_cli_infeasible_is_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
     assert list((tmp_path / "pool").iterdir()) == []
+
+
+def test_cli_secrecy_screens_the_widest_cell(tmp_path, capsys):
+    # a distortion of 1e-20 sends 36-bit cells, wider than the 24 bits per
+    # parameter the pinned channel was once screened for, which pinned a
+    # draw that cannot carry this round; screened at MAX_CELL_BITS per
+    # parameter, the pinned channel carries every round
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n_max": 32, "distortion": 1e-20, "seed": 9,
+                             "n_rounds": 1, "n_train": 100, "n_test": 50}))
+    code = main(["run", "--scenario", "secrecy_level_vs_round", "--config",
+                 str(p), "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    (row,) = read_csv(tmp_path / "out" / "secrecy_level_vs_round.csv")
+    n_params = mlp.n_params(parse_config(str(p)).mlp_spec())
+    assert int(row["physical_bits"]) > 24 * n_params
 
 
 def assert_cli_config_error(tmp_path, capsys, scenario, config, key):

@@ -39,7 +39,7 @@ from fblink.expcli import (SystemConfig, _blas_runtime, _send_bits,
                            parse_config, run_scenario)
 from fblink.streams import substream
 
-from conftest import SNR, SNR_FB, draw_messages
+from conftest import SNR, SNR_FB, bits_payload, draw_messages
 
 # a rotated channel that carries full chunks at the default config
 ROTATED = Realization(0.9 - 0.4j, 1.1 + 0.3j, 0.3 + 0.2j, -0.5 + 1.0j)
@@ -173,10 +173,11 @@ def transport_digest():
     bits = substream(11, 0).integers(0, 2, 239, dtype=np.uint8)
     (grp,) = source_coding.chunk(239, cfg.snr, cfg.snr_fb, ROTATED.gain_fwd,
                                  ROTATED.gain_fb, cfg.tau, cfg.n_max)
-    dec, eve, link = _send_bits(bits, grp, ROTATED, cfg, cfg.noise_spec(),
-                                (7, 0, 0), capture_eve=True)
+    dec, eve, link = _send_bits(bits_payload(bits), grp, ROTATED, cfg,
+                                cfg.noise_spec(), (7, 0, 0), capture_eve=True)
     digest = hashlib.sha256()
-    for arr in (dec, eve()):
+    # her aggregate is each bit she decided, less one
+    for arr in (dec, (eve() + 1.0).astype(np.uint8)):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(repr(sorted(link.items())).encode())
     return digest.hexdigest()

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fblink.analysis import plan_blocklength
-from fblink.source_coding import (MAX_CHUNK_BITS, chunk, dequantize,
-                                  quantize)
+from fblink.source_coding import (MAX_CELL_BITS, MAX_CHUNK_BITS,
+                                  ChunkGroup, chunk, dequantize, quantize)
 from fblink.streams import substream
 
 from conftest import SNR, SNR_FB, TAU
@@ -108,7 +108,7 @@ def test_quantize_index_width_limit():
     step = math.sqrt(12.0 * D)
     widest = ((2 ** 52 - 1) * step / 5.0) ** 2
     p = quantize(np.array([-1e300, 0.0, 1e300]), D, widest, substream(0, 0))
-    assert p.width_bits == 53
+    assert p.width_bits == MAX_CELL_BITS == 53
     assert np.rint(dequantize(p, None) / step).tolist() == [
         -(2 ** 52 - 1), 0, 2 ** 52 - 1]
     for var in (widest * 1.001, 1e301):
@@ -116,6 +116,19 @@ def test_quantize_index_width_limit():
             quantize(np.zeros(4), D, var, substream(0, 0))
     with pytest.raises(OverflowError, match="53-bit"):
         quantize(np.zeros(4), 1e-300, 1.0, substream(0, 0))
+
+
+@pytest.mark.parametrize("k_half", [2 ** 48, 2 ** 49, 2 ** 50 + 2,
+                                    2 ** 51 + 5])
+def test_top_cell_keeps_its_sign_past_a_power_of_two(k_half):
+    # 2*k_half + 1 cells just past a power of two, where a float log2 of
+    # the cell count rounded down and the top offset wrapped to 0
+    step = math.sqrt(12.0 * D)
+    var = ((k_half - 0.25) * step / 5.0) ** 2
+    p = quantize(np.array([-1e300, 0.0, 1e300]), D, var, substream(0, 0))
+    assert p.k_half == k_half and p.width_bits == (2 * k_half).bit_length()
+    assert np.rint(dequantize(p, None) / step).tolist() == [
+        -k_half, 0, k_half]
 
 
 def test_dequantize_length_check():
@@ -219,7 +232,13 @@ def test_chunk_matches_two_plan_rule():
 
 
 def test_chunk_empty_payload():
-    assert chunk(0, SNR, SNR_FB, 1.0, 1.0, TAU, 256) == []
+    # a batch of no blocks at the shortest schedule, with the whole budget
+    assert chunk(0, SNR, SNR_FB, 1.0, 1.0, TAU, 256) == [
+        ChunkGroup(0, 0, 1, TAU)]
+    # whatever the feedback; without forward gain no schedule builds
+    assert chunk(0, SNR, SNR_FB, 1.0, 1e-4, TAU, 2) == [
+        ChunkGroup(0, 0, 1, TAU)]
+    assert chunk(0, SNR, SNR_FB, 0.0, 1.0, TAU, 256) is None
 
 
 def test_chunk_infeasible_returns_none():

@@ -197,6 +197,12 @@ _POWER_MAX = 1e302
 # 0.0), or a feasible latency overflowed to inf, the infeasible sentinel.
 _UPS_MIN, _UPS_MAX = 1e-200, 1e300
 
+# Every integer key but seed counts or sizes something. Up to this bound
+# each array a scenario allocates either fits or raises the MemoryError that
+# main reports; above it numpy refuses some shapes outright and len(range)
+# overflows, each a traceback. A seed of any size seeds a SeedSequence.
+_INT_MAX = 2**31 - 1
+
 
 def _validate(cfg: SystemConfig) -> SystemConfig:
     try:
@@ -211,7 +217,10 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
         eps_gain = 2.0 ** (2.0 * cfg.privacy_eps) - 1.0
     except OverflowError:
         eps_gain = math.inf
-    checks = [
+    checks = [(getattr(cfg, f.name) <= _INT_MAX,
+               "%s must be at most %d" % (f.name, _INT_MAX))
+              for f in fields(cfg) if f.type is int and f.name != "seed"]
+    checks += [
         (snr_ok, "snr_db and snr_fb_db must give a finite positive linear "
                  "SNR"),
         (p <= _POWER_MAX, "the power snr*sigma1_2 must be at most %g"
@@ -730,8 +739,8 @@ def _scn_learning_curves(cfg, r_idx):
     data = _load_learning_data(cfg)
     _, _, x_te, y_te = data
     baseline = _train(cfg, data, r_idx, steps=True)
-    shadow = hfl.ShadowModel(x_te, y_te, cfg.mlp_spec(), cfg.lr, cfg.s_total,
-                             cfg.seed, r_idx)
+    shadow = hfl.CloudModel(x_te, y_te, cfg.mlp_spec(), cfg.lr, cfg.s_total,
+                            cfg.seed, r_idx)
     base, eve_accuracy = [], []
 
     def round_job(t, eve_aggregate):
@@ -843,12 +852,14 @@ def _task_args(scenario, cfg):
 
 def _run_task(packed):
     """One task's tables on one OpenBLAS thread, each as its row count and
-    its CSV bytes, formatted where computed, in the worker of a pool."""
+    its CSV bytes, formatted where computed, in the worker of a pool. A row
+    that is not as wide as its table's header is a ValueError."""
     scenario, cfg, arg = packed
-    fn, _ = SCENARIOS[scenario]
+    fn, headers = SCENARIOS[scenario]
     with _one_blas_thread():
         tables = fn(cfg, arg).items()
-    return {name: (len(rows), _csv_bytes(rows)) for name, rows in tables}
+    return {name: (len(rows), _csv_bytes(rows, len(headers[name])))
+            for name, rows in tables}
 
 
 def _cpus():
@@ -996,12 +1007,12 @@ def _discard(files):
             os.remove(f.name)
 
 
-def _csv_bytes(rows):
+def _csv_bytes(rows, width=None):
     """Equal-length rows as the UTF-8 bytes that
     csv.writer(lineterminator="\n").writerows(rows) writes: each cell as
     str() gives it, a text holding ',', '"' or a newline quoted with its '"'
-    doubled, and a one-cell row of empty text as "". Ragged rows are a
-    ValueError.
+    doubled, and a one-cell row of empty text as "". Ragged rows, or rows
+    of another length than width where it is given, are a ValueError.
 
     A float's repr is the costly part and columns repeat floats (a draw's
     gains down its scan, L per n_t), so each column formats a nonzero float
@@ -1010,10 +1021,11 @@ def _csv_bytes(rows):
     """
     if not rows:
         return b""
-    width = len(rows[0])
+    if width is None:
+        width = len(rows[0])
     if set(map(len, rows)) != {width}:
-        raise ValueError("CSV rows differ in length: %s"
-                         % sorted(set(map(len, rows))))
+        raise ValueError("CSV rows of length %s in a table of %d columns"
+                         % (sorted(set(map(len, rows))), width))
     columns = []
     for cells in zip(*rows):
         memo = {}

@@ -13,9 +13,9 @@ so runs that differ only in transport see identical noise. train_rounds is
 the loop one round at a time, so a caller can pace two runs against each
 other; train runs it to the end.
 
-What a passive observer learns is kept out of the loop: ShadowModel applies
-the public update rule to whatever aggregates she decodes, from the run's
-initial point, and nothing she computes feeds back into the run.
+The update rule is one class, CloudModel. The loop's cloud holds one, and
+a passive observer steps her own on whatever she decodes, from the run's
+initial point; nothing she computes feeds back into the run.
 """
 
 import contextlib
@@ -33,13 +33,12 @@ __all__ = [
     "add_ldp_noise",
     "edge_aggregate",
     "estimate_sigma_w2",
-    "cloud_update",
     "privacy_mi_per_coord",
     "RoundRecord",
     "TrainResult",
     "train_rounds",
     "train",
-    "ShadowModel",
+    "CloudModel",
 ]
 
 
@@ -86,11 +85,6 @@ def estimate_sigma_w2(locals_, shard_sizes):
     return float(np.mean(vals))
 
 
-def cloud_update(m, aggregate, lr, s_total):
-    """Gradient step from the decoded sum: m - (lr/s_total)*aggregate."""
-    return m - (lr / s_total) * np.asarray(aggregate, dtype=float)
-
-
 def privacy_mi_per_coord(sigma_w2, s_total, n_users, sigma2):
     """Leakage cap, bits per coordinate, of the noisy aggregate about the
     clean one: 0.5*log2(1 + s_total*sigma_w2/(n_users*sigma2))."""
@@ -130,6 +124,29 @@ class TrainResult:
     rounds: list
 
 
+class CloudModel:
+    """The model of run (seed, tag), from its initial point, as the cloud
+    holds it or an observer who steps it on her own decodes; s_total is the
+    run's sample count.
+
+    step(t, aggregate) makes round t's gradient step from the decoded sum,
+    params - (lr/s_total)*aggregate, under the loop's model-math checks and
+    returns the stepped model's accuracy on (x_test, y_test).
+    """
+
+    def __init__(self, x_test, y_test, spec, lr, s_total, seed, tag=0):
+        self.params = mlp.init_params(spec, substream(seed, DOMAIN_INIT, tag))
+        self.x_test, self.y_test, self.spec = x_test, y_test, spec
+        self.lr, self.s_total = lr, s_total
+
+    def step(self, t, aggregate):
+        with _model_math(t):
+            g = np.asarray(aggregate, dtype=float)
+            self.params = self.params - (self.lr / self.s_total) * g
+            return mlp.accuracy(self.params, self.x_test, self.y_test,
+                                self.spec)
+
+
 def train_rounds(x_train, y_train, x_test, y_test, spec, n_users, n_rounds,
                  lr, reg, sigma2, seed, transmit_fn=None, tag=0):
     """The loop of train one round at a time: a generator that yields, as
@@ -141,6 +158,10 @@ def train_rounds(x_train, y_train, x_test, y_test, spec, n_users, n_rounds,
     round's RoundRecord.source_var, and returns (decoded_aggregate,
     stats_dict). None means the edge-to-cloud hop is error-free and the
     aggregate passes through unchanged.
+
+    The cloud's model is a CloudModel, stepped once per round on the decoded
+    aggregate; an observer's CloudModel of the same (seed, tag), stepped on
+    the same decodes, holds the same model.
 
     tag diversifies the init and noise substreams across repetitions; two
     runs with the same (seed, tag) that differ only in transmit_fn share
@@ -155,10 +176,10 @@ def train_rounds(x_train, y_train, x_test, y_test, spec, n_users, n_rounds,
     """
     shards = shard_data(x_train, y_train, n_users)
     s_total = sum(len(yk) for _, yk in shards)
-    m = mlp.init_params(spec, substream(seed, DOMAIN_INIT, tag))
+    cloud = CloudModel(x_test, y_test, spec, lr, s_total, seed, tag)
     for t in range(n_rounds):
         with _model_math(t):
-            locals_ = [local_gradient(m, xk, yk, spec, reg)
+            locals_ = [local_gradient(cloud.params, xk, yk, spec, reg)
                        for xk, yk in shards]
             noisy = [add_ldp_noise(w, sigma2,
                                    substream(seed, DOMAIN_LDP, tag, t, k))
@@ -177,12 +198,12 @@ def train_rounds(x_train, y_train, x_test, y_test, spec, n_users, n_rounds,
         if transmit_fn is not None:
             agg, stats = transmit_fn(agg, t, source_var)
 
+        test_accuracy = cloud.step(t, agg)
         with _model_math(t):
-            m = cloud_update(m, agg, lr, s_total)
-            train_loss = float(mlp.loss(m, x_train, y_train, spec, reg))
-            test_accuracy = mlp.accuracy(m, x_test, y_test, spec)
+            train_loss = float(mlp.loss(cloud.params, x_train, y_train, spec,
+                                        reg))
 
-        yield m, RoundRecord(
+        yield cloud.params, RoundRecord(
             round_index=t,
             train_loss=train_loss,
             test_accuracy=test_accuracy,
@@ -206,25 +227,3 @@ def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
     for params, rec in rounds:
         records.append(rec)
     return TrainResult(params=params, rounds=records)
-
-
-class ShadowModel:
-    """The model an observer holds who applies the public update rule to her
-    own decodes of the round aggregates, from the initial point of run
-    (seed, tag); s_total is the run's sample count.
-
-    step(t, aggregate) makes round t's update under the loop's model-math
-    checks and returns the shadow's accuracy on (x_test, y_test).
-    """
-
-    def __init__(self, x_test, y_test, spec, lr, s_total, seed, tag=0):
-        self.params = mlp.init_params(spec, substream(seed, DOMAIN_INIT, tag))
-        self.x_test, self.y_test, self.spec = x_test, y_test, spec
-        self.lr, self.s_total = lr, s_total
-
-    def step(self, t, aggregate):
-        with _model_math(t):
-            self.params = cloud_update(self.params, aggregate, self.lr,
-                                       self.s_total)
-            return mlp.accuracy(self.params, self.x_test, self.y_test,
-                                self.spec)

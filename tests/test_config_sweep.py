@@ -39,7 +39,9 @@ EXTREMES = {
     float: [-1.0, 0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-16, 0.5, 1.0,
             30.0, 300.0, -300.0, 3080.0, -3070.0, 1e10, 1e300, 1.7e307,
             1e308],
-    int: [-1, 0, 1, 2, 3, 5],
+    # the last three lie above the 2**31 - 1 that bounds every integer key
+    # but seed
+    int: [-1, 0, 1, 2, 3, 5, 2**31, 2**62, 10**30],
     str: ["", "no-such-data-dir"],
 }
 FIELDS = {f.name: f.type for f in fields(SystemConfig)}

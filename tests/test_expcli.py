@@ -12,7 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 try:
     import resource
@@ -273,8 +273,8 @@ def test_eavesdropper_model_stays_near_chance(seed):
     # use exposes trained her model to 0.2-0.25 at some of these seeds.
     cfg = parse_config(None, seed=seed)
     x_tr, y_tr, x_te, y_te = expcli._load_learning_data(cfg)
-    shadow = hfl.ShadowModel(x_te, y_te, cfg.mlp_spec(), cfg.lr, cfg.s_total,
-                             cfg.seed)
+    shadow = hfl.CloudModel(x_te, y_te, cfg.mlp_spec(), cfg.lr, cfg.s_total,
+                            cfg.seed)
     eve_accuracy = []
 
     def on_eve(t, job):
@@ -392,6 +392,27 @@ def test_csv_bytes_refuse_ragged_rows():
         _csv_bytes([(1, 2.5), (1,)])
     with pytest.raises(ValueError, match="length"):
         _csv_bytes([(1,), (1, 2.5), (3,)])
+
+
+@pytest.mark.parametrize("resize", [lambda row: row + ("extra",),
+                                    lambda row: row[:-1]],
+                         ids=["wider", "narrower"])
+def test_rows_are_held_to_their_header_width(tmp_path, monkeypatch, resize):
+    # a sweep whose every row is one cell wider, or narrower, than its
+    # 8-column header wrote its 13 rows under that header and exited 0
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    fn, headers = SCENARIOS["privacy_utility_sweep"]
+
+    def resized(cfg, arg):
+        return {name: [resize(row) for row in rows]
+                for name, rows in fn(cfg, arg).items()}
+
+    monkeypatch.setitem(SCENARIOS, "privacy_utility_sweep",
+                        (resized, headers))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="table of 8 columns"):
+        run_scenario(parse_config(), "privacy_utility_sweep", str(out))
+    assert list(out.iterdir()) == []
 
 
 def test_scenario_cells_are_int_float_or_str():
@@ -1460,6 +1481,38 @@ def test_cli_quantizer_limits_are_exit_1(tmp_path, capsys, scenario, config,
 def test_cli_diverging_model_is_exit_1(tmp_path, capsys, scenario, config,
                                        key):
     assert_cli_config_error(tmp_path, capsys, scenario, config, key)
+
+
+@pytest.mark.parametrize("scenario,config,key", [
+    # len(range) overflowed in _task_args
+    ("rate_vs_blocklength", {"realizations": 10**30}, "realizations"),
+    # numpy refused the planner's arrays as too big
+    ("rate_vs_blocklength", {"n_max": 10**30}, "n_max"),
+    ("rate_vs_blocklength", {"n_max": 2**62}, "n_max"),
+    ("rate_vs_blocklength", {"n_t_max_scan": 2**62}, "n_t_max_scan"),
+    ("privacy_utility_sweep", {"sweep_points": 2**62}, "sweep_points"),
+    # the planner could not convert n_t to a C long
+    ("codec_validation", {"n_t": 10**23}, "n_t"),
+    # the model's dimensions overflowed
+    ("learning_curves", {"n_hidden": 10**20}, "n_hidden"),
+    ("secrecy_level_vs_round", {"n_hidden": 2**62}, "n_hidden"),
+])
+def test_cli_huge_integer_is_exit_1(tmp_path, capsys, scenario, config, key):
+    assert_cli_config_error(tmp_path, capsys, scenario, config, key)
+
+
+def test_integer_keys_stop_at_2_31_less_1():
+    # every integer key but seed, whatever the other keys say; a seed of
+    # any size seeds a SeedSequence
+    keys = [f.name for f in fields(SystemConfig)
+            if f.type is int and f.name != "seed"]
+    assert len(keys) == 14
+    for key in keys:
+        with pytest.raises(ConfigError,
+                           match="^%s must be at most 2147483647$" % key):
+            parse_config(None, **{key: 2**31})
+    assert parse_config(None, realizations=2**31 - 1).realizations == 2**31 - 1
+    assert parse_config(None, seed=10**40).seed == 10**40
 
 
 def test_power_bound():

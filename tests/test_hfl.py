@@ -5,8 +5,8 @@ import pytest
 
 from fblink import hfl, mlp
 from fblink.datasets import synthetic_digits
-from fblink.hfl import (ShadowModel, add_ldp_noise, cloud_update,
-                        edge_aggregate, estimate_sigma_w2, local_gradient,
+from fblink.hfl import (CloudModel, add_ldp_noise, edge_aggregate,
+                        estimate_sigma_w2, local_gradient,
                         privacy_mi_per_coord, shard_data, train,
                         train_rounds)
 from fblink.mlp import MlpSpec, init_params, loss_and_grad, n_params
@@ -119,11 +119,19 @@ def test_estimate_sigma_w2_exact_properties():
 
 
 def test_cloud_update_identities():
-    m = np.arange(6.0)
-    np.testing.assert_array_equal(cloud_update(m, np.ones(6), 0.0, 10), m)
-    np.testing.assert_array_equal(cloud_update(m, np.zeros(6), 1.0, 10), m)
-    np.testing.assert_allclose(cloud_update(m, np.full(6, 20.0), 0.5, 10),
-                               m - 1.0, rtol=1e-15)
+    # lr 0 and a zero aggregate each keep the parameters; otherwise the step
+    # is params - (lr/s_total)*aggregate
+    x, y = small_data(17, n=20)
+    q = n_params(SMALL)
+    m0 = init_params(SMALL, substream(3, 6, 0))  # DOMAIN_INIT = 6
+    for lr, agg in ((0.0, np.ones(q)), (1.0, np.zeros(q))):
+        cloud = CloudModel(x, y, SMALL, lr, 10, seed=3)
+        np.testing.assert_array_equal(cloud.params, m0)
+        assert cloud.step(0, agg) == mlp.accuracy(m0, x, y, SMALL)
+        np.testing.assert_array_equal(cloud.params, m0)
+    cloud = CloudModel(x, y, SMALL, 0.5, 10, seed=3)
+    cloud.step(0, np.full(q, 20.0))
+    np.testing.assert_allclose(cloud.params, m0 - 1.0, rtol=1e-15)
 
 
 def test_privacy_mi_examples():
@@ -245,6 +253,25 @@ def test_model_math_fault_raises_before_the_transport():
     assert handed == []
 
 
+def test_train_steps_its_cloud_model_once_per_round(monkeypatch):
+    # the loop's update and accuracy are CloudModel.step's, called once per
+    # round
+    x, y = small_data(18, n=60)
+    steps = []
+    step = CloudModel.step
+
+    def spy(self, t, aggregate):
+        steps.append((t, step(self, t, aggregate)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(CloudModel, "step", spy)
+    res = train(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5, reg=5e-5,
+                sigma2=0.3, seed=6)
+    assert steps == [(rec.round_index, rec.test_accuracy)
+                     for rec in res.rounds]
+    assert len(steps) == 3
+
+
 def test_tag_diversifies_runs():
     x, y = small_data(12, n=60)
     kw = dict(n_users=6, n_rounds=2, lr=0.5, reg=5e-5, sigma2=0.3, seed=99)
@@ -259,7 +286,7 @@ def test_eavesdropper_shadow_model():
     x, y = small_data(13, n=60)
     kw = dict(n_users=6, n_rounds=3, lr=0.5, reg=0.0, sigma2=0.0, seed=5)
     run = train(x, y, x, y, SMALL, **kw)
-    shadow = ShadowModel(x, y, SMALL, 0.5, 60, seed=5)
+    shadow = CloudModel(x, y, SMALL, 0.5, 60, seed=5)
     init = init_params(SMALL, substream(5, 6, 0))
     np.testing.assert_array_equal(shadow.params, init)
     zero = np.zeros(n_params(SMALL))
@@ -271,7 +298,7 @@ def test_eavesdropper_shadow_model():
     run_again = train(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (
         aggs.append(a) or a, {}), **kw)
     np.testing.assert_array_equal(run_again.params, run.params)
-    shadow = ShadowModel(x, y, SMALL, 0.5, 60, seed=5)
+    shadow = CloudModel(x, y, SMALL, 0.5, 60, seed=5)
     acc = [shadow.step(t, a) for t, a in enumerate(aggs)]
     np.testing.assert_array_equal(shadow.params, run.params)
     assert acc == [rec.test_accuracy for rec in run.rounds]

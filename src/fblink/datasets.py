@@ -21,6 +21,8 @@ __all__ = ["load_idx_images", "load_idx_labels", "synthetic_digits",
 
 _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
+# the synthetic mixture's shapes, those of the IDX digits
+_N_FEATURES, _N_CLASSES = 784, 10
 
 
 def _read_idx(path, magic, n_dims):
@@ -53,7 +55,7 @@ def load_idx_labels(path) -> np.ndarray:
     return data.astype(np.int64)
 
 
-def synthetic_digits(n_train, n_test, seed, n_features=784, n_classes=10):
+def synthetic_digits(n_train, n_test, seed):
     """Sparse stroke-pattern stand-in with IDX-like shapes and value range.
 
     Each class lights a random ~11% subset of pixels at high intensity over a
@@ -63,14 +65,14 @@ def synthetic_digits(n_train, n_test, seed, n_features=784, n_classes=10):
     do not do.
     """
     rng = substream(seed, DOMAIN_DATA)
-    means = np.zeros((n_classes, n_features))
-    n_on = max(1, int(0.11 * n_features))
-    for c in range(n_classes):
-        means[c, rng.choice(n_features, n_on, replace=False)] = 0.8
+    means = np.zeros((_N_CLASSES, _N_FEATURES))
+    n_on = int(0.11 * _N_FEATURES)
+    for c in range(_N_CLASSES):
+        means[c, rng.choice(_N_FEATURES, n_on, replace=False)] = 0.8
 
     def draw(n):
-        y = rng.integers(0, n_classes, size=n)
-        x = means[y] + rng.normal(scale=0.25, size=(n, n_features))
+        y = rng.integers(0, _N_CLASSES, size=n)
+        x = means[y] + rng.normal(scale=0.25, size=(n, _N_FEATURES))
         return np.clip(x, 0.0, 1.0), y
 
     x_tr, y_tr = draw(n_train)

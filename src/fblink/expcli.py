@@ -48,9 +48,12 @@ the files of an earlier run keep their bytes.
 An unusable output directory and a non-integer FBLINK_WORKERS are
 configuration errors.
 
-The coded transport sends every round of the learning scenarios down one
-path, as one block batch; a round with nothing to send is a batch of no
-blocks, and its secrecy level is analysis.secrecy_level_bound's 1.0.
+Both learning scenarios run one loop, the hfl.train generator, and keep
+only each round's RoundRecord. The coded transport sends every round down
+one path, _send_bits, as one block batch; a round with nothing to send is
+a batch of no blocks, and its secrecy level is
+analysis.secrecy_level_bound's 1.0. Where the eavesdropper listens,
+_send_bits hands her round's job over itself, inside the round.
 
 Exit codes: 0 success (and --help), 1 configuration error (a usage error
 on the command line, or sizes whose arrays the process cannot allocate
@@ -67,6 +70,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -170,7 +174,7 @@ class SystemConfig:
         return NoiseSpec(self.sigma1_2, self.sigma2_2, self.sigma_e2)
 
     def mlp_spec(self) -> mlp.MlpSpec:
-        return mlp.MlpSpec(784, self.n_hidden, 10)
+        return mlp.MlpSpec(n_hidden=self.n_hidden)
 
 
 # The planner splits tau into shares tau/(8*n_chunks*(n_t - 1)) before
@@ -178,6 +182,11 @@ class SystemConfig:
 # float for any divisor below 1e100, where a tau near the subnormal range
 # would underflow to 0 and leave q_inv nothing to invert.
 _TAU_MIN = 1e-200
+
+# 8*Q(sqrt(3)), about 0.33306. Up to it q = Q^-1(tau/8) >= sqrt(3), so the
+# uncoded term 3*snr*|h|^2/q^2 is at most snr*|h|^2 and every rate stays
+# below the capacity log2(1 + snr*|h|^2); above it a rate can exceed it.
+_TAU_MAX = 8.0 * statistics.NormalDist().cdf(-math.sqrt(3.0))
 
 # The block engine scales its forward symbols by lam = sqrt(L*P/P_fb), to
 # squares of at most 1.5*L*P, and draws its dither over the fold width
@@ -234,7 +243,9 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
         (cfg.realizations >= 1, "realizations must be >= 1"),
         (cfg.sigma1_2 > 0 and cfg.sigma2_2 > 0 and cfg.sigma_e2 > 0,
          "noise variances must be positive"),
-        (_TAU_MIN <= cfg.tau < 1.0, "tau must be in [%g, 1)" % _TAU_MIN),
+        (_TAU_MIN <= cfg.tau <= _TAU_MAX,
+         "tau must be in [%g, %.6g]: above 8*Q(sqrt(3)) the rate formula "
+         "passes the capacity log2(1 + snr*|h|^2)" % (_TAU_MIN, _TAU_MAX)),
         (cfg.n_t >= 1, "n_t must be >= 1"),
         (cfg.n_max >= 2, "n_max must be >= 2"),
         (_UPS_MIN <= cfg.uses_per_second <= _UPS_MAX,
@@ -369,21 +380,22 @@ def _feasible_channel(cfg, n_bits, key, pinned=None, where=""):
                           % (cfg.max_redraws, where))
 
 
-def _send_bits(payload, grp, realization, cfg, noise, rng_key, capture_eve):
-    """Send a round's QuantizedPayload as one block batch of the ChunkGroup
-    grp, a batch of no blocks for an empty payload: zero-pad its bits to
-    grp.count chunks of grp.n_bits, pack them in the _bit_order of the
-    eavesdropper's capacity C_e at this realization, and slice the padding
-    off. Returns (decoded bits, the eavesdropper's job or None, diagnostics
-    with that C_e).
+def _send_bits(payload, grp, realization, cfg, r_idx, round_idx,
+               on_eve=None):
+    """Send payload, the QuantizedPayload of round round_idx of realization
+    r_idx, as one block batch of the ChunkGroup grp, a batch of no blocks
+    for an empty payload: zero-pad its bits to grp.count chunks of grp.n_bits, pack them
+    in the _bit_order of the eavesdropper's capacity C_e at this
+    realization, and slice the padding off. The streams are cfg.seed's and
+    the noise cfg's. Returns (decoded bits, diagnostics with that C_e).
 
-    With capture_eve the engine keeps its tap, and the job, called once on
-    any thread after this returns, gives her aggregate: it draws her
-    receiver noise, the batch generator's next draw, runs the fold-ladder
-    attack on what she heard, unpacks her decisions and dequantizes them
-    without the dither stream. She is passive, so nothing returned here
-    waits on her."""
-    seed, r_idx, round_idx = rng_key
+    With on_eve the engine keeps its tap, and the round hands her job over
+    as on_eve(round_idx, job) before it returns. job(), called once on any
+    thread, gives her aggregate: it draws her receiver noise, the batch
+    generator's next draw, runs the fold-ladder attack on what she heard,
+    unpacks her decisions and dequantizes them without the dither stream.
+    She is passive, so nothing returned here waits on her."""
+    noise = cfg.noise_spec()
     n = payload.physical_bits
     c_e = analysis.eve_capacity_bits(realization.gain_eve, cfg.power,
                                      cfg.sigma_e2)
@@ -399,26 +411,29 @@ def _send_bits(payload, grp, realization, cfg, noise, rng_key, capture_eve):
     # batch index 0 keeps the streams, and so the bytes, of rounds whose
     # payload already filled whole chunks before the tail was padded in
     path = (r_idx, round_idx, 0)
-    rng = substream(seed, DOMAIN_BLOCKS, *path)
+    rng = substream(cfg.seed, DOMAIN_BLOCKS, *path)
     dith, ef, eb = codec.draw_block_noise(rng, grp.count, grp.n_t, noise,
                                           sched.d)
     out = codec.run_block_batch(sched, realization, const, msg, dith, ef, eb,
-                                tap=capture_eve)
+                                tap=on_eve is not None)
     dec = _unpack_group(out.dec, order).ravel()[:n]
-    eve = None
-    if capture_eve:
+    link = {"n_chunks": grp.count, "chunk_errors": int(out.error.sum()),
+            "n_t_max": grp.n_t, "c_e": c_e}
+    if on_eve is not None:
+        # the hand-over may wait for her last round: this round's noise and
+        # transcript are freed first, as they were once this returned
         tap = out.z_seq
+        del msg, dith, ef, eb, out
 
         def eve():
             z = codec.eve_observation(rng, tap, noise)
             heard = _unpack_group(adversary.attack_full_sequence(
                 z, realization.g, realization.g_fb, sched, const,
-                substream(seed, DOMAIN_ATTACK, *path)), order).ravel()[:n]
+                substream(cfg.seed, DOMAIN_ATTACK, *path)), order).ravel()[:n]
             return source_coding.dequantize(replace(payload, indices=heard),
                                             None)
-    return dec, eve, {"n_chunks": grp.count,
-                      "chunk_errors": int(out.error.sum()),
-                      "n_t_max": grp.n_t, "c_e": c_e}
+        on_eve(round_idx, eve)
+    return dec, link
 
 
 def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
@@ -435,13 +450,13 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
     round with nothing to send is a batch of no blocks over the first
     candidate with forward gain, at a secrecy level of 1.0.
 
-    on_eve, when given, taps the link: each round calls it once as
-    on_eve(round_idx, job) before transmit returns. job(), called once on
-    any thread, gives the aggregate the eavesdropper reconstructs without
-    the dither stream; her noise, attack, unpacking and dequantizing all
-    run inside it, and none of it changes what transmit returns.
+    on_eve, when given, taps the link: each round's _send_bits hands it
+    the round's job as on_eve(round_idx, job) before transmit returns.
+    job(), called once on any thread, gives the aggregate the eavesdropper
+    reconstructs without the dither stream; her noise, attack, unpacking and
+    dequantizing all run inside it, and none of it changes what transmit
+    returns.
     """
-    noise = cfg.noise_spec()
 
     def transmit(agg, round_idx, source_var):
         dither_key = (cfg.seed, DOMAIN_MESSAGES, r_idx, round_idx)
@@ -457,11 +472,8 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
         real, (grp,), redraws = _feasible_channel(
             cfg, payload.physical_bits, (r_idx, round_idx), fixed_realization,
             " for round %d" % round_idx)
-        dec_bits, eve, link = _send_bits(
-            payload, grp, real, cfg, noise, (cfg.seed, r_idx, round_idx),
-            on_eve is not None)
-        if on_eve is not None:
-            on_eve(round_idx, eve)
+        dec_bits, link = _send_bits(payload, grp, real, cfg, r_idx,
+                                    round_idx, on_eve)
         decoded = source_coding.dequantize(
             replace(payload, indices=dec_bits), substream(*dither_key))
         delta = analysis.secrecy_level_bound(payload.accounted_bits,
@@ -684,14 +696,12 @@ def _load_learning_data(cfg):
     return data
 
 
-def _train(cfg, data, r_idx, transmit_fn=None, steps=False):
-    """hfl.train of the configured model on data, the four arrays of
-    _load_learning_data, for realization r_idx; with steps, the
-    hfl.train_rounds generator of the same run instead."""
-    train = hfl.train_rounds if steps else hfl.train
-    return train(*data, cfg.mlp_spec(), cfg.n_users, cfg.n_rounds, cfg.lr,
-                 cfg.reg, cfg.sigma2, cfg.seed, transmit_fn=transmit_fn,
-                 tag=r_idx)
+def _train(cfg, data, r_idx, transmit_fn=None):
+    """The hfl.train generator of the configured model on data, the four
+    arrays of _load_learning_data, for realization r_idx."""
+    return hfl.train(*data, cfg.mlp_spec(), cfg.n_users, cfg.n_rounds, cfg.lr,
+                     cfg.reg, cfg.sigma2, cfg.seed, transmit_fn=transmit_fn,
+                     tag=r_idx)
 
 
 @contextlib.contextmanager
@@ -712,11 +722,12 @@ def _scn_secrecy_level_vs_round(cfg, r_idx):
         cfg, mlp.n_params(cfg.mlp_spec()) * source_coding.MAX_CELL_BITS,
         (r_idx,))
     with _model_faults():
-        res = _train(cfg, data, r_idx,
-                     coded_transmitter(cfg, r_idx, fixed_realization=real))
+        records = [rec for _, rec in _train(
+            cfg, data, r_idx,
+            coded_transmitter(cfg, r_idx, fixed_realization=real))]
     rows = []
     running = math.inf
-    for rec in res.rounds:
+    for rec in records:
         s = rec.stats
         running = min(running, s["delta_round"])
         rows.append((r_idx, rec.round_index, rec.sigma_w2_hat,
@@ -738,7 +749,7 @@ _LEARNING_HEADER = ("realization", "variant", "round", "test_accuracy",
 def _scn_learning_curves(cfg, r_idx):
     data = _load_learning_data(cfg)
     _, _, x_te, y_te = data
-    baseline = _train(cfg, data, r_idx, steps=True)
+    baseline = _train(cfg, data, r_idx)
     shadow = hfl.CloudModel(x_te, y_te, cfg.mlp_spec(), cfg.lr, cfg.s_total,
                             cfg.seed, r_idx)
     base, eve_accuracy = [], []
@@ -754,16 +765,17 @@ def _scn_learning_curves(cfg, r_idx):
     # rows are assembled once the last job is done
     with _model_faults(), \
             _Helper(_helper_cpu_free("learning_curves", cfg)) as helper:
-        coded = _train(cfg, data, r_idx, coded_transmitter(
-            cfg, r_idx, on_eve=lambda t, job: helper.submit(
-                functools.partial(round_job, t, job))))
+        coded = [rec for _, rec in _train(
+            cfg, data, r_idx, coded_transmitter(
+                cfg, r_idx, on_eve=lambda t, job: helper.submit(
+                    functools.partial(round_job, t, job))))]
     rows = []
     for rec in base:
         rows.append((r_idx, "baseline", rec.round_index, rec.test_accuracy,
                      rec.train_loss, rec.sigma_w2_hat, rec.source_var,
                      rec.mi_per_coord, rec.utility_noise,
                      "", "", "", "", "", "", ""))
-    for rec in coded.rounds:
+    for rec in coded:
         s = rec.stats
         rows.append((r_idx, "coded", rec.round_index, rec.test_accuracy,
                      rec.train_loss, rec.sigma_w2_hat, rec.source_var,

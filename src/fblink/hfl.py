@@ -9,9 +9,9 @@ cloud, which applies a plain gradient step scaled by the total sample count.
 The transport between edge and cloud is injected (transmit_fn), so the same
 loop runs the error-free baseline, the quantize-and-transmit chain, or any
 test double. Local noise is drawn from substreams keyed (seed, round, user)
-so runs that differ only in transport see identical noise. train_rounds is
-the loop one round at a time, so a caller can pace two runs against each
-other; train runs it to the end.
+so runs that differ only in transport see identical noise. train is the one
+loop, a generator of one round per step, so a caller keeps what it needs of
+each round and can pace two runs against each other.
 
 The update rule is one class, CloudModel. The loop's cloud holds one, and
 a passive observer steps her own on whatever she decodes, from the run's
@@ -35,8 +35,6 @@ __all__ = [
     "estimate_sigma_w2",
     "privacy_mi_per_coord",
     "RoundRecord",
-    "TrainResult",
-    "train_rounds",
     "train",
     "CloudModel",
 ]
@@ -118,12 +116,6 @@ class RoundRecord:
     stats: dict = field(default_factory=dict)
 
 
-@dataclass
-class TrainResult:
-    params: np.ndarray
-    rounds: list
-
-
 class CloudModel:
     """The model of run (seed, tag), from its initial point, as the cloud
     holds it or an observer who steps it on her own decodes; s_total is the
@@ -147,11 +139,12 @@ class CloudModel:
                                 self.spec)
 
 
-def train_rounds(x_train, y_train, x_test, y_test, spec, n_users, n_rounds,
-                 lr, reg, sigma2, seed, transmit_fn=None, tag=0):
-    """The loop of train one round at a time: a generator that yields, as
+def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
+          sigma2, seed, transmit_fn=None, tag=0):
+    """The training loop, one round at a time: a generator that yields, as
     each round ends, the model after it and the round's RoundRecord. It does
-    no work before its first step, and each step runs one round.
+    no work before its first step, each step runs one round, and once it is
+    closed no further round runs.
 
     transmit_fn, when given, is called once per round as
     transmit_fn(aggregate, round_index, source_var), source_var being the
@@ -214,16 +207,3 @@ def train_rounds(x_train, y_train, x_test, y_test, spec, n_users, n_rounds,
             utility_noise=n_users * sigma2,
             stats=stats,
         )
-
-
-def train(x_train, y_train, x_test, y_test, spec, n_users, n_rounds, lr, reg,
-          sigma2, seed, transmit_fn=None, tag=0):
-    """Run train_rounds to the end: the final model (None after zero
-    rounds) and every round's record. The arguments are train_rounds'."""
-    rounds = train_rounds(x_train, y_train, x_test, y_test, spec, n_users,
-                          n_rounds, lr, reg, sigma2, seed,
-                          transmit_fn=transmit_fn, tag=tag)
-    params, records = None, []
-    for params, rec in rounds:
-        records.append(rec)
-    return TrainResult(params=params, rounds=records)

@@ -7,6 +7,7 @@ import math
 import os
 import platform
 import re
+import statistics
 import struct
 import subprocess
 import sys
@@ -170,10 +171,13 @@ def test_send_bits_roundtrip(n_bits):
     (grp,) = source_coding.chunk(n_bits, cfg.snr, cfg.snr_fb,
                                  ROTATED.gain_fwd, ROTATED.gain_fb, cfg.tau,
                                  cfg.n_max)
-    dec, eve, link = _send_bits(bits_payload(bits), grp, ROTATED, cfg,
-                                cfg.noise_spec(), (7, 0, 0), capture_eve=True)
-    # her job ends in her aggregate: each bit she decided, less one
-    eve = eve()
+    jobs, on_eve = eve_jobs()
+    dec, link = _send_bits(bits_payload(bits), grp, ROTATED,
+                           replace(cfg, seed=7), 0, 0, on_eve)
+    # the round hands her one job, which ends in her aggregate: each bit
+    # she decided, less one
+    (job,) = jobs
+    eve = job()
     assert link["n_chunks"] == math.ceil(n_bits / source_coding.MAX_CHUNK_BITS)
     assert link["n_t_max"] == grp.n_t
     assert dec.shape == eve.shape == bits.shape
@@ -194,11 +198,9 @@ def test_send_bits_at_an_infinite_eve_capacity():
                                  ROTATED.gain_fb, cfg.tau, cfg.n_max)
     sent = []
     for sigma_e2 in (1e-320, 1e-30):
-        cfg = SystemConfig(sigma_e2=sigma_e2)
-        sent.append(_send_bits(bits_payload(bits), grp, ROTATED, cfg,
-                               cfg.noise_spec(), (7, 0, 0),
-                               capture_eve=False))
-    (dec, _, link), (dec_finite, _, link_finite) = sent
+        sent.append(_send_bits(bits_payload(bits), grp, ROTATED,
+                               SystemConfig(seed=7, sigma_e2=sigma_e2), 0, 0))
+    (dec, link), (dec_finite, link_finite) = sent
     assert link["c_e"] == math.inf and link_finite["c_e"] > 80
     np.testing.assert_array_equal(dec, bits)
     np.testing.assert_array_equal(dec, dec_finite)
@@ -280,9 +282,11 @@ def test_eavesdropper_model_stays_near_chance(seed):
     def on_eve(t, job):
         eve_accuracy.append(shadow.step(t, job()))
 
-    hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
-              cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
-              transmit_fn=coded_transmitter(cfg, 0, on_eve=on_eve), tag=0)
+    for _ in hfl.train(x_tr, y_tr, x_te, y_te, cfg.mlp_spec(), cfg.n_users,
+                       cfg.n_rounds, cfg.lr, cfg.reg, cfg.sigma2, cfg.seed,
+                       transmit_fn=coded_transmitter(cfg, 0, on_eve=on_eve),
+                       tag=0):
+        pass
     assert len(eve_accuracy) == cfg.n_rounds
     assert eve_accuracy[-1] <= 0.15, eve_accuracy[-1]
 
@@ -836,12 +840,33 @@ def test_cpus_follow_the_affinity_mask(tmp_path, monkeypatch):
 SMALL_LEARNING = dict(realizations=2, n_rounds=3, n_train=200, n_test=100)
 
 
+def test_learning_scenarios_run_one_loop(tmp_path, monkeypatch):
+    # every learning run is one hfl.train, the span that the benchmark's
+    # coded_fl workload requires: learning_curves runs the baseline and the
+    # coded run per realization, secrecy_level_vs_round the coded run alone
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    calls = collections.Counter()
+    original = hfl.train
+
+    def train(*args, transmit_fn=None, **kwargs):
+        calls["baseline" if transmit_fn is None else "coded"] += 1
+        return original(*args, transmit_fn=transmit_fn, **kwargs)
+
+    monkeypatch.setattr(hfl, "train", train)
+    cfg = parse_config(None, **SMALL_LEARNING)
+    run_scenario(cfg, "learning_curves", str(tmp_path / "curves"))
+    assert calls == {"baseline": 2, "coded": 2}
+    calls.clear()
+    run_scenario(cfg, "secrecy_level_vs_round", str(tmp_path / "secrecy"))
+    assert calls == {"coded": 2}
+
+
 def record_rounds(monkeypatch, fail=None, error=None):
     """Record (kind, thread) of every baseline and coded round as it ends and
     of every attack of the eavesdropper; the kind named by fail raises
     error in its round 1 instead, recorded as that round starts. Each coded
     record also notes how many baseline rounds had ended by then."""
-    original_rounds = hfl.train_rounds
+    original_rounds = hfl.train
     original_attack = adversary.attack_full_sequence
     runs = []
 
@@ -868,7 +893,7 @@ def record_rounds(monkeypatch, fail=None, error=None):
         record("eve")
         return out
 
-    monkeypatch.setattr(hfl, "train_rounds", rounds)
+    monkeypatch.setattr(hfl, "train", rounds)
     monkeypatch.setattr(adversary, "attack_full_sequence", attack)
     return runs
 
@@ -963,11 +988,11 @@ def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
     # ends the run before the baseline starts.
     monkeypatch.setenv("FBLINK_WORKERS", "1")
     monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
-    original_rounds, original_grad = hfl.train_rounds, mlp.loss_and_grad
+    original_rounds, original_grad = hfl.train, mlp.loss_and_grad
     variant_of = {}
     calls = collections.Counter()
 
-    def train_rounds(*args, transmit_fn=None, **kwargs):
+    def train(*args, transmit_fn=None, **kwargs):
         variant = "baseline" if transmit_fn is None else "coded"
         steps = original_rounds(*args, transmit_fn=transmit_fn, **kwargs)
         while True:
@@ -982,7 +1007,7 @@ def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
         calls[variant_of[threading.get_ident()]] += 1
         return original_grad(*args)
 
-    monkeypatch.setattr(hfl, "train_rounds", train_rounds)
+    monkeypatch.setattr(hfl, "train", train)
     monkeypatch.setattr(mlp, "loss_and_grad", loss_and_grad)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"lr": 1e300, "n_rounds": 30}))
@@ -1215,9 +1240,10 @@ def test_codec_validation_power_is_complex_symbol_power(tmp_path,
 
 @pytest.mark.filterwarnings("error")
 def test_codec_validation_every_block_aliasing(tmp_path):
-    # a loose tau folds every block: no clean block is left to estimate the
-    # error variance from, so that cell stays empty
-    cfg = parse_config(None, fixed_gains=1, n_t=10, tau=0.9, n_blocks=1,
+    # a loose tau, near the 8*Q(sqrt(3)) ceiling, folds every block: no
+    # clean block is left to estimate the error variance from, so that cell
+    # stays empty
+    cfg = parse_config(None, fixed_gains=1, n_t=10, tau=0.33, n_blocks=1,
                        seed=0)
     run_scenario(cfg, "codec_validation", str(tmp_path))
     (row,) = read_csv(tmp_path / "codec_validation.csv")
@@ -1385,6 +1411,8 @@ def assert_cli_config_error(tmp_path, capsys, scenario, config, key):
     ('{"snr_fb_db": -1e6}', "snr_fb_db"),
     ('{"snr_db": true}', "snr_db"),
     ('{"tau": false}', "tau"),
+    # above 8*Q(sqrt(3)) the rate formula passes capacity
+    ('{"tau": 0.5}', "tau"),
     ('{"payload_bits": 0}', "payload_bits"),
     ('{"sigma1_2": 1e308}', "sigma1_2"),
     ('{"sigma2_2": 1e308}', "sigma2_2"),
@@ -1526,6 +1554,14 @@ def test_tau_floor():
     assert parse_config(None, tau=_TAU_MIN).tau == _TAU_MIN
     with pytest.raises(ConfigError, match="tau"):
         parse_config(None, tau=_TAU_MIN / 2)
+
+
+def test_tau_ceiling():
+    # 8*Q(sqrt(3)) is admitted, the next float above it refused
+    bound = 8.0 * statistics.NormalDist().cdf(-math.sqrt(3.0))
+    assert parse_config(None, tau=bound).tau == bound
+    with pytest.raises(ConfigError, match=r"^tau .*8\*Q\(sqrt\(3\)\)"):
+        parse_config(None, tau=math.nextafter(bound, 1.0))
 
 
 @pytest.mark.parametrize("defect,message", [

@@ -7,8 +7,7 @@ from fblink import hfl, mlp
 from fblink.datasets import synthetic_digits
 from fblink.hfl import (CloudModel, add_ldp_noise, edge_aggregate,
                         estimate_sigma_w2, local_gradient,
-                        privacy_mi_per_coord, shard_data, train,
-                        train_rounds)
+                        privacy_mi_per_coord, shard_data, train)
 from fblink.mlp import MlpSpec, init_params, loss_and_grad, n_params
 from fblink.streams import substream
 
@@ -164,25 +163,33 @@ def test_privacy_mi_strictly_decreasing_in_sigma2():
 # ---------------------------------------------------------------------
 
 
+def run_to_end(*args, **kwargs):
+    """The last model of a train run and every round's record."""
+    params, records = None, []
+    for params, rec in train(*args, **kwargs):
+        records.append(rec)
+    return params, records
+
+
 def test_one_noiseless_round_equals_centralized_step():
     x, y = small_data(9, n=60)
-    res = train(x, y, x, y, SMALL, n_users=6, n_rounds=1, lr=0.7, reg=1e-4,
-                sigma2=0.0, seed=123)
+    params, _ = run_to_end(x, y, x, y, SMALL, n_users=6, n_rounds=1, lr=0.7,
+                           reg=1e-4, sigma2=0.0, seed=123)
     m0 = init_params(SMALL, substream(123, 6, 0))  # DOMAIN_INIT = 6
     _, g = loss_and_grad(m0, x, y, SMALL, 1e-4)
-    np.testing.assert_allclose(res.params, m0 - 0.7 * g, atol=1e-9)
+    np.testing.assert_allclose(params, m0 - 0.7 * g, atol=1e-9)
 
 
 def test_noiseless_trajectory_matches_centralized_descent():
     x, y = small_data(10, n=60)
     rounds = 8
-    res = train(x, y, x, y, SMALL, n_users=6, n_rounds=rounds, lr=0.5,
-                reg=5e-5, sigma2=0.0, seed=77)
+    params, _ = run_to_end(x, y, x, y, SMALL, n_users=6, n_rounds=rounds,
+                           lr=0.5, reg=5e-5, sigma2=0.0, seed=77)
     m = init_params(SMALL, substream(77, 6, 0))
     for _ in range(rounds):
         _, g = loss_and_grad(m, x, y, SMALL, 5e-5)
         m = m - 0.5 * g
-    np.testing.assert_allclose(res.params, m, atol=1e-6)
+    np.testing.assert_allclose(params, m, atol=1e-6)
 
 
 def test_transport_injection_is_paired():
@@ -190,11 +197,11 @@ def test_transport_injection_is_paired():
     # local noise substreams
     x, y = small_data(11, n=60)
     kw = dict(n_users=6, n_rounds=4, lr=0.5, reg=5e-5, sigma2=0.3, seed=99)
-    base = train(x, y, x, y, SMALL, **kw)
-    ident = train(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (a, {}),
-                  **kw)
-    np.testing.assert_array_equal(base.params, ident.params)
-    for rb, ri in zip(base.rounds, ident.rounds):
+    base, base_rounds = run_to_end(x, y, x, y, SMALL, **kw)
+    ident, ident_rounds = run_to_end(
+        x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (a, {}), **kw)
+    np.testing.assert_array_equal(base, ident)
+    for rb, ri in zip(base_rounds, ident_rounds):
         assert rb.sigma_w2_hat == ri.sigma_w2_hat
         assert rb.test_accuracy == ri.test_accuracy
 
@@ -207,9 +214,10 @@ def test_transport_is_handed_the_round_source_var():
         handed.append(source_var)
         return agg, {}
 
-    res = train(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5, reg=5e-5,
-                sigma2=0.3, seed=21, transmit_fn=recording)
-    assert handed == [rec.source_var for rec in res.rounds]
+    _, rounds = run_to_end(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5,
+                           reg=5e-5, sigma2=0.3, seed=21,
+                           transmit_fn=recording)
+    assert handed == [rec.source_var for rec in rounds]
 
 
 @pytest.mark.parametrize("sigma2", [0.3, 1e308])
@@ -232,7 +240,7 @@ def test_non_finite_round_stops_before_the_transport(sigma2):
 
     for fn in (None, recording):
         with pytest.raises(FloatingPointError, match=fault):
-            train(x, y, x, y, SMALL, transmit_fn=fn, **kw)
+            run_to_end(x, y, x, y, SMALL, transmit_fn=fn, **kw)
     assert handed == sent
 
 
@@ -248,8 +256,8 @@ def test_model_math_fault_raises_before_the_transport():
 
     with pytest.raises(FloatingPointError,
                        match="round 0's model math failed"):
-        train(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5, reg=1e300,
-              sigma2=0.3, seed=4, transmit_fn=recording)
+        run_to_end(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5,
+                   reg=1e300, sigma2=0.3, seed=4, transmit_fn=recording)
     assert handed == []
 
 
@@ -265,19 +273,18 @@ def test_train_steps_its_cloud_model_once_per_round(monkeypatch):
         return steps[-1][1]
 
     monkeypatch.setattr(CloudModel, "step", spy)
-    res = train(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5, reg=5e-5,
-                sigma2=0.3, seed=6)
-    assert steps == [(rec.round_index, rec.test_accuracy)
-                     for rec in res.rounds]
+    _, rounds = run_to_end(x, y, x, y, SMALL, n_users=6, n_rounds=3, lr=0.5,
+                           reg=5e-5, sigma2=0.3, seed=6)
+    assert steps == [(rec.round_index, rec.test_accuracy) for rec in rounds]
     assert len(steps) == 3
 
 
 def test_tag_diversifies_runs():
     x, y = small_data(12, n=60)
     kw = dict(n_users=6, n_rounds=2, lr=0.5, reg=5e-5, sigma2=0.3, seed=99)
-    a = train(x, y, x, y, SMALL, tag=0, **kw)
-    b = train(x, y, x, y, SMALL, tag=1, **kw)
-    assert not np.array_equal(a.params, b.params)
+    a, _ = run_to_end(x, y, x, y, SMALL, tag=0, **kw)
+    b, _ = run_to_end(x, y, x, y, SMALL, tag=1, **kw)
+    assert not np.array_equal(a, b)
 
 
 def test_eavesdropper_shadow_model():
@@ -285,7 +292,7 @@ def test_eavesdropper_shadow_model():
     # update step on whatever she decodes; all-zero decodes keep it there
     x, y = small_data(13, n=60)
     kw = dict(n_users=6, n_rounds=3, lr=0.5, reg=0.0, sigma2=0.0, seed=5)
-    run = train(x, y, x, y, SMALL, **kw)
+    run, run_rounds = run_to_end(x, y, x, y, SMALL, **kw)
     shadow = CloudModel(x, y, SMALL, 0.5, 60, seed=5)
     init = init_params(SMALL, substream(5, 6, 0))
     np.testing.assert_array_equal(shadow.params, init)
@@ -295,34 +302,45 @@ def test_eavesdropper_shadow_model():
     assert acc == [mlp.accuracy(init, x, y, SMALL)] * 3
     # handed the run's own decodes, she holds the run's model
     aggs = []
-    run_again = train(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (
+    run_again, _ = run_to_end(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (
         aggs.append(a) or a, {}), **kw)
-    np.testing.assert_array_equal(run_again.params, run.params)
+    np.testing.assert_array_equal(run_again, run)
     shadow = CloudModel(x, y, SMALL, 0.5, 60, seed=5)
     acc = [shadow.step(t, a) for t, a in enumerate(aggs)]
-    np.testing.assert_array_equal(shadow.params, run.params)
-    assert acc == [rec.test_accuracy for rec in run.rounds]
+    np.testing.assert_array_equal(shadow.params, run)
+    assert acc == [rec.test_accuracy for rec in run_rounds]
     # a diverging step is a fault naming her round
     with pytest.raises(FloatingPointError, match="round 7's model math"):
         shadow.step(7, np.full(n_params(SMALL), 1e308))
 
 
-def test_train_is_its_round_generator_run_to_the_end():
-    # train_rounds does no work before its first step and one round per
-    # step; train collects the same records and the last model
+def test_train_runs_one_round_per_step_until_closed(monkeypatch):
+    # train does no work before its first step and one round per step, and
+    # once closed after round k it runs no round k+1: no transport and no
+    # local gradient of it
     x, y = small_data(16, n=60)
     kw = dict(n_users=6, n_rounds=3, lr=0.5, reg=5e-5, sigma2=0.3, seed=8)
     handed = []
-    steps = train_rounds(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (
+    steps = train(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (
         handed.append(t) or a, {}), **kw)
     assert handed == []
-    stepped = []
-    for t, (m, rec) in enumerate(steps):
+    for t, (_, rec) in enumerate(steps):
         assert handed == list(range(t + 1)) and rec.round_index == t
-        stepped.append((m, rec))
-    res = train(x, y, x, y, SMALL, **kw)
-    np.testing.assert_array_equal(res.params, stepped[-1][0])
-    assert res.rounds == [rec for _, rec in stepped]
+    assert handed == [0, 1, 2]
+    grads = []
+    local = hfl.local_gradient
+    monkeypatch.setattr(hfl, "local_gradient",
+                        lambda *args: grads.append(1) or local(*args))
+    for k in range(3):
+        handed, grads[:] = [], []
+        steps = train(x, y, x, y, SMALL, transmit_fn=lambda a, t, s: (
+            handed.append(t) or a, {}), **kw)
+        for _ in range(k + 1):
+            next(steps)
+        steps.close()
+        assert next(steps, None) is None
+        assert handed == list(range(k + 1))
+        assert len(grads) == (k + 1) * kw["n_users"]
 
 
 def test_utility_identity_aggregate_noise_power():
@@ -342,13 +360,13 @@ def test_gradient_variance_decays_after_warmup():
     # and never rises afterwards on the desk-scale task
     x_tr, y_tr, x_te, y_te = synthetic_digits(500, 100, seed=20)
     spec = MlpSpec(784, 20, 10)
-    res = train(x_tr, y_tr, x_te, y_te, spec, n_users=10, n_rounds=30,
-                lr=1.0, reg=5e-5, sigma2=0.5, seed=20)
-    sw = np.array([r.sigma_w2_hat for r in res.rounds])
+    _, rounds = run_to_end(x_tr, y_tr, x_te, y_te, spec, n_users=10,
+                           n_rounds=30, lr=1.0, reg=5e-5, sigma2=0.5, seed=20)
+    sw = np.array([r.sigma_w2_hat for r in rounds])
     ma = np.convolve(sw, np.ones(5) / 5.0, mode="valid")
     peak = int(ma.argmax())
     assert peak <= 5
     assert np.all(np.diff(ma[peak:]) <= 1e-12)
     assert sw[-5:].mean() < 0.1 * sw[:5].mean()
     # training made progress while the variance decayed
-    assert res.rounds[-1].test_accuracy > 0.8
+    assert rounds[-1].test_accuracy > 0.8

@@ -24,22 +24,23 @@ most two tasks per worker submitted ahead of the one being written. Tables
 are streamed: every file is opened before the first task runs, and each
 task's bytes are appended in task order as they arrive and fed to a
 running sha256. Memory therefore stays flat in the realization count, and
-neither the worker count nor the task size changes the bytes. Two
-scenarios hand helper work to a _Helper, one per task, which runs one job
-at a time on one helper thread beside the task where that thread finds an
-idle CPU (_helper_cpu_free: the tasks run in this process, one worker,
-and _cpus() is at least 2), and otherwise on the calling thread when the
-task joins the job. codec_validation draws the noise of its next block
-batch there while the engine runs the current batch; numpy's noise fills
-release the GIL. learning_curves hands it, each coded round, the error-free
-baseline's round and the eavesdropper's: her receiver noise, her attack on
-what she heard, her unpacking and dequantizing, and her shadow model's
-step and accuracy. Neither feeds the coded run, which joins round t's job
-only when it hands over round t+1's, so at most one round is in flight.
-So busy threads never outnumber the CPUs. Each batch, each run and each
-of her rounds keeps its own substreams, so the bytes are the same either
-way; the helper thread costs some CPU time and a few MiB of peak memory
-(its buffers and its glibc arena).
+neither the worker count nor the task size changes the bytes.
+_run_task runs every scenario body as fn(cfg, arg, helper) on one OpenBLAS
+thread with one _Helper, and maps hfl's FloatingPointError, a diverging
+model, to a ConfigError. run_scenario decides once whether the helper has
+a thread (_helper_cpu_free: one worker, and _cpus() at least 2); with one
+it runs one job at a time beside the task, without one each job at once,
+where it is handed over. codec_validation draws the noise of its next
+block batch there while the engine runs the current batch; numpy's noise
+fills release the GIL. learning_curves hands it, each coded round, the
+error-free baseline's round and the eavesdropper's: her receiver noise,
+her attack on what she heard, her unpacking and dequantizing, and her
+shadow model's step and accuracy. Neither feeds the coded run, which joins
+round t's job only when it hands over round t+1's, so at most one round is
+in flight. So busy threads never outnumber the CPUs. Each batch, each run
+and each of her rounds keeps its own substreams, so the bytes are the same
+either way; the helper thread costs some CPU time and a few MiB of peak
+memory (its buffers and its glibc arena).
 The manifest records the worker count and whether the helper work ran on
 a helper thread. The tables, and then the manifest, are written under a
 ".part" suffix and renamed once all of them are written; a run that
@@ -497,7 +498,7 @@ _PLANS_HEADER = ("realization", "payload_bits", "n_t", "rate_bits_per_use",
                  "total_bits", "latency_s", "feasible")
 
 
-def _scn_rate_vs_blocklength(cfg, reals):
+def _scn_rate_vs_blocklength(cfg, reals, helper):
     """Rows of the realizations in the range reals: one array call each for
     the scan and for the plans of all of them, each on its own draw."""
     draws = [sample_realization(substream(cfg.seed, DOMAIN_REALIZATION, r))
@@ -543,10 +544,10 @@ _CODEC_BATCH = 20000
 class _Helper:
     """Where a task's helper work runs, one job at a time. submit(fn) hands
     fn over, and join() returns once it has run, raising what it raised,
-    unchanged. Threaded, as _helper_cpu_free decides, submit starts fn on
-    the task's one helper thread, beside the caller; otherwise join runs it
-    on the calling thread, after whatever the caller did in between. submit
-    joins the job before it first, so at most one is in flight.
+    unchanged. Threaded, submit joins the job before and starts fn on the
+    task's one helper thread, beside the caller, so at most one job is in
+    flight; without a thread, submit runs fn at once, where it is handed
+    over, and join has nothing to wait for.
 
     A context manager: leaving the with block joins the job in flight;
     leaving it by an exception drops that job, and what it raised, once a
@@ -561,16 +562,15 @@ class _Helper:
             self._pool = ThreadPoolExecutor(1, "fblink-helper")
 
     def submit(self, fn):
+        if self._pool is None:
+            fn()
+            return
         self.join()
-        self._job = fn if self._pool is None else self._pool.submit(fn)
+        self._job = self._pool.submit(fn)
 
     def join(self):
         job, self._job = self._job, None
-        if job is None:
-            return
-        if self._pool is None:
-            job()
-        else:
+        if job is not None:
             job.result()
 
     def __enter__(self):
@@ -586,7 +586,7 @@ class _Helper:
                 self._pool.shutdown()
 
 
-def _scn_codec_validation(cfg, r_idx):
+def _scn_codec_validation(cfg, r_idx, helper):
     if cfg.fixed_gains:
         real = Realization(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
     else:
@@ -629,33 +629,32 @@ def _scn_codec_validation(cfg, r_idx):
     ahead = None
     # numpy's noise fills release the GIL, so where a CPU is idle the
     # helper thread draws batch k+1 while this one runs batch k, and
-    # otherwise this thread draws it after the engine
-    with _Helper(_helper_cpu_free("codec_validation", cfg)) as helper:
-        for k in range(n_batches):
-            n = size(k)
-            dith, ef, eb = ahead or draw(k)
-            # R's indices, then I's: two draws, as the stream was always read
-            msg = np.stack([msg_rng.integers(0, const.m_levels, n)
-                            for _ in "RI"])
-            # allocated on this thread, where glibc serves no heap arena of
-            # a helper's own (which costs CPU time and RSS), and only once
-            # the rebinding above has freed batch k-1's arrays
-            ahead = (codec._noise_arrays(size(k + 1), cfg.n_t)
-                     if k + 1 < n_batches else None)
-            if ahead:
-                helper.submit(functools.partial(draw, k + 1, ahead))
-            # the last batch's transcript is dropped only when this call
-            # returns: freed earlier, glibc trims the heap top and the
-            # engine faults it back in
-            out = codec.run_block_batch(sched, real, const, msg, dith, ef,
-                                        eb, record=True)
-            errs += int(out.error.sum())
-            pow_fwd += float(np.square(out.x_seq).sum())
-            pow_fb += float(np.square(out.x_fb_seq).sum())
-            mask = out.alias_events == 0
-            eps2 += (np.square(out.eps_hist).sum(axis=0) * mask).sum(axis=1)
-            clean += int(mask.sum())
-            helper.join()
+    # otherwise this thread draws it at once, where it is handed over
+    for k in range(n_batches):
+        n = size(k)
+        dith, ef, eb = ahead or draw(k)
+        # R's indices, then I's: two draws, as the stream was always read
+        msg = np.stack([msg_rng.integers(0, const.m_levels, n)
+                        for _ in "RI"])
+        # allocated on this thread, where glibc serves no heap arena of a
+        # helper's own (which costs CPU time and RSS), and only once the
+        # rebinding above has freed batch k-1's arrays
+        ahead = (codec._noise_arrays(size(k + 1), cfg.n_t)
+                 if k + 1 < n_batches else None)
+        if ahead:
+            helper.submit(functools.partial(draw, k + 1, ahead))
+        # the last batch's transcript is dropped only when this call
+        # returns: freed earlier, glibc trims the heap top and the engine
+        # faults it back in
+        out = codec.run_block_batch(sched, real, const, msg, dith, ef, eb,
+                                    record=True)
+        errs += int(out.error.sum())
+        pow_fwd += float(np.square(out.x_seq).sum())
+        pow_fb += float(np.square(out.x_fb_seq).sum())
+        mask = out.alias_events == 0
+        eps2 += (np.square(out.eps_hist).sum(axis=0) * mask).sum(axis=1)
+        clean += int(mask.sum())
+        helper.join()
     # every block aliased leaves no clean error sample: an empty cell
     var_dev = (float(np.abs(eps2 / (2.0 * clean) / sched.alpha - 1.0).max())
                if clean else "")
@@ -704,27 +703,16 @@ def _train(cfg, data, r_idx, transmit_fn=None):
                      tag=r_idx)
 
 
-@contextlib.contextmanager
-def _model_faults():
-    """A round whose model math faults or whose aggregate is not finite,
-    hfl's FloatingPointError, is a ConfigError."""
-    try:
-        yield
-    except FloatingPointError as e:
-        raise ConfigError("%s; lower lr, reg or sigma2" % e)
-
-
-def _scn_secrecy_level_vs_round(cfg, r_idx):
+def _scn_secrecy_level_vs_round(cfg, r_idx, helper):
     data = _load_learning_data(cfg)
     # a channel that carries the widest round this model can send carries
     # every round
     real, _, redraws = _feasible_channel(
         cfg, mlp.n_params(cfg.mlp_spec()) * source_coding.MAX_CELL_BITS,
         (r_idx,))
-    with _model_faults():
-        records = [rec for _, rec in _train(
-            cfg, data, r_idx,
-            coded_transmitter(cfg, r_idx, fixed_realization=real))]
+    records = [rec for _, rec in _train(
+        cfg, data, r_idx, coded_transmitter(cfg, r_idx,
+                                            fixed_realization=real))]
     rows = []
     running = math.inf
     for rec in records:
@@ -746,7 +734,7 @@ _LEARNING_HEADER = ("realization", "variant", "round", "test_accuracy",
                     "delta_round", "eve_accuracy")
 
 
-def _scn_learning_curves(cfg, r_idx):
+def _scn_learning_curves(cfg, r_idx, helper):
     data = _load_learning_data(cfg)
     _, _, x_te, y_te = data
     baseline = _train(cfg, data, r_idx)
@@ -761,14 +749,13 @@ def _scn_learning_curves(cfg, r_idx):
     # neither the error-free baseline nor the passive eavesdropper feeds
     # the coded run, so each coded round hands the helper "baseline round
     # t, then her round t", which runs beside the coded run where a CPU is
-    # idle and otherwise on this thread at the next round's hand-over; the
-    # rows are assembled once the last job is done
-    with _model_faults(), \
-            _Helper(_helper_cpu_free("learning_curves", cfg)) as helper:
-        coded = [rec for _, rec in _train(
-            cfg, data, r_idx, coded_transmitter(
-                cfg, r_idx, on_eve=lambda t, job: helper.submit(
-                    functools.partial(round_job, t, job))))]
+    # idle and otherwise at once, where it is handed over; the rows are
+    # assembled once the last job is done
+    coded = [rec for _, rec in _train(
+        cfg, data, r_idx, coded_transmitter(
+            cfg, r_idx, on_eve=lambda t, job: helper.submit(
+                functools.partial(round_job, t, job))))]
+    helper.join()
     rows = []
     for rec in base:
         rows.append((r_idx, "baseline", rec.round_index, rec.test_accuracy,
@@ -791,7 +778,7 @@ _SWEEP_HEADER = ("grid_index", "sigma2", "window_lower", "window_upper",
                  "utility_noise")
 
 
-def _scn_privacy_utility_sweep(cfg, r_idx):
+def _scn_privacy_utility_sweep(cfg, r_idx, helper):
     win = analysis.sigma2_window(cfg.privacy_eps, cfg.utility_cap,
                                  cfg.n_users, cfg.s_total, cfg.sigma_w2_max)
     # the grid is geometric, from a quarter of the lower window bound to
@@ -863,13 +850,19 @@ def _task_args(scenario, cfg):
 
 
 def _run_task(packed):
-    """One task's tables on one OpenBLAS thread, each as its row count and
-    its CSV bytes, formatted where computed, in the worker of a pool. A row
-    that is not as wide as its table's header is a ValueError."""
-    scenario, cfg, arg = packed
+    """One task's tables, each as its row count and its CSV bytes, formatted
+    where computed, in the worker of a pool. Every scenario body runs as
+    fn(cfg, arg, helper) in one context: one OpenBLAS thread, a _Helper with
+    a thread where helper_thread says so, and hfl's FloatingPointError, a
+    model that diverged, raised as a ConfigError. A row that is not as wide
+    as its table's header is a ValueError."""
+    scenario, cfg, arg, helper_thread = packed
     fn, headers = SCENARIOS[scenario]
-    with _one_blas_thread():
-        tables = fn(cfg, arg).items()
+    try:
+        with _one_blas_thread(), _Helper(helper_thread) as helper:
+            tables = fn(cfg, arg, helper).items()
+    except FloatingPointError as e:
+        raise ConfigError("%s; lower lr, reg or sigma2" % e)
     return {name: (len(rows), _csv_bytes(rows, len(headers[name])))
             for name, rows in tables}
 
@@ -949,16 +942,16 @@ def _blas_runtime():
     return {"threads": get and get(), "core": core and core().decode()}
 
 
-def _helper_cpu_free(scenario, cfg):
-    """Whether a task of scenario runs its helper work on a helper thread
-    beside itself, which it does only where that thread finds an idle CPU:
-    the tasks run in this process (a pool already keeps its CPUs busy) and
-    _cpus() is at least 2, and for learning_curves, whose helper trains a
-    model, on an OpenBLAS that _run_task pins to one thread. Elsewhere
-    _Helper runs the same work on the calling thread. A scenario without
-    helper work runs no helper thread."""
+def _helper_cpu_free(scenario, workers):
+    """Whether the tasks of scenario, run by that many worker processes, get
+    a helper thread beside them, which they do only where it finds an idle
+    CPU: the tasks run in this process (a pool already keeps its CPUs busy)
+    and _cpus() is at least 2, and for learning_curves, whose helper trains
+    a model, on an OpenBLAS that _run_task pins to one thread. Elsewhere
+    their _Helper runs each job at once, on the calling thread. A scenario
+    without helper work runs no helper thread. run_scenario asks once."""
     if scenario not in ("codec_validation", "learning_curves") \
-            or _workers(scenario, cfg) != 1 or _cpus() < 2:
+            or workers != 1 or _cpus() < 2:
         return False
     return scenario != "learning_curves" or _openblas() is not None
 
@@ -982,10 +975,9 @@ def _ordered(pool, tasks, window):
             future.cancel()
 
 
-def _task_results(scenario, cfg, task_args, workers):
+def _task_results(tasks, workers):
     """Each task's tables in task order: in this process for one worker,
     else through a process pool holding at most two tasks per worker."""
-    tasks = ((scenario, cfg, arg) for arg in task_args)
     if workers == 1:
         yield from map(_run_task, tasks)
     else:
@@ -1082,14 +1074,15 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
     t0 = time.monotonic()
     _, task_args = _task_args(scenario, cfg)
     workers = _workers(scenario, cfg)
+    helper_thread = _helper_cpu_free(scenario, workers)
     files = _open_tables(out_dir, file_headers)
     digests = {name: hashlib.sha256() for name in file_headers}
     n_rows = dict.fromkeys(file_headers, 0)
     try:
         for name, header in file_headers.items():
             _write_csv(files[name], digests[name], _csv_bytes([header]))
-        with contextlib.closing(_task_results(scenario, cfg, task_args,
-                                              workers)) as results:
+        tasks = ((scenario, cfg, arg, helper_thread) for arg in task_args)
+        with contextlib.closing(_task_results(tasks, workers)) as results:
             for tables in results:
                 for name, (rows, data) in tables.items():
                     _write_csv(files[name], digests[name], data)
@@ -1124,7 +1117,7 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
                 # processes that ran the tasks, after clamping, and whether
                 # the tasks ran their helper work on a helper thread
                 "workers": workers,
-                "helper_thread": _helper_cpu_free(scenario, cfg),
+                "helper_thread": helper_thread,
             },
         }
         # opened where _discard finds it, once the tables are written

@@ -28,9 +28,9 @@ from hypothesis import strategies as st
 from fblink import adversary, analysis, codec, expcli, hfl, mlp, source_coding
 from fblink.channel import Realization, sample_realization
 from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
-                           SystemConfig, _POWER_MAX, _TAU_MIN, _bit_order,
-                           _csv_bytes, _ordered, _pack_group, _send_bits,
-                           _task_args, _unpack_group, _workers,
+                           SystemConfig, _POWER_MAX, _TAU_MIN, _Helper,
+                           _bit_order, _csv_bytes, _ordered, _pack_group,
+                           _send_bits, _task_args, _unpack_group, _workers,
                            coded_transmitter, main, parse_config,
                            run_scenario)
 from fblink.streams import DOMAIN_REALIZATION, substream
@@ -407,9 +407,9 @@ def test_rows_are_held_to_their_header_width(tmp_path, monkeypatch, resize):
     monkeypatch.setenv("FBLINK_WORKERS", "1")
     fn, headers = SCENARIOS["privacy_utility_sweep"]
 
-    def resized(cfg, arg):
+    def resized(cfg, arg, helper):
         return {name: [resize(row) for row in rows]
-                for name, rows in fn(cfg, arg).items()}
+                for name, rows in fn(cfg, arg, helper).items()}
 
     monkeypatch.setitem(SCENARIOS, "privacy_utility_sweep",
                         (resized, headers))
@@ -438,7 +438,8 @@ def test_scenario_cells_are_int_float_or_str():
         for header in headers.values():
             assert _csv_bytes([header]) == csv_writer_bytes([header])
         for arg in _task_args(name, cfg)[1]:
-            tables = fn(cfg, arg)
+            with _Helper(False) as helper:
+                tables = fn(cfg, arg, helper)
             assert set(tables) == set(headers)
             for table, rows in tables.items():
                 assert rows
@@ -452,8 +453,8 @@ def test_scenario_cells_are_int_float_or_str():
                 seen.update(v for row in rows for v in row
                             if v == "" or v == math.inf)
     assert seen == {"", math.inf}
-    (row,) = SCENARIOS["codec_validation"][0](runs[-2][1], 0)[
-        "codec_validation.csv"]
+    (row,) = SCENARIOS["codec_validation"][0](
+        runs[-2][1], 0, _Helper(False))["codec_validation.csv"]
     assert row[-2] == 0 and row[-1]
 
 
@@ -588,11 +589,11 @@ def test_failed_run_leaves_no_partial_tables(tmp_path, monkeypatch):
     fn, headers = SCENARIOS["rate_vs_blocklength"]
     seen = []
 
-    def third_task_fails(cfg, reals):
+    def third_task_fails(cfg, reals, helper):
         seen.append(reals)
         if failing in reals:
             raise InfeasibleError("realization %d" % failing)
-        return fn(cfg, reals)
+        return fn(cfg, reals, helper)
 
     monkeypatch.setitem(SCENARIOS, "rate_vs_blocklength",
                         (third_task_fails, headers))
@@ -682,7 +683,9 @@ def test_blas_runtime_reads_numpys_openblas_beside_scipys():
 
 def test_manifest_records_the_clamped_worker_count(tmp_path, monkeypatch):
     # the processes that ran the tasks: FBLINK_WORKERS clamped to the CPU
-    # count and the task count; the files do not depend on it
+    # count and the task count, and the helper thread that count decides,
+    # also where one task clamps two workers to this process; the files do
+    # not depend on either
     monkeypatch.setattr(expcli, "_cpus", lambda: 2)
     cfg = parse_config(None, n_blocks=200)
     seen = {}
@@ -695,6 +698,7 @@ def test_manifest_records_the_clamped_worker_count(tmp_path, monkeypatch):
         on_disk = json.loads((out / "manifest.json").read_text())
         assert man["environment"]["workers"] == want
         assert on_disk["environment"]["workers"] == want
+        assert on_disk["environment"]["helper_thread"] is (want == 1)
         seen.setdefault(real, []).append(man["files"])
     assert all(files == runs[0] for runs in seen.values() for files in runs)
 
@@ -762,19 +766,17 @@ def test_codec_validation_failure_mid_loop_leaves_no_thread(tmp_path,
 
 
 def test_codec_validation_helper_and_inline_draws_agree(monkeypatch):
-    # one CPU draws every batch on the calling thread; two draw batches 1
-    # and 2 on the helper. With the interpreter switching threads every
-    # microsecond, an engine that read a batch before its fill ended would
-    # change the row.
-    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    # a helper without a thread draws every batch on the calling thread; one
+    # with a thread draws batches 1 and 2 on it. With the interpreter
+    # switching threads every microsecond, an engine that read a batch
+    # before its fill ended would change the row.
     cfg = parse_config(None, fixed_gains=1, n_blocks=45000)
     original = codec.draw_block_noise
     rows = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for cpus in (1, 2):
-            monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
+        for threaded in (False, True):
             threads = []
 
             def recorded(*args, **kwargs):
@@ -782,12 +784,14 @@ def test_codec_validation_helper_and_inline_draws_agree(monkeypatch):
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(codec, "draw_block_noise", recorded)
-            rows[cpus] = SCENARIOS["codec_validation"][0](cfg, 0)
+            with _Helper(threaded) as helper:
+                rows[threaded] = SCENARIOS["codec_validation"][0](cfg, 0,
+                                                                  helper)
             assert [t is threading.main_thread() for t in threads] == (
-                [True] * 3 if cpus == 1 else [True, False, False])
+                [True, False, False] if threaded else [True] * 3)
     finally:
         sys.setswitchinterval(interval)
-    assert rows[1] == rows[2]
+    assert rows[False] == rows[True]
 
 
 # the learning helper needs an OpenBLAS thread count that a task can pin
@@ -797,28 +801,23 @@ needs_openblas = pytest.mark.skipif(
 
 
 def test_helper_cpu_free_conditions(monkeypatch):
-    cfg = parse_config(None, realizations=2)
+    # the whole truth table: a helper thread only for the two scenarios
+    # with helper work, run by one worker on at least 2 CPUs, and for the
+    # learning helper, which trains a model, only on an OpenBLAS whose
+    # thread count a task can pin. The worker count is the one given:
+    # FBLINK_WORKERS, here not even an integer, is not read again
+    monkeypatch.setenv("FBLINK_WORKERS", "many")
     handle = object()
-    for cpus, workers, pinnable, noise, learning in (
-            (2, "1", True, True, True),
-            # no OpenBLAS thread count to pin: the baseline trains inline,
-            # and only the noise helper runs
-            (2, "1", False, True, False),
-            (1, "1", True, False, False), (2, "2", True, False, False)):
+    for scenario, workers, cpus, pinnable in itertools.product(
+            SCENARIOS, (1, 2), (1, 2, 3), (False, True)):
         monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
-        monkeypatch.setenv("FBLINK_WORKERS", workers)
         monkeypatch.setattr(expcli, "_openblas",
                             lambda: handle if pinnable else None)
-        assert expcli._helper_cpu_free("codec_validation", cfg) is noise
-        assert expcli._helper_cpu_free("learning_curves", cfg) is learning
-        # the other scenarios have no helper work
-        for scenario in ("rate_vs_blocklength", "secrecy_level_vs_round",
-                         "privacy_utility_sweep"):
-            assert expcli._helper_cpu_free(scenario, cfg) is False
-    # one task clamps the pool to this process
-    monkeypatch.setattr(expcli, "_openblas", lambda: handle)
-    assert expcli._helper_cpu_free("learning_curves",
-                                   replace(cfg, realizations=1))
+        want = (workers == 1 and cpus >= 2
+                and (scenario == "codec_validation"
+                     or (scenario == "learning_curves" and pinnable)))
+        assert expcli._helper_cpu_free(scenario, workers) is want, (
+            scenario, workers, cpus, pinnable)
 
 
 def test_cpus_follow_the_affinity_mask(tmp_path, monkeypatch):
@@ -828,9 +827,8 @@ def test_cpus_follow_the_affinity_mask(tmp_path, monkeypatch):
                         raising=False)
     assert expcli._cpus() == 1
     cfg = parse_config(None, realizations=2, n_blocks=200)
-    monkeypatch.setenv("FBLINK_WORKERS", "1")
-    assert not expcli._helper_cpu_free("codec_validation", cfg)
-    assert not expcli._helper_cpu_free("learning_curves", cfg)
+    assert not expcli._helper_cpu_free("codec_validation", 1)
+    assert not expcli._helper_cpu_free("learning_curves", 1)
     monkeypatch.setenv("FBLINK_WORKERS", "2")
     man = run_scenario(cfg, "codec_validation", str(tmp_path))
     assert man["environment"]["workers"] == 1
@@ -925,10 +923,11 @@ def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
                 continue
             main_thread = threading.main_thread()
             # the coded run hands over round t's job, and ends round t, only
-            # once round t-1's has ended: at most one round in flight
+            # once round t-1's has ended: at most one round in flight.
+            # Inline, round t's job runs within coded round t
             coded = [r for r in runs if r[0] == "coded"]
             ahead = {done - i for i, (_, _, done) in enumerate(coded)}
-            assert ahead <= ({0, 1} if case == "helper" else {0})
+            assert ahead <= ({0, 1} if case == "helper" else {1})
             assert all(t is main_thread for _, t, _ in coded)
             helpers = {t for k, t, *_ in runs if k != "coded"}
             if case == "helper":
@@ -937,9 +936,10 @@ def test_learning_curves_helper_and_inline_agree(tmp_path, monkeypatch):
                 assert {t.name for t in helpers} == {"fblink-helper_0"}
             else:
                 assert helpers == {main_thread}
-                # inline, round t's job runs as round t+1 hands over its own
+                # inline, round t's job runs at once, where coded round t
+                # hands it over, so both end before that coded round does
                 assert [k for k, *_ in runs] == [
-                    "coded", "baseline", "eve"] * 6
+                    "baseline", "eve", "coded"] * 6
             assert sorted(k for k, *_ in runs) == (
                 ["baseline"] * 6 + ["coded"] * 6 + ["eve"] * 6)
     finally:
@@ -982,10 +982,10 @@ def test_learning_curves_failure_leaves_no_thread(tmp_path, monkeypatch,
 def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
                                                           monkeypatch, cpus):
     # round 0's step at lr 1e300 throws the model far off, and the loss
-    # after it overflows. Each variant stops there, in round 0: the
-    # baseline on the helper (2 CPUs), where the coded run hands it round
-    # 0 before its own step fails; inline (1 CPU) the coded run's error
-    # ends the run before the baseline starts.
+    # after it overflows. Each variant stops there, in round 0: the coded
+    # run hands the baseline its round 0 before its own step fails, and the
+    # baseline runs it on the helper (2 CPUs) or at once, where it is
+    # handed over (1 CPU), failing first.
     monkeypatch.setenv("FBLINK_WORKERS", "1")
     monkeypatch.setattr(expcli, "_cpus", lambda: cpus)
     original_rounds, original_grad = hfl.train, mlp.loss_and_grad
@@ -1020,8 +1020,7 @@ def test_diverging_learning_curves_stop_within_two_rounds(tmp_path, capsys,
                for key in ("lr", "reg", "sigma2"))
     assert list((tmp_path / "out").iterdir()) == []
     n_users = parse_config().n_users
-    assert calls == ({"baseline": n_users, "coded": n_users}
-                     if cpus == 2 else {"coded": n_users})
+    assert calls == {"baseline": n_users, "coded": n_users}
 
 
 def test_mlp_bytes_do_not_move_with_blas_threads_or_workers(tmp_path):
@@ -1059,11 +1058,11 @@ def test_tasks_run_on_one_blas_thread_and_restore_the_count(tmp_path,
     put(2)
     try:
         for error in (None, Boom("task")):
-            def task(cfg, arg, error=error):
+            def task(cfg, arg, helper, error=error):
                 seen.append(get())
                 if error is not None:
                     raise error
-                return fn(cfg, arg)
+                return fn(cfg, arg, helper)
 
             monkeypatch.setitem(SCENARIOS, "privacy_utility_sweep",
                                 (task, headers))
@@ -1509,6 +1508,28 @@ def test_cli_quantizer_limits_are_exit_1(tmp_path, capsys, scenario, config,
 def test_cli_diverging_model_is_exit_1(tmp_path, capsys, scenario, config,
                                        key):
     assert_cli_config_error(tmp_path, capsys, scenario, config, key)
+
+
+def test_cli_diverging_model_on_two_workers_is_exit_1(tmp_path, capfd,
+                                                      monkeypatch):
+    # two realizations on two workers: the model fault is mapped inside a
+    # pool worker, and its ConfigError reaches main pickled. capfd also
+    # reads what the workers write to stderr.
+    monkeypatch.setenv("FBLINK_WORKERS", "2")
+    monkeypatch.setattr(expcli, "_cpus", lambda: 2)
+    config = {"lr": 1e300, "n_rounds": 1, "realizations": 2, "n_train": 200,
+              "n_test": 100}
+    assert _workers("learning_curves", parse_config(None, **config)) == 2
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "learning_curves", "--config", str(p),
+                 "--out", str(out)])
+    err = capfd.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: round 0's model math failed"), err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("scenario,config,key", [

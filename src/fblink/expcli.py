@@ -42,12 +42,15 @@ and each of her rounds keeps its own substreams, so the bytes are the same
 either way; the helper thread costs some CPU time and a few MiB of peak
 memory (its buffers and its glibc arena).
 The manifest records the worker count and whether the helper work ran on
-a helper thread. The tables, and then the manifest, are written under a
-".part" suffix and renamed once all of them are written; a run that
-raises removes them, so it leaves no partial tables and no manifest, and
-the files of an earlier run keep their bytes.
-An unusable output directory and a non-integer FBLINK_WORKERS are
-configuration errors.
+a helper thread. Every file a run writes, the tables and then the
+manifest, takes one path: _open_tables opens it under a ".part" suffix
+before the first task runs, and once all of them are written each is
+renamed, the manifest last; a run that raises removes them, so it leaves
+no partial tables and no manifest, and the files of an earlier run keep
+their bytes. An unusable output directory, a final name held by a
+directory, and a non-integer FBLINK_WORKERS are configuration errors,
+raised before any task runs; so is every invalid SystemConfig, refused
+when it is built.
 
 Both learning scenarios run one loop, the hfl.train generator, and keep
 only each round's RoundRecord. The coded transport sends every round down
@@ -58,13 +61,14 @@ _send_bits hands her round's job over itself, inside the round.
 
 Exit codes: 0 success (and --help), 1 configuration error (a usage error
 on the command line, or sizes whose arrays the process cannot allocate
-among them), 2 a scenario found the configured system infeasible at
-runtime.
+among them) or an OSError while the files are written (a full disk), 2 a
+scenario found the configured system infeasible at runtime.
 """
 
 import argparse
 import collections
 import contextlib
+import errno
 import functools
 import hashlib
 import json
@@ -117,6 +121,9 @@ class SystemConfig:
     Link defaults put the forward channel at 10 dB and the feedback at 15 dB
     over unit noise. Learning defaults are desk scale: a 1000-sample training
     subset, 10 users, 30 rounds, and a one-hidden-layer 784-20-10 model.
+    Every instance is valid: __post_init__ runs _validate, so the
+    constructor and dataclasses.replace refuse what parse_config refuses,
+    with its ConfigError naming the key.
     """
 
     seed: int = 2026
@@ -177,6 +184,9 @@ class SystemConfig:
     def mlp_spec(self) -> mlp.MlpSpec:
         return mlp.MlpSpec(n_hidden=self.n_hidden)
 
+    def __post_init__(self):
+        _validate(self)
+
 
 # The planner splits tau into shares tau/(8*n_chunks*(n_t - 1)) before
 # inverting the Gaussian tail; from this floor every share stays a normal
@@ -213,8 +223,22 @@ _UPS_MIN, _UPS_MAX = 1e-200, 1e300
 # overflows, each a traceback. A seed of any size seeds a SeedSequence.
 _INT_MAX = 2**31 - 1
 
+# a field's type, as a refusal names it
+_TYPE_NAMES = {int: "an integer", float: "a float", str: "a string"}
 
-def _validate(cfg: SystemConfig) -> SystemConfig:
+
+def _validate(cfg):
+    # per field, its type before its bounds, which compare values
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if type(v) is not f.type:
+            raise ConfigError("bad value for %s: %r (not %s)"
+                              % (f.name, v, _TYPE_NAMES[f.type]))
+        if f.type is float and not math.isfinite(v):
+            raise ConfigError("bad value for %s: %r (not finite)"
+                              % (f.name, v))
+        if f.type is int and f.name != "seed" and v > _INT_MAX:
+            raise ConfigError("%s must be at most %d" % (f.name, _INT_MAX))
     try:
         snr_ok = all(0.0 < s < math.inf for s in (cfg.snr, cfg.snr_fb))
         p, p_fb = cfg.power, cfg.snr_fb * cfg.sigma2_2
@@ -227,10 +251,7 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
         eps_gain = 2.0 ** (2.0 * cfg.privacy_eps) - 1.0
     except OverflowError:
         eps_gain = math.inf
-    checks = [(getattr(cfg, f.name) <= _INT_MAX,
-               "%s must be at most %d" % (f.name, _INT_MAX))
-              for f in fields(cfg) if f.type is int and f.name != "seed"]
-    checks += [
+    checks = [
         (snr_ok, "snr_db and snr_fb_db must give a finite positive linear "
                  "SNR"),
         (p <= _POWER_MAX, "the power snr*sigma1_2 must be at most %g"
@@ -276,7 +297,6 @@ def _validate(cfg: SystemConfig) -> SystemConfig:
     for ok, msg in checks:
         if not ok:
             raise ConfigError(msg)
-    return cfg
 
 
 def parse_config(path=None, **overrides) -> SystemConfig:
@@ -284,7 +304,8 @@ def parse_config(path=None, **overrides) -> SystemConfig:
 
     Precedence: overrides (CLI flags) > file > defaults. Unknown keys are an
     error naming the valid ones, so typos fail loudly instead of silently
-    running the defaults.
+    running the defaults. It only reads, merges and coerces each value to
+    its field's type; SystemConfig itself refuses what is not valid.
     """
     valid = {f.name: f.type for f in fields(SystemConfig)}
     data = {}
@@ -305,22 +326,15 @@ def parse_config(path=None, **overrides) -> SystemConfig:
     for k, v in data.items():
         want = valid[k]
         try:
-            if want is int:
-                if isinstance(v, bool) or (isinstance(v, float)
-                                           and v != int(v)):
-                    raise ValueError("not an integer")
-                coerced[k] = int(v)
-            elif want is float:
-                if isinstance(v, bool):
-                    raise ValueError("not a number")
-                coerced[k] = float(v)
-                if not math.isfinite(coerced[k]):
-                    raise ValueError("not finite")
-            else:
-                coerced[k] = str(v)
+            # a bool is an int to Python; an integral float is an integer to
+            # JSON, which has one number type
+            if (isinstance(v, bool) and want is not str) or (
+                    want is int and isinstance(v, float) and v != int(v)):
+                raise ValueError("not " + _TYPE_NAMES[want])
+            coerced[k] = want(v)
         except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError("bad value for %s: %r (%s)" % (k, v, e))
-    return _validate(SystemConfig(**coerced))
+    return SystemConfig(**coerced)
 
 
 # =====================================================================
@@ -988,13 +1002,20 @@ def _task_results(tasks, workers):
 
 
 def _open_tables(out_dir, names):
-    """Create out_dir and open one binary ".part" file per table name. An
-    unusable out_dir is a ConfigError, raised before any task runs."""
+    """Create out_dir and open one binary ".part" file per name, in order,
+    beside the final name that run_scenario renames it to: the tables' and
+    then the manifest's. An unusable out_dir, or a final name held by a
+    directory (or a link to one), which os.replace cannot overwrite, is a
+    ConfigError, raised before any task runs."""
     files = {}
     try:
         os.makedirs(out_dir, exist_ok=True)
         for name in names:
-            files[name] = open(os.path.join(out_dir, name + ".part"), "wb")
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR), path)
+            files[name] = open(path + ".part", "wb")
     except OSError as e:
         _discard(files)
         raise ConfigError("cannot write tables under %r: %s" % (out_dir, e))
@@ -1002,7 +1023,7 @@ def _open_tables(out_dir, names):
 
 
 def _discard(files):
-    """Close and remove the partial tables of a failed run; a table that
+    """Close and remove the ".part" files of a failed run; a file that
     cannot be flushed (a full disk) is removed all the same."""
     for f in files.values():
         with contextlib.suppress(OSError):
@@ -1062,10 +1083,11 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
     """Execute one scenario and write its CSVs and manifest under out_dir.
 
     Rows are streamed to disk in task order as tasks finish, so memory does
-    not grow with the realization count. Every file is written under a
-    ".part" suffix, the manifest last, and renamed only once all of them
-    are written, so a run that raises leaves no table of its own and no
-    manifest behind, and the files of an earlier run keep their bytes.
+    not grow with the realization count. _open_tables opens every file, the
+    manifest last, under a ".part" suffix before the first task runs, and
+    each is renamed in that order once all are written. So a run that
+    raises leaves no file of its own behind, and the files of an earlier run
+    keep their bytes unless an I/O error strikes during the renames.
     """
     if scenario not in SCENARIOS:
         raise ConfigError("unknown scenario %r; choose from %s"
@@ -1075,7 +1097,7 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
     _, task_args = _task_args(scenario, cfg)
     workers = _workers(scenario, cfg)
     helper_thread = _helper_cpu_free(scenario, workers)
-    files = _open_tables(out_dir, file_headers)
+    files = _open_tables(out_dir, [*file_headers, "manifest.json"])
     digests = {name: hashlib.sha256() for name in file_headers}
     n_rows = dict.fromkeys(file_headers, 0)
     try:
@@ -1120,14 +1142,11 @@ def run_scenario(cfg: SystemConfig, scenario, out_dir):
                 "helper_thread": helper_thread,
             },
         }
-        # opened where _discard finds it, once the tables are written
-        files["manifest.json"] = f = open(
-            os.path.join(out_dir, "manifest.json.part"), "w",
-            encoding="utf-8")
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        files["manifest.json"].write(
+            (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
         for f in files.values():
             f.close()
+        # in the order opened, so the manifest replaces its old copy last
         for name, f in files.items():
             os.replace(f.name, os.path.join(out_dir, name))
     except BaseException:
@@ -1178,6 +1197,10 @@ def main(argv=None) -> int:
     except InfeasibleError as e:
         print("infeasible: %s" % e, file=sys.stderr)
         return 2
+    except OSError as e:
+        # run_scenario has removed its ".part" files: a full disk, say
+        print("os error: %s" % e, file=sys.stderr)
+        return 1
     for name, info in sorted(manifest["files"].items()):
         print("%s: %d rows, sha256 %s" % (name, info["rows"],
                                           info["sha256"][:16]))

@@ -101,12 +101,37 @@ def test_config_file_problems(tmp_path):
 
 
 def test_semantic_validation():
-    with pytest.raises(ConfigError, match="tau"):
-        parse_config(None, tau=2.0)
-    with pytest.raises(ConfigError, match="realizations"):
-        parse_config(None, realizations=0)
-    with pytest.raises(ConfigError, match="n_train"):
-        parse_config(None, n_train=5, n_users=10)
+    # a SystemConfig built directly or by dataclasses.replace is refused
+    # as parse_config refuses it, with the same message; n_users=0 once
+    # divided by zero in the sweep, tau=0.5 ran past the rate formula's
+    # bound, and realizations=0 wrote an empty table
+    cases = [({"tau": 2.0}, "tau"), ({"realizations": 0}, "realizations"),
+             ({"n_train": 5, "n_users": 10}, "n_train"),
+             ({"tau": 0.5}, "tau"), ({"n_users": 0}, "n_users"),
+             ({"sigma1_2": 1e308}, "sigma1_2"),
+             ({"n_hidden": 2**31}, "n_hidden"),
+             ({"fixed_gains": 2}, "fixed_gains"),
+             ({"lr": math.inf}, "lr"), ({"snr_db": math.nan}, "snr_db"),
+             ({"n_t": 2.5}, "n_t"), ({"n_t": True}, "n_t"),
+             ({"tau": True}, "tau")]
+    for kw, key in cases:
+        messages = []
+        for build in (lambda: parse_config(None, **kw),
+                      lambda: SystemConfig(**kw),
+                      lambda: replace(parse_config(), **kw)):
+            with pytest.raises(ConfigError, match=r"\b%s\b" % key) as info:
+                build()
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1, messages
+    # parse_config coerces JSON's one number type to the field's; built
+    # directly, a value of another type is refused
+    assert parse_config(None, snr_db=10, n_t=4.0) == SystemConfig(n_t=4)
+    for key, value, kind in (("snr_db", 10, "a float"),
+                             ("n_t", 4.0, "an integer"),
+                             ("data_dir", None, "a string")):
+        with pytest.raises(ConfigError, match=r"^bad value for %s: %r \(not "
+                                              r"%s\)$" % (key, value, kind)):
+            SystemConfig(**{key: value})
 
 
 # ---------------------------------------------------------------------
@@ -613,14 +638,34 @@ def test_failed_manifest_write_keeps_the_earlier_run(tmp_path,
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(before) == ["manifest.json", "privacy_utility_sweep.csv"]
 
-    def disk_full(obj, fp, **kwargs):
-        fp.write('{"partial": ')
-        raise OSError(28, "No space left on device")
+    written = []
 
-    monkeypatch.setattr(json, "dump", disk_full)
+    class DiskFull:
+        # the manifest's ".part" file, on a disk that fills while its
+        # bytes are written
+        def __init__(self, f):
+            self._f, self.name = f, f.name
+
+        def write(self, data):
+            written.append(data)
+            self._f.write(data[:12])
+            raise OSError(28, "No space left on device")
+
+        def close(self):
+            self._f.close()
+
+    open_tables = expcli._open_tables
+
+    def manifest_on_a_full_disk(out_dir, names):
+        files = open_tables(out_dir, names)
+        files["manifest.json"] = DiskFull(files["manifest.json"])
+        return files
+
+    monkeypatch.setattr(expcli, "_open_tables", manifest_on_a_full_disk)
     with pytest.raises(OSError, match="No space left"):
         run_scenario(parse_config(None, sweep_points=4),
                      "privacy_utility_sweep", str(out))
+    assert len(written) == 1 and written[0].startswith(b"{\n")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -1673,3 +1718,72 @@ def test_cli_unusable_out_is_exit_1_before_any_task(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error" in err and "cannot write tables" in err
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("held", ["plans.csv", "manifest.json.part",
+                                  "manifest.json"])
+def test_cli_name_held_by_a_directory_is_exit_1_before_any_task(
+        tmp_path, capsys, monkeypatch, held):
+    # os.replace cannot put a file where a directory is. A directory at
+    # plans.csv let a rerun run every task and rename its rates.csv in
+    # beside the earlier manifest; one at manifest.json.part failed only
+    # once every task had run; both ended in a traceback
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", "rate_vs_blocklength", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path = out / held
+    if path.exists():
+        path.unlink()
+    path.mkdir()
+    (path / "keep").write_text("keep")
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    fn, headers = SCENARIOS["rate_vs_blocklength"]
+    calls = []
+
+    def counted(cfg, reals, helper):
+        calls.append(reals)
+        return fn(cfg, reals, helper)
+
+    monkeypatch.setitem(SCENARIOS, "rate_vs_blocklength", (counted, headers))
+    code = main(argv + ["--seed", "5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: cannot write tables")
+    assert held in err and "Traceback" not in err
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in out.iterdir()
+            if p.is_file()} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, held])
+    assert (path / "keep").read_text() == "keep"
+
+
+def test_cli_full_disk_while_rows_stream_is_exit_1(tmp_path, capsys,
+                                                   monkeypatch):
+    # the disk fills on the first row written after the two headers: one
+    # stderr line and exit 1, where main once ended in a traceback, and the
+    # earlier run's files keep their bytes
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", "rate_vs_blocklength", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    write_csv = expcli._write_csv
+    writes = []
+
+    def disk_fills(f, digest, data):
+        writes.append(data)
+        if len(writes) > 2:
+            raise OSError(28, "No space left on device")
+        write_csv(f, digest, data)
+
+    monkeypatch.setattr(expcli, "_write_csv", disk_fills)
+    code = main(argv + ["--seed", "5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("os error: ") and "No space left on device" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert len(writes) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -1,3 +1,3 @@
 """Link-level simulator for secure short-block feedback coding of gradient uploads."""
 
-__version__ = "0.9.1"
+__version__ = "0.10.0"

@@ -32,7 +32,9 @@ a thread (_helper_cpu_free: one worker, and _cpus() at least 2); with one
 it runs one job at a time beside the task, without one each job at once,
 where it is handed over. codec_validation draws the noise of its next
 block batch there while the engine runs the current batch; numpy's noise
-fills release the GIL. learning_curves hands it, each coded round, the
+fills release the GIL. A batch holds at most _CODEC_BATCH blocks and
+_CODEC_BATCH_USES block-uses, so that scenario's memory stays flat in n_t
+as well as in n_blocks. learning_curves hands it, each coded round, the
 error-free baseline's round and the eavesdropper's: her receiver noise,
 her attack on what she heard, her unpacking and dequantizing, and her
 shadow model's step and accuracy. Neither feeds the coded run, which joins
@@ -549,10 +551,14 @@ _CODEC_HEADER = ("realization", "n_t", "bits_per_sub", "n_blocks",
                  "outage_reason")
 
 
-# blocks per engine call of codec_validation; each batch draws its noise
-# from its own substream, so the batches' bytes do not depend on the thread
-# that draws them
+# codec_validation runs its blocks in batches of at most _CODEC_BATCH blocks
+# and at most _CODEC_BATCH_USES block-uses (blocks times n_t), at least one
+# block: a large n_t then shrinks the batch rather than growing its arrays,
+# so the peak memory stays flat in n_t. Each batch draws its noise from its
+# own substream, so the batches' bytes do not depend on the thread that
+# draws them
 _CODEC_BATCH = 20000
+_CODEC_BATCH_USES = 100_000
 
 
 class _Helper:
@@ -627,10 +633,11 @@ def _scn_codec_validation(cfg, r_idx, helper):
                           "lower n_blocks, sigma1_2 or sigma2_2")
     const = codec.build_constellation(bits_sub)
     msg_rng = substream(cfg.seed, DOMAIN_MESSAGES, r_idx)
-    n_batches = -(-cfg.n_blocks // _CODEC_BATCH)
+    batch = min(_CODEC_BATCH, max(1, _CODEC_BATCH_USES // cfg.n_t))
+    n_batches = -(-cfg.n_blocks // batch)
 
     def size(k):
-        return min(_CODEC_BATCH, cfg.n_blocks - k * _CODEC_BATCH)
+        return min(batch, cfg.n_blocks - k * batch)
 
     def draw(k, out=None):
         return codec.draw_block_noise(
@@ -652,14 +659,17 @@ def _scn_codec_validation(cfg, r_idx, helper):
                         for _ in "RI"])
         # allocated on this thread, where glibc serves no heap arena of a
         # helper's own (which costs CPU time and RSS), and only once the
-        # rebinding above has freed batch k-1's arrays
+        # rebinding above has freed batch k-1's arrays, so that two batches
+        # of noise are live, not three: allocated first, it cuts the heap
+        # pages re-faulted per call but adds 1.7-3 MiB of peak RSS at n_t 10
         ahead = (codec._noise_arrays(size(k + 1), cfg.n_t)
                  if k + 1 < n_batches else None)
         if ahead:
             helper.submit(functools.partial(draw, k + 1, ahead))
-        # the last batch's transcript is dropped only when this call
-        # returns: freed earlier, glibc trims the heap top and the engine
-        # faults it back in
+        # each batch's transcript is dropped when the next one replaces it,
+        # and the last when this call returns: freed at the end of its
+        # batch, it lets glibc trim the heap top, and the engine faults it
+        # back in, six times the page faults per call
         out = codec.run_block_batch(sched, real, const, msg, dith, ef, eb,
                                     record=True)
         errs += int(out.error.sum())

@@ -810,30 +810,46 @@ def test_codec_validation_failure_mid_loop_leaves_no_thread(tmp_path,
                          else [False, False])
 
 
-def test_codec_validation_helper_and_inline_draws_agree(monkeypatch):
+@pytest.mark.parametrize("overrides,sizes", [
+    # n_t 10: batches of 10000 blocks (100000 block-uses), the last short
+    ({"n_blocks": 45000}, [10000] * 4 + [5000]),
+    # n_t 1, capped by blocks (at 20 dB, where it carries 2 bits a
+    # sub-channel; at 10 dB its rate is too low)
+    ({"n_t": 1, "snr_db": 20, "n_blocks": 45000}, [20000, 20000, 5000]),
+    # n_t 40, capped by block-uses
+    ({"n_t": 40, "n_blocks": 6000}, [2500, 2500, 1000]),
+    # a last batch of one block
+    ({"n_blocks": 20001}, [10000, 10000, 1]),
+    # an exact multiple of the batch, so no short batch
+    ({"n_blocks": 30000}, [10000] * 3),
+], ids=["short_last", "n_t_1", "n_t_40", "one_block_last", "exact_multiple"])
+def test_codec_validation_helper_and_inline_draws_agree(monkeypatch,
+                                                        overrides, sizes):
     # a helper without a thread draws every batch on the calling thread; one
-    # with a thread draws batches 1 and 2 on it. With the interpreter
-    # switching threads every microsecond, an engine that read a batch
-    # before its fill ended would change the row.
-    cfg = parse_config(None, fixed_gains=1, n_blocks=45000)
+    # with a thread draws every batch but the first on it. With the
+    # interpreter switching threads every microsecond, an engine that read
+    # a batch before its fill ended would change the row.
+    cfg = parse_config(None, fixed_gains=1, **overrides)
     original = codec.draw_block_noise
     rows = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for threaded in (False, True):
-            threads = []
+            threads, drawn = [], []
 
             def recorded(*args, **kwargs):
                 threads.append(threading.current_thread())
+                drawn.append(args[1])
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(codec, "draw_block_noise", recorded)
             with _Helper(threaded) as helper:
                 rows[threaded] = SCENARIOS["codec_validation"][0](cfg, 0,
                                                                   helper)
+            assert drawn == sizes
             assert [t is threading.main_thread() for t in threads] == (
-                [True, False, False] if threaded else [True] * 3)
+                [True] + [not threaded] * (len(sizes) - 1))
     finally:
         sys.setswitchinterval(interval)
     assert rows[False] == rows[True]
@@ -1195,6 +1211,22 @@ def test_planner_memory_is_flat_in_realizations(tmp_path, monkeypatch):
     assert peak(default, 4) <= 1.1 * one
     wide_one = peak(wide, 1)
     assert peak(wide, 4) <= 1.1 * wide_one and wide_one <= 1.1 * one
+
+
+def test_codec_validation_memory_is_flat_in_n_t():
+    # a batch holds at most _CODEC_BATCH_USES block-uses, so the traced
+    # peak of the scenario body at n_t 40 stays near its peak at n_t 5,
+    # where the batch is still capped by _CODEC_BATCH blocks
+    def peak(n_t):
+        cfg = parse_config(None, fixed_gains=1, n_t=n_t, n_blocks=60000)
+        tracemalloc.start()
+        try:
+            SCENARIOS["codec_validation"][0](cfg, 0, _Helper(False))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) <= 1.25 * peak(5)
 
 
 def test_worker_count_parsing_and_clamp(monkeypatch):

@@ -13,11 +13,14 @@ nothing, dates from fblink 0.2.1, and the plans.csv digest of the outage
 case from 0.3.0. The rates.csv digests and the other two plans.csv digests were
 retaken at 0.7.0, when the Gaussian tail moved from scipy to the C
 library's erfc and q_inv, then Acklam's seed with two Newton steps, moved
-in the last ulp. They and the two 20000-block codec_validation digests
-were retaken at 0.9.0, when q_inv became the standard library's normal
-quantile and the fold budgets moved by a few ulps. The two 45000-block
-codec_validation digests, three batches each, were taken at 0.9.0 before
-the next batch's noise moved to a helper thread, and that move kept them.
+in the last ulp. They were retaken at 0.9.0, when q_inv became the
+standard library's normal quantile and the fold budgets moved by a few
+ulps. The four codec_validation digests were retaken at 0.10.0, when a
+block batch became capped at 100000 block-uses as well as 20000 blocks:
+at n_t 10 a batch now holds 10000 blocks, so the 20000-block cases run
+two batches and the 45000-block cases five, the last one still short.
+The 45000-block cases were added at 0.9.0, before the next batch's noise
+moved to a helper thread, and that move kept their bytes.
 The eavesdropper path and transport digests date from 0.6.0, when
 substreams became SFC64; test_streams.py pins the stream's own first
 draws. After a deliberate change,
@@ -57,11 +60,11 @@ CASES = [
     }),
     ("codec_validation", {"fixed_gains": 1, "n_t": 10, "n_blocks": 20000}, {
         "codec_validation.csv":
-            "ac4083918a7834acc53a99f25cd0dd5dbdb0aa874b86be38b9518831e91c86bb",
+            "932fabe110d4e1f12a01692ef225e32bced950ebdd536c56ec0b4d15a8935234",
     }),
     ("codec_validation", {"realizations": 2, "n_blocks": 20000}, {
         "codec_validation.csv":
-            "8b15989cb209a3ee4bf45d7b9731c314607b28f248cdbab728bbea9dbd5cda1b",
+            "fd5dd424f055c05599b7d7efb3124a754c6e0d64225687852c53778fb96593ba",
     }),
     ("privacy_utility_sweep", {}, {
         "privacy_utility_sweep.csv":
@@ -84,15 +87,15 @@ CASES = [
         "plans.csv":
             "f6fd9052cde1acf0c463b4b2c498ceadde485d1d7f1f5050b83d9891ce4c4158",
     }),
-    # three batches of blocks, the last one short: the noise of batches 1
-    # and 2 is drawn while the engine runs the batch before
+    # five batches of blocks at n_t 10, the last one short: the noise of
+    # batches 1 to 4 is drawn while the engine runs the batch before
     ("codec_validation", {"fixed_gains": 1, "n_t": 10, "n_blocks": 45000}, {
         "codec_validation.csv":
-            "e0b3dbff368ff619625138a58b7cb85bc65e902c256f5327a20acae739efb1fb",
+            "a215cf6b55a8d9f2b125331541b99fd7ae3b0778e375601d64ecb94129d8bd74",
     }),
     ("codec_validation", {"realizations": 2, "n_blocks": 45000}, {
         "codec_validation.csv":
-            "b8a75274c246a0c5c803bbd796b3c1bdf48ca8de665ac560af60f089639f2b0d",
+            "63d700721802912c1781c32c4d9de91c203dfa4c9a60a2a90e2989521202f97e",
     }),
 ]
 

@@ -73,16 +73,22 @@ def sample_realization(rng) -> Realization:
     return Realization(*(complex(*p) for p in draws))
 
 
-def derotate(y, coeff):
+def derotate(y, coeff, out=None):
     """Project a received pair onto the transmit frame of a known coefficient.
 
     y is component first, shape (2,) + shape, and so is the result: the rows
     y'_R and y'_I of y*conj(coeff)/|coeff|^2, so that a transmitted x appears
     as x plus noise of variance sigma^2/(2*|coeff|^2) per real component.
     Linear, so the block engine derotates the noise alone: x + derotate(eta).
+    out, a float array of y's shape that shares no memory with y, is filled
+    and returned instead of a fresh one, with the same floats.
     """
     c2 = coeff.real * coeff.real + coeff.imag * coeff.imag
     if c2 == 0.0:
         raise ValueError("cannot derotate by a zero coefficient")
     a, b = coeff.real / c2, coeff.imag / c2
-    return a * y + b * np.array([y[1], -y[0]])
+    # a*y + b*[y1, -y0], with b*(-y0) taken as (-b)*y0, which is exact
+    col = np.array([b, -b]).reshape((2,) + (1,) * (np.ndim(y) - 1))
+    out = np.multiply(y[::-1], col, out=out)
+    out += a * y
+    return out

@@ -33,7 +33,12 @@ and transcript (pair, use, block). A use reads and writes one (2, n) slab,
 row 0 R and row 1 I, and the two sub-channels' state is one (2, n) array:
 one fold per feedback direction, one alias test, one decode. The engine
 allocates no complex array; it derotates a use's noise alone
-(x + derotate(eta, h) is the projection of h*x + eta). draw_block_noise
+(x + derotate(eta, h) is the projection of h*x + eta). It runs in place:
+a call takes one workspace of a few (2, n) slabs, and each use writes its
+error, symbol and fold straight into the transcript's columns and the tap
+into z_seq's, through the out= forms of derotate and modulo_d, in the
+float order of the expressions they stand for; the only allocation left
+in the use loop is one product inside each derotate. draw_block_noise
 draws the noise in its documented order and run_block_batch is a pure
 function of those arrays, the one path through a block; a single block is
 a batch of one. The eavesdropper tap records only the signal she hears,
@@ -210,11 +215,16 @@ def build_schedule(snr, snr_fb, tau, n_t, realization: Realization,
     return Schedule(n_t, L, d, lam, gamma, beta, alpha, P, P_fb)
 
 
-def modulo_d(x, d):
-    """Fold x into the half-open interval [-d/2, d/2)."""
+def modulo_d(x, d, out=None):
+    """Fold x into the half-open interval [-d/2, d/2).
+
+    out, a float array of x's shape, is filled and returned instead of a
+    fresh one, with the same floats. It must share no memory with x, whose
+    entries the fold reads again after its first write to out.
+    """
     x = np.asarray(x)
     # x - d*floor(x/d + 0.5) in one buffer; fresh temporaries cost more
-    r = np.divide(x, d, out=np.empty(x.shape))
+    r = np.divide(x, d, out=np.empty(x.shape) if out is None else out)
     r += 0.5
     np.floor(r, out=r)
     r *= d
@@ -223,7 +233,9 @@ def modulo_d(x, d):
     # (x=2, d=0.8 gives -0.4000000000000004): fold such entries back
     half = d / 2
     if r.min(initial=0.0) < -half or r.max(initial=0.0) >= half:
-        r = np.where(r < -half, r + d, np.where(r >= half, r - d, r))
+        low, high = r < -half, r >= half
+        np.add(r, d, out=r, where=low)
+        np.subtract(r, d, out=r, where=high)
     return r
 
 
@@ -314,32 +326,64 @@ def run_block_batch(sched: Schedule, realization: Realization,
     ge, gf = realization.g, realization.g_fb
     # c*p = c.real*p + [-c.imag, c.imag]*p[::-1] for a component-first pair p
     ge_i, gf_i = (np.array([[-c.imag], [c.imag]]) for c in (ge, gf))
+    # the use loop's workspace, so that it allocates nothing but derotate's
+    # one product: the estimate, the reply's argument, the derotated
+    # feedback noise, a scratch slab and the alias test's two halves; and
+    # without record the symbol, error and fold, columns of the transcript
+    # otherwise
+    th, w, nf, tmp, *own = np.empty((4 if record else 7, 2, n))
+    low, high = np.empty((2, 2, n), dtype=bool)
 
-    x = sqrt_pr * theta
+    x = x_seq[:, 0] if record else own[0]
+    np.multiply(theta, sqrt_pr, out=x)
     for i in range(n_t):
-        yp = x + derotate(eta_fwd[:, i], realization.h)
-        th = yp / sqrt_pr if i == 0 else th - sched.beta[i - 1] * yp
-        eps = np.subtract(th, theta, out=eps_hist[:, i] if record else None)
-        if record:
-            x_seq[:, i] = x
+        # y' = x + derotate(eta), then the estimate's refinement
+        derotate(eta_fwd[:, i], realization.h, out=w)
+        w += x
+        if i == 0:
+            np.divide(w, sqrt_pr, out=th)
+        else:
+            w *= sched.beta[i - 1]
+            th -= w
+        eps = np.subtract(th, theta, out=eps_hist[:, i] if record
+                          else own[1])
+        if tap:
+            # g*x now and g_fb*fold below: the four terms of
+            # ge.real*x + ge_i*x[::-1] + gf.real*fold + gf_i*fold[::-1]
+            z = z_seq[:, i]
+            np.multiply(x, ge.real, out=z)
+            np.multiply(x[::-1], ge_i, out=tmp)
+            z += tmp
         if i == n_t - 1:
             break
 
         g = sched.gamma[i]
-        fold = modulo_d(g * th + dither[i], sched.d)
-        if z_seq is not None:
-            z_seq[:, i] = (ge.real * x + ge_i * x[::-1] + gf.real * fold
-                           + gf_i * fold[::-1])
-        noise_fb = derotate(eta_fb[:, i], realization.h_fb)
-        w = fold + noise_fb
-        # simulator-side truth: fold events, counted per sub-channel
-        arg = g * eps + noise_fb
-        alias += (arg < -half_d) | (arg >= half_d)
-        x = sched.lam * modulo_d(w - g * theta - dither[i], sched.d)
-        if record:
-            xfb_seq[:, i] = fold
-    if z_seq is not None:
-        z_seq[:, -1] = ge.real * x + ge_i * x[::-1]
+        # the decoder's reply: fold(g*th + v)
+        fold = xfb_seq[:, i] if record else own[2]
+        np.multiply(th, g, out=w)
+        w += dither[i]
+        modulo_d(w, sched.d, out=fold)
+        if tap:
+            for p, c in ((fold, gf.real), (fold[::-1], gf_i)):
+                np.multiply(p, c, out=tmp)
+                z += tmp
+        derotate(eta_fb[:, i], realization.h_fb, out=nf)
+        # simulator-side truth: fold events of g*eps + fb-noise, counted
+        # per sub-channel
+        np.multiply(eps, g, out=tmp)
+        tmp += nf
+        np.less(tmp, -half_d, out=low)
+        np.greater_equal(tmp, half_d, out=high)
+        alias += low
+        alias += high
+        # the encoder's next symbol: lam*fold(fold + fb-noise - g*theta - v)
+        np.add(fold, nf, out=w)
+        np.multiply(theta, g, out=tmp)
+        w -= tmp
+        w -= dither[i]
+        x = x_seq[:, i + 1] if record else own[0]
+        modulo_d(w, sched.d, out=x)
+        x *= sched.lam
 
     dec = const.decode(th)
     return BatchResult(dec, (dec != msg).any(axis=0),

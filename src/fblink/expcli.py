@@ -31,8 +31,10 @@ model, to a ConfigError. run_scenario decides once whether the helper has
 a thread (_helper_cpu_free: one worker, and _cpus() at least 2); with one
 it runs one job at a time beside the task, without one each job at once,
 where it is handed over. codec_validation draws the noise of its next
-block batch there while the engine runs the current batch; numpy's noise
-fills release the GIL. A batch holds at most _CODEC_BATCH blocks and
+block batch there while the engine runs the current batch, into the
+arrays that the batch before it ran on, so that two sets of noise arrays
+serve a call (three with a short last batch); numpy's noise fills release
+the GIL. A batch holds at most _CODEC_BATCH blocks and
 _CODEC_BATCH_USES block-uses, so that scenario's memory stays flat in n_t
 as well as in n_blocks. learning_curves hands it, each coded round, the
 error-free baseline's round and the eavesdropper's: her receiver noise,
@@ -647,38 +649,40 @@ def _scn_codec_validation(cfg, r_idx, helper):
     errs = clean = 0
     pow_fwd = pow_fb = 0.0
     eps2 = np.zeros(cfg.n_t)
-    ahead = None
+    ahead = spare = None
     # numpy's noise fills release the GIL, so where a CPU is idle the
     # helper thread draws batch k+1 while this one runs batch k, and
-    # otherwise this thread draws it at once, where it is handed over
+    # otherwise this thread draws it at once, where it is handed over.
+    # Batch k+1 is drawn into the arrays that batch k-1 ran on, so two sets
+    # of noise arrays serve the call, and a short last batch gets a third
     for k in range(n_batches):
         n = size(k)
-        dith, ef, eb = ahead or draw(k)
+        noise_k = ahead or draw(k)
         # R's indices, then I's: two draws, as the stream was always read
         msg = np.stack([msg_rng.integers(0, const.m_levels, n)
                         for _ in "RI"])
-        # allocated on this thread, where glibc serves no heap arena of a
-        # helper's own (which costs CPU time and RSS), and only once the
-        # rebinding above has freed batch k-1's arrays, so that two batches
-        # of noise are live, not three: allocated first, it cuts the heap
-        # pages re-faulted per call but adds 1.7-3 MiB of peak RSS at n_t 10
-        ahead = (codec._noise_arrays(size(k + 1), cfg.n_t)
-                 if k + 1 < n_batches else None)
-        if ahead:
+        if k + 1 < n_batches:
+            if spare is None or spare[1].shape[2] != size(k + 1):
+                spare = None  # dropped first, so two sets stay live
+                spare = codec._noise_arrays(size(k + 1), cfg.n_t)
+            ahead = spare
             helper.submit(functools.partial(draw, k + 1, ahead))
-        # each batch's transcript is dropped when the next one replaces it,
-        # and the last when this call returns: freed at the end of its
-        # batch, it lets glibc trim the heap top, and the engine faults it
-        # back in, six times the page faults per call
-        out = codec.run_block_batch(sched, real, const, msg, dith, ef, eb,
+        # freed when the next batch's replaces it, so the heap top stays put
+        out = codec.run_block_batch(sched, real, const, msg, *noise_k,
                                     record=True)
         errs += int(out.error.sum())
-        pow_fwd += float(np.square(out.x_seq).sum())
-        pow_fb += float(np.square(out.x_fb_seq).sum())
+        # the sums square the transcript in place, which nothing reads after
+        pow_fwd += float(np.square(out.x_seq, out=out.x_seq).sum())
+        pow_fb += float(np.square(out.x_fb_seq, out=out.x_fb_seq).sum())
         mask = out.alias_events == 0
-        eps2 += (np.square(out.eps_hist).sum(axis=0) * mask).sum(axis=1)
+        sq = np.square(out.eps_hist, out=out.eps_hist)
+        # the sum over the two sub-channels, masked, lands in R's rows
+        np.add(sq[0], sq[1], out=sq[0])
+        sq[0] *= mask
+        eps2 += sq[0].sum(axis=1)
         clean += int(mask.sum())
         helper.join()
+        spare = noise_k
     # every block aliased leaves no clean error sample: an empty cell
     var_dev = (float(np.abs(eps2 / (2.0 * clean) / sched.alpha - 1.0).max())
                if clean else "")

@@ -132,6 +132,27 @@ def test_derotate_noise_scaling():
     assert abs(np.var(im) / want - 1.0) < 0.03
 
 
+@pytest.mark.parametrize("coeff", [0.9 - 0.4j, complex(-1.7, -0.0), -0.6j],
+                         ids=["rotated", "real", "imaginary"])
+def test_derotate_out_is_bitwise_the_allocating_form(coeff):
+    # a*y + b*[y1, -y0], the expression before out existed, float for
+    # float: signed zeros included, which a real or an imaginary
+    # coefficient makes of one of its two products
+    def reference(y, coeff):
+        c2 = coeff.real * coeff.real + coeff.imag * coeff.imag
+        a, b = coeff.real / c2, coeff.imag / c2
+        return a * y + b * np.array([y[1], -y[0]])
+
+    y = cn_sample(substream(3, 0), 2.0, (3, 40))
+    y[:, 0, :4] = [[0.0, -0.0, 1.5, -0.0], [-0.0, 0.0, -0.0, 2.5]]
+    for pair in (y, y[:, 1], y[:, 2, 7]):
+        want = reference(pair, coeff)
+        out = np.full(pair.shape, np.nan)
+        assert derotate(pair, coeff, out=out) is out
+        for got in (out, derotate(pair, coeff)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_derotate_zero_coeff_rejected():
     with pytest.raises(ValueError):
         derotate(np.array([1.0, 0.0]), 0j)

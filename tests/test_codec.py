@@ -130,6 +130,34 @@ def test_modulo_properties(x, d):
     assert modulo_d(out, d) == out
 
 
+def test_modulo_out_is_bitwise_the_allocating_form():
+    # x = 2, d = 0.8 takes the fold-back branch: x / d rounds up to 2.5,
+    # so the first pass lands at -0.4000000000000004, below -d/2. With out,
+    # the branch fills out itself, and every float is the one that the
+    # allocating form, and the expression it stands for, give
+    d = 0.8
+    x = np.concatenate([[2.0, -2.0, 0.4, -0.4, 0.0, -0.0, 14.8, -29.2],
+                        substream(5, 0).uniform(-30.0, 30.0, 200)])
+
+    def reference(x, d):
+        r = x - d * np.floor(x / d + 0.5)
+        return np.where(r < -d / 2, r + d,
+                        np.where(r >= d / 2, r - d, r))
+
+    assert 2.0 - d * math.floor(2.0 / d + 0.5) < -d / 2
+    want = reference(x, d)
+    assert want.min() >= -d / 2 and want.max() < d / 2
+    out = np.full(x.shape, np.nan)
+    assert modulo_d(x, d, out=out) is out
+    for got in (out, modulo_d(x, d)):
+        assert got.tobytes() == want.tobytes()
+    # a strided column of a larger array, as the engine's transcript is
+    grid = np.full((2, 3, len(x)), np.nan)
+    modulo_d(x, d, out=grid[1, 2])
+    assert grid[1, 2].tobytes() == want.tobytes()
+    assert np.isnan(grid[:, :2]).all() and np.isnan(grid[0]).all()
+
+
 def test_block_dither_shape_and_range():
     noise = NoiseSpec(1.0, 1.0, 1.0)
     v, _, _ = codec.draw_block_noise(substream(0, 0), 7, 10, noise, 8.0)

@@ -855,6 +855,30 @@ def test_codec_validation_helper_and_inline_draws_agree(monkeypatch,
     assert rows[False] == rows[True]
 
 
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("n_blocks,short", [(40000, False), (45000, True)])
+def test_codec_validation_reuses_its_noise_buffers(monkeypatch, threaded,
+                                                   n_blocks, short):
+    # batches of 10000 blocks at n_t 10: after the first, every batch is
+    # drawn into the set of arrays that the batch before the last one ran
+    # on, so two sets serve them all, and a short last batch takes a third.
+    # The spy keeps every set it saw alive, so a set that was freed and
+    # allocated again would count twice
+    cfg = parse_config(None, fixed_gains=1, n_blocks=n_blocks)
+    original = codec.draw_block_noise
+    filled = []
+
+    def recorded(*args, **kwargs):
+        filled.append(original(*args, **kwargs))
+        return filled[-1]
+
+    monkeypatch.setattr(codec, "draw_block_noise", recorded)
+    with _Helper(threaded) as helper:
+        SCENARIOS["codec_validation"][0](cfg, 0, helper)
+    assert len(filled) == -(-n_blocks // 10000)
+    assert len({tuple(map(id, arrays)) for arrays in filled}) == 2 + short
+
+
 # the learning helper needs an OpenBLAS thread count that a task can pin
 needs_openblas = pytest.mark.skipif(
     expcli._openblas() is None,
@@ -1291,12 +1315,16 @@ def test_codec_validation_quick_run(tmp_path):
 def test_codec_validation_power_is_complex_symbol_power(tmp_path,
                                                        monkeypatch):
     # the power ratios, summed over real components, equal |x|^2 of the
-    # complex symbols the scenario sent, over two batches of blocks
+    # complex symbols the scenario sent, over two batches of blocks. The
+    # scenario squares each transcript in place for its sums, so the spy
+    # keeps a copy of the symbols as the engine returned them
     outs = []
 
     def recorded(*args, _fn=codec.run_block_batch, **kwargs):
-        outs.append(_fn(*args, **kwargs))
-        return outs[-1]
+        out = _fn(*args, **kwargs)
+        outs.append(replace(out, x_seq=out.x_seq.copy(),
+                            x_fb_seq=out.x_fb_seq.copy()))
+        return out
     monkeypatch.setattr(codec, "run_block_batch", recorded)
     cfg = parse_config(None, n_blocks=20500, fixed_gains=1, n_t=5)
     run_scenario(cfg, "codec_validation", str(tmp_path))

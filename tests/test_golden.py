@@ -23,7 +23,9 @@ The 45000-block cases were added at 0.9.0, before the next batch's noise
 moved to a helper thread, and that move kept their bytes.
 The eavesdropper path and transport digests date from 0.6.0, when
 substreams became SFC64; test_streams.py pins the stream's own first
-draws. After a deliberate change,
+draws. The record path digest, the engine's whole transcript at a complex
+channel, was taken at 0.10.0 before the engine came to run in place, and
+that change kept it. After a deliberate change,
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -168,6 +170,36 @@ def test_eavesdropper_path_digest():
     ), BUMP
 
 
+def record_path_digest():
+    # the record=True transcript and the tap of one call, at the rotated
+    # channel and a loose tau so that some blocks alias, then a batch at
+    # n_t 1 (no feedback use) and a batch of one block: every transcript
+    # array, the decisions and the alias counts go into one digest
+    real = ROTATED
+    noise = NoiseSpec(1.0, 1.0, 1.0)
+    const = codec.build_constellation(12)
+    rng = substream(7, 1)
+    digest = hashlib.sha256()
+    for n_t, n in ((10, 2000), (1, 300), (10, 1)):
+        sched = codec.build_schedule(SNR, SNR_FB, 0.05, n_t, real, noise)
+        msg = draw_messages(rng, const, n)
+        dith, ef, eb = codec.draw_block_noise(rng, n, n_t, noise, sched.d)
+        out = codec.run_block_batch(sched, real, const, msg, dith, ef, eb,
+                                    tap=True, record=True)
+        if n_t == 10 and n > 1:
+            assert out.alias_events.sum() > 0
+        for arr in (out.eps_hist, out.x_seq, out.x_fb_seq, out.z_seq,
+                    out.dec, out.alias_events):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def test_record_path_digest():
+    assert record_path_digest() == (
+        "d3dc63f4580a2d097c9e49454890ef873755ca2c95c3e55282ccdfa4ae5cb9b1"
+    ), BUMP
+
+
 def transport_digest():
     # 239 bits, two full chunks and a tail padded into the same batch, sent
     # with the eavesdropper tap: the decoded bits, her bits and the link
@@ -203,4 +235,5 @@ if __name__ == "__main__":
             print(scenario, "on", blas_key(), scenario_digests(scenario, {},
                                                                 tmp))
     print("eavesdropper path", eavesdropper_path_digest())
+    print("record path", record_path_digest())
     print("transport", transport_digest())

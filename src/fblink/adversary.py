@@ -1,23 +1,16 @@
-"""Eavesdropper attacks and leakage accounting for the feedback code.
+"""Eavesdropper attack and leakage accounting for the feedback code.
 
 The eavesdropper sees every forward use through her own gain g and every
 feedback use through g_fb, knows the full schedule, constellation, and both
-gains, but never the shared dither. Two concrete attacks are implemented:
-
-* first-use: the opening transmission is a bare PAM symbol, so she derotates
-  it and slices. Her error is set by her own SNR and by the feedback symbol
-  overlapping the same use.
-* full-sequence: the feedback symbols encode the legitimate receiver's
-  running estimate, folded onto [-d/2, d/2) by the dither. She isolates each
-  feedback symbol, assumes the dither was zero, and unwraps the fold ladder
-  against her first-use prior, rung by rung. Her estimate holds the R and I
-  sub-channels as one (2, n) array, so a rung is one unwrap for both. With
-  the dither actually off this beats guessing by orders of magnitude,
-  though it stays far from receiver fidelity: she reads every feedback use
-  through the concurrent forward symbol, and that self-interference blurs
-  both her opening prior and the final rung. With the dither on, every rung
-  lands at a uniformly distributed offset and the attack degenerates to
-  guessing.
+gains, but never the shared dither. Her one attack, attack_full_sequence,
+opens with the first use, a bare PAM symbol that she derotates and slices,
+and then unwraps the fold ladder of the feedback symbols against it, rung by
+rung, assuming the dither was zero. With the dither actually off this beats
+guessing by orders of magnitude, though it stays far from receiver
+fidelity: she reads every feedback use through the concurrent forward
+symbol, and that self-interference blurs both her opening slice and the
+final rung. With the dither on, every rung lands at a uniformly distributed
+offset and the attack degenerates to guessing.
 
 Leakage is reported two ways: the analytic bound the scenarios account
 secrecy with (analysis.secrecy_level_bound) and, for small payloads, the
@@ -32,44 +25,34 @@ from .channel import derotate
 from .codec import build_constellation
 
 __all__ = [
-    "attack_first_use",
     "attack_full_sequence",
     "exact_posterior_mi",
 ]
 
 
-def _slice_first_use(z1, g, power):
-    """(2, n) estimate of the R and I centers from the opening use."""
-    return derotate(z1, g) / math.sqrt(power / 2.0)
-
-
-def attack_first_use(z1, g, power, const, rng):
-    """Derotate-and-slice on the (2, n) opening use: the (2, n) decision,
-    rows R and I, against const, which both sub-channels share.
-
-    g == 0 leaves the observation useless; the attack falls back to uniform
-    guessing from rng, which is also its exact performance in that case.
-    """
-    if g == 0:
-        return rng.integers(0, const.m_levels, size=z1.shape)
-    return const.decode(_slice_first_use(z1, g, power))
-
-
 def attack_full_sequence(z, g, g_fb, sched, const, rng):
-    """Fold-ladder unwrap over all observed uses: the (2, n) decision.
+    """Fold-ladder unwrap over all observed uses: the (2, n) decision, rows
+    R and I, against const, which both sub-channels share.
 
     z is the tap's (2, n_t, n) record, one column per use (the feedback sent
-    after use i shares column i-1, the last is forward-only). Each feedback
-    symbol is treated as gamma_j*theta + V folded to [-d/2, d/2) with V
-    assumed zero; the wrap count is chosen closest to the running estimate,
-    seeded by the first-use slice. Falls back to the first-use attack when
-    there is no feedback to exploit or no feedback path gain.
+    after use i shares column i-1, the last is forward-only). The ladder is
+    seeded by the first-use slice, the opening use derotated by g and
+    scaled to the constellation. Each feedback symbol is treated as
+    gamma_j*theta + V folded to [-d/2, d/2) with V assumed zero; the wrap
+    count is chosen closest to the running estimate. Without feedback to
+    exploit (n_t == 1 or g_fb == 0) the ladder has no rungs and the decision
+    is the first-use slice's. With g == 0 as well she heard nothing, and
+    guesses uniformly from rng, which is also her exact performance then.
     """
-    if sched.n_t == 1 or g_fb == 0:
-        return attack_first_use(z[:, 0], g, sched.P, const, rng)
-    th = (_slice_first_use(z[:, 0], g, sched.P) if g != 0
-          else np.zeros(z[:, 0].shape))
-    for j in range(1, sched.n_t):
+    first = z[:, 0]
+    rungs = range(1, sched.n_t) if g_fb != 0 else ()
+    if g != 0:
+        th = derotate(first, g) / math.sqrt(sched.P / 2.0)
+    elif rungs:
+        th = np.zeros(first.shape)
+    else:
+        return rng.integers(0, const.m_levels, size=first.shape)
+    for j in rungs:
         gam = sched.gamma[j - 1]
         base = derotate(z[:, j - 1], g_fb) / gam
         wrap = sched.d / gam

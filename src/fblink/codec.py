@@ -29,22 +29,9 @@ error, the block usually dies, and only the simulator-side transcript knows.
 Both sub-channels carry half a block, so one constellation serves both.
 Batch arrays are real and component first, blocks on the last axis:
 messages and decisions (pair, block); dither (use, pair, block); noise, tap
-and transcript (pair, use, block). A use reads and writes one (2, n) slab,
-row 0 R and row 1 I, and the two sub-channels' state is one (2, n) array:
-one fold per feedback direction, one alias test, one decode. The engine
-allocates no complex array; it derotates a use's noise alone
-(x + derotate(eta, h) is the projection of h*x + eta). It runs in place:
-a call takes one workspace of a few (2, n) slabs, and each use writes its
-error, symbol and fold straight into the transcript's columns and the tap
-into z_seq's, through the out= forms of derotate and modulo_d, in the
-float order of the expressions they stand for; the only allocation left
-in the use loop is one product inside each derotate. draw_block_noise
-draws the noise in its documented order and run_block_batch is a pure
-function of those arrays, the one path through a block; a single block is
-a batch of one. The eavesdropper tap records only the signal she hears,
-g*x + g_fb*x_fb; eve_observation adds her receiver noise, the generator's
-next draw after draw_block_noise's, as the last term, so her side of a
-batch can run apart from the link's, on another thread or later.
+and transcript (pair, use, block). draw_block_noise draws a batch's noise,
+run_block_batch runs the batch on it, and eve_observation completes the
+eavesdropper's record of it.
 
 Message indices are read from bits MSB first through to_bits/from_bits, the
 one bit packer that the quantizer and the transport share; the transport
@@ -305,6 +292,16 @@ def run_block_batch(sched: Schedule, realization: Realization,
     each use (g*x alone at the last), which eve_observation completes with
     her noise. record=True keeps the transcript in the layout of the noise:
     errors and forward symbols (2, n_t, n), feedback symbols (2, n_t-1, n).
+
+    This is the one path through a block; a single block is a batch of
+    one. The two sub-channels' state is one (2, n) array, row 0 R and row
+    1 I: one fold per feedback direction, one alias test, one decode. No
+    complex array is allocated: each use's noise is derotated alone
+    (x + derotate(eta, h) is the projection of h*x + eta). The call runs
+    in place, in one workspace of a few (2, n) slabs: each use writes its
+    error, symbol and fold into the transcript's columns and the tap into
+    z_seq's, through the out= forms of derotate and modulo_d, in the float
+    order of the expressions they stand for.
     """
     n_t = sched.n_t
     msg = np.asarray(msg, dtype=np.int64)

@@ -1,72 +1,28 @@
 """Experiment scenarios and the command line front end.
 
-Each scenario turns a SystemConfig into one or more CSV tables plus a JSON
-manifest carrying the config echo, the seed, and a sha256 of every table.
-Scenario cells are int, float or str only, and _csv_bytes, the one
-formatter, writes each as str() gives it (a float's shortest repr) with
-csv's minimal quoting, so equal runs produce byte-identical files; the
-manifest's wall_time_s is the one deliberately non-reproducible field and
-stays out of the hashes. Its environment object names what else the bytes
-depend on: the Python version and implementation (whose statistics module
-sets the normal quantile), numpy, its BLAS build and its OpenBLAS core
-(the MLP scenarios' products round by it; every task runs on one OpenBLAS
-thread), the C library (whose log2 sets the rates, the eavesdropper's
-capacity and the rate-distortion bits) and the substreams' bit generator.
+`fblink run --scenario NAME --out DIR [--config FILE] [--seed N]
+[--realizations N]` runs one scenario of SCENARIOS on a SystemConfig and
+writes its CSV tables and manifest.json: the config echo, the seed, each
+table's sha256 and row count, the wall time and the environment that the
+bytes depend on. FBLINK_WORKERS (default 1) sets the worker processes.
+Equal configs give byte-identical tables whatever the worker count and
+whether a helper thread ran; wall_time_s is the one manifest field that
+equal runs do not share.
 
-Realizations are independent, each on substreams keyed by its own index.
-_task_args maps them to tasks: a rate_vs_blocklength task is a range of
-consecutive realizations, planned in one array call and sized by a fixed
-element budget over n_max + n_t_max_scan; the sweep is one task; every
-other scenario runs one realization per task. A task formats its rows as
-CSV bytes itself. With FBLINK_WORKERS > 1 tasks run in a process pool of
-at most _cpus() workers, the CPUs in this process's affinity mask, with at
-most two tasks per worker submitted ahead of the one being written. Tables
-are streamed: every file is opened before the first task runs, and each
-task's bytes are appended in task order as they arrive and fed to a
-running sha256. Memory therefore stays flat in the realization count, and
-neither the worker count nor the task size changes the bytes.
-_run_task runs every scenario body as fn(cfg, arg, helper) on one OpenBLAS
-thread with one _Helper, and maps hfl's FloatingPointError, a diverging
-model, to a ConfigError. run_scenario decides once whether the helper has
-a thread (_helper_cpu_free: one worker, and _cpus() at least 2); with one
-it runs one job at a time beside the task, without one each job at once,
-where it is handed over. codec_validation draws the noise of its next
-block batch there while the engine runs the current batch, into the
-arrays that the batch before it ran on, so that two sets of noise arrays
-serve a call (three with a short last batch); numpy's noise fills release
-the GIL. A batch holds at most _CODEC_BATCH blocks and
-_CODEC_BATCH_USES block-uses, so that scenario's memory stays flat in n_t
-as well as in n_blocks. learning_curves hands it, each coded round, the
-error-free baseline's round and the eavesdropper's: her receiver noise,
-her attack on what she heard, her unpacking and dequantizing, and her
-shadow model's step and accuracy. Neither feeds the coded run, which joins
-round t's job only when it hands over round t+1's, so at most one round is
-in flight. So busy threads never outnumber the CPUs. Each batch, each run
-and each of her rounds keeps its own substreams, so the bytes are the same
-either way; the helper thread costs some CPU time and a few MiB of peak
-memory (its buffers and its glibc arena).
-The manifest records the worker count and whether the helper work ran on
-a helper thread. Every file a run writes, the tables and then the
-manifest, takes one path: _open_tables opens it under a ".part" suffix
-before the first task runs, and once all of them are written each is
-renamed, the manifest last; a run that raises removes them, so it leaves
-no partial tables and no manifest, and the files of an earlier run keep
-their bytes. An unusable output directory, a final name held by a
-directory, and a non-integer FBLINK_WORKERS are configuration errors,
-raised before any task runs; so is every invalid SystemConfig, refused
-when it is built.
+Each mechanism is described where it is defined:
 
-Both learning scenarios run one loop, the hfl.train generator, and keep
-only each round's RoundRecord. The coded transport sends every round down
-one path, _send_bits, as one block batch; a round with nothing to send is
-a batch of no blocks, and its secrecy level is
-analysis.secrecy_level_bound's 1.0. Where the eavesdropper listens,
-_send_bits hands her round's job over itself, inside the round.
+* realizations to tasks: _task_args; one task's context: _run_task
+* worker processes: _workers, _task_results
+* the helper thread: _helper_cpu_free, _Helper
+* the output files: run_scenario, _open_tables; their bytes: _csv_bytes
+* the coded transport and the eavesdropper's round: coded_transmitter,
+  _send_bits
 
-Exit codes: 0 success (and --help), 1 configuration error (a usage error
-on the command line, or sizes whose arrays the process cannot allocate
-among them) or an OSError while the files are written (a full disk), 2 a
-scenario found the configured system infeasible at runtime.
+Exit codes: 0 success (and --help), 1 a configuration error (a usage error
+on the command line, an invalid config or output directory, or sizes whose
+arrays the process cannot allocate) or an OSError while the files are
+written (a full disk), 2 a scenario found the configured system infeasible
+at runtime.
 """
 
 import argparse
@@ -89,8 +45,8 @@ import numpy as np
 from . import __version__, adversary, analysis, codec, datasets, hfl, mlp, \
     source_coding
 from .channel import NoiseSpec, Realization, sample_realization
-from .streams import (DOMAIN_ATTACK, DOMAIN_BLOCKS, DOMAIN_MESSAGES,
-                      DOMAIN_REALIZATION, substream)
+from .streams import (DOMAIN_BLOCKS, DOMAIN_MESSAGES, DOMAIN_REALIZATION,
+                      substream)
 
 __all__ = [
     "SystemConfig",
@@ -403,17 +359,20 @@ def _send_bits(payload, grp, realization, cfg, r_idx, round_idx,
                on_eve=None):
     """Send payload, the QuantizedPayload of round round_idx of realization
     r_idx, as one block batch of the ChunkGroup grp, a batch of no blocks
-    for an empty payload: zero-pad its bits to grp.count chunks of grp.n_bits, pack them
-    in the _bit_order of the eavesdropper's capacity C_e at this
-    realization, and slice the padding off. The streams are cfg.seed's and
-    the noise cfg's. Returns (decoded bits, diagnostics with that C_e).
+    for an empty payload: zero-pad its bits to grp.count chunks of
+    grp.n_bits, pack them in the _bit_order of the eavesdropper's capacity
+    C_e at this realization, and slice the padding off. The streams are
+    cfg.seed's and the noise cfg's. Returns (decoded bits, diagnostics with
+    that C_e).
 
     With on_eve the engine keeps its tap, and the round hands her job over
     as on_eve(round_idx, job) before it returns. job(), called once on any
     thread, gives her aggregate: it draws her receiver noise, the batch
     generator's next draw, runs the fold-ladder attack on what she heard,
+    with that generator for the guesses of an attack that heard nothing,
     unpacks her decisions and dequantizes them without the dither stream.
-    She is passive, so nothing returned here waits on her."""
+    The round's one substream serves both sides. She is passive, so nothing
+    returned here waits on her."""
     noise = cfg.noise_spec()
     n = payload.physical_bits
     c_e = analysis.eve_capacity_bits(realization.gain_eve, cfg.power,
@@ -429,8 +388,7 @@ def _send_bits(payload, grp, realization, cfg, r_idx, round_idx,
                                  realization, noise)
     # batch index 0 keeps the streams, and so the bytes, of rounds whose
     # payload already filled whole chunks before the tail was padded in
-    path = (r_idx, round_idx, 0)
-    rng = substream(cfg.seed, DOMAIN_BLOCKS, *path)
+    rng = substream(cfg.seed, DOMAIN_BLOCKS, r_idx, round_idx, 0)
     dith, ef, eb = codec.draw_block_noise(rng, grp.count, grp.n_t, noise,
                                           sched.d)
     out = codec.run_block_batch(sched, realization, const, msg, dith, ef, eb,
@@ -447,8 +405,8 @@ def _send_bits(payload, grp, realization, cfg, r_idx, round_idx,
         def eve():
             z = codec.eve_observation(rng, tap, noise)
             heard = _unpack_group(adversary.attack_full_sequence(
-                z, realization.g, realization.g_fb, sched, const,
-                substream(cfg.seed, DOMAIN_ATTACK, *path)), order).ravel()[:n]
+                z, realization.g, realization.g_fb, sched, const, rng),
+                order).ravel()[:n]
             return source_coding.dequantize(replace(payload, indices=heard),
                                             None)
         on_eve(round_idx, eve)
@@ -498,8 +456,7 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
         delta = analysis.secrecy_level_bound(payload.accounted_bits,
                                              real.gain_eve, cfg.power,
                                              cfg.sigma_e2)
-        stats.update(link, redraws=redraws, gain_fwd=real.gain_fwd,
-                     gain_eve=real.gain_eve, delta_round=delta)
+        stats.update(link, redraws=redraws, delta_round=delta)
         return decoded, stats
 
     return transmit

@@ -16,7 +16,6 @@ DOMAIN_LDP = 4
 DOMAIN_DATA = 5
 DOMAIN_INIT = 6
 DOMAIN_MESSAGES = 7
-DOMAIN_ATTACK = 8
 
 
 def _is_index(v):

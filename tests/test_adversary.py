@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fblink.adversary import (attack_first_use, attack_full_sequence,
-                              exact_posterior_mi)
+from fblink.adversary import attack_full_sequence, exact_posterior_mi
 from fblink.analysis import eve_capacity_bits
-from fblink.channel import NoiseSpec, Realization, cn_sample
+from fblink.channel import NoiseSpec, Realization, cn_sample, derotate
 from fblink.codec import (build_constellation, build_schedule,
                           draw_block_noise, eve_observation, run_block_batch)
 from fblink.streams import substream
@@ -35,28 +34,43 @@ def _eavesdropped_batch(n, n_t, bits_per_sub, seed, zero_dither=False):
 # ---------------------------------------------------------------------
 
 
+def _one_use(seed, n, g, const):
+    """The schedule of a one-use block and the (2, 1, n) record of its use
+    heard through g, with its messages."""
+    sched = build_schedule(SNR, SNR_FB, TAU, 1, EVE, NOISE)
+    rng = substream(seed, 0)
+    msg = draw_messages(rng, const, n)
+    x = math.sqrt(sched.P / 2.0) * const.center(msg)
+    return sched, msg, (g * x + cn_sample(rng, 1.0, n))[:, None, :]
+
+
 def test_first_use_zero_gain_guesses_uniformly():
+    # g = 0 and a ladder with no rungs: she heard nothing, and her decision
+    # is rng's first uniform draw over the constellation, as it always was
     const = build_constellation(4)
-    z1 = np.full((2, 40000), 5.0)
-    dec = attack_first_use(z1, 0.0, SNR, const, substream(1, 0))
-    assert dec.shape == (2, 40000)
+    sched, _, z = _one_use(1, 40000, 0.0, const)
+    dec = attack_full_sequence(z, 0.0, EVE.g_fb, sched, const,
+                               substream(1, 1))
+    np.testing.assert_array_equal(dec, substream(1, 1).integers(
+        0, const.m_levels, size=(2, 40000)))
     counts = np.bincount(dec[0], minlength=const.m_levels)
     assert counts.min() > 0.8 * 40000 / const.m_levels
     assert counts.max() < 1.2 * 40000 / const.m_levels
-    # replaying the rng replays the guesses
-    again = attack_first_use(z1, 0.0, SNR, const, substream(1, 0))
+    # replaying the rng replays the guesses, also where feedback uses were
+    # heard through a zero feedback gain
+    sched10 = build_schedule(SNR, SNR_FB, TAU, 10, EVE, NOISE)
+    z10 = np.repeat(z, 10, axis=1)
+    again = attack_full_sequence(z10, 0.0, 0.0, sched10, const,
+                                 substream(1, 1))
     np.testing.assert_array_equal(dec, again)
 
 
 def test_first_use_strong_eavesdropper_reads_bare_symbol():
     # clean opening use, g2 = 100: slicing is essentially error free
     const = build_constellation(2)
-    g = 10.0
-    rng = substream(2, 0)
-    msg = draw_messages(rng, const, 5000)
-    z1 = g * math.sqrt(SNR / 2.0) * const.center(msg) + cn_sample(rng, 1.0,
-                                                                  5000)
-    dec = attack_first_use(z1, g, SNR, const, rng)
+    sched, msg, z = _one_use(2, 5000, 10.0, const)
+    dec = attack_full_sequence(z, 10.0, EVE.g_fb, sched, const,
+                               substream(2, 1))
     assert np.mean((dec == msg).all(axis=0)) > 0.95
 
 
@@ -86,16 +100,32 @@ def test_full_sequence_dither_on_degenerates_to_guessing():
 
 
 def test_full_sequence_single_use_falls_back_to_first_use():
-    sched = build_schedule(SNR, SNR_FB, TAU, 1, EVE, NOISE)
+    # a ladder with no rungs decides on the opening use alone, derotated and
+    # scaled to the constellation, and draws nothing from rng
     const = build_constellation(2)
-    rng = substream(4, 0)
-    x = math.sqrt(SNR / 2.0) * const.center(draw_messages(rng, const, 1000))
-    z = (EVE.g * x + cn_sample(rng, 1.0, 1000))[:, None, :]
+    sched, _, z = _one_use(4, 1000, EVE.g, const)
     assert z.shape == (2, 1, 1000)
-    a = attack_full_sequence(z, EVE.g, EVE.g_fb, sched, const,
-                             substream(4, 1))
-    b = attack_first_use(z[:, 0], EVE.g, sched.P, const, substream(4, 1))
-    np.testing.assert_array_equal(a, b)
+    rng = substream(4, 1)
+    dec = attack_full_sequence(z, EVE.g, EVE.g_fb, sched, const, rng)
+    np.testing.assert_array_equal(dec, const.decode(
+        derotate(z[:, 0], EVE.g) / math.sqrt(sched.P / 2.0)))
+    assert rng.random() == substream(4, 1).random()
+
+
+def test_no_feedback_gain_leaves_the_first_use_decision():
+    # at n_t = 10 with g_fb = 0 the feedback uses tell her nothing: the
+    # decision is the one-use attack's on column 0 of the same record
+    sched, const, _, out = _eavesdropped_batch(5000, 10, 10, seed=5)
+    one = build_schedule(SNR, SNR_FB, TAU, 1, EVE, NOISE)
+    deaf = attack_full_sequence(out.z_seq, EVE.g, 0.0, sched, const,
+                                substream(5, 1))
+    first = attack_full_sequence(out.z_seq[:, :1], EVE.g, EVE.g_fb, one,
+                                 const, substream(5, 2))
+    np.testing.assert_array_equal(deaf, first)
+    # with the feedback gain the rungs move the decision
+    heard = attack_full_sequence(out.z_seq, EVE.g, EVE.g_fb, sched, const,
+                                 substream(5, 3))
+    assert (heard != deaf).any()
 
 
 # ---------------------------------------------------------------------

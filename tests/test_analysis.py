@@ -555,38 +555,46 @@ def test_rate_distortion_validation():
 def test_secrecy_level_frozen():
     # cap = log2(11) = 3.4594316186
     assert rel(eve_capacity_bits(1.0, 10.0, 1.0), 3.4594316186) < 1e-9
-    assert rel(secrecy_level_bound(40.0, 1.0, 10.0, 1.0),
+    assert rel(secrecy_level_bound(40.0, eve_capacity_bits(1.0, 10.0, 1.0)),
                1.0 - 3.4594316186 / 40.0) < 1e-9
     # 20-bit payload against a 2-bit capacity: level 0.9 exactly
-    assert abs(secrecy_level_bound(20.0, 0.3, 10.0, 1.0) - 0.9) < 1e-12
+    assert abs(secrecy_level_bound(20.0, eve_capacity_bits(0.3, 10.0, 1.0))
+               - 0.9) < 1e-12
 
 
 def test_secrecy_level_clamped_at_zero():
-    assert secrecy_level_bound(1.0, 1.0, 10.0, 1.0) == 0.0
+    assert secrecy_level_bound(1.0, eve_capacity_bits(1.0, 10.0, 1.0)) == 0.0
 
 
 def test_secrecy_level_validation():
-    # a round with nothing to send leaves her nothing to learn
-    assert secrecy_level_bound(0, 1.0, 10.0, 1.0) == 1.0
-    assert secrecy_level_bound(0.0, 1e308, 10.0, 1e-320) == 1.0
+    # a round with nothing to send leaves her nothing to learn, even at an
+    # infinite capacity, which leaves nothing of a payload
+    assert secrecy_level_bound(0, eve_capacity_bits(1.0, 10.0, 1.0)) == 1.0
+    inf_cap = eve_capacity_bits(1e308, 10.0, 1e-320)
+    assert inf_cap == math.inf
+    assert secrecy_level_bound(0.0, inf_cap) == 1.0
+    assert secrecy_level_bound(10.0, inf_cap) == 0.0
     with pytest.raises(ValueError):
-        secrecy_level_bound(-1, 1.0, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        secrecy_level_bound(0, -1.0, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        secrecy_level_bound(10.0, -1.0, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        secrecy_level_bound(10.0, 1.0, 0.0, 1.0)
+        secrecy_level_bound(-1, eve_capacity_bits(1.0, 10.0, 1.0))
+    for c_e in (-1.0, math.nan):
+        for payload in (0, 10.0):
+            with pytest.raises(ValueError):
+                secrecy_level_bound(payload, c_e)
+    # the capacity refuses a negative g2 and a non-positive power or
+    # sigma_e2
+    for args in ((-1.0, 10.0, 1.0), (1.0, 0.0, 1.0), (1.0, 10.0, 0.0)):
+        with pytest.raises(ValueError):
+            eve_capacity_bits(*args)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.5, max_value=500.0),
        st.floats(min_value=0.0, max_value=5.0))
 def test_secrecy_level_in_unit_interval(payload, g2):
-    # the bound reads the eavesdropper's capacity from eve_capacity_bits
-    lvl = secrecy_level_bound(payload, g2, 10.0, 1.0)
+    c_e = eve_capacity_bits(g2, 10.0, 1.0)
+    lvl = secrecy_level_bound(payload, c_e)
     assert 0.0 <= lvl <= 1.0
-    assert lvl == max(0.0, 1.0 - eve_capacity_bits(g2, 10.0, 1.0) / payload)
+    assert lvl == max(0.0, 1.0 - c_e / payload)
 
 
 def test_sigma2_window_frozen():

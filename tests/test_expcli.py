@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 try:
@@ -250,7 +251,7 @@ def assert_round_on(stats, real, cfg):
     assert stats["c_e"] == analysis.eve_capacity_bits(
         real.gain_eve, cfg.power, cfg.sigma_e2)
     assert stats["delta_round"] == analysis.secrecy_level_bound(
-        stats["accounted_bits"], real.gain_eve, cfg.power, cfg.sigma_e2)
+        stats["accounted_bits"], stats["c_e"])
 
 
 def test_pinned_channel_in_outage_is_infeasible():
@@ -263,10 +264,21 @@ def test_pinned_channel_in_outage_is_infeasible():
     assert_round_on(stats, ROTATED, cfg)
 
 
-def test_round_secrecy_stats_are_the_analysis_bound():
-    # the round's c_e and delta_round are the analysis helpers at its channel
+def test_round_secrecy_stats_are_the_analysis_bound(monkeypatch):
+    # the round's c_e and delta_round are the analysis helpers at its
+    # channel, and the round computes its C_e once, for both
     cfg = SystemConfig(seed=5)
+    original = analysis.eve_capacity_bits
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "eve_capacity_bits", counted)
     _, stats = _transmit_round(coded_transmitter(cfg, 0, ROTATED), cfg)
+    monkeypatch.undo()
+    assert calls == [(ROTATED.gain_eve, cfg.power, cfg.sigma_e2)]
     assert_round_on(stats, ROTATED, cfg)
     assert 0.0 < stats["delta_round"] < 1.0
 
@@ -882,27 +894,36 @@ def test_codec_validation_helper_and_inline_draws_agree(monkeypatch,
 
 
 @pytest.mark.parametrize("threaded", [False, True])
-@pytest.mark.parametrize("n_blocks,short", [(40000, False), (45000, True)])
-def test_codec_validation_reuses_its_noise_buffers(monkeypatch, threaded,
-                                                   n_blocks, short):
-    # batches of 10000 blocks at n_t 10: after the first, every batch is
-    # drawn into the set of arrays that the batch before the last one ran
-    # on, so two sets serve them all, and a short last batch takes a third.
-    # The spy keeps every set it saw alive, so a set that was freed and
-    # allocated again would count twice
+@pytest.mark.parametrize("n_blocks", [40000, 45000])
+def test_codec_validation_noise_sets_are_allocated_per_batch(
+        monkeypatch, threaded, n_blocks):
+    # batches of 10000 blocks at n_t 10, the last of 5000 at 45000 blocks:
+    # every batch gets a set of noise arrays of its own size, allocated on
+    # the calling thread, where the helper only fills it, and only once the
+    # set of the batch before the last one is freed, so that at most two
+    # sets are alive at a time
     cfg = parse_config(None, fixed_gains=1, n_blocks=n_blocks)
-    original = codec.draw_block_noise
-    filled = []
+    original = codec._noise_arrays
+    caller = threading.get_ident()
+    calls, alive = [], []
 
-    def recorded(*args, **kwargs):
-        filled.append(original(*args, **kwargs))
-        return filled[-1]
+    def spied(n, n_t):
+        # a set is alive while any of its three arrays is
+        live = sum(any(ref() is not None for ref in refs) for refs in alive)
+        arrays = original(n, n_t)
+        calls.append((n, n_t, threading.get_ident(), 1 + live))
+        alive.append([weakref.ref(a) for a in arrays])
+        return arrays
 
-    monkeypatch.setattr(codec, "draw_block_noise", recorded)
+    monkeypatch.setattr(codec, "_noise_arrays", spied)
     with _Helper(threaded) as helper:
         SCENARIOS["codec_validation"][0](cfg, 0, helper)
-    assert len(filled) == -(-n_blocks // 10000)
-    assert len({tuple(map(id, arrays)) for arrays in filled}) == 2 + short
+    sizes = [min(10000, n_blocks - first)
+             for first in range(0, n_blocks, 10000)]
+    assert [n for n, _, _, _ in calls] == sizes
+    assert {n_t for _, n_t, _, _ in calls} == {10}
+    assert {thread for _, _, thread, _ in calls} == {caller}
+    assert max(live for _, _, _, live in calls) == 2
 
 
 # the learning helper needs an OpenBLAS thread count that a task can pin
@@ -1423,16 +1444,12 @@ def test_codec_validation_quick_run(tmp_path):
 def test_codec_validation_power_is_complex_symbol_power(tmp_path,
                                                        monkeypatch):
     # the power ratios, summed over real components, equal |x|^2 of the
-    # complex symbols the scenario sent, over two batches of blocks. The
-    # scenario squares each transcript in place for its sums, so the spy
-    # keeps a copy of the symbols as the engine returned them
+    # complex symbols the scenario sent, over two batches of blocks
     outs = []
 
     def recorded(*args, _fn=codec.run_block_batch, **kwargs):
-        out = _fn(*args, **kwargs)
-        outs.append(replace(out, x_seq=out.x_seq.copy(),
-                            x_fb_seq=out.x_fb_seq.copy()))
-        return out
+        outs.append(_fn(*args, **kwargs))
+        return outs[-1]
     monkeypatch.setattr(codec, "run_block_batch", recorded)
     cfg = parse_config(None, n_blocks=20500, fixed_gains=1, n_t=5)
     run_scenario(cfg, "codec_validation", str(tmp_path))
